@@ -22,10 +22,12 @@ from .mrrm import (
     MultiRadioResourceManager,
     PolicySet,
     RankedList,
+    RoundCandidates,
     SelectionConfig,
     TerminalCapabilities,
     dynamic_score,
     policy_filter,
+    round_candidates,
     select_access,
 )
 from .simenv import Cell, Environment, EventLoop, Scenario, load_scenario, scenario_from_dict
@@ -47,6 +49,7 @@ __all__ = [
     "PolicySet",
     "RankedList",
     "ReportingConfig",
+    "RoundCandidates",
     "Scenario",
     "SelectionConfig",
     "Subscription",
@@ -60,6 +63,7 @@ __all__ = [
     "policy_filter",
     "qos_feasible",
     "residual_error_rate",
+    "round_candidates",
     "scenario_from_dict",
     "select_access",
 ]

@@ -28,7 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run_p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed, which is only a label: "
+                            "the run draws no random numbers")
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
 
     report_p = sub.add_parser("report", help="per-handover delay breakdown from a trace")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -42,7 +41,6 @@ class Run:
     mrrm: MultiRadioResourceManager
     executor: MobilityExecutor
     recorder: TraceRecorder
-    rng: random.Random
 
 
 @dataclass
@@ -57,8 +55,13 @@ class RunResult:
 
 
 def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
-    """Construct and wire every component; the scenario value stays untouched."""
-    seed = scenario.seed if seed_override is None else seed_override
+    """Construct and wire every component; the scenario value stays untouched.
+
+    The seed is only a label: ``seed_override`` replaces it in ``Run.scenario``
+    and changes nothing else.
+    """
+    if seed_override is not None:
+        scenario = replace(scenario, seed=seed_override)
     loop = EventLoop()
     recorder = TraceRecorder()
     bus = trg.TriggerBus(
@@ -82,7 +85,6 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
             trg.Event(event_type, "env", payload=payload)),
         flow_factory=_flow_factory,
     )
-    env.rng = random.Random(seed)
 
     gll = GenericLinkLayer(
         loop, env, bus,
@@ -97,7 +99,6 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
         caps=copy.deepcopy(scenario.capabilities),
         record=lambda kind, attrs: recorder.record(loop.now, "mrrm", kind, attrs),
         policies_check_timeout_ms=scenario.policies_check_timeout_ms,
-        location=scenario.mrrm_location,
         make_before_break=scenario.mobility.make_before_break,
     )
     executor = MobilityExecutor(
@@ -106,7 +107,7 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
         record=lambda kind, attrs: recorder.record(loop.now, "mobility", kind, attrs),
     )
     return Run(scenario=scenario, loop=loop, env=env, bus=bus, gll=gll,
-               mrrm=mrrm, executor=executor, recorder=recorder, rng=env.rng)
+               mrrm=mrrm, executor=executor, recorder=recorder)
 
 
 def _flow_factory(**params):

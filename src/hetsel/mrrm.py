@@ -1,11 +1,13 @@
 """Multiradio resource management: per-flow access selection and handover control.
 
-Selection runs in two stages.  The policy stage filters on slow-changing
-constraints (operators, security, cost, roaming, terminal RAT support) and
-orders by static preference.  The dynamic stage drops overloaded cells
-outright, scores the survivors on QoS fit, link quality, cell resources,
-terminal energy cost and preference, and ranks them.  The head of the ranked
-list serves each flow, guarded by hysteresis and a failure cool-down.
+Selection runs in two stages.  Stage one, ``round_candidates``, runs once per
+decision round: it drops uncovered accesses, filters on the slow-changing
+policy constraints (operators, security, cost, roaming, terminal RAT
+support), terminates cells at or above the load threshold, and sums every
+flow-independent score term (link quality, cell resources, terminal energy
+cost, preference) for each survivor.  Stage two, ``select_access``, runs once
+per flow: it adds the QoS-fit term and ranks the candidates.  The head of the
+ranked list serves each flow, guarded by hysteresis and a failure cool-down.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import gll as gll_mod
 from . import trg
-from .gll import AccessCandidate, GenericLinkLayer, LinkQualityReport
+from .gll import AccessCandidate, GenericLinkLayer, LinkMeasurement, LinkQualityReport
 from .simenv.env import Cell, Environment
 from .simenv.loop import EventLoop
 
@@ -130,17 +132,24 @@ class RankedList:
 
     flow_id: str
     entries: tuple[tuple[AccessCandidate, float], ...]
-    decided_at: int = 0
+    serving_score: Optional[float] = None  # None when the serving access is not ranked
 
     @property
     def head(self) -> Optional[AccessCandidate]:
         return self.entries[0][0] if self.entries else None
 
-    def score_of(self, candidate: AccessCandidate) -> Optional[float]:
-        for entry, score in self.entries:
-            if entry == candidate:
-                return score
-        return None
+
+@dataclass(frozen=True)
+class RoundCandidates:
+    """Stage-one result of one decision round, shared by every flow.
+
+    ``entries`` holds the admitted candidates in lexicographic order, each
+    with its raw measurement and its score for a QoS-feasible and for an
+    infeasible flow; ``position`` maps a candidate to its index there.
+    """
+
+    entries: tuple[tuple[AccessCandidate, LinkMeasurement, float, float], ...]
+    position: dict[AccessCandidate, int]
 
 
 # -- pure selection pipeline ---------------------------------------------------
@@ -152,7 +161,8 @@ def policy_filter(
     caps: TerminalCapabilities,
     cell_meta: Mapping[str, Cell],
 ) -> list[AccessCandidate]:
-    """Stage one: drop disallowed accesses, order the rest by preference."""
+    """Stage one's policy check: drop disallowed accesses, order the rest by
+    preference."""
     kept = []
     for candidate in candidates:
         meta = cell_meta.get(candidate.cell_id)
@@ -177,16 +187,16 @@ def policy_filter(
     return kept
 
 
-def dynamic_score(
-    flow: Flow,
+def _score(
+    f_qos: float,
     report: LinkQualityReport,
     policies: PolicySet,
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
 ) -> float:
-    """Stage two score: weighted sum of the five decision factors."""
+    """The one score formula; ``f_qos`` is 1.0 or 0.0.  Both stages sum
+    through here, in this order, so their scores are bit-identical."""
     candidate = report.candidate
-    f_qos = 1.0 if gll_mod.qos_feasible(flow, report.raw) else 0.0
     return (cfg.w_qos * f_qos
             + cfg.w_link * report.quality
             + cfg.w_cell * report.relative_resources
@@ -194,35 +204,63 @@ def dynamic_score(
             + cfg.w_pol * policies.preference(candidate.operator_id, candidate.rat))
 
 
-def select_access(
+def dynamic_score(
     flow: Flow,
+    report: LinkQualityReport,
+    policies: PolicySet,
+    caps: TerminalCapabilities,
+    cfg: SelectionConfig,
+) -> float:
+    """Weighted sum of the five decision factors for one flow on one access."""
+    f_qos = 1.0 if gll_mod.qos_feasible(flow, report.raw) else 0.0
+    return _score(f_qos, report, policies, caps, cfg)
+
+
+def round_candidates(
     reports: Iterable[LinkQualityReport],
     policies: PolicySet,
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
     cell_meta: Mapping[str, Cell],
-    decided_at: int = 0,
-) -> RankedList:
-    """Run both stages for one flow.
+) -> RoundCandidates:
+    """Stage one, once per decision round: everything no flow changes.
 
-    Uncovered accesses are not candidates, cells at or above the load
-    threshold are terminated outright, ties break serving-access-first and
-    then lexicographically.  An empty list means no feasible access.
+    Uncovered accesses are not candidates, the policy filter applies, and
+    cells at or above the load threshold are terminated outright.  Each
+    survivor's two possible scores are summed exactly as ``dynamic_score``
+    sums them, so stage two only has to pick one.
     """
     by_candidate = {r.candidate: r for r in reports if r.raw.covered}
     allowed = policy_filter(by_candidate.keys(), policies, caps, cell_meta)
-    scored = []
-    for candidate in allowed:
+    entries = []
+    for candidate in sorted(allowed, key=AccessCandidate.sort_key):
         report = by_candidate[candidate]
         if report.raw.load >= cfg.load_threshold:
             continue
-        scored.append((candidate, dynamic_score(flow, report, policies, caps, cfg)))
-    scored.sort(key=lambda pair: (
-        -pair[1],
-        0 if pair[0] == flow.serving else 1,
-        pair[0].sort_key(),
-    ))
-    return RankedList(flow_id=flow.flow_id, entries=tuple(scored), decided_at=decided_at)
+        entries.append((candidate, report.raw,
+                        _score(1.0, report, policies, caps, cfg),
+                        _score(0.0, report, policies, caps, cfg)))
+    return RoundCandidates(
+        entries=tuple(entries),
+        position={entry[0]: i for i, entry in enumerate(entries)},
+    )
+
+
+def select_access(flow: Flow, stage: RoundCandidates) -> RankedList:
+    """Stage two, once per flow: rank the round's candidates for ``flow``.
+
+    Ties break serving-access-first and then lexicographically.  An empty
+    list means no feasible access.
+    """
+    serving = stage.position.get(flow.serving, -1)
+    qos_feasible = gll_mod.qos_feasible
+    scores = [feasible if qos_feasible(flow, raw) else infeasible
+              for _, raw, feasible, infeasible in stage.entries]
+    # False sorts before True: the serving access wins a score tie
+    order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
+    entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
+    serving_score = scores[serving] if serving >= 0 else None
+    return RankedList(flow_id=flow.flow_id, entries=entries, serving_score=serving_score)
 
 
 # -- the component ---------------------------------------------------------------
@@ -276,7 +314,6 @@ class MultiRadioResourceManager:
         caps: Optional[TerminalCapabilities] = None,
         record: Optional[Callable[[str, dict[str, Any]], None]] = None,
         policies_check_timeout_ms: int = 1000,
-        location: str = "terminal",
         make_before_break: bool = True,
     ):
         self.loop = loop
@@ -286,7 +323,6 @@ class MultiRadioResourceManager:
         self.policies = policies or PolicySet()
         self.selection = selection or SelectionConfig()
         self.caps = caps or TerminalCapabilities()
-        self.location = location
         self.make_before_break = make_before_break
         self.policies_check_timeout_ms = policies_check_timeout_ms
         self._record = record or (lambda kind, attrs: None)
@@ -382,8 +418,8 @@ class MultiRadioResourceManager:
 
     # -- decision pipeline ----------------------------------------------------------
 
-    def usable_reports(self, now: Optional[int] = None) -> list[LinkQualityReport]:
-        now = self.loop.now if now is None else now
+    def usable_reports(self) -> list[LinkQualityReport]:
+        now = self.loop.now
         usable = []
         for candidate, report in self.reports.items():
             if self.cooldown_until.get(candidate, -1) > now:
@@ -409,8 +445,6 @@ class MultiRadioResourceManager:
             self._deciding = False
 
     def _decide_once(self) -> list[dict[str, Any]]:
-        now = self.loop.now
-        usable = self.usable_reports(now)
         # Demand already committed to targets of unfinished attaches this and
         # previous rounds; executing handovers have charged real resources.
         tentative: dict[str, int] = {}
@@ -418,13 +452,14 @@ class MultiRadioResourceManager:
             if entry.stage == "attaching":
                 cell = entry.target.cell_id
                 tentative[cell] = tentative.get(cell, 0) + entry.flow.resource_demand
+        stage = round_candidates(self.usable_reports(), self.policies, self.caps,
+                                 self.selection, self.env.cells)
         decisions = []
         for flow_id in sorted(self.flows):
             flow = self.flows[flow_id]
             if flow_id in self.in_flight:
                 continue
-            ranked = select_access(flow, usable, self.policies, self.caps,
-                                   self.selection, self.env.cells, decided_at=now)
+            ranked = select_access(flow, stage)
             decision = self._assign(flow, ranked, tentative)
             decisions.append(decision)
             self._record("decision", decision)
@@ -460,7 +495,7 @@ class MultiRadioResourceManager:
             return decision
         if target == flow.serving:
             return decision
-        serving_score = ranked.score_of(flow.serving) or 0.0
+        serving_score = ranked.serving_score or 0.0
         decision["serving_score"] = serving_score
         if target_score - serving_score >= self.selection.hysteresis_delta:
             decision["action"] = "handover"

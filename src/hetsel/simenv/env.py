@@ -227,7 +227,7 @@ class Environment:
             raise ActionError("ramp step must be positive")
         start = action.params.get("start", getattr(cell, name))
         end = action.params["end"]
-        steps = max(1, duration // step)
+        steps = -(-duration // step)  # the last, possibly shorter, step lands on end
 
         def make_step(k: int) -> Callable[[], None]:
             def apply_step() -> None:
@@ -236,7 +236,7 @@ class Environment:
             return apply_step
 
         for k in range(1, steps + 1):
-            self.loop.schedule(self.loop.now + k * step, make_step(k))
+            self.loop.schedule(self.loop.now + min(k * step, duration), make_step(k))
 
     # -- resource accounting -------------------------------------------------
 

@@ -12,7 +12,7 @@ import pytest
 from hetsel.gll import MappingConfig, map_link_quality, residual_error_rate
 from hetsel.harness import bench_trg, execute_scenario, report_breakdown
 from hetsel.harness.trace import parse_record
-from hetsel.mrrm import select_access
+from hetsel.mrrm import round_candidates, select_access
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR, make_measurement, random_instance
@@ -96,7 +96,7 @@ def test_criterion_4_selection_oracle_equivalence():
     for _ in range(1000):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         for flow in flows:
-            ranked = select_access(flow, reports, policies, caps, cfg, cells)
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
             expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells)
             checked += 1
             if expected is None:
@@ -117,7 +117,7 @@ def test_criterion_5_hard_termination_property():
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         by_candidate = {r.candidate: r for r in reports}
         for flow in flows:
-            ranked = select_access(flow, reports, policies, caps, cfg, cells)
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
             for candidate, _ in ranked.entries:
                 if by_candidate[candidate].raw.load >= cfg.load_threshold:
                     violations += 1

@@ -77,6 +77,21 @@ def test_quality_ramp_is_linear_pointwise():
     assert cell.achievable_rate == 0.0
 
 
+def test_quality_ramp_with_partial_last_step_lands_on_end():
+    # 250 ms at 100 ms steps: steps at 100 and 200, then a short one at 250.
+    cell = make_cell("wlan1", achievable_rate=10e6)
+    loop, env, emitted = make_env([cell])
+    env.apply_action(ScenarioAction(
+        0, "quality-ramp", "wlan1",
+        params=dict(field="achievable_rate", end=0.0, duration_ms=250, step_ms=100)))
+    for k, at in enumerate((100, 200, 250), start=1):
+        loop.run_until(at)
+        expected = linear_ramp_value(10e6, 0.0, k, 100, 250)
+        assert cell.achievable_rate == pytest.approx(expected)
+    assert cell.achievable_rate == 0.0
+    assert loop.pending() == 0
+
+
 def test_quality_ramp_rejects_bad_duration():
     loop, env, emitted = make_env([make_cell("wlan1")])
     with pytest.raises(ActionError):

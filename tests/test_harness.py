@@ -361,9 +361,11 @@ def test_shipped_scenarios_are_deterministic(path):
 def test_seed_override_changes_only_the_seed(tmp_path):
     scenario = load_scenario(SCENARIO_DIR / "scan_targeted_hit.json")
     base = execute_scenario(scenario).trace_text
-    overridden = execute_scenario(scenario, seed_override=123).trace_text
-    # nothing in this scenario consumes randomness, so the trace is identical
-    assert base == overridden
+    overridden = execute_scenario(scenario, seed_override=123)
+    # the seed is only a label: it changes the run's scenario, not its trace
+    assert overridden.scenario.seed == 123
+    assert scenario.seed != 123
+    assert base == overridden.trace_text
 
 
 # -- bench ---------------------------------------------------------------------------

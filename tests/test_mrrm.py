@@ -17,6 +17,7 @@ from hetsel.mrrm import (
     TerminalCapabilities,
     dynamic_score,
     policy_filter,
+    round_candidates,
     select_access,
 )
 from hetsel.simenv.env import Environment, ScenarioAction
@@ -115,8 +116,8 @@ def test_singleton_candidate():
     cell = make_cell("a")
     reports = [report_for_cell(cell)]
     flow = make_flow()
-    ranked = select_access(flow, reports, PolicySet(), TerminalCapabilities(),
-                           SelectionConfig(), {"a": cell})
+    ranked = select_access(flow, round_candidates(
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}))
     assert len(ranked.entries) == 1
     assert ranked.head.cell_id == "a"
     expected = dynamic_score(flow, reports[0], PolicySet(), TerminalCapabilities(),
@@ -129,16 +130,16 @@ def test_load_threshold_hard_termination():
     hot = make_cell("hot", used_resources=95, achievable_rate=100e6, base_delay_ms=1)
     cells = {"good": good, "hot": hot}
     reports = [report_for_cell(good), report_for_cell(hot)]
-    ranked = select_access(make_flow(), reports, PolicySet(), TerminalCapabilities(),
-                           SelectionConfig(load_threshold=0.9), cells)
+    ranked = select_access(make_flow(), round_candidates(
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(load_threshold=0.9), cells))
     assert [c.cell_id for c, _ in ranked.entries] == ["good"]
 
 
 def test_uncovered_candidates_never_ranked():
     gone = make_cell("gone", covered=False)
     reports = [report_for_cell(gone)]
-    ranked = select_access(make_flow(), reports, PolicySet(), TerminalCapabilities(),
-                           SelectionConfig(), {"gone": gone})
+    ranked = select_access(make_flow(), round_candidates(
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"gone": gone}))
     assert ranked.entries == ()
 
 
@@ -148,8 +149,8 @@ def test_serving_access_wins_score_ties():
     cells = {"a": a, "b": b}
     reports = [report_for_cell(a), report_for_cell(b)]
     serving_b = make_flow(serving=candidate_for(b))
-    ranked = select_access(serving_b, reports, PolicySet(), TerminalCapabilities(),
-                           SelectionConfig(), cells)
+    ranked = select_access(serving_b, round_candidates(
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells))
     assert ranked.head.cell_id == "b"
 
 
@@ -157,7 +158,7 @@ def test_head_matches_brute_force_oracle_on_random_instances(rng):
     for _ in range(300):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         for flow in flows:
-            ranked = select_access(flow, reports, policies, caps, cfg, cells)
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
             expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells)
             if expected is None:
                 assert ranked.head is None
@@ -171,7 +172,7 @@ def test_filter_soundness_on_random_instances(rng):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         by_candidate = {r.candidate: r for r in reports}
         for flow in flows:
-            ranked = select_access(flow, reports, policies, caps, cfg, cells)
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
             for candidate, _ in ranked.entries:
                 report = by_candidate[candidate]
                 meta = cells[candidate.cell_id]
@@ -187,6 +188,50 @@ def test_filter_soundness_on_random_instances(rng):
                     assert candidate.rat in caps.supported_rats
 
 
+def _long_hand_ranking(flow, reports, policies, caps, cfg, cells):
+    """One flow's ranking the way it reads in the docs: filter, score every
+    candidate with ``dynamic_score``, sort by (-score, serving first, identity)."""
+    by_candidate = {r.candidate: r for r in reports if r.raw.covered}
+    scored = [(c, dynamic_score(flow, by_candidate[c], policies, caps, cfg))
+              for c in policy_filter(by_candidate, policies, caps, cells)
+              if by_candidate[c].raw.load < cfg.load_threshold]
+    scored.sort(key=lambda pair: (-pair[1], pair[0] != flow.serving, pair[0].sort_key()))
+    return scored
+
+
+def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells):
+    expected = _long_hand_ranking(flow, reports, policies, caps, cfg, cells)
+    assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
+    # bit-identical scores: the per-round sums are taken in dynamic_score's order
+    assert [score for _, score in ranked.entries] == [score for _, score in expected]
+    serving = [score for c, score in expected if c == flow.serving]
+    assert ranked.serving_score == (serving[0] if serving else None)
+
+
+def test_per_round_stages_equal_long_hand_ranking_exactly(rng):
+    for _ in range(500):
+        cells, reports, flows, policies, caps, cfg = random_instance(rng)
+        stage = round_candidates(reports, policies, caps, cfg, cells)
+        for flow in flows:
+            _assert_same_as_long_hand(select_access(flow, stage),
+                                      flow, reports, policies, caps, cfg, cells)
+
+
+def test_identical_cells_tie_break_serving_first_exactly():
+    a = make_cell("a")
+    b = make_cell("b")
+    cells = {"a": a, "b": b}
+    reports = [report_for_cell(a), report_for_cell(b)]
+    policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
+    stage = round_candidates(reports, policies, caps, cfg, cells)
+    for serving in (None, candidate_for(a), candidate_for(b)):
+        flow = make_flow(serving=serving)
+        ranked = select_access(flow, stage)
+        assert ranked.entries[0][1] == ranked.entries[1][1]
+        assert ranked.head.cell_id == ("b" if serving == candidate_for(b) else "a")
+        _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells)
+
+
 def test_weight_scaling_leaves_order_unchanged(rng):
     for _ in range(100):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
@@ -197,8 +242,8 @@ def test_weight_scaling_leaves_order_unchanged(rng):
             w_pol=cfg.w_pol * scale, load_threshold=cfg.load_threshold,
             hysteresis_delta=cfg.hysteresis_delta)
         for flow in flows:
-            base = select_access(flow, reports, policies, caps, cfg, cells)
-            other = select_access(flow, reports, policies, caps, scaled, cells)
+            base = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
+            other = select_access(flow, round_candidates(reports, policies, caps, scaled, cells))
             assert [c for c, _ in base.entries] == [c for c, _ in other.entries]
 
 
