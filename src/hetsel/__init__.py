@@ -2,8 +2,9 @@
 
 Layers, bottom up: ``simenv`` (event loop, radio environment, scenarios),
 ``gll`` (link abstraction and measurement), ``mrrm`` (per-flow access
-selection and handover decisions), ``trg`` (trigger bus), ``harness``
-(mobility executor, traces, statistics, CLI runner).
+selection and handover decisions), ``mobility`` (handover execution
+pipeline), ``trg`` (trigger bus), ``harness`` (traces, statistics, CLI
+runner).
 """
 
 from .gll import (
@@ -14,7 +15,6 @@ from .gll import (
     MappingConfig,
     ReportingConfig,
     map_link_quality,
-    qos_feasible,
     residual_error_rate,
 )
 from .mrrm import (
@@ -27,11 +27,13 @@ from .mrrm import (
     TerminalCapabilities,
     dynamic_score,
     policy_filter,
+    qos_feasible,
     round_candidates,
     select_access,
 )
-from .simenv import Cell, Environment, EventLoop, Scenario, load_scenario, scenario_from_dict
-from .trg import CorrelationRule, Event, Subscription, Trigger, TriggerBus, UciRecord
+from .simenv import Cell, Environment, EventLoop
+from .simenv.scenario import Scenario, load_scenario, scenario_from_dict
+from .trg import CorrelationRule, Event, Subscription, TriggerBus, UciRecord
 
 __all__ = [
     "AccessCandidate",
@@ -54,7 +56,6 @@ __all__ = [
     "SelectionConfig",
     "Subscription",
     "TerminalCapabilities",
-    "Trigger",
     "TriggerBus",
     "UciRecord",
     "dynamic_score",

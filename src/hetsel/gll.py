@@ -2,7 +2,8 @@
 
 Maps per-RAT measurements onto normalized [0,1] metrics, runs scans and
 attach/detach against the simulated environment, and reports periodically on
-all attached and detected accesses.  Everything above this layer sees
+all attached and detected accesses.  Reports and link changes leave this
+layer as events on the trigger bus; everything above it sees
 :class:`LinkQualityReport` values and is RAT-agnostic.
 """
 
@@ -10,14 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from . import trg
 from .simenv.env import Cell, Environment
 from .simenv.loop import EventLoop
-
-if TYPE_CHECKING:
-    from .mrrm import Flow
 
 logger = logging.getLogger(__name__)
 
@@ -204,11 +202,6 @@ def residual_error_rate(raw_frame_loss: float, max_retransmissions: int) -> floa
     return raw_frame_loss ** (max_retransmissions + 1)
 
 
-def relative_resources(cell: Cell) -> float:
-    """Fraction of the cell's codes/slots/channels still free."""
-    return (cell.total_resources - cell.used_resources) / cell.total_resources
-
-
 def map_link_quality(
     m: LinkMeasurement,
     cfg: MappingConfig,
@@ -238,14 +231,6 @@ def map_link_quality(
         relative_resources=1.0 - m.load,
         raw=m,
     )
-
-
-def qos_feasible(flow: "Flow", m: LinkMeasurement) -> bool:
-    """True when the access can carry the flow; boundaries are inclusive."""
-    return (m.covered
-            and m.achievable_rate >= flow.min_rate
-            and m.delay_ms <= flow.max_delay_ms
-            and m.residual_error_rate <= flow.max_loss)
 
 
 def candidate_for(cell: Cell) -> AccessCandidate:
@@ -375,7 +360,6 @@ class GenericLinkLayer:
         self._active_classes: dict[str, str] = {}
         self._tick_scheduled = False
         self.scan_counts = {"targeted": 0, "full": 0}
-        self.energy_spent = 0.0
         self._subscribe()
 
     def _subscribe(self) -> None:
@@ -494,7 +478,6 @@ class GenericLinkLayer:
             cost = self.cfg.full_scan_per_rat_ms * len(rats)
             energy = sum(self.cfg.probe_energy.get(c.rat, 1.0)
                          for c in self.env.cells.values())
-        self.energy_spent += energy
         self.loop.schedule_after(cost, lambda: self._complete_scan(mode, energy))
 
     def _complete_scan(self, mode: str, energy: float) -> None:
@@ -585,7 +568,7 @@ class GenericLinkLayer:
 
     # -- trigger handling ----------------------------------------------------
 
-    def _on_trigger(self, t: trg.Trigger) -> None:
+    def _on_trigger(self, t: trg.Event) -> None:
         if t.event_type == trg.CELL_COVERAGE_CHANGE:
             self._on_coverage_change(t.payload)
         elif t.event_type == trg.ROUTER_ADVERTISEMENT:

@@ -1,6 +1,5 @@
-"""Scenario runner, mobility executor, traces, statistics, benchmark."""
+"""Scenario runner, traces, statistics, benchmark."""
 
-from .mobility import MobilityConfig, MobilityDelayModel, MobilityExecutor
 from .trace import TraceError, TraceRecord, TraceRecorder, read_trace
 from .stats import BreakdownReport, RunStats, compute_stats, report_breakdown
 from .bench import BenchSummary, bench_trg
@@ -9,9 +8,6 @@ from .runner import Run, RunResult, build_run, execute_run, execute_scenario, ru
 __all__ = [
     "BenchSummary",
     "BreakdownReport",
-    "MobilityConfig",
-    "MobilityDelayModel",
-    "MobilityExecutor",
     "Run",
     "RunResult",
     "RunStats",

@@ -84,7 +84,7 @@ def bench_trg(subscribers: int, events: int, seed: int = 20117) -> BenchSummary:
     bus = trg.TriggerBus(clock=lambda: now[0])
     sink = [0]
 
-    def consume(_trigger: trg.Trigger) -> None:
+    def consume(_event: trg.Event) -> None:
         sink[0] += 1
 
     for i in range(subscribers):

@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 import copy
+import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .. import trg
 from ..gll import GenericLinkLayer
-from ..mrrm import MultiRadioResourceManager
+from ..mobility import MobilityExecutor
+from ..mrrm import Flow, MultiRadioResourceManager
 from ..simenv.env import Environment
 from ..simenv.loop import EventLoop
-from .mobility import MobilityExecutor
+from ..simenv.scenario import Scenario, ScenarioError, load_scenario
 from .stats import RunStats, compute_stats
 from .trace import TraceRecorder
-
-if TYPE_CHECKING:
-    from ..simenv.scenario import Scenario
 
 logger = logging.getLogger(__name__)
 
@@ -111,8 +110,6 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
 
 
 def _flow_factory(**params):
-    from ..mrrm import Flow
-
     flow = Flow(**params)
     flow.validate()
     return flow
@@ -123,8 +120,6 @@ def _install_initial_flows(run: Run) -> None:
         flow = replace(template)
         run.env.flows[flow.flow_id] = flow
         if flow.serving is not None:
-            from ..simenv.scenario import ScenarioError
-
             cell_id = flow.serving.cell_id
             if not run.gll.is_attached(cell_id):
                 run.gll.force_attach(cell_id)
@@ -170,10 +165,6 @@ def run_to_files(
     seed_override: Optional[int] = None,
 ) -> tuple[RunResult, Path, Path]:
     """Load a scenario file, run it, and write trace + stats into ``out_dir``."""
-    import json
-
-    from ..simenv.scenario import load_scenario
-
     scenario = load_scenario(scenario_path)
     result = execute_scenario(scenario, seed_override)
     out = Path(out_dir)

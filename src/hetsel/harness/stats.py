@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .mobility import TRACE_POINTS
+from ..mobility import TRACE_POINTS
 from .trace import TraceRecord
 
 PING_PONG_WINDOW_MS = 10000

@@ -13,9 +13,9 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .. import trg
-from ..simenv.env import Environment
-from ..simenv.loop import EventLoop
+from . import trg
+from .simenv.env import Environment
+from .simenv.loop import EventLoop
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ class MobilityExecutor:
             self._on_request,
         )
 
-    def _on_request(self, t: trg.Trigger) -> None:
+    def _on_request(self, t: trg.Event) -> None:
         self._counter += 1
         pipeline = _Pipeline(
             handover_id=f"ho-{self._counter}",

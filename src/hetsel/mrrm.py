@@ -155,6 +155,15 @@ class RoundCandidates:
 # -- pure selection pipeline ---------------------------------------------------
 
 
+def qos_feasible(flow: Flow, m: LinkMeasurement) -> bool:
+    """Stage two's per-flow check: True when the access can carry the flow;
+    boundaries are inclusive."""
+    return (m.covered
+            and m.achievable_rate >= flow.min_rate
+            and m.delay_ms <= flow.max_delay_ms
+            and m.residual_error_rate <= flow.max_loss)
+
+
 def policy_filter(
     candidates: Iterable[AccessCandidate],
     policies: PolicySet,
@@ -212,7 +221,7 @@ def dynamic_score(
     cfg: SelectionConfig,
 ) -> float:
     """Weighted sum of the five decision factors for one flow on one access."""
-    f_qos = 1.0 if gll_mod.qos_feasible(flow, report.raw) else 0.0
+    f_qos = 1.0 if qos_feasible(flow, report.raw) else 0.0
     return _score(f_qos, report, policies, caps, cfg)
 
 
@@ -253,7 +262,6 @@ def select_access(flow: Flow, stage: RoundCandidates) -> RankedList:
     list means no feasible access.
     """
     serving = stage.position.get(flow.serving, -1)
-    qos_feasible = gll_mod.qos_feasible
     scores = [feasible if qos_feasible(flow, raw) else infeasible
               for _, raw, feasible, infeasible in stage.entries]
     # False sorts before True: the serving access wins a score tie
@@ -553,7 +561,7 @@ class MultiRadioResourceManager:
 
     # -- trigger handling --------------------------------------------------------
 
-    def on_trigger(self, t: trg.Trigger) -> None:
+    def on_trigger(self, t: trg.Event) -> None:
         handler = self._HANDLERS.get(t.event_type)
         if handler is None:
             logger.warning("mrrm ignoring unknown trigger type %s", t.event_type)

@@ -1,4 +1,8 @@
-"""Discrete-event core, simulated radio environment, scenario ingestion."""
+"""Discrete-event core and the simulated radio environment.
+
+Scenario files are read by :mod:`hetsel.simenv.scenario`, which builds the
+configuration of the layers above and is therefore not imported here.
+"""
 
 from .env import ActionError, Cell, Environment, InvariantError, ScenarioAction
 from .loop import EventLoop, Handle, SchedulingError
@@ -10,24 +14,6 @@ __all__ = [
     "EventLoop",
     "Handle",
     "InvariantError",
-    "Scenario",
     "ScenarioAction",
-    "ScenarioError",
     "SchedulingError",
-    "TrgSettings",
-    "load_scenario",
-    "scenario_from_dict",
 ]
-
-_SCENARIO_EXPORTS = ("Scenario", "ScenarioError", "TrgSettings",
-                     "load_scenario", "scenario_from_dict")
-
-
-def __getattr__(name):
-    # Loaded on first use: the scenario module needs the config types of the
-    # layers above this package, so importing it eagerly here would cycle.
-    if name in _SCENARIO_EXPORTS:
-        from . import scenario
-
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,10 +13,9 @@ class SchedulingError(ValueError):
 class Handle:
     """Cancellation handle for one scheduled action."""
 
-    __slots__ = ("at", "cancelled")
+    __slots__ = ("cancelled",)
 
-    def __init__(self, at: int):
-        self.at = at
+    def __init__(self) -> None:
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -40,7 +39,7 @@ class EventLoop:
         if at < self._now:
             raise SchedulingError(f"cannot schedule at {at}, clock is at {self._now}")
         self._seq += 1
-        handle = Handle(at)
+        handle = Handle()
         heapq.heappush(self._queue, (at, self._seq, handle, action))
         return handle
 

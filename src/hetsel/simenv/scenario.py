@@ -13,13 +13,14 @@ from pathlib import Path
 from typing import Any, Union
 
 from ..gll import GllConfig, MacScheme, MappingConfig, ReportingConfig, candidate_for
-from ..harness.mobility import MobilityConfig, MobilityDelayModel
+from ..mobility import MobilityConfig, MobilityDelayModel
 from ..mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
 from ..trg import CorrelationRule, PolicyRecord
-from .env import ACTION_KINDS, Cell, ScenarioAction
+from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, ScenarioAction
 
 NODE_ROLES = ("MN", "MR")
 MRRM_LOCATIONS = ("terminal", "network")
+_INT_CELL_FIELDS = ("total_resources", "used_resources", "security_level")
 _MIN_DURATION_MS = 10000
 _TAIL_AFTER_LAST_ACTION_MS = 5000
 
@@ -89,6 +90,18 @@ def _expect_number(data: dict, path: str, key: str, default: float) -> float:
 
 def _expect_int(data: dict, path: str, key: str, default: int) -> int:
     return _expect(data, path, key, (int,), default)
+
+
+def _expect_positive_int(data: dict, path: str, key: str, default: int) -> int:
+    value = _expect_int(data, path, key, default)
+    if value <= 0:
+        _fail(f"{path}.{key}", "must be positive")
+    return value
+
+
+def _require(data: dict, path: str, key: str) -> None:
+    if key not in data:
+        _fail(f"{path}.{key}", "required field missing")
 
 
 def _expect_str(data: dict, path: str, key: str, default: str) -> str:
@@ -300,9 +313,7 @@ def _parse_trg(data: dict, path: str) -> TrgSettings:
         pattern = tuple(_str_list(raw, rule_path, "pattern"))
         if len(pattern) < 2:
             _fail(f"{rule_path}.pattern", "pattern length must be >= 2")
-        window = _expect_int(raw, rule_path, "window_ms", 0)
-        if window <= 0:
-            _fail(f"{rule_path}.window_ms", "must be positive")
+        window = _expect_positive_int(raw, rule_path, "window_ms", 0)
         rule_id = _expect_str(raw, rule_path, "rule_id", "")
         output_type = _expect_str(raw, rule_path, "output_type", "")
         if not rule_id or not output_type:
@@ -342,8 +353,7 @@ def _parse_cell(data: dict, path: str) -> Cell:
                              "achievable_rate", "base_delay_ms", "security_level",
                              "cost_per_mb"})
     for required in ("cell_id", "rat", "operator_id", "frequency"):
-        if required not in data:
-            _fail(f"{path}.{required}", "required field missing")
+        _require(data, path, required)
     cell = Cell(
         cell_id=_expect_str(data, path, "cell_id", ""),
         rat=_expect_str(data, path, "rat", ""),
@@ -377,8 +387,7 @@ def _parse_flow_params(data: dict, path: str) -> dict[str, Any]:
 
 def _parse_flow(data: dict, path: str, cells: dict[str, Cell]) -> Flow:
     _check_keys(data, path, FLOW_PARAM_FIELDS | {"flow_id", "serving"})
-    if "flow_id" not in data:
-        _fail(f"{path}.flow_id", "required field missing")
+    _require(data, path, "flow_id")
     serving_id = data.get("serving")
     serving = None
     if serving_id is not None:
@@ -449,14 +458,23 @@ def _validate_timeline(actions: list[ScenarioAction], cells: dict[str, Cell],
         else:
             if action.target not in cells:
                 _fail(f"{path}.target", f"unknown cell {action.target!r}")
+        params = action.params
         if action.kind == "quality-ramp":
-            if action.params.get("field") not in ("raw_error_rate", "achievable_rate"):
-                _fail(f"{path}.field", "ramp field must be raw_error_rate or achievable_rate")
-            if action.params.get("duration_ms", 0) <= 0:
-                _fail(f"{path}.duration_ms", "must be positive")
+            if params.get("field") not in RAMP_FIELDS:
+                _fail(f"{path}.field", f"ramp field must be one of {RAMP_FIELDS}")
+            _require(params, path, "end")
+            _expect_number(params, path, "end", 0.0)
+            _expect_number(params, path, "start", 0.0)
+            _expect_positive_int(params, path, "duration_ms", 0)
+            _expect_positive_int(params, path, "step_ms", 100)
         if action.kind == "set-cell-field":
-            if "field" not in action.params or "value" not in action.params:
-                _fail(path, "set-cell-field needs field and value")
+            if params.get("field") not in MUTABLE_CELL_FIELDS:
+                _fail(f"{path}.field", f"expected one of {MUTABLE_CELL_FIELDS}")
+            _require(params, path, "value")
+            if params["field"] in _INT_CELL_FIELDS:
+                _expect_int(params, path, "value", 0)
+            else:
+                _expect_number(params, path, "value", 0.0)
 
 
 # -- entry points -----------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Trigger bus: event collection, filtered delivery, temporal correlation, UCI registry.
 
-Producers publish :class:`Event` values; the bus evaluates every live
-subscription (type pattern, source, payload predicates, rate limit) and hands
-matching consumers a :class:`Trigger` synchronously, in subscription-creation
-order.  Correlation rules watch the event stream and publish synthetic
-triggers through the same path.  Delivery is fully synchronous so that a run
-embedding the bus stays deterministic.
+Producers publish :class:`Event` values; the bus stamps the current sim time
+on the event, evaluates every live subscription (type pattern, source,
+payload predicates, rate limit) and hands that same event to each matching
+consumer synchronously, in subscription-creation order.  Correlation rules
+watch the event stream and publish synthetic events through the same path.
+Delivery is fully synchronous so that a run embedding the bus stays
+deterministic.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 logger = logging.getLogger(__name__)
@@ -80,22 +81,19 @@ class UciNotFoundError(KeyError):
     """UCI lookup miss."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Event:
-    """A typed, timestamped notification with flat named attributes."""
+    """A typed, timestamped notification with flat named attributes.
+
+    ``at`` is stamped by :meth:`TriggerBus.publish`; ``synthetic`` marks an
+    event fired by a correlation rule.
+    """
 
     event_type: str
     source: str
     at: int = 0
     payload: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Trigger(Event):
-    """An event as delivered to one consumer."""
-
     synthetic: bool = False
-    delivered_to: str = ""
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class Subscription:
 
 @dataclass(frozen=True)
 class CorrelationRule:
-    """Ordered event-type pattern that fires a synthetic trigger.
+    """Ordered event-type pattern that fires a synthetic event.
 
     Matching is an ordered subsequence anchored at the first matched element:
     unrelated events in between are allowed, the partial match expires once
@@ -161,7 +159,7 @@ def _predicate_holds(predicate: tuple[str, str, Any], payload: dict[str, Any]) -
 class _LiveSubscription:
     __slots__ = ("spec", "callback", "handle", "last_delivery_at")
 
-    def __init__(self, spec: Subscription, callback: Callable[[Trigger], None], handle: int):
+    def __init__(self, spec: Subscription, callback: Callable[[Event], None], handle: int):
         self.spec = spec
         self.callback = callback
         self.handle = handle
@@ -243,7 +241,7 @@ class TriggerBus:
 
     # -- subscriptions ----------------------------------------------------
 
-    def subscribe(self, spec: Subscription, callback: Callable[[Trigger], None]) -> int:
+    def subscribe(self, spec: Subscription, callback: Callable[[Event], None]) -> int:
         """Register a subscription; duplicate (consumer, identical filter) is idempotent."""
         if not spec.consumer_id:
             raise SubscriptionError("consumer_id must be non-empty")
@@ -275,13 +273,14 @@ class TriggerBus:
     # -- publication -------------------------------------------------------
 
     def publish(self, event: Event) -> int:
-        """Deliver to matching subscriptions; returns the delivery count.
+        """Stamp ``event.at`` and hand ``event`` itself to every matching
+        subscription; returns the delivery count.
 
         Bus-level drop rules apply before anything else.  Correlation rules
         advance after the deliveries; completed patterns publish their
-        synthetic trigger recursively through this same method.
+        synthetic event recursively through this same method.
         """
-        event = replace(event, at=self._clock())
+        event.at = self._clock()
         if any(_type_matches(p, event.event_type) for p in self._drop_types):
             return 0
         if self._depth >= _MAX_PUBLISH_DEPTH:
@@ -293,7 +292,7 @@ class TriggerBus:
             self._record(event.at, "event", {
                 "type": event.event_type,
                 "source": event.source,
-                "synthetic": isinstance(event, Trigger) and event.synthetic,
+                "synthetic": event.synthetic,
                 **event.payload,
             })
             count = 0
@@ -301,23 +300,15 @@ class TriggerBus:
                 if not live.matches(event) or live.rate_limited(event.at):
                     continue
                 live.last_delivery_at = event.at
-                trigger = Trigger(
-                    event_type=event.event_type,
-                    source=event.source,
-                    at=event.at,
-                    payload=event.payload,
-                    synthetic=isinstance(event, Trigger) and event.synthetic,
-                    delivered_to=live.spec.consumer_id,
-                )
                 count += 1
                 self.delivered += 1
                 self._record(event.at, "delivery", {
                     "consumer": live.spec.consumer_id,
                     "type": event.event_type,
                     "source": event.source,
-                    "synthetic": trigger.synthetic,
+                    "synthetic": event.synthetic,
                 })
-                live.callback(trigger)
+                live.callback(event)
             for fired in self._advance_rules(event):
                 self.publish(fired)
             return count
@@ -325,7 +316,7 @@ class TriggerBus:
             self._depth -= 1
 
     def send_downward(self, event: Event, target: str) -> int:
-        """Publish an upper-layer trigger aimed at ``mrrm`` or ``gll``.
+        """Publish an upper-layer event aimed at ``mrrm`` or ``gll``.
 
         Routing happens through ordinary subscriptions; the only visible
         difference is the event's source naming the upper-layer producer.
@@ -336,11 +327,11 @@ class TriggerBus:
             raise SubscriptionError(f"target {target} has no live subscription")
         return self.publish(event)
 
-    def _advance_rules(self, event: Event) -> list[Trigger]:
-        fired: list[Trigger] = []
+    def _advance_rules(self, event: Event) -> list[Event]:
+        fired: list[Event] = []
         for state in self._rules.values():
             if state.advance(event):
-                fired.append(Trigger(
+                fired.append(Event(
                     event_type=state.rule.output_type,
                     source="trg",
                     payload={"rule": state.rule.rule_id, "completed_by": event.event_type},
@@ -419,7 +410,7 @@ class PoliciesCheckResponder:
             self._answer,
         )
 
-    def _answer(self, t: Trigger) -> None:
+    def _answer(self, t: Event) -> None:
         operator = t.payload.get("operator", "")
         record = self.store.get(operator)
         payload: dict[str, Any] = {

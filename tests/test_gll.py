@@ -17,14 +17,12 @@ from hetsel.gll import (
     ReportingConfig,
     candidate_for,
     map_link_quality,
-    qos_feasible,
-    relative_resources,
     report_from_payload,
     report_to_payload,
     residual_error_rate,
     scan_results,
 )
-from hetsel.mrrm import Flow
+from hetsel.mrrm import Flow, qos_feasible
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
 
@@ -94,12 +92,6 @@ def test_per_class_reference_rate():
     assert map_link_quality(m, cfg, "real-time").q_rate == pytest.approx(0.5)
     assert map_link_quality(m, cfg, "background").q_rate == 1.0
     assert map_link_quality(m, cfg).q_rate == 1.0
-
-
-def test_relative_resources_ratios():
-    assert relative_resources(make_cell(used_resources=100)) == 0.0
-    assert relative_resources(make_cell(used_resources=0)) == 1.0
-    assert relative_resources(make_cell(used_resources=75)) == 0.25
 
 
 # -- QoS feasibility --------------------------------------------------------------

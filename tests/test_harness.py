@@ -6,14 +6,7 @@ import pytest
 
 from hetsel import trg
 from hetsel.cli import main as cli_main
-from hetsel.harness import (
-    MobilityDelayModel,
-    MobilityExecutor,
-    bench_trg,
-    compute_stats,
-    execute_scenario,
-    report_breakdown,
-)
+from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
 from hetsel.harness.trace import (
     TraceError,
     TraceRecord,
@@ -22,6 +15,7 @@ from hetsel.harness.trace import (
     parse_record,
     read_trace,
 )
+from hetsel.mobility import MobilityDelayModel, MobilityExecutor
 from hetsel.mrrm import Flow
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop

@@ -8,7 +8,7 @@ import pytest
 
 from hetsel import trg
 from hetsel.gll import GenericLinkLayer, GllConfig, candidate_for
-from hetsel.harness.mobility import MobilityDelayModel, MobilityExecutor
+from hetsel.mobility import MobilityDelayModel, MobilityExecutor
 from hetsel.mrrm import (
     Flow,
     MultiRadioResourceManager,
@@ -448,7 +448,7 @@ def test_policy_change_denying_current_operator_moves_the_flow():
 def test_unknown_trigger_type_logs_and_ignores(caplog):
     world = make_world([make_cell("a")])
     with caplog.at_level(logging.WARNING, logger="hetsel.mrrm"):
-        world.mrrm.on_trigger(trg.Trigger("mystery-event", "app"))
+        world.mrrm.on_trigger(trg.Event("mystery-event", "app"))
     assert any("mystery-event" in message for message in caplog.messages)
 
 

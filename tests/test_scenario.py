@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from hetsel.cli import EXIT_BAD_INPUT
+from hetsel.cli import main as cli_main
 from hetsel.simenv.scenario import ScenarioError, load_scenario, scenario_from_dict
 
 from conftest import SCENARIO_DIR
@@ -85,6 +87,41 @@ def test_timeline_flow_membership_tracking():
     data["timeline"] = [{"at": 100, "kind": "flow-arrival", "target": "f1"}]
     with pytest.raises(ScenarioError, match="already exists"):
         scenario_from_dict(data)
+
+
+_RAMP = {"at": 100, "kind": "quality-ramp", "target": "c1",
+         "field": "raw_error_rate", "end": 0.5, "duration_ms": 1000}
+
+
+def _set_field(field, value):
+    return {"at": 100, "kind": "set-cell-field", "target": "c1",
+            "field": field, "value": value}
+
+
+@pytest.mark.parametrize("action, param", [
+    pytest.param(_set_field("total_resources", "abc"), "value", id="set-int-field-str"),
+    pytest.param(_set_field("security_level", 2.5), "value", id="set-int-field-float"),
+    pytest.param(_set_field("raw_error_rate", True), "value", id="set-number-field-bool"),
+    pytest.param(_set_field("bogus", 1), "field", id="set-unknown-field"),
+    pytest.param({k: v for k, v in _set_field("cost_per_mb", 1.0).items() if k != "value"},
+                 "value", id="set-no-value"),
+    pytest.param({**_RAMP, "end": "x"}, "end", id="ramp-end-str"),
+    pytest.param({k: v for k, v in _RAMP.items() if k != "end"}, "end", id="ramp-no-end"),
+    pytest.param({**_RAMP, "start": None}, "start", id="ramp-start-null"),
+    pytest.param({**_RAMP, "step_ms": "x"}, "step_ms", id="ramp-step-str"),
+    pytest.param({**_RAMP, "step_ms": 0}, "step_ms", id="ramp-step-zero"),
+    pytest.param({**_RAMP, "duration_ms": "1000"}, "duration_ms", id="ramp-duration-str"),
+    pytest.param({**_RAMP, "field": "total_resources"}, "field", id="ramp-unknown-field"),
+])
+def test_malformed_timeline_parameters_rejected_at_load(tmp_path, capsys, action, param):
+    data = minimal()
+    data["timeline"] = [action]
+    with pytest.raises(ScenarioError, match=rf"timeline\[0\]\.{param}:"):
+        scenario_from_dict(data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert f"timeline[0].{param}:" in capsys.readouterr().err
 
 
 def test_bad_weight_sum_rejected():

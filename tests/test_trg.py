@@ -41,7 +41,21 @@ def test_prefix_pattern_matches():
     bus.subscribe(Subscription("c1", ("link-*",)), cb)
     assert bus.publish(Event("link-down", "gll")) == 1
     assert received[0].event_type == "link-down"
-    assert received[0].delivered_to == "c1"
+
+
+def test_consumers_receive_the_published_event_itself():
+    clock = Clock()
+    clock.now = 250
+    bus = TriggerBus(clock=clock)
+    first, cb1 = collector()
+    second, cb2 = collector()
+    bus.subscribe(Subscription("c1", ("link-down",)), cb1)
+    bus.subscribe(Subscription("c2", ("link-*",)), cb2)
+    event = Event("link-down", "gll", payload={"cell": "a"})
+    assert bus.publish(event) == 2
+    assert first[0] is event and second[0] is event
+    assert event.at == 250
+    assert event.synthetic is False
 
 
 def test_type_mismatch_not_delivered():
