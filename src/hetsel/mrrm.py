@@ -293,24 +293,6 @@ class MultiRadioResourceManager:
 
     COMPONENT = "mrrm"
 
-    SUBSCRIBED_TYPES = (
-        trg.LINK_QUALITY_REPORT,
-        trg.MEASUREMENT_BATCH,
-        trg.SCAN_COMPLETE,
-        trg.NEW_ACCESS_DETECTED,
-        trg.ACCESS_LOST,
-        trg.LINK_UP,
-        trg.LINK_DOWN,
-        trg.ATTACH_FAILED,
-        trg.FLOW_ARRIVAL,
-        trg.FLOW_DEPARTURE,
-        trg.HANDOVER_COMPLETE,
-        trg.HANDOVER_FAILED,
-        trg.QOS_UNSATISFIED,
-        trg.POLICY_CHANGED,
-        trg.POLICIES_CHECK_ANSWER,
-    )
-
     def __init__(
         self,
         loop: EventLoop,
@@ -344,7 +326,7 @@ class MultiRadioResourceManager:
         self._deciding = False
         self._decide_again = False
         bus.subscribe(
-            trg.Subscription(consumer_id="mrrm", accepted_types=self.SUBSCRIBED_TYPES),
+            trg.Subscription(consumer_id="mrrm", accepted_types=tuple(self._HANDLERS)),
             self.on_trigger,
         )
 

@@ -5,14 +5,13 @@ configuration of the layers above and is therefore not imported here.
 """
 
 from .env import ActionError, Cell, Environment, InvariantError, ScenarioAction
-from .loop import EventLoop, Handle, SchedulingError
+from .loop import EventLoop, SchedulingError
 
 __all__ = [
     "ActionError",
     "Cell",
     "Environment",
     "EventLoop",
-    "Handle",
     "InvariantError",
     "ScenarioAction",
     "SchedulingError",

@@ -10,54 +10,38 @@ class SchedulingError(ValueError):
     """Scheduling in the past, or running the clock backwards."""
 
 
-class Handle:
-    """Cancellation handle for one scheduled action."""
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class EventLoop:
     """Single-threaded event loop; equal-time actions run in insertion order."""
 
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, Handle, Callable[[], None]]] = []
+        self._queue: list[tuple[int, int, Callable[[], None]]] = []
 
     @property
     def now(self) -> int:
         return self._now
 
-    def schedule(self, at: int, action: Callable[[], None]) -> Handle:
+    def schedule(self, at: int, action: Callable[[], None]) -> None:
         """Run ``action`` when the clock reaches ``at`` (>= current time)."""
         if at < self._now:
             raise SchedulingError(f"cannot schedule at {at}, clock is at {self._now}")
         self._seq += 1
-        handle = Handle()
-        heapq.heappush(self._queue, (at, self._seq, handle, action))
-        return handle
+        heapq.heappush(self._queue, (at, self._seq, action))
 
-    def schedule_after(self, delay: int, action: Callable[[], None]) -> Handle:
-        return self.schedule(self._now + delay, action)
+    def schedule_after(self, delay: int, action: Callable[[], None]) -> None:
+        self.schedule(self._now + delay, action)
 
     def run_until(self, end: int) -> int:
         """Execute all actions with time <= ``end``; leave the clock at ``end``."""
         if end < self._now:
             raise SchedulingError(f"cannot run until {end}, clock is at {self._now}")
         while self._queue and self._queue[0][0] <= end:
-            at, _, handle, action = heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
+            at, _, action = heapq.heappop(self._queue)
             self._now = at
             action()
         self._now = end
         return self._now
 
     def pending(self) -> int:
-        return sum(1 for _, _, handle, _ in self._queue if not handle.cancelled)
+        return len(self._queue)

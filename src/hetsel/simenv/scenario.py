@@ -3,6 +3,12 @@
 The format is strict: unknown fields anywhere are an error (typo safety) and
 every validation failure names the offending path.  Field-by-field reference
 lives in ``docs/scenario_format.md``.
+
+Each section is read through a table that maps every accepted JSON key to a
+*reader*, a function ``(value, path) -> parsed value`` that raises
+``ScenarioError`` naming ``path``.  ``_fields`` reads only the keys a document
+sets, and the section is built as ``Cls(**fields)``: an absent key takes the
+dataclass default, so no default is restated here.
 """
 
 from __future__ import annotations
@@ -10,16 +16,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, NoReturn, Optional, Union
 
 from ..gll import GllConfig, MacScheme, MappingConfig, ReportingConfig, candidate_for
-from ..mobility import MobilityConfig, MobilityDelayModel
+from ..mobility import TRACE_POINTS, MobilityConfig, MobilityDelayModel
 from ..mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
 from ..trg import CorrelationRule, PolicyRecord
 from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, ScenarioAction
 
 NODE_ROLES = ("MN", "MR")
 MRRM_LOCATIONS = ("terminal", "network")
+VERDICTS = ("allow", "deny")
 _INT_CELL_FIELDS = ("total_resources", "used_resources", "security_level")
 _MIN_DURATION_MS = 10000
 _TAIL_AFTER_LAST_ACTION_MS = 5000
@@ -56,71 +63,144 @@ class Scenario:
     timeline: list[ScenarioAction] = field(default_factory=list)
 
 
-# -- parsing helpers ---------------------------------------------------------
+# -- paths and readers -----------------------------------------------------------
+
+# A path is a string ("" at the top level) or a (parent path, key) pair; a
+# string key names a field and an int key a list index.  Readers hand pairs
+# down, and only a diagnostic renders them to text.
+_Path = Union[str, tuple]
+_Reader = Callable[[Any, _Path], Any]
 
 
-def _fail(path: str, message: str) -> None:
-    raise ScenarioError(f"{path}: {message}")
+def _render(path: _Path) -> str:
+    if type(path) is str:
+        return path
+    parent, key = path
+    parent = _render(parent)
+    if type(key) is int:
+        return f"{parent}[{key}]"
+    return f"{parent}.{key}" if parent else f"{key}"
 
 
-def _check_keys(data: dict, path: str, allowed: set[str]) -> None:
-    for key in data:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown field")
+def _fail(path: _Path, message: str) -> NoReturn:
+    raise ScenarioError(f"{_render(path)}: {message}")
 
 
-def _expect(data: dict, path: str, key: str, kinds: tuple[type, ...], default: Any) -> Any:
-    if key not in data:
-        return default
-    value = data[key]
-    if kinds == (int,) and isinstance(value, bool):
-        _fail(f"{path}.{key}", "expected an integer")
-    if not isinstance(value, kinds):
-        names = "/".join(k.__name__ for k in kinds)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
+def _type_error(path: _Path, expected: str, value: Any) -> NoReturn:
+    _fail(path, f"expected {expected}, got {type(value).__name__}")
+
+
+def _int(value: Any, path: _Path) -> int:
+    if type(value) is not int:
+        _type_error(path, "an integer", value)
     return value
 
 
-def _expect_number(data: dict, path: str, key: str, default: float) -> float:
-    value = _expect(data, path, key, (int, float), default)
-    if isinstance(value, bool):
-        _fail(f"{path}.{key}", "expected a number")
-    return float(value)
-
-
-def _expect_int(data: dict, path: str, key: str, default: int) -> int:
-    return _expect(data, path, key, (int,), default)
-
-
-def _expect_positive_int(data: dict, path: str, key: str, default: int) -> int:
-    value = _expect_int(data, path, key, default)
-    if value <= 0:
-        _fail(f"{path}.{key}", "must be positive")
+def _positive_int(value: Any, path: _Path) -> int:
+    if _int(value, path) <= 0:
+        _fail(path, "must be positive")
     return value
 
 
-def _require(data: dict, path: str, key: str) -> None:
-    if key not in data:
-        _fail(f"{path}.{key}", "required field missing")
+def _non_negative_int(value: Any, path: _Path) -> int:
+    if _int(value, path) < 0:
+        _fail(path, "must be >= 0")
+    return value
 
 
-def _expect_str(data: dict, path: str, key: str, default: str) -> str:
-    return _expect(data, path, key, (str,), default)
+def _number(value: Any, path: _Path) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        _type_error(path, "a number", value)
+    return float(value)  # a JSON 64000 reads as 64000.0, as the traces expect
 
 
-def _expect_bool(data: dict, path: str, key: str, default: bool) -> bool:
-    return _expect(data, path, key, (bool,), default)
+def _fraction(value: Any, path: _Path) -> float:
+    value = _number(value, path)
+    if not 0.0 <= value <= 1.0:
+        _fail(path, "must lie in [0,1]")
+    return value
 
 
-def _str_list(data: dict, path: str, key: str) -> list[str]:
-    raw = _expect(data, path, key, (list,), [])
-    for i, item in enumerate(raw):
-        if not isinstance(item, str):
-            _fail(f"{path}.{key}[{i}]", "expected a string")
-    return list(raw)
+def _str(value: Any, path: _Path) -> str:
+    if type(value) is not str:
+        _type_error(path, "a string", value)
+    return value
 
 
-def _validated(obj: Any, path: str) -> Any:
+def _name(value: Any, path: _Path) -> str:
+    if not _str(value, path):
+        _fail(path, "must be non-empty")
+    return value
+
+
+def _bool(value: Any, path: _Path) -> bool:
+    if type(value) is not bool:
+        _type_error(path, "a boolean", value)
+    return value
+
+
+def _one_of(choices: tuple[str, ...]) -> _Reader:
+    def read(value: Any, path: _Path) -> str:
+        if value not in choices:
+            _fail(path, f"expected one of {choices}")
+        return value
+    return read
+
+
+def _optional(reader: _Reader) -> _Reader:
+    def read(value: Any, path: _Path) -> Any:
+        return None if value is None else reader(value, path)
+    return read
+
+
+def _list(value: Any, path: _Path) -> list:
+    if not isinstance(value, list):
+        _type_error(path, "a list", value)
+    return value
+
+
+def _object(value: Any, path: _Path) -> dict:
+    if not isinstance(value, dict):
+        _type_error(path, "an object", value)
+    return value
+
+
+def _list_of(reader: _Reader, build: Callable = list) -> _Reader:
+    """Reader of a JSON list whose items ``reader`` reads, collected by ``build``."""
+    def read(value: Any, path: _Path) -> Any:
+        return build(reader(item, (path, i)) for i, item in enumerate(_list(value, path)))
+    return read
+
+
+def _map_of(reader: _Reader) -> _Reader:
+    """Reader of a JSON object with free keys (classes, RATs, operators)."""
+    def read(value: Any, path: _Path) -> dict:
+        return {key: reader(item, (path, key)) for key, item in _object(value, path).items()}
+    return read
+
+
+def _fields(data: Any, path: _Path, table: dict[str, Optional[_Reader]],
+            required: tuple[str, ...] = ()) -> dict[str, Any]:
+    """Read the keys that ``data`` sets, each with its reader in ``table``.
+
+    A key missing from ``table`` is an unknown field; a reader of ``None``
+    copies the value as it is.
+    """
+    fields = {}
+    for key, value in _object(data, path).items():
+        if key not in table:
+            _fail((path, key), "unknown field")
+        reader = table[key]
+        fields[key] = value if reader is None else reader(value, (path, key))
+    for key in required:
+        if key not in fields:
+            _fail((path, key), "required field missing")
+    return fields
+
+
+def _validated(obj: Any, path: _Path) -> Any:
     try:
         obj.validate()
     except ValueError as exc:
@@ -128,353 +208,254 @@ def _validated(obj: Any, path: str) -> Any:
     return obj
 
 
-# -- section parsers -----------------------------------------------------------
+def _section(cls: type, table: dict[str, Optional[_Reader]],
+             required: tuple[str, ...] = ()) -> _Reader:
+    """Reader of a JSON object into ``cls(**fields)``, validated if ``cls`` can."""
+    validates = hasattr(cls, "validate")
+
+    def read(value: Any, path: _Path) -> Any:
+        obj = cls(**_fields(value, path, table, required))
+        return _validated(obj, path) if validates else obj
+    return read
 
 
-def _parse_mapping(data: dict, path: str) -> MappingConfig:
-    _check_keys(data, path, {"w_error", "w_rate", "w_delay", "w_load",
-                             "fer_max", "reference_rate", "delay_max_ms"})
-    reference: Union[float, dict[str, float]]
-    raw_ref = data.get("reference_rate", 2e6)
-    if isinstance(raw_ref, dict):
-        reference = {}
-        for cls, rate in raw_ref.items():
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                _fail(f"{path}.reference_rate.{cls}", "expected a number")
-            reference[cls] = float(rate)
-    elif isinstance(raw_ref, (int, float)) and not isinstance(raw_ref, bool):
-        reference = float(raw_ref)
-    else:
-        _fail(f"{path}.reference_rate", "expected a number or per-class object")
-    cfg = MappingConfig(
-        w_error=_expect_number(data, path, "w_error", 0.25),
-        w_rate=_expect_number(data, path, "w_rate", 0.25),
-        w_delay=_expect_number(data, path, "w_delay", 0.25),
-        w_load=_expect_number(data, path, "w_load", 0.25),
-        fer_max=_expect_number(data, path, "fer_max", 0.1),
-        reference_rate=reference,
-        delay_max_ms=_expect_number(data, path, "delay_max_ms", 200.0),
-    )
-    return _validated(cfg, path)
+_ints = _map_of(_int)
+_numbers = _map_of(_number)
 
 
-def _parse_reporting(data: dict, path: str) -> ReportingConfig:
-    _check_keys(data, path, {"intervals_ms", "enabled"})
-    cfg = ReportingConfig(enabled=_expect_bool(data, path, "enabled", True))
-    raw = _expect(data, path, "intervals_ms", (dict,), None)
-    if raw is not None:
-        for cls, interval in raw.items():
-            if not isinstance(interval, int) or isinstance(interval, bool):
-                _fail(f"{path}.intervals_ms.{cls}", "expected an integer")
-            cfg.intervals_ms[cls] = interval
-    return _validated(cfg, path)
+# -- readers whose JSON differs from the field -----------------------------------
 
 
-def _parse_mac(data: dict, path: str) -> MacScheme:
-    _check_keys(data, path, {"max_retransmissions"})
-    raw = _expect(data, path, "max_retransmissions", (dict,), {})
+def _reference_rate(value: Any, path: _Path) -> Union[float, dict[str, float]]:
+    return _numbers(value, path) if isinstance(value, dict) else _number(value, path)
+
+
+def _intervals(value: Any, path: _Path) -> dict[str, int]:
+    """Listed classes override the default table; the others keep theirs."""
+    return {**ReportingConfig().intervals_ms, **_ints(value, path)}
+
+
+def _rat_frequency(value: Any, path: _Path) -> tuple[str, str]:
+    if not (isinstance(value, list) and len(value) == 2
+            and type(value[0]) is str and type(value[1]) is str):
+        _fail(path, "expected a [rat, frequency] pair")
+    return (value[0], value[1])
+
+
+def _static_preference(value: Any, path: _Path) -> dict[tuple[str, str], float]:
+    """``{"operator|rat": preference}`` keyed by ``(operator, rat)``."""
     table = {}
-    for rat, count in raw.items():
-        if not isinstance(count, int) or isinstance(count, bool):
-            _fail(f"{path}.max_retransmissions.{rat}", "expected an integer")
-        table[rat] = count
-    return _validated(MacScheme(max_retransmissions=table), path)
-
-
-def _parse_gll(data: dict, path: str) -> GllConfig:
-    _check_keys(data, path, {"mapping", "reporting", "mac", "attach_latency_ms",
-                             "targeted_probe_ms", "full_scan_per_rat_ms",
-                             "probe_energy", "history"})
-    history = []
-    for i, pair in enumerate(_expect(data, path, "history", (list,), [])):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(p, str) for p in pair)):
-            _fail(f"{path}.history[{i}]", "expected a [rat, frequency] pair")
-        history.append((pair[0], pair[1]))
-    energy = {}
-    for rat, cost in _expect(data, path, "probe_energy", (dict,), {}).items():
-        if not isinstance(cost, (int, float)) or isinstance(cost, bool):
-            _fail(f"{path}.probe_energy.{rat}", "expected a number")
-        energy[rat] = float(cost)
-    cfg = GllConfig(
-        mapping=_parse_mapping(_expect(data, path, "mapping", (dict,), {}), f"{path}.mapping"),
-        reporting=_parse_reporting(_expect(data, path, "reporting", (dict,), {}), f"{path}.reporting"),
-        mac=_parse_mac(_expect(data, path, "mac", (dict,), {}), f"{path}.mac"),
-        attach_latency_ms=_expect_int(data, path, "attach_latency_ms", 50),
-        targeted_probe_ms=_expect_int(data, path, "targeted_probe_ms", 50),
-        full_scan_per_rat_ms=_expect_int(data, path, "full_scan_per_rat_ms", 200),
-        probe_energy=energy,
-        history=history,
-    )
-    return _validated(cfg, path)
-
-
-def _parse_policies(data: dict, path: str) -> PolicySet:
-    _check_keys(data, path, {"allowed_operators", "denied_operators", "min_security_level",
-                             "max_cost_per_mb", "roaming_allowed", "home_operator",
-                             "static_preference"})
-    preference = {}
-    for key, value in _expect(data, path, "static_preference", (dict,), {}).items():
+    for key, preference in _object(value, path).items():
         if "|" not in key:
-            _fail(f"{path}.static_preference.{key}", "key must be 'operator|rat'")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            _fail(f"{path}.static_preference.{key}", "expected a number")
+            _fail((path, key), "key must be 'operator|rat'")
         operator_id, _, rat = key.partition("|")
-        preference[(operator_id, rat)] = float(value)
-    max_cost = data.get("max_cost_per_mb")
-    if max_cost is not None and (not isinstance(max_cost, (int, float)) or isinstance(max_cost, bool)):
-        _fail(f"{path}.max_cost_per_mb", "expected a number or null")
-    home = data.get("home_operator")
-    if home is not None and not isinstance(home, str):
-        _fail(f"{path}.home_operator", "expected a string or null")
-    cfg = PolicySet(
-        allowed_operators=set(_str_list(data, path, "allowed_operators")),
-        denied_operators=set(_str_list(data, path, "denied_operators")),
-        min_security_level=_expect_int(data, path, "min_security_level", 0),
-        max_cost_per_mb=None if max_cost is None else float(max_cost),
-        roaming_allowed=_expect_bool(data, path, "roaming_allowed", True),
-        home_operator=home,
-        static_preference=preference,
-    )
-    return _validated(cfg, path)
+        table[(operator_id, rat)] = _number(preference, (path, key))
+    return table
 
 
-def _parse_selection(data: dict, path: str) -> SelectionConfig:
-    _check_keys(data, path, {"w_qos", "w_link", "w_cell", "w_term", "w_pol",
-                             "load_threshold", "hysteresis_delta", "quality_floor",
-                             "failure_cooldown_ms"})
-    cfg = SelectionConfig(
-        w_qos=_expect_number(data, path, "w_qos", 0.3),
-        w_link=_expect_number(data, path, "w_link", 0.3),
-        w_cell=_expect_number(data, path, "w_cell", 0.2),
-        w_term=_expect_number(data, path, "w_term", 0.1),
-        w_pol=_expect_number(data, path, "w_pol", 0.1),
-        load_threshold=_expect_number(data, path, "load_threshold", 0.9),
-        hysteresis_delta=_expect_number(data, path, "hysteresis_delta", 0.05),
-        quality_floor=_expect_number(data, path, "quality_floor", 0.1),
-        failure_cooldown_ms=_expect_int(data, path, "failure_cooldown_ms", 5000),
-    )
-    return _validated(cfg, path)
+def _mrrm(value: Any, path: _Path) -> dict[str, Any]:
+    """The ``mrrm`` section fans out to four Scenario fields of the same names."""
+    return _fields(value, path, _MRRM)
 
 
-def _parse_capabilities(data: dict, path: str) -> TerminalCapabilities:
-    _check_keys(data, path, {"supported_rats", "energy_cost"})
-    energy = {}
-    for rat, cost in _expect(data, path, "energy_cost", (dict,), {}).items():
-        if not isinstance(cost, (int, float)) or isinstance(cost, bool):
-            _fail(f"{path}.energy_cost.{rat}", "expected a number")
-        energy[rat] = float(cost)
-    cfg = TerminalCapabilities(
-        supported_rats=set(_str_list(data, path, "supported_rats")),
-        energy_cost=energy,
-    )
-    return _validated(cfg, path)
+def _correlation(value: Any, path: _Path) -> CorrelationRule:
+    fields = _fields(value, path, _CORRELATION)
+    if len(fields.get("pattern", ())) < 2:
+        _fail((path, "pattern"), "pattern length must be >= 2")
+    if "window_ms" not in fields:
+        _fail((path, "window_ms"), "required field missing")
+    if not fields.get("rule_id") or not fields.get("output_type"):
+        _fail(path, "rule_id and output_type are required")
+    return CorrelationRule(**fields)
 
 
-def _parse_mrrm(data: dict, path: str) -> tuple[PolicySet, SelectionConfig, TerminalCapabilities, int]:
-    _check_keys(data, path, {"policies", "selection", "capabilities",
-                             "policies_check_timeout_ms"})
-    return (
-        _parse_policies(_expect(data, path, "policies", (dict,), {}), f"{path}.policies"),
-        _parse_selection(_expect(data, path, "selection", (dict,), {}), f"{path}.selection"),
-        _parse_capabilities(_expect(data, path, "capabilities", (dict,), {}), f"{path}.capabilities"),
-        _expect_int(data, path, "policies_check_timeout_ms", 1000),
-    )
+def _delay_model(value: Any, path: _Path) -> MobilityDelayModel:
+    if not (isinstance(value, list) and len(value) == TRACE_POINTS
+            and all(type(d) is int for d in value)):
+        _fail(path, "expected five integer delays")
+    return _validated(MobilityDelayModel(delays_ms=tuple(value)), path)
 
 
-def _parse_trg(data: dict, path: str) -> TrgSettings:
-    _check_keys(data, path, {"drop_types", "policy_store", "respond_to_policies_check",
-                             "default_verdict", "correlations"})
-    store = {}
-    for operator, raw in _expect(data, path, "policy_store", (dict,), {}).items():
-        entry_path = f"{path}.policy_store.{operator}"
-        if not isinstance(raw, dict):
-            _fail(entry_path, "expected an object")
-        _check_keys(raw, entry_path, {"verdict", "preference"})
-        verdict = _expect_str(raw, entry_path, "verdict", "allow")
-        if verdict not in ("allow", "deny"):
-            _fail(f"{entry_path}.verdict", "expected allow or deny")
-        preference = raw.get("preference")
-        if preference is not None:
-            if not isinstance(preference, (int, float)) or isinstance(preference, bool):
-                _fail(f"{entry_path}.preference", "expected a number")
-            preference = float(preference)
-        store[operator] = PolicyRecord(verdict=verdict, preference=preference)
-    default_verdict = _expect_str(data, path, "default_verdict", "allow")
-    if default_verdict not in ("allow", "deny"):
-        _fail(f"{path}.default_verdict", "expected allow or deny")
-    correlations = []
-    for i, raw in enumerate(_expect(data, path, "correlations", (list,), [])):
-        rule_path = f"{path}.correlations[{i}]"
-        if not isinstance(raw, dict):
-            _fail(rule_path, "expected an object")
-        _check_keys(raw, rule_path, {"rule_id", "pattern", "window_ms",
-                                     "output_type", "reset_on_fire"})
-        pattern = tuple(_str_list(raw, rule_path, "pattern"))
-        if len(pattern) < 2:
-            _fail(f"{rule_path}.pattern", "pattern length must be >= 2")
-        window = _expect_positive_int(raw, rule_path, "window_ms", 0)
-        rule_id = _expect_str(raw, rule_path, "rule_id", "")
-        output_type = _expect_str(raw, rule_path, "output_type", "")
-        if not rule_id or not output_type:
-            _fail(rule_path, "rule_id and output_type are required")
-        correlations.append(CorrelationRule(
-            rule_id=rule_id,
-            pattern=pattern,
-            window_ms=window,
-            output_type=output_type,
-            reset_on_fire=_expect_bool(raw, rule_path, "reset_on_fire", True),
-        ))
-    return TrgSettings(
-        drop_types=_str_list(data, path, "drop_types"),
-        policy_store=store,
-        respond_to_policies_check=_expect_bool(data, path, "respond_to_policies_check", True),
-        default_verdict=default_verdict,
-        correlations=correlations,
-    )
+def _mobility(value: Any, path: _Path) -> MobilityConfig:
+    """``delays_ms`` is the JSON name of the delay ``model``."""
+    fields = _fields(value, path, _MOBILITY)
+    if "delays_ms" in fields:
+        fields["model"] = fields.pop("delays_ms")
+    return MobilityConfig(**fields)
 
 
-def _parse_mobility(data: dict, path: str) -> MobilityConfig:
-    _check_keys(data, path, {"delays_ms", "make_before_break"})
-    raw = _expect(data, path, "delays_ms", (list,), [0, 0, 0, 0, 0])
-    if len(raw) != 5 or not all(isinstance(d, int) and not isinstance(d, bool) for d in raw):
-        _fail(f"{path}.delays_ms", "expected five integer delays")
-    model = MobilityDelayModel(delays_ms=tuple(raw))
-    _validated(model, f"{path}.delays_ms")
-    return MobilityConfig(
-        model=model,
-        make_before_break=_expect_bool(data, path, "make_before_break", True),
-    )
+# -- reader tables ---------------------------------------------------------------
+
+_MAPPING = {
+    "w_error": _number, "w_rate": _number, "w_delay": _number, "w_load": _number,
+    "fer_max": _number, "reference_rate": _reference_rate, "delay_max_ms": _number,
+}
+_GLL = {
+    "mapping": _section(MappingConfig, _MAPPING),
+    "reporting": _section(ReportingConfig, {"intervals_ms": _intervals, "enabled": _bool}),
+    "mac": _section(MacScheme, {"max_retransmissions": _ints}),
+    "attach_latency_ms": _int,
+    "targeted_probe_ms": _int,
+    "full_scan_per_rat_ms": _int,
+    "probe_energy": _numbers,
+    "history": _list_of(_rat_frequency),
+}
+_POLICIES = {
+    "allowed_operators": _list_of(_str, set),
+    "denied_operators": _list_of(_str, set),
+    "min_security_level": _int,
+    "max_cost_per_mb": _optional(_number),
+    "roaming_allowed": _bool,
+    "home_operator": _optional(_str),
+    "static_preference": _static_preference,
+}
+_SELECTION = {
+    "w_qos": _number, "w_link": _number, "w_cell": _number, "w_term": _number,
+    "w_pol": _number, "load_threshold": _number, "hysteresis_delta": _number,
+    "quality_floor": _number, "failure_cooldown_ms": _int,
+}
+_MRRM = {
+    "policies": _section(PolicySet, _POLICIES),
+    "selection": _section(SelectionConfig, _SELECTION),
+    "capabilities": _section(TerminalCapabilities, {
+        "supported_rats": _list_of(_str, set), "energy_cost": _numbers}),
+    "policies_check_timeout_ms": _non_negative_int,
+}
+_CORRELATION = {
+    "rule_id": _str, "pattern": _list_of(_str, tuple), "window_ms": _positive_int,
+    "output_type": _str, "reset_on_fire": _bool,
+}
+_TRG = {
+    "drop_types": _list_of(_str),
+    "policy_store": _map_of(_section(PolicyRecord, {
+        "verdict": _one_of(VERDICTS), "preference": _optional(_fraction)})),
+    "respond_to_policies_check": _bool,
+    "default_verdict": _one_of(VERDICTS),
+    "correlations": _list_of(_correlation),
+}
+_MOBILITY = {"delays_ms": _delay_model, "make_before_break": _bool}
+_CELL = {
+    "cell_id": _str, "rat": _str, "operator_id": _str, "frequency": _str,
+    "covered": _bool, "total_resources": _int, "used_resources": _int,
+    "raw_error_rate": _number, "achievable_rate": _number, "base_delay_ms": _number,
+    "security_level": _int, "cost_per_mb": _number,
+}
+_FLOW_PARAMS = {
+    "service_class": _str, "min_rate": _number, "max_delay_ms": _number,
+    "max_loss": _number, "resource_demand": _int,
+}
+_FLOW = {"flow_id": _str, "serving": _optional(_str), **_FLOW_PARAMS}
 
 
-def _parse_cell(data: dict, path: str) -> Cell:
-    _check_keys(data, path, {"cell_id", "rat", "operator_id", "frequency", "covered",
-                             "total_resources", "used_resources", "raw_error_rate",
-                             "achievable_rate", "base_delay_ms", "security_level",
-                             "cost_per_mb"})
-    for required in ("cell_id", "rat", "operator_id", "frequency"):
-        _require(data, path, required)
-    cell = Cell(
-        cell_id=_expect_str(data, path, "cell_id", ""),
-        rat=_expect_str(data, path, "rat", ""),
-        operator_id=_expect_str(data, path, "operator_id", ""),
-        frequency=_expect_str(data, path, "frequency", ""),
-        covered=_expect_bool(data, path, "covered", True),
-        total_resources=_expect_int(data, path, "total_resources", 100),
-        used_resources=_expect_int(data, path, "used_resources", 0),
-        raw_error_rate=_expect_number(data, path, "raw_error_rate", 0.0),
-        achievable_rate=_expect_number(data, path, "achievable_rate", 10e6),
-        base_delay_ms=_expect_number(data, path, "base_delay_ms", 20.0),
-        security_level=_expect_int(data, path, "security_level", 1),
-        cost_per_mb=_expect_number(data, path, "cost_per_mb", 0.0),
-    )
-    return _validated(cell, path)
+def _action_table(params: dict[str, Optional[_Reader]],
+                  required: tuple[str, ...] = ()) -> tuple[dict, tuple[str, ...]]:
+    return ({"at": _non_negative_int, "kind": None, "target": _name, **params},
+            ("at", "target", *required))
 
 
-FLOW_PARAM_FIELDS = {"service_class", "min_rate", "max_delay_ms", "max_loss",
-                     "resource_demand"}
+# The parameters of the action kinds that take any, and which are required.
+# A set-cell-field value is copied as written and checked against its field.
+_ACTION_PARAMS = {
+    "set-cell-field": ({"field": _one_of(MUTABLE_CELL_FIELDS), "value": None},
+                       ("field", "value")),
+    "flow-arrival": (_FLOW_PARAMS,),
+    "quality-ramp": ({"field": _one_of(RAMP_FIELDS), "start": _number, "end": _number,
+                      "duration_ms": _positive_int, "step_ms": _positive_int},
+                     ("field", "end", "duration_ms")),
+}
+_ACTIONS = {kind: _action_table(*_ACTION_PARAMS.get(kind, ({},))) for kind in ACTION_KINDS}
+
+_read_cell = _section(Cell, _CELL, required=("cell_id", "rat", "operator_id", "frequency"))
 
 
-def _parse_flow_params(data: dict, path: str) -> dict[str, Any]:
-    return {
-        "service_class": _expect_str(data, path, "service_class", "background"),
-        "min_rate": _expect_number(data, path, "min_rate", 0.0),
-        "max_delay_ms": _expect_number(data, path, "max_delay_ms", float("inf")),
-        "max_loss": _expect_number(data, path, "max_loss", 1.0),
-        "resource_demand": _expect_int(data, path, "resource_demand", 1),
-    }
+# -- cells, flows and the timeline ---------------------------------------------------
 
 
-def _parse_flow(data: dict, path: str, cells: dict[str, Cell]) -> Flow:
-    _check_keys(data, path, FLOW_PARAM_FIELDS | {"flow_id", "serving"})
-    _require(data, path, "flow_id")
-    serving_id = data.get("serving")
-    serving = None
+def _cells(value: Any, path: _Path) -> dict[str, Cell]:
+    cells: dict[str, Cell] = {}
+    for i, raw in enumerate(_list(value, path)):
+        cell = _read_cell(raw, (path, i))
+        if cell.cell_id in cells:
+            _fail(((path, i), "cell_id"), f"duplicate cell {cell.cell_id!r}")
+        cells[cell.cell_id] = cell
+    return cells
+
+
+def _flow(value: Any, path: _Path, cells: dict[str, Cell]) -> Flow:
+    """A ``serving`` cell id becomes the candidate of that covered cell."""
+    fields = _fields(value, path, _FLOW, required=("flow_id",))
+    serving_id = fields.get("serving")
     if serving_id is not None:
-        if not isinstance(serving_id, str):
-            _fail(f"{path}.serving", "expected a cell id or null")
         cell = cells.get(serving_id)
         if cell is None:
-            _fail(f"{path}.serving", f"unknown cell {serving_id!r}")
+            _fail((path, "serving"), f"unknown cell {serving_id!r}")
         if not cell.covered:
-            _fail(f"{path}.serving", f"cell {serving_id!r} is not covered")
-        serving = candidate_for(cell)
-    flow = Flow(
-        flow_id=_expect_str(data, path, "flow_id", ""),
-        serving=serving,
-        **_parse_flow_params(data, path),
-    )
-    return _validated(flow, path)
+            _fail((path, "serving"), f"cell {serving_id!r} is not covered")
+        fields["serving"] = candidate_for(cell)
+    return _validated(Flow(**fields), path)
 
 
-_ACTION_PARAMS = {
-    "set-cell-field": {"field", "value"},
-    "cell-up": set(),
-    "cell-down": set(),
-    "flow-arrival": FLOW_PARAM_FIELDS,
-    "flow-departure": set(),
-    "link-down-cable": set(),
-    "emit-router-advertisement": set(),
-    "quality-ramp": {"field", "start", "end", "duration_ms", "step_ms"},
-}
+def _flows(value: Any, path: _Path, cells: dict[str, Cell]) -> dict[str, Flow]:
+    flows: dict[str, Flow] = {}
+    for i, raw in enumerate(_list(value, path)):
+        flow = _flow(raw, (path, i), cells)
+        if flow.flow_id in flows:
+            _fail(((path, i), "flow_id"), f"duplicate flow {flow.flow_id!r}")
+        flows[flow.flow_id] = flow
+    return flows
 
 
-def _parse_action(data: dict, path: str) -> ScenarioAction:
-    if not isinstance(data, dict):
-        _fail(path, "expected an object")
-    kind = data.get("kind")
-    if kind not in ACTION_KINDS:
-        _fail(f"{path}.kind", f"unknown action kind {kind!r}")
-    _check_keys(data, path, {"at", "kind", "target"} | _ACTION_PARAMS[kind])
-    at = _expect_int(data, path, "at", -1)
-    if at < 0:
-        _fail(f"{path}.at", "must be a non-negative integer")
-    target = _expect_str(data, path, "target", "")
-    if not target:
-        _fail(f"{path}.target", "required field missing")
-    params = {k: v for k, v in data.items() if k not in ("at", "kind", "target")}
-    if kind == "flow-arrival":
-        params = _parse_flow_params(data, path)
-    return ScenarioAction(at=at, kind=kind, target=target, params=params)
+def _action(value: Any, path: _Path) -> ScenarioAction:
+    kind = _object(value, path).get("kind")
+    if type(kind) is not str or kind not in _ACTIONS:
+        _fail((path, "kind"), f"unknown action kind {kind!r}")
+    params = _fields(value, path, *_ACTIONS[kind])
+    if kind == "set-cell-field":
+        check = _int if params["field"] in _INT_CELL_FIELDS else _number
+        check(params["value"], (path, "value"))
+    return ScenarioAction(at=params.pop("at"), kind=params.pop("kind"),
+                          target=params.pop("target"), params=params)
 
 
-def _validate_timeline(actions: list[ScenarioAction], cells: dict[str, Cell],
-                       flows: dict[str, Flow]) -> None:
+def _timeline(value: Any, path: _Path, cells: dict[str, Cell],
+              flows: dict[str, Flow]) -> list[ScenarioAction]:
+    """Entries in time order, each aimed at a known cell or a live flow."""
+    actions = []
     live_flows = set(flows)
     last_at = 0
-    for i, action in enumerate(actions):
-        path = f"timeline[{i}]"
+    for i, raw in enumerate(_list(value, path)):
+        action = _action(raw, (path, i))
         if action.at < last_at:
-            _fail(f"{path}.at", "timeline must be in non-decreasing time order")
+            _fail(((path, i), "at"), "timeline must be in non-decreasing time order")
         last_at = action.at
         if action.kind == "flow-arrival":
             if action.target in live_flows:
-                _fail(f"{path}.target", f"flow {action.target!r} already exists")
+                _fail(((path, i), "target"), f"flow {action.target!r} already exists")
             live_flows.add(action.target)
         elif action.kind == "flow-departure":
             if action.target not in live_flows:
-                _fail(f"{path}.target", f"unknown flow {action.target!r}")
+                _fail(((path, i), "target"), f"unknown flow {action.target!r}")
             live_flows.discard(action.target)
-        else:
-            if action.target not in cells:
-                _fail(f"{path}.target", f"unknown cell {action.target!r}")
-        params = action.params
-        if action.kind == "quality-ramp":
-            if params.get("field") not in RAMP_FIELDS:
-                _fail(f"{path}.field", f"ramp field must be one of {RAMP_FIELDS}")
-            _require(params, path, "end")
-            _expect_number(params, path, "end", 0.0)
-            _expect_number(params, path, "start", 0.0)
-            _expect_positive_int(params, path, "duration_ms", 0)
-            _expect_positive_int(params, path, "step_ms", 100)
-        if action.kind == "set-cell-field":
-            if params.get("field") not in MUTABLE_CELL_FIELDS:
-                _fail(f"{path}.field", f"expected one of {MUTABLE_CELL_FIELDS}")
-            _require(params, path, "value")
-            if params["field"] in _INT_CELL_FIELDS:
-                _expect_int(params, path, "value", 0)
-            else:
-                _expect_number(params, path, "value", 0.0)
+        elif action.target not in cells:
+            _fail(((path, i), "target"), f"unknown cell {action.target!r}")
+        actions.append(action)
+    return actions
+
+
+_SCENARIO = {
+    "seed": _int,
+    "node_role": _one_of(NODE_ROLES),
+    "mrrm_location": _one_of(MRRM_LOCATIONS),
+    "duration_ms": _positive_int,
+    "gll": _section(GllConfig, _GLL),
+    "mrrm": _mrrm,
+    "trg": _section(TrgSettings, _TRG),
+    "mobility": _mobility,
+    # Read after the others: flows name cells, and the timeline names both.
+    "cells": None,
+    "flows": None,
+    "timeline": None,
+}
 
 
 # -- entry points -----------------------------------------------------------------
@@ -484,63 +465,16 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario from a parsed JSON tree."""
     if not isinstance(data, dict):
         raise ScenarioError("top level: expected an object")
-    _check_keys(data, "", {"seed", "node_role", "mrrm_location", "duration_ms",
-                           "gll", "mrrm", "trg", "mobility", "cells", "flows",
-                           "timeline"})
-    node_role = _expect_str(data, "", "node_role", "MN")
-    if node_role not in NODE_ROLES:
-        _fail("node_role", f"expected one of {NODE_ROLES}")
-    location = _expect_str(data, "", "mrrm_location", "terminal")
-    if location not in MRRM_LOCATIONS:
-        _fail("mrrm_location", f"expected one of {MRRM_LOCATIONS}")
-
-    cells: dict[str, Cell] = {}
-    for i, raw in enumerate(_expect(data, "", "cells", (list,), [])):
-        if not isinstance(raw, dict):
-            _fail(f"cells[{i}]", "expected an object")
-        cell = _parse_cell(raw, f"cells[{i}]")
-        if cell.cell_id in cells:
-            _fail(f"cells[{i}].cell_id", f"duplicate cell {cell.cell_id!r}")
-        cells[cell.cell_id] = cell
-
-    flows: dict[str, Flow] = {}
-    for i, raw in enumerate(_expect(data, "", "flows", (list,), [])):
-        if not isinstance(raw, dict):
-            _fail(f"flows[{i}]", "expected an object")
-        flow = _parse_flow(raw, f"flows[{i}]", cells)
-        if flow.flow_id in flows:
-            _fail(f"flows[{i}].flow_id", f"duplicate flow {flow.flow_id!r}")
-        flows[flow.flow_id] = flow
-
-    timeline = [_parse_action(raw, f"timeline[{i}]")
-                for i, raw in enumerate(_expect(data, "", "timeline", (list,), []))]
-    _validate_timeline(timeline, cells, flows)
-
-    policies, selection, capabilities, check_timeout = _parse_mrrm(
-        _expect(data, "", "mrrm", (dict,), {}), "mrrm")
-
-    last_at = timeline[-1].at if timeline else 0
-    default_duration = max(_MIN_DURATION_MS, last_at + _TAIL_AFTER_LAST_ACTION_MS)
-    duration = _expect_int(data, "", "duration_ms", default_duration)
-    if duration <= 0:
-        _fail("duration_ms", "must be positive")
-
-    return Scenario(
-        seed=_expect_int(data, "", "seed", 0),
-        node_role=node_role,
-        mrrm_location=location,
-        duration_ms=duration,
-        gll=_parse_gll(_expect(data, "", "gll", (dict,), {}), "gll"),
-        policies=policies,
-        selection=selection,
-        capabilities=capabilities,
-        policies_check_timeout_ms=check_timeout,
-        trg=_parse_trg(_expect(data, "", "trg", (dict,), {}), "trg"),
-        mobility=_parse_mobility(_expect(data, "", "mobility", (dict,), {}), "mobility"),
-        cells=list(cells.values()),
-        flows=list(flows.values()),
-        timeline=timeline,
-    )
+    fields = _fields(data, "", _SCENARIO)
+    fields.update(fields.pop("mrrm", {}))
+    cells = _cells(fields.pop("cells", []), "cells")
+    flows = _flows(fields.pop("flows", []), "flows", cells)
+    timeline = _timeline(fields.pop("timeline", []), "timeline", cells, flows)
+    if "duration_ms" not in fields:
+        last_at = timeline[-1].at if timeline else 0
+        fields["duration_ms"] = max(_MIN_DURATION_MS, last_at + _TAIL_AFTER_LAST_ACTION_MS)
+    return Scenario(cells=list(cells.values()), flows=list(flows.values()),
+                    timeline=timeline, **fields)
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

@@ -140,10 +140,15 @@ class UciRecord:
     description: str = ""
 
 
-def _type_matches(pattern: str, event_type: str) -> bool:
-    if pattern.endswith("*"):
-        return event_type.startswith(pattern[:-1])
-    return pattern == event_type
+def _compile_types(patterns: tuple[str, ...]) -> tuple[frozenset[str], tuple[str, ...]]:
+    """Split type patterns into exact types and the prefixes of ``*`` patterns."""
+    exact, prefixes = [], []
+    for pattern in patterns:
+        if pattern.endswith("*"):
+            prefixes.append(pattern[:-1])
+        else:
+            exact.append(pattern)
+    return frozenset(exact), tuple(prefixes)
 
 
 def _predicate_holds(predicate: tuple[str, str, Any], payload: dict[str, Any]) -> bool:
@@ -157,17 +162,19 @@ def _predicate_holds(predicate: tuple[str, str, Any], payload: dict[str, Any]) -
 
 
 class _LiveSubscription:
-    __slots__ = ("spec", "callback", "handle", "last_delivery_at")
+    __slots__ = ("spec", "callback", "handle", "last_delivery_at", "exact", "prefixes")
 
     def __init__(self, spec: Subscription, callback: Callable[[Event], None], handle: int):
         self.spec = spec
         self.callback = callback
         self.handle = handle
         self.last_delivery_at: Optional[int] = None
+        self.exact, self.prefixes = _compile_types(spec.accepted_types)
 
     def matches(self, event: Event) -> bool:
         spec = self.spec
-        if not any(_type_matches(p, event.event_type) for p in spec.accepted_types):
+        event_type = event.event_type
+        if event_type not in self.exact and not event_type.startswith(self.prefixes):
             return False
         if spec.source_filter is not None and event.source != spec.source_filter:
             return False
@@ -228,7 +235,7 @@ class TriggerBus:
     ):
         self._clock = clock
         self._recorder = recorder
-        self._drop_types = tuple(drop_types)
+        self._drop_exact, self._drop_prefixes = _compile_types(tuple(drop_types))
         self._subscriptions: dict[int, _LiveSubscription] = {}
         self._by_spec: dict[Subscription, int] = {}
         self._next_handle = 1
@@ -281,7 +288,8 @@ class TriggerBus:
         synthetic event recursively through this same method.
         """
         event.at = self._clock()
-        if any(_type_matches(p, event.event_type) for p in self._drop_types):
+        if (event.event_type in self._drop_exact
+                or event.event_type.startswith(self._drop_prefixes)):
             return 0
         if self._depth >= _MAX_PUBLISH_DEPTH:
             logger.warning("publish depth limit reached, dropping %s", event.event_type)
@@ -382,7 +390,7 @@ class TriggerBus:
 class PolicyRecord:
     """Stored operator policy used for policies-check answers."""
 
-    verdict: str  # allow | deny
+    verdict: str = "allow"  # allow | deny
     preference: Optional[float] = None
 
 

@@ -66,15 +66,6 @@ def test_actions_can_schedule_at_current_time():
     assert order == ["outer", "inner"]
 
 
-def test_cancelled_handle_does_not_fire():
-    loop = EventLoop()
-    fired = []
-    handle = loop.schedule(10, lambda: fired.append(1))
-    handle.cancel()
-    loop.run_until(20)
-    assert fired == []
-
-
 def test_clock_is_monotonic_across_events():
     loop = EventLoop()
     stamps = []

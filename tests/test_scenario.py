@@ -6,7 +6,17 @@ import pytest
 
 from hetsel.cli import EXIT_BAD_INPUT
 from hetsel.cli import main as cli_main
-from hetsel.simenv.scenario import ScenarioError, load_scenario, scenario_from_dict
+from hetsel.gll import GllConfig
+from hetsel.mobility import MobilityConfig
+from hetsel.mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
+from hetsel.simenv.env import Cell
+from hetsel.simenv.scenario import (
+    Scenario,
+    ScenarioError,
+    TrgSettings,
+    load_scenario,
+    scenario_from_dict,
+)
 
 from conftest import SCENARIO_DIR
 
@@ -42,6 +52,56 @@ def test_minimal_scenario_gets_all_defaults():
     assert sc.trg.default_verdict == "allow"
     assert sc.mobility.model.delays_ms == (0, 0, 0, 0, 0)
     assert sc.mobility.make_before_break is True
+
+
+def test_minimal_scenario_sections_equal_the_dataclass_defaults():
+    sc = scenario_from_dict(minimal())
+    assert sc.gll == GllConfig()
+    assert sc.selection == SelectionConfig()
+    assert sc.policies == PolicySet()
+    assert sc.capabilities == TerminalCapabilities()
+    assert sc.trg == TrgSettings()
+    assert sc.mobility == MobilityConfig()
+    assert sc.cells == [Cell("c1", "WLAN", "OpA", "ch6")]
+    assert sc.flows == [Flow("f1")]
+    assert sc == Scenario(cells=sc.cells, flows=sc.flows)
+
+
+def test_partial_reporting_intervals_keep_the_other_classes():
+    data = minimal()
+    data["gll"] = {"reporting": {"intervals_ms": {"real-time": 200}}}
+    sc = scenario_from_dict(data)
+    assert sc.gll.reporting.intervals_ms == {**GllConfig().reporting.intervals_ms,
+                                             "real-time": 200}
+
+
+@pytest.mark.parametrize("key, value", [("duration_ms", "x"), ("seed", True)])
+def test_top_level_diagnostic_starts_with_the_field(key, value):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict({**minimal(), key: value})
+    assert str(info.value).startswith(f"{key}:")
+
+
+@pytest.mark.parametrize("section, path", [
+    pytest.param({"mrrm": {"policies_check_timeout_ms": -1}},
+                 "mrrm.policies_check_timeout_ms", id="negative-check-timeout"),
+    pytest.param({"trg": {"policy_store": {"OpA": {"verdict": "allow", "preference": 7}}}},
+                 "trg.policy_store.OpA.preference", id="store-preference-above-one"),
+])
+def test_out_of_range_values_rejected_at_load(section, path):
+    with pytest.raises(ScenarioError, match=rf"^{path}:"):
+        scenario_from_dict({**minimal(), **section})
+
+
+def test_range_boundaries_are_accepted():
+    sc = scenario_from_dict({
+        **minimal(),
+        "mrrm": {"policies_check_timeout_ms": 0},
+        "trg": {"policy_store": {"OpA": {"preference": 0}, "OpB": {"preference": 1}}},
+    })
+    assert sc.policies_check_timeout_ms == 0
+    assert [r.preference for r in sc.trg.policy_store.values()] == [0.0, 1.0]
+    assert sc.trg.policy_store["OpA"].verdict == "allow"
 
 
 def test_resource_invariant_violation_names_the_cell():

@@ -151,6 +151,16 @@ def test_drop_rules_apply_before_subscriptions():
     assert received == []
 
 
+def test_exact_types_and_prefixes_mix_in_one_filter():
+    bus = TriggerBus(drop_types=("noise", "debug-*"))
+    received, cb = collector()
+    bus.subscribe(Subscription("c1", ("handover-complete", "link-*", "noise")), cb)
+    for event_type in ("link-up", "handover-complete", "handover-failed", "noise",
+                       "noise-a", "debug-x", "link-down"):
+        bus.publish(Event(event_type, "s"))
+    assert [e.event_type for e in received] == ["link-up", "handover-complete", "link-down"]
+
+
 # -- correlation ------------------------------------------------------------
 
 
