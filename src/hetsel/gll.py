@@ -551,13 +551,11 @@ class GenericLinkLayer:
         }))
 
     def detach(self, candidate: AccessCandidate) -> None:
-        """Tear the link down on request; flows still mapped are released."""
+        """Tear the link down on request; the caller unmaps any flow on it first."""
         cell_id = candidate.cell_id
         if cell_id not in self.attached:
             raise NotAttachedError(cell_id)
         del self.attached[cell_id]
-        for flow in self.env.release_cell_resources(cell_id):
-            flow.serving = None
         self.bus.publish(trg.Event(trg.LINK_DOWN, self.COMPONENT, payload={
             "cell": cell_id,
             "reason": "requested",
@@ -587,7 +585,6 @@ class GenericLinkLayer:
         candidate = self.detected.pop(cell_id, None)
         if cell_id in self.attached:
             del self.attached[cell_id]
-            self.env.release_cell_resources(cell_id)
             self.bus.publish(trg.Event(trg.LINK_DOWN, self.COMPONENT, payload={
                 "cell": cell_id,
                 "reason": "lost",

@@ -12,7 +12,7 @@ from typing import Optional, Union
 from .. import trg
 from ..gll import GenericLinkLayer
 from ..mobility import MobilityExecutor
-from ..mrrm import Flow, MultiRadioResourceManager
+from ..mrrm import MultiRadioResourceManager
 from ..simenv.env import Environment
 from ..simenv.loop import EventLoop
 from ..simenv.scenario import Scenario, ScenarioError, load_scenario
@@ -82,7 +82,6 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
         cells,
         emit=lambda event_type, payload: bus.publish(
             trg.Event(event_type, "env", payload=payload)),
-        flow_factory=_flow_factory,
     )
 
     gll = GenericLinkLayer(
@@ -109,16 +108,8 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
                mrrm=mrrm, executor=executor, recorder=recorder)
 
 
-def _flow_factory(**params):
-    flow = Flow(**params)
-    flow.validate()
-    return flow
-
-
 def _install_initial_flows(run: Run) -> None:
-    for template in run.scenario.flows:
-        flow = replace(template)
-        run.env.flows[flow.flow_id] = flow
+    for flow in run.scenario.flows:
         if flow.serving is not None:
             cell_id = flow.serving.cell_id
             if not run.gll.is_attached(cell_id):
@@ -127,15 +118,7 @@ def _install_initial_flows(run: Run) -> None:
                 raise ScenarioError(
                     f"flows: initial demand of {flow.flow_id!r} exceeds "
                     f"capacity of cell {cell_id!r}")
-        run.bus.publish(trg.Event(trg.FLOW_ARRIVAL, "env", payload={
-            "flow": flow.flow_id,
-            "service_class": flow.service_class,
-            "min_rate": flow.min_rate,
-            "max_delay_ms": flow.max_delay_ms,
-            "max_loss": flow.max_loss,
-            "resource_demand": flow.resource_demand,
-            "serving": flow.serving.cell_id if flow.serving else "",
-        }))
+        run.env.admit_flow(flow)
 
 
 def execute_run(run: Run) -> RunResult:

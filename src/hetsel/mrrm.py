@@ -505,12 +505,14 @@ class MultiRadioResourceManager:
             self.gll.attach(target)
 
     def _break_source(self, flow: Flow, source: AccessCandidate) -> None:
-        """Break-before-make: tear the old link down first (the service gap
-        this opens is recorded honestly in the run statistics)."""
+        """Break-before-make: unmap the flow and tear the old link down first
+        (the service gap this opens is recorded in the run statistics)."""
         others = any(f.serving == source and f.flow_id != flow.flow_id
                      for f in self.flows.values())
         if others or not self.gll.is_attached(source.cell_id):
             return
+        self.env.unmap_flow(flow, source.cell_id)
+        flow.serving = None
         self.gll.detach(source)
 
     def _after_link_up(self, entry: _InFlight) -> None:

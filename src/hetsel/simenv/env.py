@@ -9,7 +9,7 @@ conservation invariant is enforced in one place.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .loop import EventLoop
@@ -93,20 +93,22 @@ class Cell:
 
 @dataclass(frozen=True)
 class ScenarioAction:
-    """One timeline entry: a deferred environment mutation."""
+    """One timeline entry: a deferred environment mutation.  A flow-arrival
+    carries the validated ``flow`` it admits instead of ``params``."""
 
     at: int
     kind: str
     target: str
     params: dict[str, Any] = field(default_factory=dict)
+    flow: Optional["Flow"] = None
 
 
 class Environment:
     """Mutable world state driven by scenario actions.
 
     ``emit`` publishes an environment-change event (type, payload) onto the
-    run's bus; ``flow_factory`` builds Flow objects from flow-arrival
-    parameters so this module stays independent of the decision layer.
+    run's bus.  Flows arrive already built and validated, so this module stays
+    independent of the decision layer.
     """
 
     def __init__(
@@ -114,7 +116,6 @@ class Environment:
         loop: EventLoop,
         cells: list[Cell],
         emit: Callable[[str, dict[str, Any]], None],
-        flow_factory: Optional[Callable[..., "Flow"]] = None,
     ):
         self.loop = loop
         self.cells: dict[str, Cell] = {}
@@ -124,26 +125,18 @@ class Environment:
             self.cells[cell.cell_id] = cell
         self.flows: dict[str, Flow] = {}
         self._emit = emit
-        self._flow_factory = flow_factory
-        # (flow_id, cell_id) pairs whose demand is currently charged; during a
+        # (flow_id, cell_id) -> the demand currently charged there; during a
         # make-before-break handover a flow is briefly charged on both cells.
-        self._charges: set[tuple[str, str]] = set()
+        self._charges: dict[tuple[str, str], int] = {}
 
     # -- actions -----------------------------------------------------------
 
-    def apply_action(self, action: ScenarioAction) -> list[tuple[str, dict[str, Any]]]:
-        """Mutate the world; returns the (type, payload) events it emitted."""
+    def apply_action(self, action: ScenarioAction) -> None:
+        """Mutate the world and emit the events the change causes."""
         handler = getattr(self, "_apply_" + action.kind.replace("-", "_"), None)
         if handler is None:
             raise ActionError(f"unknown action kind {action.kind!r}")
-        emitted: list[tuple[str, dict[str, Any]]] = []
-
-        def emit(event_type: str, payload: dict[str, Any]) -> None:
-            emitted.append((event_type, payload))
-            self._emit(event_type, payload)
-
-        handler(action, emit)
-        return emitted
+        handler(action)
 
     def _cell(self, action: ScenarioAction) -> Cell:
         cell = self.cells.get(action.target)
@@ -151,12 +144,15 @@ class Environment:
             raise ActionError(f"unknown cell {action.target!r}")
         return cell
 
-    def _apply_set_cell_field(self, action, emit) -> None:
+    def _apply_set_cell_field(self, action) -> None:
         cell = self._cell(action)
         name = action.params.get("field")
         if name not in MUTABLE_CELL_FIELDS:
             raise ActionError(f"field {name!r} is not settable")
         value = action.params["value"]
+        if name == "used_resources":  # the base load; flow charges stay on top
+            value += sum(demand for (_, cell_id), demand in self._charges.items()
+                         if cell_id == cell.cell_id)
         previous = getattr(cell, name)
         setattr(cell, name, value)
         try:
@@ -165,56 +161,65 @@ class Environment:
             setattr(cell, name, previous)
             raise ActionError(f"{action.target}.{name}: {exc}") from None
 
-    def _set_coverage(self, cell: Cell, covered: bool, emit, cause: str = "scenario") -> None:
+    def _set_coverage(self, cell: Cell, covered: bool, cause: str = "scenario") -> None:
         if cell.covered == covered:
             return
         cell.covered = covered
-        emit("cell-coverage-change", {
+        if not covered:
+            # A dead cell carries nothing.  Its flows keep their serving
+            # pointer until a handover completes or they are re-attached.
+            for flow in self.flows.values():
+                if flow.serving is not None and flow.serving.cell_id == cell.cell_id:
+                    self.unmap_flow(flow, cell.cell_id)
+        self._emit("cell-coverage-change", {
             "cell": cell.cell_id,
             "covered": covered,
             "cause": cause,
         })
 
-    def _apply_cell_up(self, action, emit) -> None:
-        self._set_coverage(self._cell(action), True, emit)
+    def _apply_cell_up(self, action) -> None:
+        self._set_coverage(self._cell(action), True)
 
-    def _apply_cell_down(self, action, emit) -> None:
-        self._set_coverage(self._cell(action), False, emit)
+    def _apply_cell_down(self, action) -> None:
+        self._set_coverage(self._cell(action), False)
 
-    def _apply_link_down_cable(self, action, emit) -> None:
-        self._set_coverage(self._cell(action), False, emit, cause="cable")
+    def _apply_link_down_cable(self, action) -> None:
+        self._set_coverage(self._cell(action), False, cause="cable")
 
-    def _apply_emit_router_advertisement(self, action, emit) -> None:
+    def _apply_emit_router_advertisement(self, action) -> None:
         self._cell(action)
-        emit("router-advertisement", {"cell": action.target})
+        self._emit("router-advertisement", {"cell": action.target})
 
-    def _apply_flow_arrival(self, action, emit) -> None:
-        if action.target in self.flows:
-            raise ActionError(f"flow {action.target!r} already exists")
-        if self._flow_factory is None:
-            raise ActionError("environment has no flow factory")
-        flow = self._flow_factory(flow_id=action.target, **action.params)
-        self.flows[flow.flow_id] = flow
-        emit("flow-arrival", {
+    def admit_flow(self, flow: "Flow") -> None:
+        """Register a copy of ``flow`` and announce it: the one way a flow
+        enters the run, so the scenario's own flows are never mutated.  A flow
+        that starts served is already attached and charged there."""
+        if flow.flow_id in self.flows:
+            raise ActionError(f"flow {flow.flow_id!r} already exists")
+        self.flows[flow.flow_id] = replace(flow)
+        self._emit("flow-arrival", {
             "flow": flow.flow_id,
             "service_class": flow.service_class,
             "min_rate": flow.min_rate,
             "max_delay_ms": flow.max_delay_ms,
             "max_loss": flow.max_loss,
             "resource_demand": flow.resource_demand,
-            "serving": "",
+            "serving": flow.serving.cell_id if flow.serving else "",
         })
 
-    def _apply_flow_departure(self, action, emit) -> None:
+    def _apply_flow_arrival(self, action) -> None:
+        self.admit_flow(action.flow)
+
+    def _apply_flow_departure(self, action) -> None:
         flow = self.flows.pop(action.target, None)
         if flow is None:
             raise ActionError(f"unknown flow {action.target!r}")
         if flow.serving is not None:
             self.unmap_flow(flow, flow.serving.cell_id)
             flow.serving = None
-        emit("flow-departure", {"flow": action.target})
+        self._emit("flow-departure", {"flow": action.target})
 
-    def _apply_quality_ramp(self, action, emit) -> None:
+    def _apply_quality_ramp(self, action) -> None:
         cell = self._cell(action)
         name = action.params.get("field")
         if name not in RAMP_FIELDS:
@@ -257,28 +262,14 @@ class Environment:
         if cell.used_resources + flow.resource_demand > cell.total_resources:
             return False
         cell.used_resources += flow.resource_demand
-        self._charges.add(key)
+        self._charges[key] = flow.resource_demand
         return True
 
     def unmap_flow(self, flow: "Flow", cell_id: str) -> None:
-        key = (flow.flow_id, cell_id)
-        if key not in self._charges:
+        demand = self._charges.pop((flow.flow_id, cell_id), None)
+        if demand is None:
             return
-        self._charges.discard(key)
         cell = self.cells[cell_id]
-        cell.used_resources -= flow.resource_demand
+        cell.used_resources -= demand
         if cell.used_resources < 0:
             raise InvariantError(f"negative used_resources on {cell_id}")
-
-    def release_cell_resources(self, cell_id: str) -> list["Flow"]:
-        """Release resources of flows mapped on a dead cell.
-
-        Their ``serving`` pointer is left in place: a flow stays bound to its
-        (now dead) access until a handover completes or it is re-attached.
-        """
-        affected = []
-        for flow in self.flows.values():
-            if flow.serving is not None and flow.serving.cell_id == cell_id:
-                self.unmap_flow(flow, cell_id)
-                affected.append(flow)
-        return affected

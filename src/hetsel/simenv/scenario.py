@@ -21,7 +21,7 @@ from typing import Any, Callable, NoReturn, Optional, Union
 from ..gll import GllConfig, MacScheme, MappingConfig, ReportingConfig, candidate_for
 from ..mobility import TRACE_POINTS, MobilityConfig, MobilityDelayModel
 from ..mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
-from ..trg import CorrelationRule, PolicyRecord
+from ..trg import RESERVED_TYPES, CorrelationRule, PolicyRecord
 from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, ScenarioAction
 
 NODE_ROLES = ("MN", "MR")
@@ -269,6 +269,12 @@ def _correlation(value: Any, path: _Path) -> CorrelationRule:
     return CorrelationRule(**fields)
 
 
+def _output_type(value: Any, path: _Path) -> str:
+    if _str(value, path) in RESERVED_TYPES:
+        _fail(path, f"{value!r} is a reserved event type")
+    return value
+
+
 def _delay_model(value: Any, path: _Path) -> MobilityDelayModel:
     if not (isinstance(value, list) and len(value) == TRACE_POINTS
             and all(type(d) is int for d in value)):
@@ -323,7 +329,7 @@ _MRRM = {
 }
 _CORRELATION = {
     "rule_id": _str, "pattern": _list_of(_str, tuple), "window_ms": _positive_int,
-    "output_type": _str, "reset_on_fire": _bool,
+    "output_type": _output_type, "reset_on_fire": _bool,
 }
 _TRG = {
     "drop_types": _list_of(_str),
@@ -410,11 +416,15 @@ def _action(value: Any, path: _Path) -> ScenarioAction:
     if type(kind) is not str or kind not in _ACTIONS:
         _fail((path, "kind"), f"unknown action kind {kind!r}")
     params = _fields(value, path, *_ACTIONS[kind])
+    at, target = params.pop("at"), params.pop("target")
+    del params["kind"]
+    if kind == "flow-arrival":
+        flow = _validated(Flow(flow_id=target, **params), path)
+        return ScenarioAction(at=at, kind=kind, target=target, flow=flow)
     if kind == "set-cell-field":
         check = _int if params["field"] in _INT_CELL_FIELDS else _number
         check(params["value"], (path, "value"))
-    return ScenarioAction(at=params.pop("at"), kind=params.pop("kind"),
-                          target=params.pop("target"), params=params)
+    return ScenarioAction(at=at, kind=kind, target=target, params=params)
 
 
 def _timeline(value: Any, path: _Path, cells: dict[str, Cell],

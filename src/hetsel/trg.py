@@ -43,6 +43,18 @@ FLOW_MAPPED = "flow-mapped"
 REPORTING_INTERVAL_CHANGE = "reporting-interval-change"
 RUN_END = "run-end"
 
+#: The reserved types above.  A scenario's correlation rule may not output
+#: one: its synthetic event carries only ``rule`` and ``completed_by``, not the
+#: payload the components read from these types.
+RESERVED_TYPES = frozenset((
+    LINK_UP, LINK_DOWN, ATTACH_FAILED, NEW_ACCESS_DETECTED, ACCESS_LOST,
+    LINK_QUALITY_REPORT, MEASUREMENT_BATCH, SCAN_COMPLETE, CANDIDATE_REPORT,
+    HANDOVER_EXECUTION_REQUEST, HANDOVER_COMPLETE, HANDOVER_FAILED,
+    QOS_UNSATISFIED, POLICY_CHANGED, POLICIES_CHECK_REQUEST, POLICIES_CHECK_ANSWER,
+    ROUTER_ADVERTISEMENT, CELL_COVERAGE_CHANGE, FLOW_ARRIVAL, FLOW_DEPARTURE,
+    FLOW_MAPPED, REPORTING_INTERVAL_CHANGE, RUN_END,
+))
+
 #: Comparator spellings accepted in payload predicates (ASCII and symbol forms).
 COMPARATORS = {
     "=": lambda a, b: a == b,

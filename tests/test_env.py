@@ -5,7 +5,6 @@ import random
 import pytest
 
 from hetsel.gll import candidate_for
-from hetsel.mrrm import Flow
 from hetsel.simenv.env import ActionError, Environment, ScenarioAction
 from hetsel.simenv.loop import EventLoop
 
@@ -16,9 +15,7 @@ from oracles import linear_ramp_value
 def make_env(cells, flows=()):
     loop = EventLoop()
     emitted = []
-    env = Environment(loop, cells,
-                      emit=lambda t, p: emitted.append((loop.now, t, p)),
-                      flow_factory=Flow)
+    env = Environment(loop, cells, emit=lambda t, p: emitted.append((t, p)))
     for flow in flows:
         env.flows[flow.flow_id] = flow
     return loop, env, emitted
@@ -26,22 +23,22 @@ def make_env(cells, flows=()):
 
 def test_cell_down_emits_one_coverage_change():
     loop, env, emitted = make_env([make_cell("wlan1")])
-    events = env.apply_action(ScenarioAction(0, "cell-down", "wlan1"))
+    env.apply_action(ScenarioAction(0, "cell-down", "wlan1"))
     assert env.cells["wlan1"].covered is False
-    assert events == [("cell-coverage-change",
-                       {"cell": "wlan1", "covered": False, "cause": "scenario"})]
+    assert emitted == [("cell-coverage-change",
+                        {"cell": "wlan1", "covered": False, "cause": "scenario"})]
 
 
 def test_cell_down_is_idempotent():
     loop, env, emitted = make_env([make_cell("wlan1", covered=False)])
-    events = env.apply_action(ScenarioAction(0, "cell-down", "wlan1"))
-    assert events == []
+    env.apply_action(ScenarioAction(0, "cell-down", "wlan1"))
+    assert emitted == []
 
 
 def test_link_down_cable_names_its_cause():
     loop, env, emitted = make_env([make_cell("lan1", rat="LAN")])
-    events = env.apply_action(ScenarioAction(0, "link-down-cable", "lan1"))
-    assert events[0][1]["cause"] == "cable"
+    env.apply_action(ScenarioAction(0, "link-down-cable", "lan1"))
+    assert emitted[0][1]["cause"] == "cable"
 
 
 def test_unknown_target_rejected():
@@ -52,13 +49,13 @@ def test_unknown_target_rejected():
 
 def test_flow_arrival_registers_and_notifies():
     loop, env, emitted = make_env([make_cell("wlan1")])
-    events = env.apply_action(ScenarioAction(
-        0, "flow-arrival", "f2",
-        params=dict(service_class="real-time", min_rate=1e6, max_delay_ms=100,
-                    max_loss=0.01, resource_demand=5)))
+    flow = make_flow("f2", resource_demand=5)
+    env.apply_action(ScenarioAction(0, "flow-arrival", "f2", flow=flow))
     assert "f2" in env.flows
-    assert events[0][0] == "flow-arrival"
-    assert events[0][1]["flow"] == "f2"
+    assert env.flows["f2"] == flow and env.flows["f2"] is not flow  # a copy
+    assert emitted == [("flow-arrival", {
+        "flow": "f2", "service_class": "real-time", "min_rate": 1e6,
+        "max_delay_ms": 100.0, "max_loss": 0.01, "resource_demand": 5, "serving": ""})]
 
 
 def test_quality_ramp_is_linear_pointwise():
@@ -150,12 +147,34 @@ def test_map_flow_is_idempotent_per_cell():
 
 
 def test_release_cell_resources_keeps_serving_pointer():
+    # Coverage loss releases the charges of the flows the cell serves before
+    # the event goes out; the flows stay bound to the dead access.
     cell = make_cell("wlan1")
-    loop, env, emitted = make_env([cell])
+    seen = []
+    env = Environment(EventLoop(), [cell],
+                      emit=lambda t, p: seen.append((t, cell.used_resources)))
     flow = make_flow("f1", resource_demand=10, serving=candidate_for(cell))
     env.flows["f1"] = flow
     env.map_flow(flow, "wlan1")
-    affected = env.release_cell_resources("wlan1")
-    assert affected == [flow]
-    assert cell.used_resources == 0
+    env.apply_action(ScenarioAction(0, "cell-down", "wlan1"))
+    assert seen == [("cell-coverage-change", 0)]
     assert flow.serving is not None
+
+
+def test_set_used_resources_sets_the_base_load():
+    # Flow charges stay on top of the base, and a departure takes back only
+    # what was charged.
+    cell = make_cell("wlan1", total_resources=100, used_resources=30)
+    loop, env, emitted = make_env([cell])
+    flow = make_flow("f1", resource_demand=20, serving=candidate_for(cell))
+    env.flows["f1"] = flow
+    env.map_flow(flow, "wlan1")
+    env.apply_action(ScenarioAction(0, "set-cell-field", "wlan1",
+                                    params=dict(field="used_resources", value=0)))
+    assert cell.used_resources == 20
+    with pytest.raises(ActionError):
+        env.apply_action(ScenarioAction(0, "set-cell-field", "wlan1",
+                                        params=dict(field="used_resources", value=90)))
+    assert cell.used_resources == 20
+    env.apply_action(ScenarioAction(0, "flow-departure", "f1"))
+    assert cell.used_resources == 0

@@ -22,7 +22,7 @@ from hetsel.gll import (
     residual_error_rate,
     scan_results,
 )
-from hetsel.mrrm import Flow, qos_feasible
+from hetsel.mrrm import qos_feasible
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
 
@@ -257,8 +257,7 @@ def test_access_history_dedupes_and_bounds():
 def live_gll(cells, cfg=None):
     loop = EventLoop()
     bus = trg.TriggerBus(clock=lambda: loop.now)
-    env = Environment(loop, cells, emit=lambda t, p: bus.publish(trg.Event(t, "env", payload=p)),
-                      flow_factory=Flow)
+    env = Environment(loop, cells, emit=lambda t, p: bus.publish(trg.Event(t, "env", payload=p)))
     gll = GenericLinkLayer(loop, env, bus, cfg=cfg or GllConfig())
     events = []
     bus.subscribe(trg.Subscription("probe", ("*",)), events.append)

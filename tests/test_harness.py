@@ -16,7 +16,6 @@ from hetsel.harness.trace import (
     read_trace,
 )
 from hetsel.mobility import MobilityDelayModel, MobilityExecutor
-from hetsel.mrrm import Flow
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
@@ -30,8 +29,7 @@ def pipeline_world(delays, cells):
     recorder = TraceRecorder()
     bus = TriggerBus(clock=lambda: loop.now,
                      recorder=lambda at, kind, attrs: recorder.record(at, "trg", kind, attrs))
-    env = Environment(loop, cells, emit=lambda t, p: bus.publish(Event(t, "env", payload=p)),
-                      flow_factory=Flow)
+    env = Environment(loop, cells, emit=lambda t, p: bus.publish(Event(t, "env", payload=p)))
     executor = MobilityExecutor(loop, env, bus, model=MobilityDelayModel(delays),
                                 record=lambda kind, attrs: recorder.record(
                                     loop.now, "mobility", kind, attrs))

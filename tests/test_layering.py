@@ -123,3 +123,19 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_link_layer_touches_only_links():
+    """GLL owns link state only: flow ``serving`` pointers and resource
+    charges belong to the environment and the decision layer."""
+    tree = _tree("hetsel.gll")
+    serving_writes = [
+        f"line {node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "serving"
+        and isinstance(node.ctx, (ast.Store, ast.Del))]
+    charge_calls = [
+        f"line {node.lineno}: {node.func.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("release_cell_resources", "map_flow", "unmap_flow")]
+    assert serving_writes == []
+    assert charge_calls == []

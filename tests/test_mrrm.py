@@ -10,7 +10,6 @@ from hetsel import trg
 from hetsel.gll import GenericLinkLayer, GllConfig, candidate_for
 from hetsel.mobility import MobilityDelayModel, MobilityExecutor
 from hetsel.mrrm import (
-    Flow,
     MultiRadioResourceManager,
     PolicySet,
     SelectionConfig,
@@ -258,8 +257,7 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
     if respond:
         PoliciesCheckResponder(bus)
     env = Environment(loop, cells,
-                      emit=lambda t, p: bus.publish(trg.Event(t, "env", payload=p)),
-                      flow_factory=Flow)
+                      emit=lambda t, p: bus.publish(trg.Event(t, "env", payload=p)))
     gll = GenericLinkLayer(loop, env, bus, cfg=gll_cfg or GllConfig())
     mrrm = MultiRadioResourceManager(
         loop, env, bus, gll,

@@ -1,6 +1,7 @@
 """Scenario file parsing, defaults and validation diagnostics."""
 
 import json
+import re
 
 import pytest
 
@@ -87,9 +88,19 @@ def test_top_level_diagnostic_starts_with_the_field(key, value):
                  "mrrm.policies_check_timeout_ms", id="negative-check-timeout"),
     pytest.param({"trg": {"policy_store": {"OpA": {"verdict": "allow", "preference": 7}}}},
                  "trg.policy_store.OpA.preference", id="store-preference-above-one"),
+    pytest.param({"timeline": [{"at": 500, "kind": "flow-arrival", "target": "g",
+                                "service_class": "bogus"}]},
+                 "timeline[0]", id="arrival-unknown-service-class"),
+    pytest.param({"timeline": [{"at": 500, "kind": "flow-arrival", "target": "g",
+                                "max_loss": 3}]},
+                 "timeline[0]", id="arrival-loss-above-one"),
+    pytest.param({"trg": {"correlations": [{
+        "rule_id": "r", "pattern": ["link-quality-report", "measurement-batch"],
+        "window_ms": 1000, "output_type": "access-lost"}]}},
+                 "trg.correlations[0].output_type", id="correlation-reserved-output"),
 ])
 def test_out_of_range_values_rejected_at_load(section, path):
-    with pytest.raises(ScenarioError, match=rf"^{path}:"):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}:"):
         scenario_from_dict({**minimal(), **section})
 
 

@@ -1,0 +1,108 @@
+"""Properties of whole runs over generated scenarios.
+
+Every generated scenario passes validation, so it must run to completion with
+its invariants holding: cells stay within capacity, the written trace replays
+to the in-run statistics, and a second run is byte-identical.  Timeline values
+leave room for every demand, so no action fails a capacity check.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hetsel.harness.runner import build_run, execute_run
+from hetsel.harness.stats import compute_stats
+from hetsel.harness.trace import read_trace
+from hetsel.simenv.scenario import scenario_from_dict
+
+MAX_BASE = 40      # base load of a cell, initial and set
+MIN_TOTAL = 200    # capacity of a cell, initial and set
+MAX_DEMAND = 20
+MAX_FLOWS = 8      # initial flows plus arrivals: at most 160 charged on a cell
+
+_COVERAGE = ("cell-up", "cell-down", "link-down-cable")
+
+
+@st.composite
+def scenarios(draw):
+    n_cells = draw(st.integers(1, 3))
+    cells = [{
+        "cell_id": f"c{i}",
+        "rat": draw(st.sampled_from(("WLAN", "UMTS", "LAN"))),
+        "operator_id": draw(st.sampled_from(("OpA", "OpB"))),
+        "frequency": draw(st.sampled_from(("ch1", "ch6"))),
+        "covered": draw(st.sampled_from((True, True, False))),
+        "total_resources": draw(st.integers(MIN_TOTAL, 300)),
+        "used_resources": draw(st.integers(0, MAX_BASE)),
+        "raw_error_rate": draw(st.floats(0.0, 0.3)),
+        "achievable_rate": draw(st.floats(1e5, 1e7)),
+        "base_delay_ms": draw(st.floats(1.0, 150.0)),
+    } for i in range(n_cells)]
+    cell_ids = [c["cell_id"] for c in cells]
+    covered = [c["cell_id"] for c in cells if c["covered"]]
+
+    def flow_params():
+        return {"service_class": draw(st.sampled_from(("real-time", "interactive", "background"))),
+                "min_rate": draw(st.floats(0.0, 2e6)),
+                "resource_demand": draw(st.integers(1, MAX_DEMAND))}
+
+    flows = []
+    for j in range(draw(st.integers(0, 4))):
+        flow = {"flow_id": f"f{j}", **flow_params()}
+        if covered and draw(st.sampled_from((True, True, False))):
+            flow["serving"] = draw(st.sampled_from(covered))
+        flows.append(flow)
+
+    live = [f["flow_id"] for f in flows]
+    arrivals = len(flows)
+    timeline = []
+    at = 0
+    for _ in range(draw(st.integers(0, 16))):
+        at += draw(st.sampled_from((0, 50, 100, 400, 1000)))
+        # set-cell-field, and in it used_resources, is listed twice: setting the
+        # base load under live charges is the path most worth hitting often.
+        kind = draw(st.sampled_from(_COVERAGE + ("flow-arrival", "flow-departure",
+                                                 "set-cell-field", "set-cell-field")))
+        if kind == "flow-arrival" and arrivals < MAX_FLOWS:
+            target = f"f{arrivals}"
+            arrivals += 1
+            live.append(target)
+            timeline.append({"at": at, "kind": kind, "target": target, **flow_params()})
+        elif kind == "flow-departure" and live:
+            target = draw(st.sampled_from(live))
+            live.remove(target)
+            timeline.append({"at": at, "kind": kind, "target": target})
+        elif kind == "set-cell-field":
+            field, value = draw(st.sampled_from((
+                ("used_resources", st.integers(0, MAX_BASE)),
+                ("used_resources", st.integers(0, MAX_BASE)),
+                ("total_resources", st.integers(MIN_TOTAL, 300)),
+                ("raw_error_rate", st.floats(0.0, 0.3)),
+                ("achievable_rate", st.floats(0.0, 1e7)),
+            )))
+            timeline.append({"at": at, "kind": kind, "target": draw(st.sampled_from(cell_ids)),
+                             "field": field, "value": draw(value)})
+        elif kind in _COVERAGE:
+            timeline.append({"at": at, "kind": kind, "target": draw(st.sampled_from(cell_ids))})
+    return {
+        "duration_ms": at + 2000,
+        "mrrm_location": draw(st.sampled_from(("terminal", "network"))),
+        "gll": {"attach_latency_ms": draw(st.sampled_from((0, 50, 200)))},
+        "mobility": {"make_before_break": draw(st.booleans()),
+                     "delays_ms": draw(st.sampled_from(([0] * 5, [10, 20, 5, 30, 40])))},
+        "cells": cells,
+        "flows": flows,
+        "timeline": timeline,
+    }
+
+
+@given(doc=scenarios())
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_scenarios_run_clean(doc):
+    scenario = scenario_from_dict(doc)
+    run = build_run(scenario)
+    result = execute_run(run)
+    for cell in run.env.cells.values():
+        assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
+    assert compute_stats(read_trace(result.trace_lines)).as_dict() == result.stats.as_dict()
+    assert execute_run(build_run(scenario)).trace_text == result.trace_text
