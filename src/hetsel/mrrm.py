@@ -6,8 +6,19 @@ policy constraints (operators, security, cost, roaming, terminal RAT
 support), terminates cells at or above the load threshold, and sums every
 flow-independent score term (link quality, cell resources, terminal energy
 cost, preference) for each survivor.  Stage two, ``select_access``, runs once
-per flow: it adds the QoS-fit term and ranks the candidates.  The head of the
-ranked list serves each flow, guarded by hysteresis and a failure cool-down.
+per flow: it adds the QoS-fit term, scores every candidate but the serving
+one at its post-move load, and ranks the candidates.  The head of the ranked
+list serves each flow, guarded by hysteresis and a failure cool-down.
+
+Post-move load: a serving cell's report already counts the flow's own demand,
+a target's does not, and neither counts the demand that earlier flows of the
+same round have moved there.  So stage two subtracts
+``w_cell * (tentative[cell] + resource_demand) / total_resources`` from every
+non-serving candidate's score, where ``tentative`` is the demand already
+committed to each cell by unfinished attaches, this round's included.  Flows
+then compare like with like and do not all jump to the same lightly loaded
+cell and back.  The load term inside link quality (``q_load``) keeps the
+reported load.
 """
 
 from __future__ import annotations
@@ -144,11 +155,13 @@ class RoundCandidates:
     """Stage-one result of one decision round, shared by every flow.
 
     ``entries`` holds the admitted candidates in lexicographic order, each
-    with its raw measurement and its score for a QoS-feasible and for an
-    infeasible flow; ``position`` maps a candidate to its index there.
+    with its raw measurement, its score for a QoS-feasible and for an
+    infeasible flow, and the score one unit of demand costs on its cell
+    (``w_cell / total_resources``); ``position`` maps a candidate to its
+    index there.
     """
 
-    entries: tuple[tuple[AccessCandidate, LinkMeasurement, float, float], ...]
+    entries: tuple[tuple[AccessCandidate, LinkMeasurement, float, float, float], ...]
     position: dict[AccessCandidate, int]
 
 
@@ -237,7 +250,7 @@ def round_candidates(
     Uncovered accesses are not candidates, the policy filter applies, and
     cells at or above the load threshold are terminated outright.  Each
     survivor's two possible scores are summed exactly as ``dynamic_score``
-    sums them, so stage two only has to pick one.
+    sums them, so stage two only has to pick one and correct it for load.
     """
     by_candidate = {r.candidate: r for r in reports if r.raw.covered}
     allowed = policy_filter(by_candidate.keys(), policies, caps, cell_meta)
@@ -248,22 +261,28 @@ def round_candidates(
             continue
         entries.append((candidate, report.raw,
                         _score(1.0, report, policies, caps, cfg),
-                        _score(0.0, report, policies, caps, cfg)))
+                        _score(0.0, report, policies, caps, cfg),
+                        cfg.w_cell / cell_meta[candidate.cell_id].total_resources))
     return RoundCandidates(
         entries=tuple(entries),
         position={entry[0]: i for i, entry in enumerate(entries)},
     )
 
 
-def select_access(flow: Flow, stage: RoundCandidates) -> RankedList:
+def select_access(flow: Flow, stage: RoundCandidates,
+                  tentative: Mapping[str, int]) -> RankedList:
     """Stage two, once per flow: rank the round's candidates for ``flow``.
 
-    Ties break serving-access-first and then lexicographically.  An empty
-    list means no feasible access.
+    Every candidate but the serving one is scored at its post-move load: its
+    cell's ``tentative`` demand plus the flow's own.  Ties break
+    serving-access-first and then lexicographically.  An empty list means no
+    feasible access.
     """
     serving = stage.position.get(flow.serving, -1)
-    scores = [feasible if qos_feasible(flow, raw) else infeasible
-              for _, raw, feasible, infeasible in stage.entries]
+    demand = flow.resource_demand
+    scores = [(feasible if qos_feasible(flow, raw) else infeasible)
+              - (0.0 if i == serving else per_unit * (tentative.get(c.cell_id, 0) + demand))
+              for i, (c, raw, feasible, infeasible, per_unit) in enumerate(stage.entries)]
     # False sorts before True: the serving access wins a score tie
     order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
     entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
@@ -449,15 +468,13 @@ class MultiRadioResourceManager:
             flow = self.flows[flow_id]
             if flow_id in self.in_flight:
                 continue
-            ranked = select_access(flow, stage)
+            ranked = select_access(flow, stage, tentative)
             decision = self._assign(flow, ranked, tentative)
             decisions.append(decision)
             self._record("decision", decision)
         return decisions
 
     def _fits(self, flow: Flow, candidate: AccessCandidate, tentative: dict[str, int]) -> bool:
-        if candidate == flow.serving:
-            return True
         residual = self.env.residual_resources(candidate.cell_id) - tentative.get(candidate.cell_id, 0)
         return residual >= flow.resource_demand
 
@@ -469,27 +486,32 @@ class MultiRadioResourceManager:
             "action": "none",
             "target": "",
         }
+        # A serving cell that lost coverage and regained it holds neither the
+        # flow's link nor its charge: the flow must attach there afresh.
+        serving = flow.serving
+        holds = (serving is not None and self.gll.is_attached(serving.cell_id)
+                 and self.env.is_charged(flow, serving.cell_id))
         target: Optional[AccessCandidate] = None
         target_score = 0.0
         for candidate, score in ranked.entries:
-            if self._fits(flow, candidate, tentative):
+            if (holds and candidate == serving) or self._fits(flow, candidate, tentative):
                 target, target_score = candidate, score
                 break
         if target is None:
             return decision
         decision["target"] = target.cell_id
         decision["target_score"] = target_score
-        if flow.serving is None:
+        if not holds and (serving is None or target == serving):
             decision["action"] = "attach"
             self._initiate(flow, target, source=None, tentative=tentative)
             return decision
-        if target == flow.serving:
+        if target == serving:
             return decision
         serving_score = ranked.serving_score or 0.0
         decision["serving_score"] = serving_score
         if target_score - serving_score >= self.selection.hysteresis_delta:
             decision["action"] = "handover"
-            self._initiate(flow, target, source=flow.serving, tentative=tentative)
+            self._initiate(flow, target, source=serving, tentative=tentative)
         return decision
 
     def _initiate(self, flow: Flow, target: AccessCandidate,

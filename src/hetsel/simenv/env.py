@@ -265,6 +265,9 @@ class Environment:
         self._charges[key] = flow.resource_demand
         return True
 
+    def is_charged(self, flow: "Flow", cell_id: str) -> bool:
+        return (flow.flow_id, cell_id) in self._charges
+
     def unmap_flow(self, flow: "Flow", cell_id: str) -> None:
         demand = self._charges.pop((flow.flow_id, cell_id), None)
         if demand is None:

@@ -402,11 +402,20 @@ def _flow(value: Any, path: _Path, cells: dict[str, Cell]) -> Flow:
 
 
 def _flows(value: Any, path: _Path, cells: dict[str, Cell]) -> dict[str, Flow]:
+    """Flows in file order; the initial demands on a cell, on top of its base
+    load, must fit its capacity."""
     flows: dict[str, Flow] = {}
+    used = {cell_id: cell.used_resources for cell_id, cell in cells.items()}
     for i, raw in enumerate(_list(value, path)):
         flow = _flow(raw, (path, i), cells)
         if flow.flow_id in flows:
             _fail(((path, i), "flow_id"), f"duplicate flow {flow.flow_id!r}")
+        if flow.serving is not None:
+            cell = cells[flow.serving.cell_id]
+            used[cell.cell_id] += flow.resource_demand
+            if used[cell.cell_id] > cell.total_resources:
+                _fail(((path, i), "serving"), f"initial demand of {flow.flow_id!r} exceeds "
+                                              f"capacity of cell {cell.cell_id!r}")
         flows[flow.flow_id] = flow
     return flows
 

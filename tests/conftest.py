@@ -178,6 +178,11 @@ def random_instance(rng: random.Random):
     return cells, reports, flows, policies, caps, cfg
 
 
+def random_tentative(rng: random.Random, cells: dict[str, Cell]) -> dict[str, int]:
+    """Demand already committed this round to a random subset of ``cells``."""
+    return {cell_id: rng.randint(0, 30) for cell_id in cells if rng.random() < 0.5}
+
+
 @pytest.fixture
 def rng():
     return random.Random(1234)

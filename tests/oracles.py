@@ -11,9 +11,11 @@ import random
 from typing import Iterable, Optional, Sequence
 
 
-def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta):
+def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative):
     """Brute-force argmax over the whole filter+score pipeline.
 
+    Every access but the serving one is scored at its post-move load: the
+    demand ``tentative`` already commits to its cell plus the flow's own.
     Returns (candidate, score) for the winner under the documented tie-break
     (serving access first, then lexicographic identity), or None when no
     candidate survives the filters.
@@ -55,6 +57,9 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta):
                  + cfg.w_cell * report.relative_resources
                  + cfg.w_term * (1.0 - energy)
                  + cfg.w_pol * preference)
+        if c != flow.serving:
+            moved = tentative.get(c.cell_id, 0) + flow.resource_demand
+            score -= cfg.w_cell / meta.total_resources * moved
         key = (-score,
                0 if c == flow.serving else 1,
                (c.operator_id, c.rat, c.cell_id, c.frequency))

@@ -15,7 +15,7 @@ from hetsel.harness.trace import parse_record
 from hetsel.mrrm import round_candidates, select_access
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 
-from conftest import SCENARIO_DIR, make_measurement, random_instance
+from conftest import SCENARIO_DIR, make_measurement, random_instance, random_tentative
 from oracles import selection_oracle_best
 
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -95,9 +95,11 @@ def test_criterion_4_selection_oracle_equivalence():
     checked = 0
     for _ in range(1000):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
+        tentative = random_tentative(rng, cells)
         for flow in flows:
-            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
-            expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells)
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
+                                   tentative)
+            expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells, tentative)
             checked += 1
             if expected is None:
                 if ranked.head is not None:
@@ -116,8 +118,10 @@ def test_criterion_5_hard_termination_property():
     for _ in range(1000):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         by_candidate = {r.candidate: r for r in reports}
+        tentative = random_tentative(rng, cells)
         for flow in flows:
-            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
+                                   tentative)
             for candidate, _ in ranked.entries:
                 if by_candidate[candidate].raw.load >= cfg.load_threshold:
                     violations += 1

@@ -18,19 +18,22 @@ from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "c985d8bdbc7616699902efa76fe04336f4502385a04124122860ad41d401ec03",
+        "b15836dab0924abeb67a10e3590c270ad1f13ce6a144efbca730ab13646d96e5",
         "3ccfdcd4525e1251a8259e2a4227203e06cc5c61c2fc67d180d32cb2c3aa3c2e"),
+    "herd_two_cells": (
+        "e8351476861f97fd20ff457e9c12a04d5144db05c486b661d7427f9f47c17496",
+        "498d15d3ef9478a0d5abb3801e1d1d15a74746dc7897b25cf0f6eaa911f37745"),
     "scan_full_fallback": (
-        "c5f7f451297622e2cb50d1b96dd68303d978ab75fbda142e8ed083418fa20d62",
+        "86239a8cb4da6bd81783b118997911a9193d38481438ef24307002703161bdab",
         "958246d88af4e2db0d797c0d4775d3f1224bab1606093102ba39d8bd00f53389"),
     "scan_targeted_hit": (
-        "202963449a1660c908a5bc74b5f39a8e328db4520cb1efbfce0437f73e50a506",
+        "c5fd960cd027dd534ab8ebf1a7447fd46cb5d8f6b1fab63326af92e683b7369e",
         "daa2188b7b7abe45bbcd26f3d9734b4df3ea6d603898f94ff9f2672d52a5cd77"),
     "table1_mn": (
-        "e4c9787d501f83fecd46ff77f19cec9536b78e33ae28aec31a599896f5ac5fcf",
+        "b0479ae2b5157cdc88b171ab30575ca319186ba274c7f2435a12c448a90826d0",
         "41bf60c1993bb5f720c906a27a04cd56818ccee367a9b281141fa49819849b75"),
     "table1_mr": (
-        "380f5a03071ad1ac370bd14ba489cb39aa069299165178042188dfd2dc8d77fc",
+        "208fe709336277b770afc53901b0d3697397f08b0adcb52fe2654d4d7164e9c5",
         "da7e138b89ded430e632ac3cb6ad50c7eb3c6703f62ed22b3d90730c5d77133a"),
 }
 

@@ -8,6 +8,9 @@ import pytest
 
 from hetsel import trg
 from hetsel.gll import GenericLinkLayer, GllConfig, candidate_for
+from hetsel.harness import execute_scenario
+from hetsel.harness.runner import build_run, execute_run
+from hetsel.harness.trace import read_trace
 from hetsel.mobility import MobilityDelayModel, MobilityExecutor
 from hetsel.mrrm import (
     MultiRadioResourceManager,
@@ -21,12 +24,15 @@ from hetsel.mrrm import (
 )
 from hetsel.simenv.env import Environment, ScenarioAction
 from hetsel.simenv.loop import EventLoop
+from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 from hetsel.trg import PoliciesCheckResponder, Subscription, TriggerBus
 
 from conftest import (
+    SCENARIO_DIR,
     make_cell,
     make_flow,
     random_instance,
+    random_tentative,
     report_for_cell,
     synthetic_report,
 )
@@ -114,14 +120,37 @@ def test_hand_evaluated_score_example():
 def test_singleton_candidate():
     cell = make_cell("a")
     reports = [report_for_cell(cell)]
-    flow = make_flow()
+    flow = make_flow(resource_demand=10)
     ranked = select_access(flow, round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}))
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}), {"a": 5})
     assert len(ranked.entries) == 1
     assert ranked.head.cell_id == "a"
     expected = dynamic_score(flow, reports[0], PolicySet(), TerminalCapabilities(),
                              SelectionConfig())
-    assert ranked.entries[0][1] == pytest.approx(expected)
+    # an unserved flow sees the cell at its post-move load: 5 committed + 10 own of 100
+    assert ranked.entries[0][1] == pytest.approx(expected - 0.2 * 15 / 100)
+
+
+def test_serving_cell_is_scored_at_its_reported_load():
+    a = make_cell("a")
+    b = make_cell("b")
+    cells = {"a": a, "b": b}
+    # a's load 0.1 is the flow's own demand; b is empty before the move
+    reports = [synthetic_report(candidate_for(a), quality=0.8, load=0.1),
+               synthetic_report(candidate_for(b), quality=0.8)]
+    flow = make_flow(resource_demand=10, serving=candidate_for(a))
+    policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
+    ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {})
+    scores = {c.cell_id: score for c, score in ranked.entries}
+    assert scores["a"] == dynamic_score(flow, reports[0], policies, caps, cfg)
+    assert ranked.serving_score == scores["a"]
+    # b at its post-move load is a's twin: 0.3 + 0.3 * 0.8 + 0.2 * 0.9 + 0.1 + 0.05
+    assert scores["a"] == pytest.approx(0.87)
+    assert scores["b"] == pytest.approx(0.87)
+    # the same move committed by an earlier flow of the round makes b worse
+    ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {"b": 10})
+    assert ranked.head.cell_id == "a"
+    assert ranked.entries[1][1] == pytest.approx(0.85)
 
 
 def test_load_threshold_hard_termination():
@@ -130,7 +159,8 @@ def test_load_threshold_hard_termination():
     cells = {"good": good, "hot": hot}
     reports = [report_for_cell(good), report_for_cell(hot)]
     ranked = select_access(make_flow(), round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(load_threshold=0.9), cells))
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(load_threshold=0.9), cells),
+        {})
     assert [c.cell_id for c, _ in ranked.entries] == ["good"]
 
 
@@ -138,7 +168,7 @@ def test_uncovered_candidates_never_ranked():
     gone = make_cell("gone", covered=False)
     reports = [report_for_cell(gone)]
     ranked = select_access(make_flow(), round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"gone": gone}))
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"gone": gone}), {})
     assert ranked.entries == ()
 
 
@@ -147,18 +177,21 @@ def test_serving_access_wins_score_ties():
     b = make_cell("b")
     cells = {"a": a, "b": b}
     reports = [report_for_cell(a), report_for_cell(b)]
-    serving_b = make_flow(serving=candidate_for(b))
+    # no demand, so nothing separates the twins but the tie-break
+    serving_b = make_flow(resource_demand=0, serving=candidate_for(b))
     ranked = select_access(serving_b, round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells))
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells), {})
     assert ranked.head.cell_id == "b"
 
 
 def test_head_matches_brute_force_oracle_on_random_instances(rng):
     for _ in range(300):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
+        tentative = random_tentative(rng, cells)
         for flow in flows:
-            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
-            expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells)
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
+                                   tentative)
+            expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells, tentative)
             if expected is None:
                 assert ranked.head is None
             else:
@@ -170,8 +203,10 @@ def test_filter_soundness_on_random_instances(rng):
     for _ in range(200):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         by_candidate = {r.candidate: r for r in reports}
+        tentative = random_tentative(rng, cells)
         for flow in flows:
-            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
+            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
+                                   tentative)
             for candidate, _ in ranked.entries:
                 report = by_candidate[candidate]
                 meta = cells[candidate.cell_id]
@@ -187,19 +222,27 @@ def test_filter_soundness_on_random_instances(rng):
                     assert candidate.rat in caps.supported_rats
 
 
-def _long_hand_ranking(flow, reports, policies, caps, cfg, cells):
+def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
     """One flow's ranking the way it reads in the docs: filter, score every
-    candidate with ``dynamic_score``, sort by (-score, serving first, identity)."""
+    candidate with ``dynamic_score``, less ``w_cell / total_resources`` per
+    unit of post-move demand on every access but the serving one, and sort by
+    (-score, serving first, identity)."""
     by_candidate = {r.candidate: r for r in reports if r.raw.covered}
-    scored = [(c, dynamic_score(flow, by_candidate[c], policies, caps, cfg))
-              for c in policy_filter(by_candidate, policies, caps, cells)
-              if by_candidate[c].raw.load < cfg.load_threshold]
+    scored = []
+    for c in policy_filter(by_candidate, policies, caps, cells):
+        if by_candidate[c].raw.load >= cfg.load_threshold:
+            continue
+        score = dynamic_score(flow, by_candidate[c], policies, caps, cfg)
+        if c != flow.serving:
+            moved = tentative.get(c.cell_id, 0) + flow.resource_demand
+            score -= cfg.w_cell / cells[c.cell_id].total_resources * moved
+        scored.append((c, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0] != flow.serving, pair[0].sort_key()))
     return scored
 
 
-def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells):
-    expected = _long_hand_ranking(flow, reports, policies, caps, cfg, cells)
+def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, tentative):
+    expected = _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative)
     assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
     # bit-identical scores: the per-round sums are taken in dynamic_score's order
     assert [score for _, score in ranked.entries] == [score for _, score in expected]
@@ -210,10 +253,11 @@ def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells)
 def test_per_round_stages_equal_long_hand_ranking_exactly(rng):
     for _ in range(500):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
+        tentative = random_tentative(rng, cells)
         stage = round_candidates(reports, policies, caps, cfg, cells)
         for flow in flows:
-            _assert_same_as_long_hand(select_access(flow, stage),
-                                      flow, reports, policies, caps, cfg, cells)
+            _assert_same_as_long_hand(select_access(flow, stage, tentative),
+                                      flow, reports, policies, caps, cfg, cells, tentative)
 
 
 def test_identical_cells_tie_break_serving_first_exactly():
@@ -224,11 +268,12 @@ def test_identical_cells_tie_break_serving_first_exactly():
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     stage = round_candidates(reports, policies, caps, cfg, cells)
     for serving in (None, candidate_for(a), candidate_for(b)):
-        flow = make_flow(serving=serving)
-        ranked = select_access(flow, stage)
+        # no demand: a twin's post-move load equals the serving cell's load
+        flow = make_flow(resource_demand=0, serving=serving)
+        ranked = select_access(flow, stage, {})
         assert ranked.entries[0][1] == ranked.entries[1][1]
         assert ranked.head.cell_id == ("b" if serving == candidate_for(b) else "a")
-        _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells)
+        _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {})
 
 
 def test_weight_scaling_leaves_order_unchanged(rng):
@@ -240,9 +285,12 @@ def test_weight_scaling_leaves_order_unchanged(rng):
             w_cell=cfg.w_cell * scale, w_term=cfg.w_term * scale,
             w_pol=cfg.w_pol * scale, load_threshold=cfg.load_threshold,
             hysteresis_delta=cfg.hysteresis_delta)
+        tentative = random_tentative(rng, cells)
         for flow in flows:
-            base = select_access(flow, round_candidates(reports, policies, caps, cfg, cells))
-            other = select_access(flow, round_candidates(reports, policies, caps, scaled, cells))
+            base = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
+                                 tentative)
+            other = select_access(flow, round_candidates(reports, policies, caps, scaled, cells),
+                                  tentative)
             assert [c for c, _ in base.entries] == [c for c, _ in other.entries]
 
 
@@ -304,8 +352,10 @@ def test_hysteresis_blocks_small_improvements():
     b = make_cell("b")
     flow = make_flow("f1", serving=candidate_for(a))
     world = make_world([a, b], flows=[flow])
-    # scores: 0.65 + 0.3 * quality  ->  serving 0.70, head 0.74
-    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=1 / 6)
+    # a's load 0.1 is f1's own demand of 10, and b's post-move load is the same,
+    # so both score 0.63 + 0.3 * quality  ->  serving 0.68, head 0.72
+    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=1 / 6,
+                                                            load=0.1)
     world.mrrm.reports[candidate_for(b)] = synthetic_report(candidate_for(b), quality=0.3)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "none"
@@ -318,10 +368,13 @@ def test_improvement_beyond_delta_triggers_handover():
     b = make_cell("b")
     flow = make_flow("f1", serving=candidate_for(a))
     world = make_world([a, b], flows=[flow])
-    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=1 / 6)
+    # as above: serving 0.63 + 0.3 / 6 = 0.68, head 0.63 + 0.3 * 0.4 = 0.75
+    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=1 / 6,
+                                                            load=0.1)
     world.mrrm.reports[candidate_for(b)] = synthetic_report(candidate_for(b), quality=0.4)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "handover"
+    assert decisions[0]["target_score"] - decisions[0]["serving_score"] == pytest.approx(0.07)
     world.loop.run_until(500)
     requests = events_of(world, trg.HANDOVER_EXECUTION_REQUEST)
     assert len(requests) == 1
@@ -359,6 +412,26 @@ def test_lost_serving_access_scores_zero_and_hands_over():
     world.loop.run_until(600)
     assert world.env.flows["f1"].serving.cell_id == "b"
     assert len(events_of(world, trg.HANDOVER_COMPLETE)) == 1
+
+
+def test_serving_cell_that_comes_back_is_reattached():
+    scenario = scenario_from_dict({
+        "cells": [{"cell_id": "c1", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch6"}],
+        "flows": [{"flow_id": "f1", "serving": "c1", "resource_demand": 30}],
+        "timeline": [{"at": 500, "kind": "cell-down", "target": "c1"},
+                     {"at": 1000, "kind": "cell-up", "target": "c1"}],
+        "duration_ms": 8000,
+    })
+    run = build_run(scenario)
+    result = execute_run(run)
+    flow = run.env.flows["f1"]
+    assert flow.serving.cell_id == "c1"
+    assert run.gll.is_attached("c1")
+    assert run.env.is_charged(flow, "c1")
+    assert run.env.cells["c1"].used_resources == 30
+    decisions = [r for r in read_trace(result.trace_lines) if r.kind == "decision"]
+    assert [r.attributes["action"] for r in decisions if r.attributes["action"] != "none"] == [
+        "attach"]
 
 
 def test_resource_check_walks_down_the_ranking():
@@ -399,6 +472,13 @@ def test_decide_is_idempotent_in_static_environment():
         assert decisions[0]["action"] == "none"
     assert world.env.flows["f1"].serving == serving_after_first
     assert len(events_of(world, trg.HANDOVER_EXECUTION_REQUEST)) == 0
+
+
+def test_herd_two_cells_settles_without_ping_pong():
+    # ten unattached flows on two twin cells: each flow sees the other's moves
+    result = execute_scenario(load_scenario(SCENARIO_DIR / "herd_two_cells.json"))
+    assert result.stats.ping_pong_count == 0
+    assert result.stats.handovers_attempted <= len(result.scenario.flows)
 
 
 def test_candidate_report_lists_current_set_and_publishes():

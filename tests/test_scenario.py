@@ -98,6 +98,9 @@ def test_top_level_diagnostic_starts_with_the_field(key, value):
         "rule_id": "r", "pattern": ["link-quality-report", "measurement-batch"],
         "window_ms": 1000, "output_type": "access-lost"}]}},
                  "trg.correlations[0].output_type", id="correlation-reserved-output"),
+    pytest.param({"flows": [{"flow_id": "f1", "serving": "c1", "resource_demand": 60},
+                            {"flow_id": "f2", "serving": "c1", "resource_demand": 60}]},
+                 "flows[1].serving", id="initial-demands-above-capacity"),
 ])
 def test_out_of_range_values_rejected_at_load(section, path):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}:"):

@@ -1,12 +1,15 @@
 """Properties of whole runs over generated scenarios.
 
 Every generated scenario passes validation, so it must run to completion with
-its invariants holding: cells stay within capacity, the written trace replays
-to the in-run statistics, and a second run is byte-identical.  Timeline values
-leave room for every demand, so no action fails a capacity check.
+its invariants holding: cells stay within capacity, every served flow holds
+its link and its charge, the written trace replays to the in-run statistics,
+and a second run is byte-identical.  Timeline values leave room for every
+demand, so no action fails a capacity check.  In a world whose timeline is
+empty, selection converges: handovers stop after a bounded number of
+decision rounds.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hetsel.harness.runner import build_run, execute_run
@@ -23,20 +26,26 @@ _COVERAGE = ("cell-up", "cell-down", "link-down-cable")
 
 
 @st.composite
-def scenarios(draw):
-    n_cells = draw(st.integers(1, 3))
-    cells = [{
-        "cell_id": f"c{i}",
-        "rat": draw(st.sampled_from(("WLAN", "UMTS", "LAN"))),
-        "operator_id": draw(st.sampled_from(("OpA", "OpB"))),
-        "frequency": draw(st.sampled_from(("ch1", "ch6"))),
-        "covered": draw(st.sampled_from((True, True, False))),
-        "total_resources": draw(st.integers(MIN_TOTAL, 300)),
-        "used_resources": draw(st.integers(0, MAX_BASE)),
-        "raw_error_rate": draw(st.floats(0.0, 0.3)),
-        "achievable_rate": draw(st.floats(1e5, 1e7)),
-        "base_delay_ms": draw(st.floats(1.0, 150.0)),
-    } for i in range(n_cells)]
+def scenarios(draw, max_initial_flows=4, max_actions=16):
+    cells = []
+    for i in range(draw(st.integers(1, 3))):
+        # A twin of the previous cell scores the same for every flow: the
+        # world in which moving as a herd is most tempting.
+        if cells and draw(st.booleans()):
+            cells.append({**cells[-1], "cell_id": f"c{i}"})
+            continue
+        cells.append({
+            "cell_id": f"c{i}",
+            "rat": draw(st.sampled_from(("WLAN", "UMTS", "LAN"))),
+            "operator_id": draw(st.sampled_from(("OpA", "OpB"))),
+            "frequency": draw(st.sampled_from(("ch1", "ch6"))),
+            "covered": draw(st.sampled_from((True, True, False))),
+            "total_resources": draw(st.integers(MIN_TOTAL, 300)),
+            "used_resources": draw(st.integers(0, MAX_BASE)),
+            "raw_error_rate": draw(st.floats(0.0, 0.3)),
+            "achievable_rate": draw(st.floats(1e5, 1e7)),
+            "base_delay_ms": draw(st.floats(1.0, 150.0)),
+        })
     cell_ids = [c["cell_id"] for c in cells]
     covered = [c["cell_id"] for c in cells if c["covered"]]
 
@@ -46,7 +55,7 @@ def scenarios(draw):
                 "resource_demand": draw(st.integers(1, MAX_DEMAND))}
 
     flows = []
-    for j in range(draw(st.integers(0, 4))):
+    for j in range(draw(st.integers(0, max_initial_flows))):
         flow = {"flow_id": f"f{j}", **flow_params()}
         if covered and draw(st.sampled_from((True, True, False))):
             flow["serving"] = draw(st.sampled_from(covered))
@@ -56,7 +65,7 @@ def scenarios(draw):
     arrivals = len(flows)
     timeline = []
     at = 0
-    for _ in range(draw(st.integers(0, 16))):
+    for _ in range(draw(st.integers(0, max_actions))):
         at += draw(st.sampled_from((0, 50, 100, 400, 1000)))
         # set-cell-field, and in it used_resources, is listed twice: setting the
         # base load under live charges is the path most worth hitting often.
@@ -104,5 +113,50 @@ def test_generated_scenarios_run_clean(doc):
     result = execute_run(run)
     for cell in run.env.cells.values():
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
+    for flow in run.env.flows.values():
+        # a flow keeps pointing at a cell that went dark until it moves away
+        if flow.serving is not None and run.env.cells[flow.serving.cell_id].covered:
+            cell_id = flow.serving.cell_id
+            assert run.gll.is_attached(cell_id), (flow.flow_id, cell_id)
+            assert run.env.is_charged(flow, cell_id), (flow.flow_id, cell_id)
     assert compute_stats(read_trace(result.trace_lines)).as_dict() == result.stats.as_dict()
     assert execute_run(build_run(scenario)).trace_text == result.trace_text
+
+
+CONVERGED_AFTER_ROUNDS = 20   # instants with decisions, well past any settling move
+STATIC_DURATION_MS = 20000    # at least 40 rounds at the slowest cadence
+
+
+# A generated world, reduced, in which four unattached flows moved as a herd
+# between two unlike cells while targets were scored at their reported load.
+_HERD_WORLD = {
+    "mrrm_location": "network",
+    "cells": [{"cell_id": "c0", "rat": "UMTS", "operator_id": "OpA", "frequency": "ch6",
+               "covered": True, "total_resources": 200, "used_resources": 16,
+               "raw_error_rate": 0.22, "achievable_rate": 1e6, "base_delay_ms": 112.0},
+              {"cell_id": "c1", "rat": "LAN", "operator_id": "OpB", "frequency": "ch1",
+               "covered": True, "total_resources": 248, "used_resources": 21,
+               "raw_error_rate": 0.2, "achievable_rate": 9e6, "base_delay_ms": 138.0}],
+    "flows": [{"flow_id": f"f{j}", "service_class": "background", "resource_demand": demand}
+              for j, demand in enumerate((19, 20, 19, 14))],
+    "timeline": [],
+}
+
+
+@given(doc=scenarios(max_initial_flows=MAX_FLOWS, max_actions=0))
+@example(doc=_HERD_WORLD)
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_static_world_stops_handing_over(doc):
+    run = build_run(scenario_from_dict({**doc, "duration_ms": STATIC_DURATION_MS}))
+    result = execute_run(run)
+    records = list(read_trace(result.trace_lines))
+    round_times = sorted({r.at for r in records if r.kind == "decision"})
+    requests = [r.at for r in records
+                if r.kind == "event" and r.attributes["type"] == "handover-execution-request"]
+    if not doc["flows"] or not any(cell["covered"] for cell in doc["cells"]):
+        assert requests == []  # nothing to move, or nowhere to move it
+        return
+    assert len(round_times) > CONVERGED_AFTER_ROUNDS
+    settled = round_times[CONVERGED_AFTER_ROUNDS]
+    assert [at for at in requests if at > settled] == []
