@@ -28,9 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed, which is only a label: "
-                            "the run draws no random numbers")
     run_p.add_argument("--out", default="out", help="output directory (default: ./out)")
 
     report_p = sub.add_parser("report", help="per-handover delay breakdown from a trace")
@@ -46,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result, trace_path, stats_path = run_to_files(args.scenario, args.out, args.seed)
+    result, trace_path, stats_path = run_to_files(args.scenario, args.out)
     summary = result.stats
     print(f"trace:  {trace_path}")
     print(f"stats:  {stats_path}")

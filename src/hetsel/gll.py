@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from . import trg
 from .simenv.env import Cell, Environment
@@ -343,7 +343,6 @@ class GenericLinkLayer:
         env: Environment,
         bus: trg.TriggerBus,
         cfg: Optional[GllConfig] = None,
-        record: Optional[Callable[[str, dict[str, Any]], None]] = None,
         report_all_cells: bool = False,
     ):
         self.loop = loop
@@ -351,7 +350,6 @@ class GenericLinkLayer:
         self.bus = bus
         self.cfg = cfg or GllConfig()
         self.cfg.validate()
-        self._record = record or (lambda kind, attrs: None)
         self.report_all_cells = report_all_cells
         self.history = AccessHistory(self.cfg.history)
         self.attached: dict[str, AccessCandidate] = {}
@@ -452,7 +450,6 @@ class GenericLinkLayer:
         for cell in cells:
             report = map_link_quality(self.measure(cell), self.cfg.mapping, service_class)
             payload = report_to_payload(report)
-            self._record("measurement", dict(payload))
             self.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, self.COMPONENT, payload=payload))
             count += 1
         if batch:

@@ -7,7 +7,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .. import trg
 from ..gll import GenericLinkLayer
@@ -53,14 +53,8 @@ class RunResult:
         return "\n".join(self.trace_lines) + "\n"
 
 
-def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
-    """Construct and wire every component; the scenario value stays untouched.
-
-    The seed is only a label: ``seed_override`` replaces it in ``Run.scenario``
-    and changes nothing else.
-    """
-    if seed_override is not None:
-        scenario = replace(scenario, seed=seed_override)
+def build_run(scenario: Scenario) -> Run:
+    """Construct and wire every component; the scenario value stays untouched."""
     loop = EventLoop()
     recorder = TraceRecorder()
     bus = trg.TriggerBus(
@@ -87,7 +81,6 @@ def build_run(scenario: Scenario, seed_override: Optional[int] = None) -> Run:
     gll = GenericLinkLayer(
         loop, env, bus,
         cfg=copy.deepcopy(scenario.gll),
-        record=lambda kind, attrs: recorder.record(loop.now, "gll", kind, attrs),
         report_all_cells=(scenario.mrrm_location == "network"),
     )
     mrrm = MultiRadioResourceManager(
@@ -138,18 +131,17 @@ def _make_action(run: Run, action):
     return lambda: run.env.apply_action(action)
 
 
-def execute_scenario(scenario: Scenario, seed_override: Optional[int] = None) -> RunResult:
-    return execute_run(build_run(scenario, seed_override))
+def execute_scenario(scenario: Scenario) -> RunResult:
+    return execute_run(build_run(scenario))
 
 
 def run_to_files(
     scenario_path: Union[str, Path],
     out_dir: Union[str, Path],
-    seed_override: Optional[int] = None,
 ) -> tuple[RunResult, Path, Path]:
     """Load a scenario file, run it, and write trace + stats into ``out_dir``."""
     scenario = load_scenario(scenario_path)
-    result = execute_scenario(scenario, seed_override)
+    result = execute_scenario(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.txt"

@@ -1,17 +1,21 @@
 """Line-oriented run traces.
 
-One record per line with a fixed field order (time, component, kind, then
-attribute pairs sorted by key) so that two runs of the same scenario and seed
-diff byte-identically.
+One record per line: a fixed prefix (time, component, kind) followed by the
+attributes as one compact JSON object with sorted keys, so that two runs of
+the same scenario diff byte-identically and every value reads back with its
+type.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Union
 
-RECORD_KINDS = ("event", "delivery", "decision", "measurement", "trace-point")
+# Attribute values are scalars, so the per-call circular-reference bookkeeping
+# buys nothing; an unencodable value still raises.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 class TraceError(ValueError):
@@ -26,55 +30,22 @@ class TraceRecord:
     attributes: dict[str, Any] = field(default_factory=dict)
 
 
-def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if text == "":
-        return "-"
-    return text.replace(" ", "_")
-
-
-def _parse_value(text: str) -> Any:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text == "-":
-        return ""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def format_record(record: TraceRecord) -> str:
-    parts = [f"t={record.at}", record.component, record.kind]
-    for key in sorted(record.attributes):
-        parts.append(f"{key}={_format_value(record.attributes[key])}")
-    return " ".join(parts)
+    return f"t={record.at} {record.component} {record.kind} {_encode(record.attributes)}"
 
 
 def parse_record(line: str) -> TraceRecord:
-    parts = line.split(" ")
-    if len(parts) < 3 or not parts[0].startswith("t="):
+    parts = line.split(" ", 3)
+    if len(parts) < 4 or not parts[0].startswith("t="):
         raise TraceError(f"malformed trace line: {line!r}")
-    attributes = {}
-    for part in parts[3:]:
-        key, _, raw = part.partition("=")
-        attributes[key] = _parse_value(raw)
-    return TraceRecord(
-        at=int(parts[0][2:]),
-        component=parts[1],
-        kind=parts[2],
-        attributes=attributes,
-    )
+    try:
+        at = int(parts[0][2:])
+        attributes = json.loads(parts[3])
+    except ValueError as exc:
+        raise TraceError(f"malformed trace line: {exc}") from None
+    if not isinstance(attributes, dict):
+        raise TraceError(f"malformed trace line: attributes are not an object: {line!r}")
+    return TraceRecord(at, parts[1], parts[2], attributes)
 
 
 class TraceRecorder:
@@ -93,22 +64,30 @@ class TraceRecorder:
     def lines(self) -> list[str]:
         return [format_record(r) for r in self.records]
 
-    def dump(self, path: Union[str, Path]) -> None:
-        Path(path).write_text("\n".join(self.lines()) + "\n", encoding="utf-8")
-
 
 def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]:
-    """Parse a trace file (or an iterable of lines)."""
+    """Parse a trace file (or an iterable of lines).
+
+    A malformed line raises ``TraceError`` naming the file and its 1-based
+    line number.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise TraceError(f"cannot read trace {path}: {exc}") from exc
-        lines: Iterable[str] = text.splitlines()
+        where = str(path)
+        lines: Iterable[str] = text.split("\n")
     else:
+        where = "trace"
         lines = source
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
-        if line:
-            yield parse_record(line)
+        if not line:
+            continue
+        try:
+            record = parse_record(line)
+        except TraceError as exc:
+            raise TraceError(f"{where}:{number}: {exc}") from None
+        yield record

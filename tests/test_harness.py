@@ -1,8 +1,11 @@
 """Mobility pipeline, trace processing, run statistics, CLI."""
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hetsel import trg
 from hetsel.cli import main as cli_main
@@ -98,10 +101,52 @@ def test_zero_delay_model_keeps_point_order():
 # -- trace format ----------------------------------------------------------------
 
 
-def test_trace_record_roundtrip():
-    record = TraceRecord(12, "mrrm", "decision",
-                         {"flow": "f1", "score": 0.75625, "ok": True, "empty": ""})
-    assert parse_record(format_record(record)) == record
+# Strings that a guessing codec reads back as another type or another string.
+_AWKWARD_STRINGS = ("007", "1e3", "", "-", " ", "t=1", "a b", "x=y", "true", "None")
+
+_attribute_values = (st.sampled_from(_AWKWARD_STRINGS) | st.text() | st.integers()
+                     | st.booleans() | st.none() | st.floats(allow_nan=False))
+
+
+@given(at=st.integers(0, 10**12),
+       component=st.sampled_from(("trg", "gll", "mrrm", "mobility", "harness")),
+       kind=st.sampled_from(("event", "delivery", "decision", "trace-point")),
+       attributes=st.dictionaries(st.sampled_from(_AWKWARD_STRINGS) | st.text(),
+                                  _attribute_values, max_size=8))
+@example(at=0, component="trg", kind="event",
+         attributes={value: value for value in _AWKWARD_STRINGS})
+@example(at=0, component="trg", kind="event",
+         attributes={"inf": float("inf"), "-inf": float("-inf"), "zero": 0.0, "one": 1})
+def test_trace_record_roundtrip(at, component, kind, attributes):
+    record = TraceRecord(at, component, kind, attributes)
+    parsed = parse_record(format_record(record))
+    assert parsed == record
+    # == alone would accept True for 1 and 1.0 for 1
+    assert {k: type(v) for k, v in parsed.attributes.items()} == {
+        k: type(v) for k, v in attributes.items()}
+
+
+def test_read_trace_names_the_file_and_line_of_a_corrupt_line(tmp_path, capsys):
+    good = format_record(TraceRecord(0, "harness", "event", {"type": "run-end"}))
+    path = tmp_path / "trace.txt"
+    path.write_text(f"{good}\n{good}\nt=5 trg event {{\"type\":\n", encoding="utf-8")
+    with pytest.raises(TraceError, match=f"{re.escape(str(path))}:3: "):
+        list(read_trace(path))
+    for command in ("stats", "report"):
+        assert cli_main([command, str(path)]) == 2
+        assert f"{path}:3: " in capsys.readouterr().err
+
+
+def test_format_record_rejects_a_value_json_cannot_encode():
+    with pytest.raises(TypeError):
+        format_record(TraceRecord(0, "trg", "event", {"cells": {"a", "b"}}))
+
+
+@pytest.mark.parametrize("line", ["5 trg event {}", "t=5 trg event", "t=x trg event {}",
+                                  "t=5 trg event [1]"])
+def test_parse_record_rejects_malformed_lines(line):
+    with pytest.raises(TraceError):
+        parse_record(line)
 
 
 def test_trace_rejects_time_going_backwards():
@@ -350,16 +395,6 @@ def test_shipped_scenarios_are_deterministic(path):
     assert first == second
 
 
-def test_seed_override_changes_only_the_seed(tmp_path):
-    scenario = load_scenario(SCENARIO_DIR / "scan_targeted_hit.json")
-    base = execute_scenario(scenario).trace_text
-    overridden = execute_scenario(scenario, seed_override=123)
-    # the seed is only a label: it changes the run's scenario, not its trace
-    assert overridden.scenario.seed == 123
-    assert scenario.seed != 123
-    assert base == overridden.trace_text
-
-
 # -- bench ---------------------------------------------------------------------------
 
 
@@ -403,6 +438,23 @@ def test_cli_run_report_stats_roundtrip(tmp_path, capsys):
 
     written = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert written == stats
+
+
+def test_cli_stats_equals_written_stats_for_numeric_looking_flow_id(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "table1_mn.json").read_text(encoding="utf-8"))
+    doc["mobility"]["make_before_break"] = False
+    doc["flows"][0]["flow_id"] = "007"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["run", str(scenario), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_main(["stats", str(out / "trace.txt")]) == 0
+    replayed = json.loads(capsys.readouterr().out)
+    written = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert list(written["service_gap_ms"]) == ["007"]
+    assert replayed["service_gap_ms"] == written["service_gap_ms"]
+    assert replayed == written
 
 
 def test_cli_rejects_malformed_scenario(tmp_path, capsys):

@@ -24,18 +24,29 @@ MAX_FLOWS = 8      # initial flows plus arrivals: at most 160 charged on a cell
 
 _COVERAGE = ("cell-up", "cell-down", "link-down-cable")
 
+# Ids that a trace codec which guesses types would read back as numbers,
+# booleans or other strings; replaying the trace must keep them as they are.
+_AWKWARD_IDS = ("007", "1e3", "true", "a b", "-", "None")
+
+
+def _ids(draw, prefix, count):
+    pool = [f"{prefix}{i}" for i in range(count)] + list(_AWKWARD_IDS)
+    return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count, unique=True))
+
 
 @st.composite
 def scenarios(draw, max_initial_flows=4, max_actions=16):
+    cell_ids = _ids(draw, "c", draw(st.integers(1, 3)))
+    flow_ids = _ids(draw, "f", MAX_FLOWS)
     cells = []
-    for i in range(draw(st.integers(1, 3))):
+    for cell_id in cell_ids:
         # A twin of the previous cell scores the same for every flow: the
         # world in which moving as a herd is most tempting.
         if cells and draw(st.booleans()):
-            cells.append({**cells[-1], "cell_id": f"c{i}"})
+            cells.append({**cells[-1], "cell_id": cell_id})
             continue
         cells.append({
-            "cell_id": f"c{i}",
+            "cell_id": cell_id,
             "rat": draw(st.sampled_from(("WLAN", "UMTS", "LAN"))),
             "operator_id": draw(st.sampled_from(("OpA", "OpB"))),
             "frequency": draw(st.sampled_from(("ch1", "ch6"))),
@@ -46,7 +57,6 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
             "achievable_rate": draw(st.floats(1e5, 1e7)),
             "base_delay_ms": draw(st.floats(1.0, 150.0)),
         })
-    cell_ids = [c["cell_id"] for c in cells]
     covered = [c["cell_id"] for c in cells if c["covered"]]
 
     def flow_params():
@@ -56,7 +66,7 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
 
     flows = []
     for j in range(draw(st.integers(0, max_initial_flows))):
-        flow = {"flow_id": f"f{j}", **flow_params()}
+        flow = {"flow_id": flow_ids[j], **flow_params()}
         if covered and draw(st.sampled_from((True, True, False))):
             flow["serving"] = draw(st.sampled_from(covered))
         flows.append(flow)
@@ -72,7 +82,7 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
         kind = draw(st.sampled_from(_COVERAGE + ("flow-arrival", "flow-departure",
                                                  "set-cell-field", "set-cell-field")))
         if kind == "flow-arrival" and arrivals < MAX_FLOWS:
-            target = f"f{arrivals}"
+            target = flow_ids[arrivals]
             arrivals += 1
             live.append(target)
             timeline.append({"at": at, "kind": kind, "target": target, **flow_params()})
