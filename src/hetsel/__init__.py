@@ -18,7 +18,6 @@ from .gll import (
     residual_error_rate,
 )
 from .mrrm import (
-    Flow,
     MultiRadioResourceManager,
     PolicySet,
     RankedList,
@@ -31,7 +30,7 @@ from .mrrm import (
     round_candidates,
     select_access,
 )
-from .simenv import Cell, Environment, EventLoop
+from .simenv import Cell, Environment, EventLoop, Flow
 from .simenv.scenario import Scenario, load_scenario, scenario_from_dict
 from .trg import CorrelationRule, Event, Subscription, TriggerBus, UciRecord
 

@@ -19,7 +19,6 @@ from .simenv.loop import EventLoop
 
 logger = logging.getLogger(__name__)
 
-SERVICE_CLASSES = ("real-time", "interactive", "background")
 _FALLBACK_INTERVAL_MS = 500
 
 
@@ -547,9 +546,8 @@ class GenericLinkLayer:
             "frequency": candidate.frequency,
         }))
 
-    def detach(self, candidate: AccessCandidate) -> None:
+    def detach(self, cell_id: str) -> None:
         """Tear the link down on request; the caller unmaps any flow on it first."""
-        cell_id = candidate.cell_id
         if cell_id not in self.attached:
             raise NotAttachedError(cell_id)
         del self.attached[cell_id]

@@ -103,8 +103,8 @@ def build_run(scenario: Scenario) -> Run:
 
 def _install_initial_flows(run: Run) -> None:
     for flow in run.scenario.flows:
-        if flow.serving is not None:
-            cell_id = flow.serving.cell_id
+        cell_id = flow.serving
+        if cell_id is not None:
             if not run.gll.is_attached(cell_id):
                 run.gll.force_attach(cell_id)
             if not run.env.map_flow(flow, cell_id):

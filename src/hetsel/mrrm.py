@@ -19,6 +19,12 @@ committed to each cell by unfinished attaches, this round's included.  Flows
 then compare like with like and do not all jump to the same lightly loaded
 cell and back.  The load term inside link quality (``q_load``) keeps the
 reported load.
+
+Every piece of run state names an access by its cell id, as flows, events
+and the environment do: the latest report per cell, failure cool-downs, the
+stage-one position index and the cells of unfinished attaches and handovers.
+An ``AccessCandidate`` appears only where its identity fields are read: in
+reports, policy filtering, ranking and ``GenericLinkLayer.attach``.
 """
 
 from __future__ import annotations
@@ -30,35 +36,12 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 from . import gll as gll_mod
 from . import trg
 from .gll import AccessCandidate, GenericLinkLayer, LinkMeasurement, LinkQualityReport
-from .simenv.env import Cell, Environment
+from .simenv.env import Cell, Environment, Flow
 from .simenv.loop import EventLoop
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PREFERENCE = 0.5
-
-
-@dataclass
-class Flow:
-    """One user traffic stream; the unit of access selection."""
-
-    flow_id: str
-    service_class: str = "background"
-    min_rate: float = 0.0
-    max_delay_ms: float = float("inf")
-    max_loss: float = 1.0
-    resource_demand: int = 1
-    serving: Optional[AccessCandidate] = None
-
-    def validate(self) -> None:
-        if self.service_class not in gll_mod.SERVICE_CLASSES:
-            raise ValueError(f"unknown service_class {self.service_class!r}")
-        if self.min_rate < 0 or self.max_delay_ms < 0:
-            raise ValueError("QoS fields must be non-negative")
-        if not 0.0 <= self.max_loss <= 1.0:
-            raise ValueError("max_loss outside [0,1]")
-        if self.resource_demand < 0:
-            raise ValueError("resource_demand must be non-negative")
 
 
 @dataclass
@@ -157,12 +140,12 @@ class RoundCandidates:
     ``entries`` holds the admitted candidates in lexicographic order, each
     with its raw measurement, its score for a QoS-feasible and for an
     infeasible flow, and the score one unit of demand costs on its cell
-    (``w_cell / total_resources``); ``position`` maps a candidate to its
-    index there.
+    (``w_cell / total_resources``); ``position`` maps a candidate's cell id
+    to its index there.
     """
 
     entries: tuple[tuple[AccessCandidate, LinkMeasurement, float, float, float], ...]
-    position: dict[AccessCandidate, int]
+    position: dict[str, int]
 
 
 # -- pure selection pipeline ---------------------------------------------------
@@ -265,7 +248,7 @@ def round_candidates(
                         cfg.w_cell / cell_meta[candidate.cell_id].total_resources))
     return RoundCandidates(
         entries=tuple(entries),
-        position={entry[0]: i for i, entry in enumerate(entries)},
+        position={entry[0].cell_id: i for i, entry in enumerate(entries)},
     )
 
 
@@ -303,8 +286,8 @@ class _OperatorState:
 class _InFlight:
     stage: str  # attaching | executing
     flow: Flow
-    target: AccessCandidate
-    source: Optional[AccessCandidate]
+    target: str
+    source: Optional[str]  # None for a first attach
 
 
 class MultiRadioResourceManager:
@@ -336,9 +319,9 @@ class MultiRadioResourceManager:
         self.policies_check_timeout_ms = policies_check_timeout_ms
         self._record = record or (lambda kind, attrs: None)
         self.flows = env.flows
-        self.reports: dict[AccessCandidate, LinkQualityReport] = {}
+        self.reports: dict[str, LinkQualityReport] = {}
         self.operators: dict[str, _OperatorState] = {}
-        self.cooldown_until: dict[AccessCandidate, int] = {}
+        self.cooldown_until: dict[str, int] = {}
         self.in_flight: dict[str, _InFlight] = {}
         self._scan_pending: Optional[str] = None
         self._set_dirty = False
@@ -373,11 +356,8 @@ class MultiRadioResourceManager:
 
     # -- candidate bookkeeping --------------------------------------------------
 
-    def _drop_reports_for_cell(self, cell_id: str) -> None:
-        stale = [c for c in self.reports if c.cell_id == cell_id]
-        for candidate in stale:
-            del self.reports[candidate]
-        if stale:
+    def _drop_report(self, cell_id: str) -> None:
+        if self.reports.pop(cell_id, None) is not None:
             self._set_dirty = True
 
     def candidate_report(self) -> list[LinkQualityReport]:
@@ -430,10 +410,10 @@ class MultiRadioResourceManager:
     def usable_reports(self) -> list[LinkQualityReport]:
         now = self.loop.now
         usable = []
-        for candidate, report in self.reports.items():
-            if self.cooldown_until.get(candidate, -1) > now:
+        for cell_id, report in self.reports.items():
+            if self.cooldown_until.get(cell_id, -1) > now:
                 continue
-            if not self._operator_admitted(candidate.operator_id):
+            if not self._operator_admitted(report.candidate.operator_id):
                 continue
             usable.append(report)
         return usable
@@ -459,8 +439,7 @@ class MultiRadioResourceManager:
         tentative: dict[str, int] = {}
         for entry in self.in_flight.values():
             if entry.stage == "attaching":
-                cell = entry.target.cell_id
-                tentative[cell] = tentative.get(cell, 0) + entry.flow.resource_demand
+                tentative[entry.target] = tentative.get(entry.target, 0) + entry.flow.resource_demand
         stage = round_candidates(self.usable_reports(), self.policies, self.caps,
                                  self.selection, self.env.cells)
         decisions = []
@@ -482,30 +461,30 @@ class MultiRadioResourceManager:
         decision: dict[str, Any] = {
             "flow": flow.flow_id,
             "candidates": len(ranked.entries),
-            "serving": flow.serving.cell_id if flow.serving else "",
+            "serving": flow.serving or "",
             "action": "none",
             "target": "",
         }
         # A serving cell that lost coverage and regained it holds neither the
         # flow's link nor its charge: the flow must attach there afresh.
         serving = flow.serving
-        holds = (serving is not None and self.gll.is_attached(serving.cell_id)
-                 and self.env.is_charged(flow, serving.cell_id))
+        holds = (serving is not None and self.gll.is_attached(serving)
+                 and self.env.is_charged(flow, serving))
         target: Optional[AccessCandidate] = None
         target_score = 0.0
         for candidate, score in ranked.entries:
-            if (holds and candidate == serving) or self._fits(flow, candidate, tentative):
+            if (holds and candidate.cell_id == serving) or self._fits(flow, candidate, tentative):
                 target, target_score = candidate, score
                 break
         if target is None:
             return decision
         decision["target"] = target.cell_id
         decision["target_score"] = target_score
-        if not holds and (serving is None or target == serving):
+        if not holds and (serving is None or target.cell_id == serving):
             decision["action"] = "attach"
             self._initiate(flow, target, source=None, tentative=tentative)
             return decision
-        if target == serving:
+        if target.cell_id == serving:
             return decision
         serving_score = ranked.serving_score or 0.0
         decision["serving_score"] = serving_score
@@ -515,9 +494,9 @@ class MultiRadioResourceManager:
         return decision
 
     def _initiate(self, flow: Flow, target: AccessCandidate,
-                  source: Optional[AccessCandidate], tentative: dict[str, int]) -> None:
+                  source: Optional[str], tentative: dict[str, int]) -> None:
         tentative[target.cell_id] = tentative.get(target.cell_id, 0) + flow.resource_demand
-        entry = _InFlight("attaching", flow, target, source)
+        entry = _InFlight("attaching", flow, target.cell_id, source)
         self.in_flight[flow.flow_id] = entry
         if not self.make_before_break and source is not None:
             self._break_source(flow, source)
@@ -526,22 +505,22 @@ class MultiRadioResourceManager:
         else:
             self.gll.attach(target)
 
-    def _break_source(self, flow: Flow, source: AccessCandidate) -> None:
+    def _break_source(self, flow: Flow, source: str) -> None:
         """Break-before-make: unmap the flow and tear the old link down first
         (the service gap this opens is recorded in the run statistics)."""
         others = any(f.serving == source and f.flow_id != flow.flow_id
                      for f in self.flows.values())
-        if others or not self.gll.is_attached(source.cell_id):
+        if others or not self.gll.is_attached(source):
             return
-        self.env.unmap_flow(flow, source.cell_id)
+        self.env.unmap_flow(flow, source)
         flow.serving = None
         self.gll.detach(source)
 
     def _after_link_up(self, entry: _InFlight) -> None:
         flow, target = entry.flow, entry.target
-        if not self.env.map_flow(flow, target.cell_id):
+        if not self.env.map_flow(flow, target):
             logger.info("resources on %s gone before mapping %s; will retry",
-                        target.cell_id, flow.flow_id)
+                        target, flow.flow_id)
             del self.in_flight[flow.flow_id]
             return
         if entry.source is None:
@@ -549,20 +528,19 @@ class MultiRadioResourceManager:
             flow.serving = target
             self.bus.publish(trg.Event(trg.FLOW_MAPPED, self.COMPONENT, payload={
                 "flow": flow.flow_id,
-                "cell": target.cell_id,
+                "cell": target,
             }))
         else:
             entry.stage = "executing"
             self.request_handover(flow, target, entry.source)
 
-    def request_handover(self, flow: Flow, target: AccessCandidate,
-                         source: AccessCandidate) -> None:
-        """Hand execution to the mobility layer; serving changes only once
-        the handover-complete event arrives."""
+    def request_handover(self, flow: Flow, target: str, source: str) -> None:
+        """Hand execution between two cells to the mobility layer; serving
+        changes only once the handover-complete event arrives."""
         self.bus.publish(trg.Event(trg.HANDOVER_EXECUTION_REQUEST, self.COMPONENT, payload={
             "flow": flow.flow_id,
-            "from": source.cell_id,
-            "to": target.cell_id,
+            "from": source,
+            "to": target,
         }))
 
     # -- trigger handling --------------------------------------------------------
@@ -576,9 +554,10 @@ class MultiRadioResourceManager:
 
     def _on_report(self, payload: Mapping[str, Any]) -> None:
         report = gll_mod.report_from_payload(payload)
-        if report.candidate not in self.reports:
+        cell_id = report.candidate.cell_id
+        if cell_id not in self.reports:
             self._set_dirty = True
-        self.reports[report.candidate] = report
+        self.reports[cell_id] = report
 
     def _on_batch(self, payload: Mapping[str, Any]) -> None:
         if self._set_dirty:
@@ -606,26 +585,25 @@ class MultiRadioResourceManager:
             self.policies_check(operator_id, payload["cell"], payload["rat"])
 
     def _on_access_lost(self, payload: Mapping[str, Any]) -> None:
-        self._drop_reports_for_cell(payload["cell"])
+        self._drop_report(payload["cell"])
 
     def _on_link_up(self, payload: Mapping[str, Any]) -> None:
         cell_id = payload["cell"]
         waiting = [fid for fid in sorted(self.in_flight)
                    if self.in_flight[fid].stage == "attaching"
-                   and self.in_flight[fid].target.cell_id == cell_id]
+                   and self.in_flight[fid].target == cell_id]
         for flow_id in waiting:
             self._after_link_up(self.in_flight[flow_id])
 
     def _on_link_down(self, payload: Mapping[str, Any]) -> None:
-        cell_id = payload["cell"]
-        self._drop_reports_for_cell(cell_id)
+        self._drop_report(payload["cell"])
         if payload.get("reason") == "lost":
             self.decide()
 
     def _on_attach_failed(self, payload: Mapping[str, Any]) -> None:
         cell_id = payload["cell"]
         stuck = [fid for fid, entry in self.in_flight.items()
-                 if entry.stage == "attaching" and entry.target.cell_id == cell_id]
+                 if entry.stage == "attaching" and entry.target == cell_id]
         for flow_id in stuck:
             del self.in_flight[flow_id]
 
@@ -635,7 +613,7 @@ class MultiRadioResourceManager:
     def _on_flow_departure(self, payload: Mapping[str, Any]) -> None:
         entry = self.in_flight.pop(payload["flow"], None)
         if entry is not None and entry.stage == "executing":
-            self.env.unmap_flow(entry.flow, entry.target.cell_id)
+            self.env.unmap_flow(entry.flow, entry.target)
         self._detach_unused()
 
     def _on_handover_complete(self, payload: Mapping[str, Any]) -> None:
@@ -643,13 +621,11 @@ class MultiRadioResourceManager:
         self.in_flight.pop(payload["flow"], None)
         if flow is None:
             return
-        source_id = payload["from"]
-        target_cell = self.env.cells[payload["to"]]
-        self.env.unmap_flow(flow, source_id)
-        flow.serving = gll_mod.candidate_for(target_cell)
+        self.env.unmap_flow(flow, payload["from"])
+        flow.serving = payload["to"]
         self.bus.publish(trg.Event(trg.FLOW_MAPPED, self.COMPONENT, payload={
             "flow": flow.flow_id,
-            "cell": target_cell.cell_id,
+            "cell": flow.serving,
         }))
         self._detach_unused()
 
@@ -657,18 +633,16 @@ class MultiRadioResourceManager:
         entry = self.in_flight.pop(payload["flow"], None)
         if entry is None:
             return
-        self.env.unmap_flow(entry.flow, entry.target.cell_id)
+        self.env.unmap_flow(entry.flow, entry.target)
         self.cooldown_until[entry.target] = self.loop.now + self.selection.failure_cooldown_ms
 
     def _detach_unused(self) -> None:
         """Release attached accesses no flow uses and no handover still needs."""
-        busy = {f.serving.cell_id for f in self.flows.values() if f.serving is not None}
+        busy = {f.serving for f in self.flows.values()}
         for entry in self.in_flight.values():
-            busy.add(entry.target.cell_id)
-            if entry.source is not None:
-                busy.add(entry.source.cell_id)
+            busy.update((entry.target, entry.source))
         for cell_id in sorted(set(self.gll.attached) - busy):
-            self.gll.detach(self.gll.attached[cell_id])
+            self.gll.detach(cell_id)
 
     def _on_qos_unsatisfied(self, payload: Mapping[str, Any]) -> None:
         self._start_scan()

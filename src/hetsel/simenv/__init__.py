@@ -4,7 +4,7 @@ Scenario files are read by :mod:`hetsel.simenv.scenario`, which builds the
 configuration of the layers above and is therefore not imported here.
 """
 
-from .env import ActionError, Cell, Environment, InvariantError, ScenarioAction
+from .env import ActionError, Cell, Environment, Flow, InvariantError, ScenarioAction
 from .loop import EventLoop, SchedulingError
 
 __all__ = [
@@ -12,6 +12,7 @@ __all__ = [
     "Cell",
     "Environment",
     "EventLoop",
+    "Flow",
     "InvariantError",
     "ScenarioAction",
     "SchedulingError",

@@ -2,7 +2,9 @@
 
 Cells are authored state, not propagation models: scenario actions mutate
 their fields directly and the link layer samples whatever is current.
-Resource accounting (cell ``used_resources``) is centralised here so the
+Flows are world state too: this module defines them, admits them and
+releases them.  A flow names its serving access by cell id.  Resource
+accounting (cell ``used_resources``) is centralised here so the
 conservation invariant is enforced in one place.
 """
 
@@ -10,12 +12,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from .loop import EventLoop
-
-if TYPE_CHECKING:
-    from ..mrrm import Flow
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +42,8 @@ MUTABLE_CELL_FIELDS = (
 )
 
 RAMP_FIELDS = ("raw_error_rate", "achievable_rate")
+
+SERVICE_CLASSES = ("real-time", "interactive", "background")
 
 
 class ActionError(ValueError):
@@ -91,6 +92,30 @@ class Cell:
         return self.used_resources / self.total_resources
 
 
+@dataclass
+class Flow:
+    """One user traffic stream; the unit of access selection.  ``serving``
+    is the cell id of the access that carries it, if any."""
+
+    flow_id: str
+    service_class: str = "background"
+    min_rate: float = 0.0
+    max_delay_ms: float = float("inf")
+    max_loss: float = 1.0
+    resource_demand: int = 1
+    serving: Optional[str] = None
+
+    def validate(self) -> None:
+        if self.service_class not in SERVICE_CLASSES:
+            raise ValueError(f"unknown service_class {self.service_class!r}")
+        if self.min_rate < 0 or self.max_delay_ms < 0:
+            raise ValueError("QoS fields must be non-negative")
+        if not 0.0 <= self.max_loss <= 1.0:
+            raise ValueError("max_loss outside [0,1]")
+        if self.resource_demand < 0:
+            raise ValueError("resource_demand must be non-negative")
+
+
 @dataclass(frozen=True)
 class ScenarioAction:
     """One timeline entry: a deferred environment mutation.  A flow-arrival
@@ -100,15 +125,14 @@ class ScenarioAction:
     kind: str
     target: str
     params: dict[str, Any] = field(default_factory=dict)
-    flow: Optional["Flow"] = None
+    flow: Optional[Flow] = None
 
 
 class Environment:
     """Mutable world state driven by scenario actions.
 
     ``emit`` publishes an environment-change event (type, payload) onto the
-    run's bus.  Flows arrive already built and validated, so this module stays
-    independent of the decision layer.
+    run's bus.  Flows arrive already built and validated.
     """
 
     def __init__(
@@ -169,7 +193,7 @@ class Environment:
             # A dead cell carries nothing.  Its flows keep their serving
             # pointer until a handover completes or they are re-attached.
             for flow in self.flows.values():
-                if flow.serving is not None and flow.serving.cell_id == cell.cell_id:
+                if flow.serving == cell.cell_id:
                     self.unmap_flow(flow, cell.cell_id)
         self._emit("cell-coverage-change", {
             "cell": cell.cell_id,
@@ -190,7 +214,7 @@ class Environment:
         self._cell(action)
         self._emit("router-advertisement", {"cell": action.target})
 
-    def admit_flow(self, flow: "Flow") -> None:
+    def admit_flow(self, flow: Flow) -> None:
         """Register a copy of ``flow`` and announce it: the one way a flow
         enters the run, so the scenario's own flows are never mutated.  A flow
         that starts served is already attached and charged there."""
@@ -204,7 +228,7 @@ class Environment:
             "max_delay_ms": flow.max_delay_ms,
             "max_loss": flow.max_loss,
             "resource_demand": flow.resource_demand,
-            "serving": flow.serving.cell_id if flow.serving else "",
+            "serving": flow.serving or "",
         })
 
     def _apply_flow_arrival(self, action) -> None:
@@ -215,7 +239,7 @@ class Environment:
         if flow is None:
             raise ActionError(f"unknown flow {action.target!r}")
         if flow.serving is not None:
-            self.unmap_flow(flow, flow.serving.cell_id)
+            self.unmap_flow(flow, flow.serving)
             flow.serving = None
         self._emit("flow-departure", {"flow": action.target})
 
@@ -249,7 +273,7 @@ class Environment:
         cell = self.cells[cell_id]
         return cell.total_resources - cell.used_resources
 
-    def map_flow(self, flow: "Flow", cell_id: str) -> bool:
+    def map_flow(self, flow: Flow, cell_id: str) -> bool:
         """Charge the flow's demand against the cell; False when it cannot fit.
 
         Charging is idempotent per (flow, cell): re-mapping an already-charged
@@ -265,10 +289,10 @@ class Environment:
         self._charges[key] = flow.resource_demand
         return True
 
-    def is_charged(self, flow: "Flow", cell_id: str) -> bool:
+    def is_charged(self, flow: Flow, cell_id: str) -> bool:
         return (flow.flow_id, cell_id) in self._charges
 
-    def unmap_flow(self, flow: "Flow", cell_id: str) -> None:
+    def unmap_flow(self, flow: Flow, cell_id: str) -> None:
         demand = self._charges.pop((flow.flow_id, cell_id), None)
         if demand is None:
             return

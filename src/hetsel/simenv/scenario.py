@@ -14,15 +14,15 @@ dataclass default, so no default is restated here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Union
 
-from ..gll import GllConfig, MacScheme, MappingConfig, ReportingConfig, candidate_for
+from ..gll import GllConfig, MacScheme, MappingConfig, ReportingConfig
 from ..mobility import TRACE_POINTS, MobilityConfig, MobilityDelayModel
-from ..mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
+from ..mrrm import PolicySet, SelectionConfig, TerminalCapabilities
 from ..trg import RESERVED_TYPES, CorrelationRule, PolicyRecord
-from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, ScenarioAction
+from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, Flow, ScenarioAction
 
 NODE_ROLES = ("MN", "MR")
 MRRM_LOCATIONS = ("terminal", "network")
@@ -388,7 +388,7 @@ def _cells(value: Any, path: _Path) -> dict[str, Cell]:
 
 
 def _flow(value: Any, path: _Path, cells: dict[str, Cell]) -> Flow:
-    """A ``serving`` cell id becomes the candidate of that covered cell."""
+    """A ``serving`` cell id must name a covered cell."""
     fields = _fields(value, path, _FLOW, required=("flow_id",))
     serving_id = fields.get("serving")
     if serving_id is not None:
@@ -397,7 +397,6 @@ def _flow(value: Any, path: _Path, cells: dict[str, Cell]) -> Flow:
             _fail((path, "serving"), f"unknown cell {serving_id!r}")
         if not cell.covered:
             _fail((path, "serving"), f"cell {serving_id!r} is not covered")
-        fields["serving"] = candidate_for(cell)
     return _validated(Flow(**fields), path)
 
 
@@ -411,7 +410,7 @@ def _flows(value: Any, path: _Path, cells: dict[str, Cell]) -> dict[str, Flow]:
         if flow.flow_id in flows:
             _fail(((path, i), "flow_id"), f"duplicate flow {flow.flow_id!r}")
         if flow.serving is not None:
-            cell = cells[flow.serving.cell_id]
+            cell = cells[flow.serving]
             used[cell.cell_id] += flow.resource_demand
             if used[cell.cell_id] > cell.total_resources:
                 _fail(((path, i), "serving"), f"initial demand of {flow.flow_id!r} exceeds "
@@ -438,7 +437,8 @@ def _action(value: Any, path: _Path) -> ScenarioAction:
 
 def _timeline(value: Any, path: _Path, cells: dict[str, Cell],
               flows: dict[str, Flow]) -> list[ScenarioAction]:
-    """Entries in time order, each aimed at a known cell or a live flow."""
+    """Entries in time order, each aimed at a known cell or a live flow.  A
+    quality ramp's ``start`` and ``end`` must be values its cell may hold."""
     actions = []
     live_flows = set(flows)
     last_at = 0
@@ -457,6 +457,11 @@ def _timeline(value: Any, path: _Path, cells: dict[str, Cell],
             live_flows.discard(action.target)
         elif action.target not in cells:
             _fail(((path, i), "target"), f"unknown cell {action.target!r}")
+        elif action.kind == "quality-ramp":
+            for key in ("start", "end"):
+                if key in action.params:
+                    ramped = {action.params["field"]: action.params[key]}
+                    _validated(replace(cells[action.target], **ramped), ((path, i), key))
         actions.append(action)
     return actions
 

@@ -165,7 +165,7 @@ def random_instance(rng: random.Random):
     for j in range(rng.randint(1, 4)):
         serving = None
         if reports and rng.random() < 0.5:
-            serving = rng.choice(reports).candidate
+            serving = rng.choice(reports).candidate.cell_id
         flows.append(make_flow(
             flow_id=f"f{j}",
             service_class=rng.choice(("real-time", "interactive", "background")),

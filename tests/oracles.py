@@ -57,11 +57,11 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
                  + cfg.w_cell * report.relative_resources
                  + cfg.w_term * (1.0 - energy)
                  + cfg.w_pol * preference)
-        if c != flow.serving:
+        if c.cell_id != flow.serving:
             moved = tentative.get(c.cell_id, 0) + flow.resource_demand
             score -= cfg.w_cell / meta.total_resources * moved
         key = (-score,
-               0 if c == flow.serving else 1,
+               0 if c.cell_id == flow.serving else 1,
                (c.operator_id, c.rat, c.cell_id, c.frequency))
         if best is None or key < best[0]:
             best = (key, c, score)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from hetsel.gll import candidate_for
 from hetsel.simenv.env import ActionError, Environment, ScenarioAction
 from hetsel.simenv.loop import EventLoop
 
@@ -153,7 +152,7 @@ def test_release_cell_resources_keeps_serving_pointer():
     seen = []
     env = Environment(EventLoop(), [cell],
                       emit=lambda t, p: seen.append((t, cell.used_resources)))
-    flow = make_flow("f1", resource_demand=10, serving=candidate_for(cell))
+    flow = make_flow("f1", resource_demand=10, serving=cell.cell_id)
     env.flows["f1"] = flow
     env.map_flow(flow, "wlan1")
     env.apply_action(ScenarioAction(0, "cell-down", "wlan1"))
@@ -166,7 +165,7 @@ def test_set_used_resources_sets_the_base_load():
     # what was charged.
     cell = make_cell("wlan1", total_resources=100, used_resources=30)
     loop, env, emitted = make_env([cell])
-    flow = make_flow("f1", resource_demand=20, serving=candidate_for(cell))
+    flow = make_flow("f1", resource_demand=20, serving=cell.cell_id)
     env.flows["f1"] = flow
     env.map_flow(flow, "wlan1")
     env.apply_action(ScenarioAction(0, "set-cell-field", "wlan1",

@@ -302,11 +302,11 @@ def test_detach_requested_and_not_attached_error():
     loop, bus, env, gll, events = live_gll([cell])
     gll.attach(candidate_for(cell))
     loop.run_until(50)
-    gll.detach(candidate_for(cell))
+    gll.detach(cell.cell_id)
     downs = [e for e in events if e.event_type == trg.LINK_DOWN]
     assert downs[0].payload["reason"] == "requested"
     with pytest.raises(NotAttachedError):
-        gll.detach(candidate_for(cell))
+        gll.detach(cell.cell_id)
 
 
 def test_unsolicited_loss_emits_link_down_lost():

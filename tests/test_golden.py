@@ -1,19 +1,31 @@
-"""Golden sha256 digests of what ``hetsel run`` writes for each shipped scenario.
+"""Golden sha256 digests of what ``hetsel run`` writes for each shipped scenario,
+and of the trace the benchmark worker writes for each benchmark world at seed 1.
 
 To update: run ``hetsel run scenarios/<name>.json --out DIR`` and take
-``sha256sum DIR/trace.txt DIR/stats.json``; a change that alters behaviour
-updates these digests and says why in CHANGES.md.
+``sha256sum DIR/trace.txt DIR/stats.json``; for a benchmark world, write it
+with ``perfbench/worlds.py`` ``generate(name, 1).write(DIR)``, run
+``python3 perfbench/worker.py --dir DIR --mode plain`` and take its
+``trace_sha256``.  A change that alters behaviour updates these digests and
+says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import subprocess
+import sys
 
 import pytest
 
 from hetsel.harness.runner import run_to_files
 
-from conftest import SCENARIO_DIR, SHIPPED_SCENARIOS
+from conftest import REPO_ROOT, SCENARIO_DIR, SHIPPED_SCENARIOS
+
+PERFBENCH = REPO_ROOT / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from worlds import WORKLOADS, generate  # noqa: E402
 
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
@@ -50,3 +62,27 @@ def test_every_shipped_scenario_has_a_golden_digest():
 def test_run_outputs_match_golden_digests(name, tmp_path):
     _, trace_path, stats_path = run_to_files(SCENARIO_DIR / f"{name}.json", tmp_path)
     assert (_sha256(trace_path), _sha256(stats_path)) == GOLDEN[name]
+
+
+# benchmark workload -> trace.txt sha256 of its seed-1 world
+BENCH_TRACES = {
+    "commuter_churn": "369ee94de829b932a5300d474fccf19bc340453b3bba873ce982267a3a9c6aac",
+    "metro_dense": "33b4243cdff1d33fa96519d0b24b5138cb4a961a7e4940b82b6b44f1f8f5bebd",
+    "monitor_fanout": "21ca2809a0141900bc642b490b9f795a9f06dbb9fd986e37cc0275ce0a1a9c9f",
+}
+
+
+def test_every_benchmark_workload_has_a_golden_digest():
+    assert sorted(BENCH_TRACES) == sorted(WORKLOADS)
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_TRACES))
+def test_benchmark_traces_match_golden_digests(workload, tmp_path):
+    generate(workload, 1).write(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--dir", str(tmp_path), "--mode", "plain"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["checks"] and all(result["checks"].values()), (result["checks"], proc.stderr)
+    assert result["trace_sha256"] == BENCH_TRACES[workload]

@@ -1,7 +1,7 @@
 """Layer boundaries: each module imports only the layers below it.
 
-The table below is checked on the source with ``ast``; imports inside an
-``if TYPE_CHECKING:`` block are annotations only and do not count.  Every
+The table below is checked on the source with ``ast``; an import inside an
+``if TYPE_CHECKING:`` block counts like any other.  Every
 module must also import cleanly when it is the first one a fresh interpreter
 loads, which catches cycles that only a particular import order hides.
 """
@@ -46,19 +46,10 @@ def _module_name(path: Path) -> str:
 MODULES = {_module_name(p): p for p in sorted((SRC / "hetsel").rglob("*.py"))}
 
 
-def _is_type_checking(node: ast.AST) -> bool:
-    test = getattr(node, "test", None)
-    return isinstance(node, ast.If) and (
-        (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
-        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"))
-
-
 def _imports(tree: ast.Module):
-    """Yield ``(node, at_top_level)`` for every import outside TYPE_CHECKING."""
+    """Yield ``(node, at_top_level)`` for every import statement."""
     def visit(node: ast.AST, top: bool):
         for child in ast.iter_child_nodes(node):
-            if _is_type_checking(child):
-                continue
             if isinstance(child, (ast.Import, ast.ImportFrom)):
                 yield child, top
             else:

@@ -138,7 +138,7 @@ def test_serving_cell_is_scored_at_its_reported_load():
     # a's load 0.1 is the flow's own demand; b is empty before the move
     reports = [synthetic_report(candidate_for(a), quality=0.8, load=0.1),
                synthetic_report(candidate_for(b), quality=0.8)]
-    flow = make_flow(resource_demand=10, serving=candidate_for(a))
+    flow = make_flow(resource_demand=10, serving=a.cell_id)
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {})
     scores = {c.cell_id: score for c, score in ranked.entries}
@@ -178,7 +178,7 @@ def test_serving_access_wins_score_ties():
     cells = {"a": a, "b": b}
     reports = [report_for_cell(a), report_for_cell(b)]
     # no demand, so nothing separates the twins but the tie-break
-    serving_b = make_flow(resource_demand=0, serving=candidate_for(b))
+    serving_b = make_flow(resource_demand=0, serving=b.cell_id)
     ranked = select_access(serving_b, round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells), {})
     assert ranked.head.cell_id == "b"
@@ -233,11 +233,11 @@ def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
         if by_candidate[c].raw.load >= cfg.load_threshold:
             continue
         score = dynamic_score(flow, by_candidate[c], policies, caps, cfg)
-        if c != flow.serving:
+        if c.cell_id != flow.serving:
             moved = tentative.get(c.cell_id, 0) + flow.resource_demand
             score -= cfg.w_cell / cells[c.cell_id].total_resources * moved
         scored.append((c, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0] != flow.serving, pair[0].sort_key()))
+    scored.sort(key=lambda pair: (-pair[1], pair[0].cell_id != flow.serving, pair[0].sort_key()))
     return scored
 
 
@@ -246,7 +246,7 @@ def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells,
     assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
     # bit-identical scores: the per-round sums are taken in dynamic_score's order
     assert [score for _, score in ranked.entries] == [score for _, score in expected]
-    serving = [score for c, score in expected if c == flow.serving]
+    serving = [score for c, score in expected if c.cell_id == flow.serving]
     assert ranked.serving_score == (serving[0] if serving else None)
 
 
@@ -267,12 +267,12 @@ def test_identical_cells_tie_break_serving_first_exactly():
     reports = [report_for_cell(a), report_for_cell(b)]
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     stage = round_candidates(reports, policies, caps, cfg, cells)
-    for serving in (None, candidate_for(a), candidate_for(b)):
+    for serving in (None, "a", "b"):
         # no demand: a twin's post-move load equals the serving cell's load
         flow = make_flow(resource_demand=0, serving=serving)
         ranked = select_access(flow, stage, {})
         assert ranked.entries[0][1] == ranked.entries[1][1]
-        assert ranked.head.cell_id == ("b" if serving == candidate_for(b) else "a")
+        assert ranked.head.cell_id == ("b" if serving == "b" else "a")
         _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {})
 
 
@@ -318,9 +318,9 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
     for flow in flows:
         env.flows[flow.flow_id] = flow
         if flow.serving is not None:
-            if not gll.is_attached(flow.serving.cell_id):
-                gll.force_attach(flow.serving.cell_id)
-            assert env.map_flow(flow, flow.serving.cell_id)
+            if not gll.is_attached(flow.serving):
+                gll.force_attach(flow.serving)
+            assert env.map_flow(flow, flow.serving)
     return SimpleNamespace(loop=loop, bus=bus, env=env, gll=gll, mrrm=mrrm,
                            executor=executor, events=events)
 
@@ -328,7 +328,7 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
 def seed_reports(world, *cells):
     for cell in cells:
         report = report_for_cell(cell, taken_at=world.loop.now)
-        world.mrrm.reports[report.candidate] = report
+        world.mrrm.reports[cell.cell_id] = report
         world.gll.detected.setdefault(cell.cell_id, candidate_for(cell))
 
 
@@ -343,20 +343,20 @@ def test_unserved_flow_attaches_to_head():
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "attach"
     world.loop.run_until(100)
-    assert world.env.flows["f1"].serving.cell_id == "a"
+    assert world.env.flows["f1"].serving == "a"
     assert events_of(world, trg.FLOW_MAPPED)[0].payload == {"flow": "f1", "cell": "a"}
 
 
 def test_hysteresis_blocks_small_improvements():
     a = make_cell("a")
     b = make_cell("b")
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow])
     # a's load 0.1 is f1's own demand of 10, and b's post-move load is the same,
     # so both score 0.63 + 0.3 * quality  ->  serving 0.68, head 0.72
-    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=1 / 6,
+    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=1 / 6,
                                                             load=0.1)
-    world.mrrm.reports[candidate_for(b)] = synthetic_report(candidate_for(b), quality=0.3)
+    world.mrrm.reports[b.cell_id] = synthetic_report(candidate_for(b), quality=0.3)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "none"
     assert decisions[0]["target"] == "b"
@@ -366,12 +366,12 @@ def test_hysteresis_blocks_small_improvements():
 def test_improvement_beyond_delta_triggers_handover():
     a = make_cell("a")
     b = make_cell("b")
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow])
     # as above: serving 0.63 + 0.3 / 6 = 0.68, head 0.63 + 0.3 * 0.4 = 0.75
-    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=1 / 6,
+    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=1 / 6,
                                                             load=0.1)
-    world.mrrm.reports[candidate_for(b)] = synthetic_report(candidate_for(b), quality=0.4)
+    world.mrrm.reports[b.cell_id] = synthetic_report(candidate_for(b), quality=0.4)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "handover"
     assert decisions[0]["target_score"] - decisions[0]["serving_score"] == pytest.approx(0.07)
@@ -380,7 +380,7 @@ def test_improvement_beyond_delta_triggers_handover():
     assert len(requests) == 1
     assert requests[0].payload == {"flow": "f1", "from": "a", "to": "b"}
     # serving switches only on handover-complete
-    assert world.env.flows["f1"].serving.cell_id == "b"
+    assert world.env.flows["f1"].serving == "b"
     completes = events_of(world, trg.HANDOVER_COMPLETE)
     assert len(completes) == 1
 
@@ -388,21 +388,21 @@ def test_improvement_beyond_delta_triggers_handover():
 def test_serving_updates_only_upon_completion():
     a = make_cell("a")
     b = make_cell("b")
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow], delays=(100, 100, 100, 100, 100))
-    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=0.0)
-    world.mrrm.reports[candidate_for(b)] = synthetic_report(candidate_for(b), quality=1.0)
+    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=0.0)
+    world.mrrm.reports[b.cell_id] = synthetic_report(candidate_for(b), quality=1.0)
     world.mrrm.decide()
     world.loop.run_until(400)  # link-up at 50, request at 50, pipeline ends at 550
-    assert world.env.flows["f1"].serving.cell_id == "a"
+    assert world.env.flows["f1"].serving == "a"
     world.loop.run_until(600)
-    assert world.env.flows["f1"].serving.cell_id == "b"
+    assert world.env.flows["f1"].serving == "b"
 
 
 def test_lost_serving_access_scores_zero_and_hands_over():
     a = make_cell("a")
     b = make_cell("b")
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow])
     seed_reports(world, b)
     # the environment kills the serving cell
@@ -410,7 +410,7 @@ def test_lost_serving_access_scores_zero_and_hands_over():
     downs = events_of(world, trg.LINK_DOWN)
     assert downs and downs[0].payload["reason"] == "lost"
     world.loop.run_until(600)
-    assert world.env.flows["f1"].serving.cell_id == "b"
+    assert world.env.flows["f1"].serving == "b"
     assert len(events_of(world, trg.HANDOVER_COMPLETE)) == 1
 
 
@@ -425,7 +425,7 @@ def test_serving_cell_that_comes_back_is_reattached():
     run = build_run(scenario)
     result = execute_run(run)
     flow = run.env.flows["f1"]
-    assert flow.serving.cell_id == "c1"
+    assert flow.serving == "c1"
     assert run.gll.is_attached("c1")
     assert run.env.is_charged(flow, "c1")
     assert run.env.cells["c1"].used_resources == 30
@@ -438,8 +438,8 @@ def test_resource_check_walks_down_the_ranking():
     small = make_cell("small", total_resources=5)
     big = make_cell("big", total_resources=100)
     world = make_world([small, big], flows=[make_flow("f1", resource_demand=10)])
-    world.mrrm.reports[candidate_for(small)] = synthetic_report(candidate_for(small), quality=1.0)
-    world.mrrm.reports[candidate_for(big)] = synthetic_report(candidate_for(big), quality=0.5)
+    world.mrrm.reports[small.cell_id] = synthetic_report(candidate_for(small), quality=1.0)
+    world.mrrm.reports[big.cell_id] = synthetic_report(candidate_for(big), quality=0.5)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "attach"
     assert decisions[0]["target"] == "big"
@@ -450,8 +450,8 @@ def test_sequential_assignment_respects_tentative_demand():
     other = make_cell("b")
     flows = [make_flow("f1", resource_demand=10), make_flow("f2", resource_demand=10)]
     world = make_world([cell, other], flows=flows)
-    world.mrrm.reports[candidate_for(cell)] = synthetic_report(candidate_for(cell), quality=1.0)
-    world.mrrm.reports[candidate_for(other)] = synthetic_report(candidate_for(other), quality=0.5)
+    world.mrrm.reports[cell.cell_id] = synthetic_report(candidate_for(cell), quality=1.0)
+    world.mrrm.reports[other.cell_id] = synthetic_report(candidate_for(other), quality=0.5)
     decisions = world.mrrm.decide()
     by_flow = {d["flow"]: d for d in decisions}
     assert by_flow["f1"]["target"] == "a"
@@ -501,9 +501,9 @@ def test_candidate_report_empty_still_publishes():
 
 def test_quality_floor_triggers_scan_in_same_step():
     a = make_cell("a")
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a], flows=[flow])
-    world.mrrm.reports[candidate_for(a)] = synthetic_report(candidate_for(a), quality=0.05)
+    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=0.05)
     assert world.gll.scan_counts["targeted"] == 0
     world.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, "gll", payload={"count": 1}))
     assert world.gll.scan_counts["targeted"] == 1
@@ -512,7 +512,7 @@ def test_quality_floor_triggers_scan_in_same_step():
 def test_policy_change_denying_current_operator_moves_the_flow():
     a = make_cell("a", operator_id="OpA")
     b = make_cell("b", operator_id="OpB")
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow])
     seed_reports(world, a, b)
     world.bus.send_downward(
@@ -520,7 +520,7 @@ def test_policy_change_denying_current_operator_moves_the_flow():
                   payload={"action": "deny-operator", "operator": "OpA"}),
         target="mrrm")
     world.loop.run_until(600)
-    assert world.env.flows["f1"].serving.cell_id == "b"
+    assert world.env.flows["f1"].serving == "b"
 
 
 def test_unknown_trigger_type_logs_and_ignores(caplog):
@@ -562,14 +562,14 @@ def test_denied_answer_blocks_operator():
 def test_unanswered_check_times_out_and_excludes():
     a = make_cell("a", operator_id="OpA")
     b = make_cell("b", operator_id="OpB", achievable_rate=100e6, base_delay_ms=1)
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow], respond=False,
                        policies=PolicySet(static_preference={("OpB", "WLAN"): 0.9}))
     world.gll.start()
     world.loop.run_until(3000)
     # no answer: pending -> timeout; OpB accesses never enter selection
     assert world.mrrm.operators["OpB"].verdict == "timeout"
-    assert world.env.flows["f1"].serving.cell_id == "a"
+    assert world.env.flows["f1"].serving == "a"
     assert events_of(world, trg.HANDOVER_EXECUTION_REQUEST) == []
     first_requests = len(events_of(world, trg.POLICIES_CHECK_REQUEST))
     assert first_requests >= 1
@@ -583,13 +583,13 @@ def test_unanswered_check_times_out_and_excludes():
 def test_late_answer_admits_candidate():
     a = make_cell("a", operator_id="OpA")
     b = make_cell("b", operator_id="OpB", achievable_rate=100e6, base_delay_ms=1)
-    flow = make_flow("f1", serving=candidate_for(a))
+    flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow], respond=False,
                        policies=PolicySet(static_preference={("OpB", "WLAN"): 0.9}))
     world.gll.start()
     world.loop.run_until(2000)
-    assert world.env.flows["f1"].serving.cell_id == "a"
+    assert world.env.flows["f1"].serving == "a"
     world.bus.publish(trg.Event(trg.POLICIES_CHECK_ANSWER, "trg", payload={
         "operator": "OpB", "verdict": "allow"}))
     world.loop.run_until(4000)
-    assert world.env.flows["f1"].serving.cell_id == "b"
+    assert world.env.flows["f1"].serving == "b"

@@ -101,6 +101,16 @@ def test_top_level_diagnostic_starts_with_the_field(key, value):
     pytest.param({"flows": [{"flow_id": "f1", "serving": "c1", "resource_demand": 60},
                             {"flow_id": "f2", "serving": "c1", "resource_demand": 60}]},
                  "flows[1].serving", id="initial-demands-above-capacity"),
+    pytest.param({"timeline": [{"at": 500, "kind": "quality-ramp", "target": "c1",
+                                "field": "raw_error_rate", "end": 2.5, "duration_ms": 1000}]},
+                 "timeline[0].end", id="ramp-error-rate-above-one"),
+    pytest.param({"timeline": [{"at": 500, "kind": "quality-ramp", "target": "c1",
+                                "field": "achievable_rate", "end": -5e6, "duration_ms": 1000}]},
+                 "timeline[0].end", id="ramp-negative-rate"),
+    pytest.param({"timeline": [{"at": 500, "kind": "quality-ramp", "target": "c1",
+                                "field": "raw_error_rate", "start": -0.1, "end": 0.5,
+                                "duration_ms": 1000}]},
+                 "timeline[0].start", id="ramp-error-rate-start-below-zero"),
 ])
 def test_out_of_range_values_rejected_at_load(section, path):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}:"):

@@ -125,8 +125,8 @@ def test_generated_scenarios_run_clean(doc):
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
     for flow in run.env.flows.values():
         # a flow keeps pointing at a cell that went dark until it moves away
-        if flow.serving is not None and run.env.cells[flow.serving.cell_id].covered:
-            cell_id = flow.serving.cell_id
+        if flow.serving is not None and run.env.cells[flow.serving].covered:
+            cell_id = flow.serving
             assert run.gll.is_attached(cell_id), (flow.flow_id, cell_id)
             assert run.env.is_charged(flow, cell_id), (flow.flow_id, cell_id)
     assert compute_stats(read_trace(result.trace_lines)).as_dict() == result.stats.as_dict()
