@@ -1,8 +1,8 @@
 """hetsel: deterministic heterogeneous access-selection simulator.
 
-Layers, bottom up: ``simenv`` (event loop, radio environment, scenarios),
-``gll`` (link abstraction and measurement), ``mrrm`` (per-flow access
-selection and handover decisions), ``mobility`` (handover execution
+Layers, bottom up: ``simenv`` (event loop, radio environment, flows,
+scenarios), ``gll`` (link abstraction and measurement), ``mrrm`` (per-flow
+access selection and handover decisions), ``mobility`` (handover execution
 pipeline), ``trg`` (trigger bus), ``harness`` (traces, statistics, CLI
 runner).
 """

@@ -62,7 +62,6 @@ class LinkQualityReport:
     q_delay: float
     q_load: float
     quality: float
-    relative_resources: float
     raw: LinkMeasurement
 
 
@@ -227,7 +226,6 @@ def map_link_quality(
         q_delay=q_delay,
         q_load=q_load,
         quality=quality,
-        relative_resources=1.0 - m.load,
         raw=m,
     )
 
@@ -286,7 +284,6 @@ def report_to_payload(report: LinkQualityReport) -> dict[str, Any]:
         "q_delay": report.q_delay,
         "q_load": report.q_load,
         "quality": report.quality,
-        "relative_resources": report.relative_resources,
         "residual_error_rate": m.residual_error_rate,
         "achievable_rate": m.achievable_rate,
         "delay_ms": m.delay_ms,
@@ -319,7 +316,6 @@ def report_from_payload(payload: Mapping[str, Any]) -> LinkQualityReport:
         q_delay=payload["q_delay"],
         q_load=payload["q_load"],
         quality=payload["quality"],
-        relative_resources=payload["relative_resources"],
         raw=raw,
     )
 

@@ -204,7 +204,7 @@ def _score(
     candidate = report.candidate
     return (cfg.w_qos * f_qos
             + cfg.w_link * report.quality
-            + cfg.w_cell * report.relative_resources
+            + cfg.w_cell * report.q_load
             + cfg.w_term * (1.0 - caps.energy_cost_for(candidate.rat))
             + cfg.w_pol * policies.preference(candidate.operator_id, candidate.rat))
 

@@ -58,11 +58,10 @@ def make_measurement(candidate=None, **over) -> LinkMeasurement:
     return LinkMeasurement(candidate=candidate, **defaults)
 
 
-def synthetic_report(candidate=None, quality=1.0, relative_resources=None, **raw_over) -> LinkQualityReport:
+def synthetic_report(candidate=None, quality=1.0, **raw_over) -> LinkQualityReport:
     """Report with an explicitly chosen composite quality (raw fields stay
     consistent enough for feasibility checks)."""
     raw = make_measurement(candidate, **raw_over)
-    rel = 1.0 - raw.load if relative_resources is None else relative_resources
     return LinkQualityReport(
         candidate=raw.candidate,
         q_error=1.0,
@@ -70,7 +69,6 @@ def synthetic_report(candidate=None, quality=1.0, relative_resources=None, **raw
         q_delay=1.0,
         q_load=1.0 - raw.load,
         quality=quality,
-        relative_resources=rel,
         raw=raw,
     )
 

@@ -54,7 +54,7 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
         energy = caps.energy_cost.get(c.rat, 0.0)
         score = (cfg.w_qos * (1.0 if feasible else 0.0)
                  + cfg.w_link * report.quality
-                 + cfg.w_cell * report.relative_resources
+                 + cfg.w_cell * report.q_load
                  + cfg.w_term * (1.0 - energy)
                  + cfg.w_pol * preference)
         if c.cell_id != flow.serving:

@@ -187,7 +187,7 @@ def test_criterion_8_gll_metric_properties():
         )
         report = map_link_quality(m, cfg)
         values = (report.q_error, report.q_rate, report.q_delay, report.q_load,
-                  report.quality, report.relative_resources)
+                  report.quality)
         if any(not 0.0 <= v <= 1.0 for v in values):
             violations += 1
             continue

@@ -83,7 +83,6 @@ def test_hand_evaluated_mapping_example():
     assert report.q_delay == pytest.approx(0.75)
     assert report.q_load == pytest.approx(0.6)
     assert report.quality == pytest.approx(0.6875)
-    assert report.relative_resources == pytest.approx(0.6)
 
 
 def test_per_class_reference_rate():
@@ -148,7 +147,7 @@ _mappings = st.builds(
 def test_all_metrics_stay_in_unit_range(m, cfg):
     report = map_link_quality(m, cfg)
     for value in (report.q_error, report.q_rate, report.q_delay, report.q_load,
-                  report.quality, report.relative_resources):
+                  report.quality):
         assert 0.0 <= value <= 1.0 + 1e-12
 
 

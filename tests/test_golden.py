@@ -30,22 +30,22 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "11a581856a7c56496b683dda89698c97e2673f1ebad604994ba4e8749f76ceb5",
+        "96c21987b8c9ad9cfce2a75c9554edb96306ac26a3e690c1306f723d561c2703",
         "3ccfdcd4525e1251a8259e2a4227203e06cc5c61c2fc67d180d32cb2c3aa3c2e"),
     "herd_two_cells": (
-        "8feb82961b4120afa3f254bc33417c3223a84a697f416421821dcc4a12b70149",
+        "f0a7e94d79041b01eaff79140b9ac76990c188922da4ac28f69fd0d3c0e9b80e",
         "498d15d3ef9478a0d5abb3801e1d1d15a74746dc7897b25cf0f6eaa911f37745"),
     "scan_full_fallback": (
-        "cdd9c4b4cc92cf65d2b6e990d65767fd4ec3a3704d757e240845d5b2f63b8c37",
+        "ca29d17ef033d93a529efb6a37ab9ba937cce5a61946905d989f8f6470884d81",
         "958246d88af4e2db0d797c0d4775d3f1224bab1606093102ba39d8bd00f53389"),
     "scan_targeted_hit": (
-        "6514569d15b0a4cbfcf4aaed130e9c71032304a1b8bded66b5e0185169bdafc1",
+        "04200a6a194e5d610fb09ad869e78b36ef7a1ff8aba267f0acefe439040dc2ca",
         "daa2188b7b7abe45bbcd26f3d9734b4df3ea6d603898f94ff9f2672d52a5cd77"),
     "table1_mn": (
-        "7913931fee1d3218b7c89d3f5d384bd1160ac2b61ce24baf5922d89ee580681e",
+        "30746e4e5e75212bf2ce27b12c3ac56d1523b02e708fefcb266f071984f8e9f2",
         "41bf60c1993bb5f720c906a27a04cd56818ccee367a9b281141fa49819849b75"),
     "table1_mr": (
-        "c088d17e5a37296be01ad4e87a69611c02871e1763851495ed978733137536f7",
+        "e25b5473dd7e28103c7810526899e2017285cde804e1b5ccf1d2d4aa76a4824d",
         "da7e138b89ded430e632ac3cb6ad50c7eb3c6703f62ed22b3d90730c5d77133a"),
 }
 
@@ -66,9 +66,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "369ee94de829b932a5300d474fccf19bc340453b3bba873ce982267a3a9c6aac",
-    "metro_dense": "33b4243cdff1d33fa96519d0b24b5138cb4a961a7e4940b82b6b44f1f8f5bebd",
-    "monitor_fanout": "21ca2809a0141900bc642b490b9f795a9f06dbb9fd986e37cc0275ce0a1a9c9f",
+    "commuter_churn": "f14e9952a1c267f2cdbbd83d276b26be5b418b89f4a5721cf1d99b6e768ce60d",
+    "metro_dense": "20dbd7954b9ce9ffbe169b4ab260fc4dcbc4a1dff9d94371d7cb75ced1904166",
+    "monitor_fanout": "cd2ebb165683ecd87dcfd2f74f50a97c8c6e95c6975492f06b51c197329e11b7",
 }
 
 

@@ -106,8 +106,8 @@ def test_infeasible_qos_costs_exactly_its_weight():
 
 
 def test_hand_evaluated_score_example():
-    # defaults; f_qos=1, quality 0.6875, rel 0.6, energy 0.2, pref 0.5
-    report = synthetic_report(quality=0.6875, relative_resources=0.6)
+    # defaults; f_qos=1, quality 0.6875, q_load 0.6, energy 0.2, pref 0.5
+    report = synthetic_report(quality=0.6875, load=0.4)
     flow = make_flow(min_rate=1e6)
     caps = TerminalCapabilities(energy_cost={"WLAN": 0.2})
     score = dynamic_score(flow, report, PolicySet(), caps, SelectionConfig())
