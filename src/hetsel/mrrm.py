@@ -439,7 +439,8 @@ class MultiRadioResourceManager:
         tentative: dict[str, int] = {}
         for entry in self.in_flight.values():
             if entry.stage == "attaching":
-                tentative[entry.target] = tentative.get(entry.target, 0) + entry.flow.resource_demand
+                demand = entry.flow.resource_demand
+                tentative[entry.target] = tentative.get(entry.target, 0) + demand
         stage = round_candidates(self.usable_reports(), self.policies, self.caps,
                                  self.selection, self.env.cells)
         decisions = []
