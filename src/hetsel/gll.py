@@ -2,9 +2,14 @@
 
 Maps per-RAT measurements onto normalized [0,1] metrics, runs scans and
 attach/detach against the simulated environment, and reports periodically on
-all attached and detected accesses.  Reports and link changes leave this
-layer as events on the trigger bus; everything above it sees
-:class:`LinkQualityReport` values and is RAT-agnostic.
+all detected accesses.  Reports and link changes leave this layer as events
+on the trigger bus; everything above it sees :class:`LinkQualityReport`
+values and is RAT-agnostic.
+
+The layer keeps only link state, each access named by its cell id: the
+attached and detected cells and the access history.  Every attached cell is
+also detected.  Flows belong to the environment; the reporting cadence reads
+their service classes from ``Environment.flows``.
 """
 
 from __future__ import annotations
@@ -142,19 +147,7 @@ class AccessHistory:
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = (), max_len: int = 16):
         self.max_len = max_len
-        self._pairs: list[tuple[str, str]] = []
-        for pair in pairs:
-            self._pairs.append(tuple(pair))
-        self._dedupe()
-
-    def _dedupe(self) -> None:
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for pair in self._pairs:
-            if pair not in seen:
-                seen.add(pair)
-                unique.append(pair)
-        self._pairs = unique[: self.max_len]
+        self._pairs: list[tuple[str, str]] = list(dict.fromkeys(tuple(p) for p in pairs))[:max_len]
 
     def remember(self, rat: str, frequency: str) -> None:
         pair = (rat, frequency)
@@ -243,29 +236,25 @@ def scan_results(
     mode: str,
     history: AccessHistory,
     cells: Mapping[str, Cell],
-) -> list[AccessCandidate]:
-    """Covered accesses a scan would find.
+) -> list[str]:
+    """Cell ids of the covered accesses a scan would find.
 
     Targeted mode probes only the remembered (rat, frequency) pairs, in
-    history order; full mode probes everything and sorts by (rat, operator,
-    cell).
+    history order (the pairs are distinct, so no cell is found twice); full
+    mode probes everything and sorts by (rat, operator, cell).
     """
     if mode == "targeted":
-        found: list[AccessCandidate] = []
-        seen: set[str] = set()
+        found: list[Cell] = []
         for rat, frequency in history.pairs():
             hits = [c for c in cells.values()
-                    if c.covered and c.rat == rat and c.frequency == frequency
-                    and c.cell_id not in seen]
-            for cell in sorted(hits, key=lambda c: (c.operator_id, c.cell_id)):
-                seen.add(cell.cell_id)
-                found.append(candidate_for(cell))
-        return found
-    if mode == "full":
-        covered = [c for c in cells.values() if c.covered]
-        covered.sort(key=lambda c: (c.rat, c.operator_id, c.cell_id))
-        return [candidate_for(c) for c in covered]
-    raise ValueError(f"unknown scan mode {mode!r}")
+                    if c.covered and c.rat == rat and c.frequency == frequency]
+            found += sorted(hits, key=lambda c: (c.operator_id, c.cell_id))
+    elif mode == "full":
+        found = sorted((c for c in cells.values() if c.covered),
+                       key=lambda c: (c.rat, c.operator_id, c.cell_id))
+    else:
+        raise ValueError(f"unknown scan mode {mode!r}")
+    return [c.cell_id for c in found]
 
 
 # -- event payload round-trip --------------------------------------------------
@@ -347,10 +336,9 @@ class GenericLinkLayer:
         self.cfg.validate()
         self.report_all_cells = report_all_cells
         self.history = AccessHistory(self.cfg.history)
-        self.attached: dict[str, AccessCandidate] = {}
-        self.detected: dict[str, AccessCandidate] = {}
+        self.attached: set[str] = set()
+        self.detected: dict[str, None] = {}  # insertion-ordered; holds every attached cell
         self._pending_attach: set[str] = set()
-        self._active_classes: dict[str, str] = {}
         self._tick_scheduled = False
         self.scan_counts = {"targeted": 0, "full": 0}
         self._subscribe()
@@ -361,8 +349,6 @@ class GenericLinkLayer:
             accepted_types=(
                 trg.CELL_COVERAGE_CHANGE,
                 trg.ROUTER_ADVERTISEMENT,
-                trg.FLOW_ARRIVAL,
-                trg.FLOW_DEPARTURE,
                 trg.REPORTING_INTERVAL_CHANGE,
             ),
         )
@@ -374,14 +360,17 @@ class GenericLinkLayer:
 
     # -- cadence ------------------------------------------------------------
 
-    def effective_interval(self) -> int:
-        intervals = [self.cfg.reporting.interval_for(c) for c in self._active_classes.values()]
-        return min(intervals) if intervals else _FALLBACK_INTERVAL_MS
-
     def demanding_class(self) -> Optional[str]:
-        if not self._active_classes:
-            return None
-        return min(self._active_classes.values(), key=self.cfg.reporting.interval_for)
+        """The service class of the live flow with the shortest interval; the
+        first admitted wins a tie."""
+        return min((f.service_class for f in self.env.flows.values()),
+                   key=self.cfg.reporting.interval_for, default=None)
+
+    def effective_interval(self) -> int:
+        service_class = self.demanding_class()
+        if service_class is None:
+            return _FALLBACK_INTERVAL_MS
+        return self.cfg.reporting.interval_for(service_class)
 
     def configure_reporting(self, cfg: ReportingConfig) -> None:
         """Swap the cadence table; takes effect at the next tick."""
@@ -412,8 +401,7 @@ class GenericLinkLayer:
                 self._detect(cell)
 
     def _detect(self, cell: Cell) -> None:
-        candidate = candidate_for(cell)
-        self.detected[cell.cell_id] = candidate
+        self.detected[cell.cell_id] = None
         self.bus.publish(trg.Event(trg.NEW_ACCESS_DETECTED, self.COMPONENT, payload={
             "cell": cell.cell_id,
             "rat": cell.rat,
@@ -424,8 +412,7 @@ class GenericLinkLayer:
     def _report_targets(self) -> list[Cell]:
         if self.report_all_cells:
             return list(self.env.cells.values())
-        ids = dict.fromkeys(list(self.detected) + list(self.attached))
-        return [self.env.cells[cell_id] for cell_id in ids if cell_id in self.env.cells]
+        return [self.env.cells[cell_id] for cell_id in self.detected]
 
     def measure(self, cell: Cell) -> LinkMeasurement:
         return LinkMeasurement(
@@ -474,79 +461,74 @@ class GenericLinkLayer:
 
     def _complete_scan(self, mode: str, energy: float) -> None:
         results = scan_results(mode, self.history, self.env.cells)
-        for candidate in results:
-            if candidate.cell_id not in self.detected:
-                self._detect(self.env.cells[candidate.cell_id])
+        for cell_id in results:
+            if cell_id not in self.detected:
+                self._detect(self.env.cells[cell_id])
         self._publish_reports(self._report_targets(), batch=False)
         self.bus.publish(trg.Event(trg.SCAN_COMPLETE, self.COMPONENT, payload={
             "mode": mode,
             "count": len(results),
-            "candidates": ",".join(c.cell_id for c in results),
+            "candidates": ",".join(results),
             "energy": energy,
         }))
 
     # -- attach / detach --------------------------------------------------------
 
-    def attach(self, candidate: AccessCandidate) -> None:
+    def attach(self, cell_id: str) -> None:
         """Establish the link after the configured latency.
 
         Attaching to an already-attached or attach-pending access is a no-op;
         coverage loss during the latency window yields attach-failed.
         """
-        cell_id = candidate.cell_id
         if cell_id in self.attached or cell_id in self._pending_attach:
             return
         cell = self.env.cells.get(cell_id)
         if cell is None or not cell.covered:
-            self._attach_failed(candidate, "not-covered")
+            self._attach_failed(cell_id, "not-covered")
             return
         self._pending_attach.add(cell_id)
         self.loop.schedule_after(self.cfg.attach_latency_ms,
-                                 lambda: self._complete_attach(candidate))
+                                 lambda: self._complete_attach(cell_id))
 
-    def _complete_attach(self, candidate: AccessCandidate) -> None:
-        cell_id = candidate.cell_id
+    def _complete_attach(self, cell_id: str) -> None:
         self._pending_attach.discard(cell_id)
         cell = self.env.cells.get(cell_id)
         if cell is None or not cell.covered:
-            self._attach_failed(candidate, "coverage-lost")
+            self._attach_failed(cell_id, "coverage-lost")
             return
-        self.attached[cell_id] = candidate
-        self.history.remember(candidate.rat, candidate.frequency)
+        self.attached.add(cell_id)
+        self.history.remember(cell.rat, cell.frequency)
         if cell_id not in self.detected:
             self._detect(cell)
-        self.bus.publish(trg.Event(trg.LINK_UP, self.COMPONENT, payload={
-            "cell": cell_id,
-            "rat": candidate.rat,
-            "operator": candidate.operator_id,
-            "frequency": candidate.frequency,
-        }))
+        self._link_up(cell)
 
-    def _attach_failed(self, candidate: AccessCandidate, reason: str) -> None:
+    def _attach_failed(self, cell_id: str, reason: str) -> None:
         self.bus.publish(trg.Event(trg.ATTACH_FAILED, self.COMPONENT, payload={
-            "cell": candidate.cell_id,
+            "cell": cell_id,
             "reason": reason,
         }))
 
     def force_attach(self, cell_id: str) -> None:
         """Install an attachment instantly (initial scenario state)."""
         cell = self.env.cells[cell_id]
-        candidate = candidate_for(cell)
-        self.attached[cell_id] = candidate
-        self.detected[cell_id] = candidate
+        self.attached.add(cell_id)
+        self.detected[cell_id] = None
         self.history.remember(cell.rat, cell.frequency)
+        self._link_up(cell)
+
+    def _link_up(self, cell: Cell) -> None:
         self.bus.publish(trg.Event(trg.LINK_UP, self.COMPONENT, payload={
-            "cell": cell_id,
-            "rat": candidate.rat,
-            "operator": candidate.operator_id,
-            "frequency": candidate.frequency,
+            "cell": cell.cell_id,
+            "rat": cell.rat,
+            "operator": cell.operator_id,
+            "frequency": cell.frequency,
         }))
 
     def detach(self, cell_id: str) -> None:
         """Tear the link down on request; the caller unmaps any flow on it first."""
         if cell_id not in self.attached:
             raise NotAttachedError(cell_id)
-        del self.attached[cell_id]
+        self.attached.remove(cell_id)
         self.bus.publish(trg.Event(trg.LINK_DOWN, self.COMPONENT, payload={
             "cell": cell_id,
             "reason": "requested",
@@ -562,10 +544,6 @@ class GenericLinkLayer:
             self._on_coverage_change(t.payload)
         elif t.event_type == trg.ROUTER_ADVERTISEMENT:
             self._on_router_advertisement(t.payload)
-        elif t.event_type == trg.FLOW_ARRIVAL:
-            self._active_classes[t.payload["flow"]] = t.payload["service_class"]
-        elif t.event_type == trg.FLOW_DEPARTURE:
-            self._active_classes.pop(t.payload["flow"], None)
         elif t.event_type == trg.REPORTING_INTERVAL_CHANGE:
             self._on_reporting_change(t.payload)
 
@@ -573,14 +551,16 @@ class GenericLinkLayer:
         cell_id = payload["cell"]
         if payload["covered"]:
             return  # picked up by the next tick sweep (or a router advertisement)
-        candidate = self.detected.pop(cell_id, None)
+        if cell_id not in self.detected:
+            return
+        del self.detected[cell_id]
         if cell_id in self.attached:
-            del self.attached[cell_id]
+            self.attached.remove(cell_id)
             self.bus.publish(trg.Event(trg.LINK_DOWN, self.COMPONENT, payload={
                 "cell": cell_id,
                 "reason": "lost",
             }))
-        elif candidate is not None:
+        else:
             self.bus.publish(trg.Event(trg.ACCESS_LOST, self.COMPONENT, payload={
                 "cell": cell_id,
             }))

@@ -90,11 +90,11 @@ def build_run(scenario: Scenario) -> Run:
         caps=copy.deepcopy(scenario.capabilities),
         record=lambda kind, attrs: recorder.record(loop.now, "mrrm", kind, attrs),
         policies_check_timeout_ms=scenario.policies_check_timeout_ms,
-        make_before_break=scenario.mobility.make_before_break,
+        make_before_break=scenario.make_before_break,
     )
     executor = MobilityExecutor(
         loop, env, bus,
-        model=scenario.mobility.model,
+        model=scenario.mobility,
         record=lambda kind, attrs: recorder.record(loop.now, "mobility", kind, attrs),
     )
     return Run(scenario=scenario, loop=loop, env=env, bus=bus, gll=gll,

@@ -74,19 +74,14 @@ def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
     """
     points: dict[str, dict[int, int]] = {}
     request_at: dict[str, int] = {}
-    order: list[str] = []
     for record in records:
         if record.kind != "trace-point":
             continue
         handover = str(record.attributes["handover"])
-        if handover not in points:
-            points[handover] = {}
-            order.append(handover)
-        points[handover][int(record.attributes["point"])] = record.at
+        points.setdefault(handover, {})[int(record.attributes["point"])] = record.at
         request_at[handover] = int(record.attributes["request_at"])
     reports = []
-    for handover in order:
-        stamps = points[handover]
+    for handover, stamps in points.items():
         if set(stamps) != set(range(1, TRACE_POINTS + 1)):
             continue
         durations = []
@@ -103,12 +98,13 @@ def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
 
 
 class _FlowState:
-    __slots__ = ("cell", "known_candidates", "moves")
+    __slots__ = ("cell", "known_candidates", "last_move")
 
     def __init__(self, cell: Optional[str]):
         self.cell = cell
         self.known_candidates = 0
-        self.moves: list[tuple[int, str, str]] = []
+        # (at, source, target) of the flow's last completed handover
+        self.last_move: Optional[tuple[int, str, str]] = None
 
 
 def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
@@ -169,12 +165,12 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
             flow = flows.get(str(payload["flow"]))
             if flow is not None:
                 source, target = str(payload["from"]), str(payload["to"])
-                if flow.moves:
-                    at, prev_source, prev_target = flow.moves[-1]
+                if flow.last_move is not None:
+                    at, prev_source, prev_target = flow.last_move
                     if (prev_target == source and prev_source == target
                             and record.at - at <= PING_PONG_WINDOW_MS):
                         stats.ping_pong_count += 1
-                flow.moves.append((record.at, source, target))
+                flow.last_move = (record.at, source, target)
         elif event_type == "handover-failed":
             stats.handovers_failed += 1
         elif event_type == "scan-complete":

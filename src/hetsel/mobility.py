@@ -10,7 +10,7 @@ target coverage mid-pipeline fails the handover.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import trg
@@ -37,12 +37,6 @@ class MobilityDelayModel:
     @property
     def total_ms(self) -> int:
         return sum(self.delays_ms)
-
-
-@dataclass
-class MobilityConfig:
-    model: MobilityDelayModel = field(default_factory=MobilityDelayModel)
-    make_before_break: bool = True
 
 
 class _Pipeline:

@@ -24,7 +24,7 @@ Every piece of run state names an access by its cell id, as flows, events
 and the environment do: the latest report per cell, failure cool-downs, the
 stage-one position index and the cells of unfinished attaches and handovers.
 An ``AccessCandidate`` appears only where its identity fields are read: in
-reports, policy filtering, ranking and ``GenericLinkLayer.attach``.
+reports, policy filtering and ranking.
 """
 
 from __future__ import annotations
@@ -454,8 +454,8 @@ class MultiRadioResourceManager:
             self._record("decision", decision)
         return decisions
 
-    def _fits(self, flow: Flow, candidate: AccessCandidate, tentative: dict[str, int]) -> bool:
-        residual = self.env.residual_resources(candidate.cell_id) - tentative.get(candidate.cell_id, 0)
+    def _fits(self, flow: Flow, cell_id: str, tentative: dict[str, int]) -> bool:
+        residual = self.env.residual_resources(cell_id) - tentative.get(cell_id, 0)
         return residual >= flow.resource_demand
 
     def _assign(self, flow: Flow, ranked: RankedList, tentative: dict[str, int]) -> dict[str, Any]:
@@ -471,21 +471,22 @@ class MultiRadioResourceManager:
         serving = flow.serving
         holds = (serving is not None and self.gll.is_attached(serving)
                  and self.env.is_charged(flow, serving))
-        target: Optional[AccessCandidate] = None
+        target: Optional[str] = None
         target_score = 0.0
         for candidate, score in ranked.entries:
-            if (holds and candidate.cell_id == serving) or self._fits(flow, candidate, tentative):
-                target, target_score = candidate, score
+            cell_id = candidate.cell_id
+            if (holds and cell_id == serving) or self._fits(flow, cell_id, tentative):
+                target, target_score = cell_id, score
                 break
         if target is None:
             return decision
-        decision["target"] = target.cell_id
+        decision["target"] = target
         decision["target_score"] = target_score
-        if not holds and (serving is None or target.cell_id == serving):
+        if not holds and (serving is None or target == serving):
             decision["action"] = "attach"
             self._initiate(flow, target, source=None, tentative=tentative)
             return decision
-        if target.cell_id == serving:
+        if target == serving:
             return decision
         serving_score = ranked.serving_score or 0.0
         decision["serving_score"] = serving_score
@@ -494,14 +495,14 @@ class MultiRadioResourceManager:
             self._initiate(flow, target, source=serving, tentative=tentative)
         return decision
 
-    def _initiate(self, flow: Flow, target: AccessCandidate,
+    def _initiate(self, flow: Flow, target: str,
                   source: Optional[str], tentative: dict[str, int]) -> None:
-        tentative[target.cell_id] = tentative.get(target.cell_id, 0) + flow.resource_demand
-        entry = _InFlight("attaching", flow, target.cell_id, source)
+        tentative[target] = tentative.get(target, 0) + flow.resource_demand
+        entry = _InFlight("attaching", flow, target, source)
         self.in_flight[flow.flow_id] = entry
         if not self.make_before_break and source is not None:
             self._break_source(flow, source)
-        if self.gll.is_attached(target.cell_id):
+        if self.gll.is_attached(target):
             self._after_link_up(entry)
         else:
             self.gll.attach(target)
@@ -642,7 +643,7 @@ class MultiRadioResourceManager:
         busy = {f.serving for f in self.flows.values()}
         for entry in self.in_flight.values():
             busy.update((entry.target, entry.source))
-        for cell_id in sorted(set(self.gll.attached) - busy):
+        for cell_id in sorted(self.gll.attached - busy):
             self.gll.detach(cell_id)
 
     def _on_qos_unsatisfied(self, payload: Mapping[str, Any]) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Union
 
 from ..gll import GllConfig, MacScheme, MappingConfig, ReportingConfig
-from ..mobility import TRACE_POINTS, MobilityConfig, MobilityDelayModel
+from ..mobility import TRACE_POINTS, MobilityDelayModel
 from ..mrrm import PolicySet, SelectionConfig, TerminalCapabilities
 from ..trg import RESERVED_TYPES, CorrelationRule, PolicyRecord
 from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, Flow, ScenarioAction
@@ -27,7 +27,8 @@ from .env import ACTION_KINDS, MUTABLE_CELL_FIELDS, RAMP_FIELDS, Cell, Flow, Sce
 NODE_ROLES = ("MN", "MR")
 MRRM_LOCATIONS = ("terminal", "network")
 VERDICTS = ("allow", "deny")
-_INT_CELL_FIELDS = ("total_resources", "used_resources", "security_level")
+_RESOURCE_FIELDS = ("total_resources", "used_resources")
+_INT_CELL_FIELDS = (*_RESOURCE_FIELDS, "security_level")
 _MIN_DURATION_MS = 10000
 _TAIL_AFTER_LAST_ACTION_MS = 5000
 
@@ -56,8 +57,9 @@ class Scenario:
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     capabilities: TerminalCapabilities = field(default_factory=TerminalCapabilities)
     policies_check_timeout_ms: int = 1000
+    make_before_break: bool = True
     trg: TrgSettings = field(default_factory=TrgSettings)
-    mobility: MobilityConfig = field(default_factory=MobilityConfig)
+    mobility: MobilityDelayModel = field(default_factory=MobilityDelayModel)
     cells: list[Cell] = field(default_factory=list)
     flows: list[Flow] = field(default_factory=list)
     timeline: list[ScenarioAction] = field(default_factory=list)
@@ -282,12 +284,14 @@ def _delay_model(value: Any, path: _Path) -> MobilityDelayModel:
     return _validated(MobilityDelayModel(delays_ms=tuple(value)), path)
 
 
-def _mobility(value: Any, path: _Path) -> MobilityConfig:
-    """``delays_ms`` is the JSON name of the delay ``model``."""
+def _mobility(value: Any, path: _Path) -> dict[str, Any]:
+    """The ``mobility`` section fans out to two Scenario fields: the delay
+    model ``mobility`` (JSON ``delays_ms``) and ``make_before_break``, which
+    only MRRM reads."""
     fields = _fields(value, path, _MOBILITY)
     if "delays_ms" in fields:
-        fields["model"] = fields.pop("delays_ms")
-    return MobilityConfig(**fields)
+        fields["mobility"] = fields.pop("delays_ms")
+    return fields
 
 
 # -- reader tables ---------------------------------------------------------------
@@ -438,7 +442,9 @@ def _action(value: Any, path: _Path) -> ScenarioAction:
 def _timeline(value: Any, path: _Path, cells: dict[str, Cell],
               flows: dict[str, Flow]) -> list[ScenarioAction]:
     """Entries in time order, each aimed at a known cell or a live flow.  A
-    quality ramp's ``start`` and ``end`` must be values its cell may hold."""
+    quality ramp's ``start`` and ``end``, and a set-cell-field ``value``, must
+    be values the cell may hold; the resource counts are left to the run,
+    where their range depends on the flows charged there."""
     actions = []
     live_flows = set(flows)
     last_at = 0
@@ -457,11 +463,11 @@ def _timeline(value: Any, path: _Path, cells: dict[str, Cell],
             live_flows.discard(action.target)
         elif action.target not in cells:
             _fail(((path, i), "target"), f"unknown cell {action.target!r}")
-        elif action.kind == "quality-ramp":
-            for key in ("start", "end"):
+        elif "field" in action.params and action.params["field"] not in _RESOURCE_FIELDS:
+            for key in ("start", "end", "value"):
                 if key in action.params:
-                    ramped = {action.params["field"]: action.params[key]}
-                    _validated(replace(cells[action.target], **ramped), ((path, i), key))
+                    changed = {action.params["field"]: action.params[key]}
+                    _validated(replace(cells[action.target], **changed), ((path, i), key))
         actions.append(action)
     return actions
 
@@ -490,7 +496,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("top level: expected an object")
     fields = _fields(data, "", _SCENARIO)
-    fields.update(fields.pop("mrrm", {}))
+    for section in ("mrrm", "mobility"):
+        fields.update(fields.pop(section, {}))
     cells = _cells(fields.pop("cells", []), "cells")
     flows = _flows(fields.pop("flows", []), "flows", cells)
     timeline = _timeline(fields.pop("timeline", []), "timeline", cells, flows)

@@ -15,7 +15,6 @@ from hetsel.gll import (
     MappingConfig,
     NotAttachedError,
     ReportingConfig,
-    candidate_for,
     map_link_quality,
     report_from_payload,
     report_to_payload,
@@ -224,7 +223,7 @@ def test_full_scan_filters_and_sorts():
     cells["x"] = make_cell(cell_id="x", covered=False)
     found = scan_results("full", AccessHistory(), cells)
     # covered only, ordered by (rat, operator, cell)
-    assert [c.cell_id for c in found] == ["d", "c", "a", "b"]
+    assert found == ["d", "c", "a", "b"]
 
 
 def test_targeted_scan_probes_history_in_order():
@@ -235,7 +234,7 @@ def test_targeted_scan_probes_history_in_order():
     }
     history = AccessHistory([("UMTS", "f2100"), ("WLAN", "ch6"), ("WLAN", "ch11")])
     found = scan_results("targeted", history, cells)
-    assert [c.cell_id for c in found] == ["u1", "w6"]
+    assert found == ["u1", "w6"]
 
 
 def test_empty_history_targeted_scan_is_empty():
@@ -266,7 +265,7 @@ def live_gll(cells, cfg=None):
 def test_attach_completes_after_latency():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    gll.attach(candidate_for(cell))
+    gll.attach(cell.cell_id)
     loop.run_until(49)
     assert not gll.is_attached("wlan1")
     loop.run_until(50)
@@ -278,7 +277,7 @@ def test_attach_completes_after_latency():
 def test_attach_fails_when_coverage_lost_in_window():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    gll.attach(candidate_for(cell))
+    gll.attach(cell.cell_id)
     loop.schedule(20, lambda: setattr(cell, "covered", False))
     loop.run_until(100)
     assert not gll.is_attached("wlan1")
@@ -289,9 +288,9 @@ def test_attach_fails_when_coverage_lost_in_window():
 def test_attach_is_idempotent():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    gll.attach(candidate_for(cell))
+    gll.attach(cell.cell_id)
     loop.run_until(50)
-    gll.attach(candidate_for(cell))
+    gll.attach(cell.cell_id)
     loop.run_until(200)
     assert len([e for e in events if e.event_type == trg.LINK_UP]) == 1
 
@@ -299,7 +298,7 @@ def test_attach_is_idempotent():
 def test_detach_requested_and_not_attached_error():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    gll.attach(candidate_for(cell))
+    gll.attach(cell.cell_id)
     loop.run_until(50)
     gll.detach(cell.cell_id)
     downs = [e for e in events if e.event_type == trg.LINK_DOWN]
@@ -326,9 +325,7 @@ def _batch_times(events):
 def test_real_time_flow_reports_every_100_ms():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    bus.publish(trg.Event(trg.FLOW_ARRIVAL, "env", payload={
-        "flow": "f1", "service_class": "real-time", "min_rate": 1e6,
-        "max_delay_ms": 100.0, "max_loss": 0.01, "resource_demand": 1, "serving": ""}))
+    env.admit_flow(make_flow(service_class="real-time"))
     gll.start()
     loop.run_until(2000)
     times = _batch_times(events)
@@ -339,9 +336,7 @@ def test_real_time_flow_reports_every_100_ms():
 def test_background_flow_reports_every_500_ms():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    bus.publish(trg.Event(trg.FLOW_ARRIVAL, "env", payload={
-        "flow": "f1", "service_class": "background", "min_rate": 0.0,
-        "max_delay_ms": 1000.0, "max_loss": 1.0, "resource_demand": 1, "serving": ""}))
+    env.admit_flow(make_flow(service_class="background"))
     gll.start()
     loop.run_until(5000)
     times = _batch_times(events)
@@ -364,9 +359,7 @@ def test_reporting_disabled_suppresses_periodic_reports():
 def test_interval_change_takes_effect_at_next_tick():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])
-    bus.publish(trg.Event(trg.FLOW_ARRIVAL, "env", payload={
-        "flow": "f1", "service_class": "real-time", "min_rate": 1e6,
-        "max_delay_ms": 100.0, "max_loss": 0.01, "resource_demand": 1, "serving": ""}))
+    env.admit_flow(make_flow(service_class="real-time"))
     gll.start()
     loop.run_until(350)
     bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload={

@@ -30,23 +30,26 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "96c21987b8c9ad9cfce2a75c9554edb96306ac26a3e690c1306f723d561c2703",
-        "3ccfdcd4525e1251a8259e2a4227203e06cc5c61c2fc67d180d32cb2c3aa3c2e"),
+        "a9f1d1183e7df1cdf5181fdeadddc6a787ee7f128db309e2c9f16539cebe8f14",
+        "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "f0a7e94d79041b01eaff79140b9ac76990c188922da4ac28f69fd0d3c0e9b80e",
-        "498d15d3ef9478a0d5abb3801e1d1d15a74746dc7897b25cf0f6eaa911f37745"),
+        "c601cf5be9e85de3b03e85cf6e7418357ecbf3b3b1007164a76a3ca44edaa3c0",
+        "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
     "scan_full_fallback": (
-        "ca29d17ef033d93a529efb6a37ab9ba937cce5a61946905d989f8f6470884d81",
-        "958246d88af4e2db0d797c0d4775d3f1224bab1606093102ba39d8bd00f53389"),
+        "a57e8641bd2262f8c6df4b3a2005bbf69a432543c2eefc607cac0882a1f93904",
+        "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "04200a6a194e5d610fb09ad869e78b36ef7a1ff8aba267f0acefe439040dc2ca",
-        "daa2188b7b7abe45bbcd26f3d9734b4df3ea6d603898f94ff9f2672d52a5cd77"),
+        "99fc89c1df135053b70719027d52ee1104a14c770b7a4c6aa3bfdcf626972f76",
+        "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "30746e4e5e75212bf2ce27b12c3ac56d1523b02e708fefcb266f071984f8e9f2",
-        "41bf60c1993bb5f720c906a27a04cd56818ccee367a9b281141fa49819849b75"),
+        "6ad6d3c6540f6bdfb5d94e0e117c49fb2768d980ba6cffa56450b204d03bfc6a",
+        "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "e25b5473dd7e28103c7810526899e2017285cde804e1b5ccf1d2d4aa76a4824d",
-        "da7e138b89ded430e632ac3cb6ad50c7eb3c6703f62ed22b3d90730c5d77133a"),
+        "7d57b8c49d133f1df5a7be4afd9db2c596126b396e9acfd75613b332a3768cc6",
+        "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
+    "two_operators_deny": (
+        "58082b3a158a2fc4ccc4ed61afd817159bda95add388cbc300d141aa312331ee",
+        "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
 
@@ -66,9 +69,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "f14e9952a1c267f2cdbbd83d276b26be5b418b89f4a5721cf1d99b6e768ce60d",
-    "metro_dense": "20dbd7954b9ce9ffbe169b4ab260fc4dcbc4a1dff9d94371d7cb75ced1904166",
-    "monitor_fanout": "cd2ebb165683ecd87dcfd2f74f50a97c8c6e95c6975492f06b51c197329e11b7",
+    "commuter_churn": "eb394444f16b6661b427651a891e4465003c69ad0d93343dc07735f4858f77f7",
+    "metro_dense": "6f89ebd8ebca02bca42734475d58e2e0ce4afb2372af778175b2a4a57f3149f7",
+    "monitor_fanout": "3f3acfa7344f9e5c156282d139ef3439418b16ddd8433e3088a4e5716cb8508f",
 }
 
 

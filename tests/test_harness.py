@@ -198,6 +198,41 @@ def test_make_before_break_attaches_before_detaching():
                      if r.kind == "event" and r.attributes.get("type") == "link-down"
                      and r.attributes.get("cell") == "wlan1")
     assert up_umts < down_wlan
+
+
+def _moves(result):
+    """Attach and handover decisions of a run, in trace order."""
+    records = [parse_record(line) for line in result.trace_lines]
+    return [r.attributes for r in records
+            if r.kind == "decision" and r.attributes["action"] in ("attach", "handover")]
+
+
+def test_two_operators_deny_keeps_flows_off_the_denied_operator():
+    result = run_shipped("two_operators_deny")
+    events = [r.attributes for r in map(parse_record, result.trace_lines) if r.kind == "event"]
+    requests = [e["operator"] for e in events if e["type"] == "policies-check-request"]
+    assert sorted(requests) == ["OpA", "OpB"]
+    answers = {e["operator"]: e["verdict"] for e in events
+               if e["type"] == "policies-check-answer"}
+    assert answers["OpB"] == "deny"
+    moves = _moves(result)
+    assert moves and all(m["target"] != "opb_wlan" for m in moves)
+    # Only the verdict keeps the flow off OpB: allowed, its cell scores higher.
+    doc = json.loads((SCENARIO_DIR / "two_operators_deny.json").read_text(encoding="utf-8"))
+    del doc["trg"]["policy_store"]["OpB"]
+    assert _moves(execute_scenario(scenario_from_dict(doc)))[0]["target"] == "opb_wlan"
+
+
+def test_dropped_flow_arrival_keeps_the_served_flows_cadence():
+    # GLL reads flow classes from the environment, not from flow-arrival
+    # events, so the real-time flow still sets a 100 ms reporting grid.
+    doc = json.loads((SCENARIO_DIR / "table1_mn.json").read_text(encoding="utf-8"))
+    doc["trg"] = {"drop_types": ["flow-arrival"]}
+    result = execute_scenario(scenario_from_dict(doc))
+    records = [parse_record(line) for line in result.trace_lines]
+    batches = {r.at for r in records
+               if r.kind == "event" and r.attributes.get("type") == "measurement-batch"}
+    assert sorted(batches) == list(range(100, doc["duration_ms"] + 1, 100))
     assert result.stats.service_gap_total_ms == 0
 
 

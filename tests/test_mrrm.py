@@ -329,7 +329,7 @@ def seed_reports(world, *cells):
     for cell in cells:
         report = report_for_cell(cell, taken_at=world.loop.now)
         world.mrrm.reports[cell.cell_id] = report
-        world.gll.detected.setdefault(cell.cell_id, candidate_for(cell))
+        world.gll.detected.setdefault(cell.cell_id, None)
 
 
 def events_of(world, event_type):

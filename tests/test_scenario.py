@@ -8,7 +8,7 @@ import pytest
 from hetsel.cli import EXIT_BAD_INPUT
 from hetsel.cli import main as cli_main
 from hetsel.gll import GllConfig
-from hetsel.mobility import MobilityConfig
+from hetsel.mobility import MobilityDelayModel
 from hetsel.mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
 from hetsel.simenv.env import Cell
 from hetsel.simenv.scenario import (
@@ -51,8 +51,8 @@ def test_minimal_scenario_gets_all_defaults():
     assert sc.selection.failure_cooldown_ms == 5000
     assert sc.policies_check_timeout_ms == 1000
     assert sc.trg.default_verdict == "allow"
-    assert sc.mobility.model.delays_ms == (0, 0, 0, 0, 0)
-    assert sc.mobility.make_before_break is True
+    assert sc.mobility.delays_ms == (0, 0, 0, 0, 0)
+    assert sc.make_before_break is True
 
 
 def test_minimal_scenario_sections_equal_the_dataclass_defaults():
@@ -62,7 +62,7 @@ def test_minimal_scenario_sections_equal_the_dataclass_defaults():
     assert sc.policies == PolicySet()
     assert sc.capabilities == TerminalCapabilities()
     assert sc.trg == TrgSettings()
-    assert sc.mobility == MobilityConfig()
+    assert sc.mobility == MobilityDelayModel()
     assert sc.cells == [Cell("c1", "WLAN", "OpA", "ch6")]
     assert sc.flows == [Flow("f1")]
     assert sc == Scenario(cells=sc.cells, flows=sc.flows)
@@ -111,6 +111,11 @@ def test_top_level_diagnostic_starts_with_the_field(key, value):
                                 "field": "raw_error_rate", "start": -0.1, "end": 0.5,
                                 "duration_ms": 1000}]},
                  "timeline[0].start", id="ramp-error-rate-start-below-zero"),
+    *(pytest.param({"timeline": [{"at": 500, "kind": "set-cell-field", "target": "c1",
+                                  "field": field, "value": value}]},
+                   "timeline[0].value", id=f"set-{field}-out-of-range")
+      for field, value in (("achievable_rate", -5e6), ("raw_error_rate", 2.5),
+                           ("security_level", 7), ("base_delay_ms", -1.0))),
 ])
 def test_out_of_range_values_rejected_at_load(section, path):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}:"):
@@ -224,14 +229,14 @@ def test_malformed_json_reports_parse_error(tmp_path):
 
 def test_shipped_table1_mn_delay_model():
     sc = load_scenario(SCENARIO_DIR / "table1_mn.json")
-    assert sc.mobility.model.delays_ms == (209, 2, 1, 13, 2809)
-    assert sc.mobility.model.total_ms == 3034
+    assert sc.mobility.delays_ms == (209, 2, 1, 13, 2809)
+    assert sc.mobility.total_ms == 3034
 
 
 def test_shipped_table1_mr_delay_model():
     sc = load_scenario(SCENARIO_DIR / "table1_mr.json")
-    assert sc.mobility.model.delays_ms == (10, 1, 19, 16, 302)
-    assert sc.mobility.model.total_ms == 348
+    assert sc.mobility.delays_ms == (10, 1, 19, 16, 302)
+    assert sc.mobility.total_ms == 348
 
 
 def test_duration_defaults_to_timeline_tail():

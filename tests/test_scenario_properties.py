@@ -123,6 +123,8 @@ def test_generated_scenarios_run_clean(doc):
     result = execute_run(run)
     for cell in run.env.cells.values():
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
+    # GLL reports on the detected cells alone, so every attached one must be there
+    assert run.gll.attached <= run.gll.detected.keys()
     for flow in run.env.flows.values():
         # a flow keeps pointing at a cell that went dark until it moves away
         if flow.serving is not None and run.env.cells[flow.serving].covered:
