@@ -356,7 +356,7 @@ class GenericLinkLayer:
 
     def start(self) -> None:
         """Begin periodic reporting (first tick one interval from now)."""
-        self._schedule_tick()
+        self._schedule_tick(self.effective_interval())
 
     # -- cadence ------------------------------------------------------------
 
@@ -367,7 +367,9 @@ class GenericLinkLayer:
                    key=self.cfg.reporting.interval_for, default=None)
 
     def effective_interval(self) -> int:
-        service_class = self.demanding_class()
+        return self._interval_of(self.demanding_class())
+
+    def _interval_of(self, service_class: Optional[str]) -> int:
         if service_class is None:
             return _FALLBACK_INTERVAL_MS
         return self.cfg.reporting.interval_for(service_class)
@@ -377,21 +379,24 @@ class GenericLinkLayer:
         cfg.validate()
         self.cfg.reporting = cfg
         if cfg.enabled and not self._tick_scheduled:
-            self._schedule_tick()
+            self._schedule_tick(self.effective_interval())
 
-    def _schedule_tick(self) -> None:
+    def _schedule_tick(self, interval_ms: int) -> None:
         if not self.cfg.reporting.enabled or self._tick_scheduled:
             return
         self._tick_scheduled = True
-        self.loop.schedule_after(self.effective_interval(), self._tick)
+        self.loop.schedule_after(interval_ms, self._tick)
 
     def _tick(self) -> None:
         self._tick_scheduled = False
         if not self.cfg.reporting.enabled:
             return
         self._detect_sweep()
-        self._publish_reports(self._report_targets(), batch=True)
-        self._schedule_tick()
+        # One pass over the flows per tick: no report delivery admits or
+        # releases a flow.
+        service_class = self.demanding_class()
+        self._publish_reports(self._report_targets(), service_class, batch=True)
+        self._schedule_tick(self._interval_of(service_class))
 
     # -- detection and measurement -------------------------------------------
 
@@ -426,8 +431,8 @@ class GenericLinkLayer:
             taken_at=self.loop.now,
         )
 
-    def _publish_reports(self, cells: list[Cell], batch: bool) -> None:
-        service_class = self.demanding_class()
+    def _publish_reports(self, cells: list[Cell], service_class: Optional[str],
+                         batch: bool) -> None:
         count = 0
         for cell in cells:
             report = map_link_quality(self.measure(cell), self.cfg.mapping, service_class)
@@ -437,7 +442,7 @@ class GenericLinkLayer:
         if batch:
             self.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, self.COMPONENT, payload={
                 "count": count,
-                "interval_ms": self.effective_interval(),
+                "interval_ms": self._interval_of(service_class),
             }))
 
     # -- scanning -------------------------------------------------------------
@@ -464,7 +469,7 @@ class GenericLinkLayer:
         for cell_id in results:
             if cell_id not in self.detected:
                 self._detect(self.env.cells[cell_id])
-        self._publish_reports(self._report_targets(), batch=False)
+        self._publish_reports(self._report_targets(), self.demanding_class(), batch=False)
         self.bus.publish(trg.Event(trg.SCAN_COMPLETE, self.COMPONENT, payload={
             "mode": mode,
             "count": len(results),
@@ -570,13 +575,13 @@ class GenericLinkLayer:
         if cell is None or not cell.covered or cell.cell_id in self.detected:
             return
         self._detect(cell)
-        self._publish_reports([cell], batch=True)
+        self._publish_reports([cell], self.demanding_class(), batch=True)
 
     def _on_reporting_change(self, payload: Mapping[str, Any]) -> None:
         if "enabled" in payload:
             self.cfg.reporting.enabled = bool(payload["enabled"])
             if self.cfg.reporting.enabled:
-                self._schedule_tick()
+                self._schedule_tick(self.effective_interval())
         service_class = payload.get("service_class")
         interval = payload.get("interval_ms")
         if service_class is not None and interval is not None:
