@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -17,6 +18,7 @@ from .simenv.scenario import ScenarioError
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command the signal ended
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +84,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench-trg": _cmd_bench,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # Flush here, so that a reader who closed the pipe early is caught below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail and print a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ScenarioError, TraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

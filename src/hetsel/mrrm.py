@@ -20,6 +20,19 @@ then compare like with like and do not all jump to the same lightly loaded
 cell and back.  The load term inside link quality (``q_load``) keeps the
 reported load.
 
+A round replays the last settled one, a round that initiated nothing, when
+everything stage two and the assignment read is as it was then: each stage-one
+entry's cell, rate, delay, residual error, scores, per-unit cost and residual
+resources; the ``tentative`` demands; and each undecided flow's QoS bounds,
+demand, serving cell, whether it holds that cell's link and charge, and
+whether that cell is reported.  It then records copies of that round's
+decisions and skips stage two.  The inputs are rebuilt and compared each
+round rather than flagged by their writers, because time changes them
+(cool-downs and policies checks expire) as well as actions (``set-cell-field``,
+``map_flow``, ``unmap_flow``).  A flow whose serving cell is reported again
+but is not its target, say because the cell's operator is now denied, drops
+the cell with a ``release`` decision.
+
 Every piece of run state names an access by its cell id, as flows, events
 and the environment do: the latest report per cell, failure cool-downs, the
 stage-one position index and the cells of unfinished attaches and handovers.
@@ -327,6 +340,8 @@ class MultiRadioResourceManager:
         self._set_dirty = False
         self._deciding = False
         self._decide_again = False
+        # (inputs, decisions) of the last round that initiated nothing
+        self._settled: Optional[tuple[tuple, list[dict[str, Any]]]] = None
         bus.subscribe(
             trg.Subscription(consumer_id="mrrm", accepted_types=tuple(self._HANDLERS)),
             self.on_trigger,
@@ -443,16 +458,43 @@ class MultiRadioResourceManager:
                 tentative[entry.target] = tentative.get(entry.target, 0) + demand
         stage = round_candidates(self.usable_reports(), self.policies, self.caps,
                                  self.selection, self.env.cells)
+        pending = [self.flows[flow_id] for flow_id in sorted(self.flows)
+                   if flow_id not in self.in_flight]
+        inputs = self._round_inputs(stage, tentative, pending)
+        if self._settled is not None and self._settled[0] == inputs:
+            decisions = [dict(decision) for decision in self._settled[1]]
+            for decision in decisions:
+                self._record("decision", decision)
+            return decisions
         decisions = []
-        for flow_id in sorted(self.flows):
-            flow = self.flows[flow_id]
-            if flow_id in self.in_flight:
-                continue
+        for flow in pending:
             ranked = select_access(flow, stage, tentative)
             decision = self._assign(flow, ranked, tentative)
             decisions.append(decision)
             self._record("decision", decision)
+        if all(decision["action"] == "none" for decision in decisions):
+            self._settled = (inputs, [dict(decision) for decision in decisions])
         return decisions
+
+    def _round_inputs(self, stage: RoundCandidates, tentative: Mapping[str, int],
+                      flows: list[Flow]) -> tuple:
+        """Everything stage two and ``_assign`` read in one round, as one
+        comparable value: equal inputs give equal decisions."""
+        residual = self.env.residual_resources
+        return (
+            tuple((c.cell_id, raw.achievable_rate, raw.delay_ms, raw.residual_error_rate,
+                   feasible, infeasible, per_unit, residual(c.cell_id))
+                  for c, raw, feasible, infeasible, per_unit in stage.entries),
+            dict(tentative),
+            tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
+                   f.serving, self._holds(f), f.serving in self.reports) for f in flows),
+        )
+
+    def _holds(self, flow: Flow) -> bool:
+        """True when the serving access still holds the flow's link and charge."""
+        serving = flow.serving
+        return (serving is not None and self.gll.is_attached(serving)
+                and self.env.is_charged(flow, serving))
 
     def _fits(self, flow: Flow, cell_id: str, tentative: dict[str, int]) -> bool:
         residual = self.env.residual_resources(cell_id) - tentative.get(cell_id, 0)
@@ -469,8 +511,7 @@ class MultiRadioResourceManager:
         # A serving cell that lost coverage and regained it holds neither the
         # flow's link nor its charge: the flow must attach there afresh.
         serving = flow.serving
-        holds = (serving is not None and self.gll.is_attached(serving)
-                 and self.env.is_charged(flow, serving))
+        holds = self._holds(flow)
         target: Optional[str] = None
         target_score = 0.0
         for candidate, score in ranked.entries:
@@ -478,6 +519,11 @@ class MultiRadioResourceManager:
             if (holds and cell_id == serving) or self._fits(flow, cell_id, tentative):
                 target, target_score = cell_id, score
                 break
+        if not holds and serving in self.reports and target != serving:
+            # The cell is back and reported, but is not the flow's target (its
+            # operator is now denied, say): the flow has no access there.
+            flow.serving = serving = None
+            decision["action"] = "release"
         if target is None:
             return decision
         decision["target"] = target

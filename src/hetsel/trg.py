@@ -1,12 +1,13 @@
 """Trigger bus: event collection, filtered delivery, temporal correlation, UCI registry.
 
 Producers publish :class:`Event` values; the bus stamps the current sim time
-on the event, evaluates every live subscription (type pattern, source,
-payload predicates, rate limit) and hands that same event to each matching
-consumer synchronously, in subscription-creation order.  Correlation rules
-watch the event stream and publish synthetic events through the same path.
-Delivery is fully synchronous so that a run embedding the bus stays
-deterministic.
+on the event, takes the live subscriptions whose type patterns accept its
+type (a per-type list, built on first use and rebuilt after any subscribe or
+unsubscribe), checks each one's source, payload predicates and rate limit,
+and hands that same event to each match synchronously, in
+subscription-creation order.  Correlation rules watch the event stream and
+publish synthetic events through the same path.  Delivery is fully
+synchronous so that a run embedding the bus stays deterministic.
 """
 
 from __future__ import annotations
@@ -183,11 +184,12 @@ class _LiveSubscription:
         self.last_delivery_at: Optional[int] = None
         self.exact, self.prefixes = _compile_types(spec.accepted_types)
 
-    def matches(self, event: Event) -> bool:
+    def accepts(self, event_type: str) -> bool:
+        return event_type in self.exact or event_type.startswith(self.prefixes)
+
+    def passes(self, event: Event) -> bool:
+        """Source filter and payload predicates; the type is checked apart."""
         spec = self.spec
-        event_type = event.event_type
-        if event_type not in self.exact and not event_type.startswith(self.prefixes):
-            return False
         if spec.source_filter is not None and event.source != spec.source_filter:
             return False
         return all(_predicate_holds(p, event.payload) for p in spec.payload_predicates)
@@ -249,6 +251,9 @@ class TriggerBus:
         self._recorder = recorder
         self._drop_exact, self._drop_prefixes = _compile_types(tuple(drop_types))
         self._subscriptions: dict[int, _LiveSubscription] = {}
+        # event type -> live subscriptions accepting it, in creation order;
+        # filled on first use, emptied whenever a subscription comes or goes
+        self._delivery: dict[str, tuple[_LiveSubscription, ...]] = {}
         self._by_spec: dict[Subscription, int] = {}
         self._next_handle = 1
         self._rules: dict[int, _RuleState] = {}
@@ -278,6 +283,7 @@ class TriggerBus:
         self._next_handle += 1
         self._subscriptions[handle] = _LiveSubscription(spec, callback, handle)
         self._by_spec[spec] = handle
+        self._delivery.clear()
         return handle
 
     def unsubscribe(self, handle: int) -> None:
@@ -285,6 +291,7 @@ class TriggerBus:
         if live is None:
             raise UnknownHandleError(handle)
         del self._by_spec[live.spec]
+        self._delivery.clear()
 
     def has_consumer(self, consumer_id: str) -> bool:
         return any(s.spec.consumer_id == consumer_id for s in self._subscriptions.values())
@@ -316,8 +323,8 @@ class TriggerBus:
                 **event.payload,
             })
             count = 0
-            for live in list(self._subscriptions.values()):
-                if not live.matches(event) or live.rate_limited(event.at):
+            for live in self._deliveries(event.event_type):
+                if not live.passes(event) or live.rate_limited(event.at):
                     continue
                 live.last_delivery_at = event.at
                 count += 1
@@ -334,6 +341,13 @@ class TriggerBus:
             return count
         finally:
             self._depth -= 1
+
+    def _deliveries(self, event_type: str) -> tuple[_LiveSubscription, ...]:
+        subscribers = self._delivery.get(event_type)
+        if subscribers is None:
+            subscribers = self._delivery[event_type] = tuple(
+                live for live in self._subscriptions.values() if live.accepts(event_type))
+        return subscribers
 
     def send_downward(self, event: Event, target: str) -> int:
         """Publish an upper-layer event aimed at ``mrrm`` or ``gll``.

@@ -70,6 +70,54 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
     return best[1], best[2]
 
 
+class LinearScanDelivery:
+    """Which subscriptions a publish reaches, found by visiting every live
+    subscription in creation order: a type pattern (exact, or a prefix before
+    a trailing ``*``), the source filter, the payload predicates (false on a
+    missing attribute or on values that do not compare), then the rate limit.
+    """
+
+    _COMPARE = {"=": lambda a, b: a == b, "<": lambda a, b: a < b,
+                ">=": lambda a, b: a >= b}
+
+    def __init__(self):
+        self.live = []  # [spec, last delivery time], creation order
+
+    def subscribe(self, spec) -> None:
+        if all(entry[0] != spec for entry in self.live):
+            self.live.append([spec, None])
+
+    def unsubscribe(self, spec) -> None:
+        self.live = [entry for entry in self.live if entry[0] != spec]
+
+    def publish(self, event_type: str, source: str, payload: dict, at: int) -> list[str]:
+        reached = []
+        for entry in self.live:
+            spec, last = entry
+            if not any(event_type == p or (p.endswith("*") and event_type.startswith(p[:-1]))
+                       for p in spec.accepted_types):
+                continue
+            if spec.source_filter is not None and source != spec.source_filter:
+                continue
+            if not all(self._holds(p, payload) for p in spec.payload_predicates):
+                continue
+            if (spec.min_interval_ms is not None and last is not None
+                    and at - last < spec.min_interval_ms):
+                continue
+            entry[1] = at
+            reached.append(spec.consumer_id)
+        return reached
+
+    def _holds(self, predicate, payload) -> bool:
+        attribute, comparator, constant = predicate
+        if attribute not in payload:
+            return False
+        try:
+            return self._COMPARE[comparator](payload[attribute], constant)
+        except TypeError:
+            return False
+
+
 def correlation_fires(
     pattern: Sequence[str],
     window_ms: int,

@@ -1,13 +1,16 @@
 """Mobility pipeline, trace processing, run statistics, CLI."""
 
 import json
+import os
 import re
+import sys
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hetsel import trg
+from hetsel.cli import EXIT_BROKEN_PIPE
 from hetsel.cli import main as cli_main
 from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
 from hetsel.harness.trace import (
@@ -507,6 +510,34 @@ def test_cli_reports_empty_for_handover_free_trace(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["report", str(out / "trace.txt")]) == 0
     assert json.loads(capsys.readouterr().out) == []
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, over the descriptor of ``sink``."""
+
+    def __init__(self, sink):
+        self.fileno = sink.fileno
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_cli_exits_quietly_when_the_reader_closes_the_pipe(tmp_path, capsys, monkeypatch,
+                                                           command):
+    out = tmp_path / "out"
+    assert cli_main(["run", str(SCENARIO_DIR / "table1_mn.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink))
+        assert cli_main([command, str(out / "trace.txt")]) == EXIT_BROKEN_PIPE
+        # what is still written to stdout now goes to devnull
+        os.write(sink.fileno(), b"late output")
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 def test_cli_bench_outputs_summary(capsys):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from hetsel import mrrm as mrrm_mod
 from hetsel import trg
 from hetsel.gll import GenericLinkLayer, GllConfig, candidate_for
 from hetsel.harness import execute_scenario
@@ -472,6 +473,115 @@ def test_decide_is_idempotent_in_static_environment():
         assert decisions[0]["action"] == "none"
     assert world.env.flows["f1"].serving == serving_after_first
     assert len(events_of(world, trg.HANDOVER_EXECUTION_REQUEST)) == 0
+
+
+def test_flow_whose_cell_returns_under_a_denied_operator_is_released():
+    # c0 drops and returns at once; its operator, first checked on its
+    # return, is denied, so f1 can neither re-attach there nor keep pointing
+    # at a covered cell that holds nothing of it.
+    scenario = scenario_from_dict({
+        "cells": [{"cell_id": "c0", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch1"}],
+        "flows": [{"flow_id": "f1", "serving": "c0", "resource_demand": 1}],
+        "trg": {"default_verdict": "deny"},
+        "timeline": [{"at": 0, "kind": "cell-down", "target": "c0"},
+                     {"at": 0, "kind": "cell-up", "target": "c0"}],
+        "duration_ms": 1000,
+    })
+    run = build_run(scenario)
+    result = execute_run(run)
+    assert run.env.flows["f1"].serving is None
+    assert run.env.cells["c0"].used_resources == 0
+    actions = [r.attributes["action"] for r in read_trace(result.trace_lines)
+               if r.kind == "decision"]
+    assert actions.count("release") == 1
+    assert set(actions) == {"none", "release"}
+
+
+# -- settled-round replay ------------------------------------------------------
+
+
+@pytest.fixture
+def selects(monkeypatch):
+    """The flow ids that stage two ranks, call by call."""
+    calls = []
+
+    def counting(flow, stage, tentative):
+        calls.append(flow.flow_id)
+        return select_access(flow, stage, tentative)
+
+    monkeypatch.setattr(mrrm_mod, "select_access", counting)
+    return calls
+
+
+def _settled_world(serving_quality):
+    """f1 holds a, at a's load 0.1; b (quality 0.3) heads the ranking inside
+    the hysteresis when a's quality is 1/6, and a heads it at quality 1."""
+    a, b = make_cell("a"), make_cell("b")
+    world = make_world([a, b], flows=[make_flow("f1", serving="a")])
+    world.mrrm.reports["a"] = synthetic_report(candidate_for(a), quality=serving_quality,
+                                               load=0.1)
+    world.mrrm.reports["b"] = synthetic_report(candidate_for(b), quality=0.3)
+    return world
+
+
+def test_settled_round_is_replayed_without_stage_two(selects):
+    world = _settled_world(1 / 6)
+    first = world.mrrm.decide()
+    assert first[0]["action"] == "none" and first[0]["target"] == "b"
+    expected = dict(first[0])
+    first[0]["target"] = "changed by the caller"
+    for _ in range(3):
+        assert world.mrrm.decide() == [expected]
+    assert selects == ["f1"]
+
+
+def test_round_that_initiated_an_attach_is_not_replayed(selects):
+    cell = make_cell("a")
+    world = make_world([cell], flows=[make_flow("f1")])
+    seed_reports(world, cell)
+    assert world.mrrm.decide()[0]["action"] == "attach"
+    world.bus.publish(trg.Event(trg.ATTACH_FAILED, "gll", payload={"cell": "a"}))
+    assert "f1" not in world.mrrm.in_flight  # every input is as it was
+    assert world.mrrm.decide()[0]["action"] == "attach"
+    assert selects == ["f1", "f1"]
+    assert "f1" in world.mrrm.in_flight
+
+
+def test_settled_round_is_decided_afresh_when_a_candidate_residual_changes(selects):
+    world = _settled_world(1 / 6)
+    world.mrrm.decide()
+    world.mrrm.decide()
+    world.env.apply_action(ScenarioAction(0, "set-cell-field", "b",
+                                          {"field": "used_resources", "value": 95}))
+    decisions = world.mrrm.decide()
+    assert selects == ["f1", "f1"]
+    # f1's demand of 10 no longer fits b's residual of 5
+    assert decisions[0]["action"] == "none" and decisions[0]["target"] == "a"
+
+
+def test_settled_round_is_decided_afresh_when_a_cooldown_expires(selects):
+    world = _settled_world(1 / 6)
+    world.mrrm.cooldown_until["b"] = 100
+    assert world.mrrm.decide()[0]["target"] == "a"
+    world.loop.run_until(99)
+    world.mrrm.decide()
+    assert selects == ["f1"]
+    world.loop.run_until(100)
+    decisions = world.mrrm.decide()
+    assert selects == ["f1", "f1"]
+    assert decisions[0]["target"] == "b"
+
+
+def test_settled_round_is_decided_afresh_when_the_serving_link_is_lost(selects):
+    world = _settled_world(1.0)
+    world.mrrm.decide()
+    world.mrrm.decide()
+    # the link goes without a link-down event, so nothing else that a round
+    # reads changes
+    world.gll.attached.discard("a")
+    decisions = world.mrrm.decide()
+    assert selects == ["f1", "f1"]
+    assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
 
 
 def test_herd_two_cells_settles_without_ping_pong():

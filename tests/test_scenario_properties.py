@@ -6,16 +6,26 @@ its link and its charge, the written trace replays to the in-run statistics,
 and a second run is byte-identical.  Timeline values leave room for every
 demand, so no action fails a capacity check.  In a world whose timeline is
 empty, selection converges: handovers stop after a bounded number of
-decision rounds.
+decision rounds.  Replaying settled decision rounds changes no trace, of a
+generated or of a shipped scenario.
+
+Worlds ramp link quality, and their operators' policies checks are answered
+from a drawn store and default verdict, or go unanswered and time out, so
+that what selection admits changes over a run.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hetsel import mrrm as mrrm_mod
 from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.stats import compute_stats
 from hetsel.harness.trace import read_trace
-from hetsel.simenv.scenario import scenario_from_dict
+from hetsel.mrrm import MultiRadioResourceManager, select_access
+from hetsel.simenv.scenario import load_scenario, scenario_from_dict
+
+from conftest import SHIPPED_SCENARIOS
 
 MAX_BASE = 40      # base load of a cell, initial and set
 MIN_TOTAL = 200    # capacity of a cell, initial and set
@@ -80,7 +90,8 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
         # set-cell-field, and in it used_resources, is listed twice: setting the
         # base load under live charges is the path most worth hitting often.
         kind = draw(st.sampled_from(_COVERAGE + ("flow-arrival", "flow-departure",
-                                                 "set-cell-field", "set-cell-field")))
+                                                 "set-cell-field", "set-cell-field",
+                                                 "quality-ramp")))
         if kind == "flow-arrival" and arrivals < MAX_FLOWS:
             target = flow_ids[arrivals]
             arrivals += 1
@@ -100,6 +111,16 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
             )))
             timeline.append({"at": at, "kind": kind, "target": draw(st.sampled_from(cell_ids)),
                              "field": field, "value": draw(value)})
+        elif kind == "quality-ramp":
+            field, value = draw(st.sampled_from((("raw_error_rate", st.floats(0.0, 1.0)),
+                                                 ("achievable_rate", st.floats(0.0, 1e7)))))
+            ramp = {"at": at, "kind": kind, "target": draw(st.sampled_from(cell_ids)),
+                    "field": field, "end": draw(value),
+                    "duration_ms": draw(st.sampled_from((100, 350, 1000))),
+                    "step_ms": draw(st.sampled_from((50, 100)))}
+            if draw(st.booleans()):
+                ramp["start"] = draw(value)
+            timeline.append(ramp)
         elif kind in _COVERAGE:
             timeline.append({"at": at, "kind": kind, "target": draw(st.sampled_from(cell_ids))})
     return {
@@ -108,13 +129,34 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
         "gll": {"attach_latency_ms": draw(st.sampled_from((0, 50, 200)))},
         "mobility": {"make_before_break": draw(st.booleans()),
                      "delays_ms": draw(st.sampled_from(([0] * 5, [10, 20, 5, 30, 40])))},
+        "mrrm": {"policies_check_timeout_ms": draw(st.sampled_from((0, 50, 300)))},
+        "trg": {"respond_to_policies_check": draw(st.sampled_from((True, True, True, False))),
+                "default_verdict": draw(st.sampled_from(("allow", "allow", "deny"))),
+                "policy_store": draw(st.dictionaries(
+                    st.sampled_from(("OpA", "OpB")),
+                    st.fixed_dictionaries({"verdict": st.sampled_from(("allow", "deny")),
+                                           "preference": st.none() | st.floats(0.0, 1.0)}),
+                    max_size=2))},
         "cells": cells,
         "flows": flows,
         "timeline": timeline,
     }
 
 
+# A generated world in which three flows kept pointing at a cell that came
+# back under an operator its policies check now denied, holding nothing there.
+_DENIED_ON_RETURN_WORLD = {
+    "duration_ms": 2000,
+    "trg": {"default_verdict": "deny"},
+    "cells": [{"cell_id": "c0", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch1"}],
+    "flows": [{"flow_id": f"f{j}", "resource_demand": 1, "serving": "c0"} for j in range(3)],
+    "timeline": [{"at": 0, "kind": "cell-down", "target": "c0"},
+                 {"at": 0, "kind": "cell-up", "target": "c0"}],
+}
+
+
 @given(doc=scenarios())
+@example(doc=_DENIED_ON_RETURN_WORLD)
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_generated_scenarios_run_clean(doc):
@@ -172,3 +214,37 @@ def test_static_world_stops_handing_over(doc):
     assert len(round_times) > CONVERGED_AFTER_ROUNDS
     settled = round_times[CONVERGED_AFTER_ROUNDS]
     assert [at for at in requests if at > settled] == []
+
+
+def _run(scenario, replay=True):
+    """The run's trace and how many flows stage two ranked; without replay,
+    every round's inputs are new, so every round is decided afresh."""
+    ranked = []
+
+    def counting(flow, stage, tentative):
+        ranked.append(flow.flow_id)
+        return select_access(flow, stage, tentative)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mrrm_mod, "select_access", counting)
+        if not replay:
+            patch.setattr(MultiRadioResourceManager, "_round_inputs", lambda self, *args: object())
+        return execute_run(build_run(scenario)).trace_text, len(ranked)
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_replaying_settled_rounds_leaves_shipped_traces_unchanged(path):
+    scenario = load_scenario(path)
+    trace, ranked = _run(scenario)
+    fresh_trace, fresh_ranked = _run(scenario, replay=False)
+    assert trace == fresh_trace
+    assert ranked < fresh_ranked  # every shipped scenario settles at some point
+
+
+@given(doc=scenarios(max_initial_flows=MAX_FLOWS))
+@example(doc=_DENIED_ON_RETURN_WORLD)
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_replaying_settled_rounds_leaves_generated_traces_unchanged(doc):
+    scenario = scenario_from_dict(doc)
+    assert _run(scenario)[0] == _run(scenario, replay=False)[0]

@@ -19,7 +19,7 @@ from hetsel.trg import (
     UnknownHandleError,
 )
 
-from oracles import correlation_fires
+from oracles import LinearScanDelivery, correlation_fires
 
 
 class Clock:
@@ -159,6 +159,49 @@ def test_exact_types_and_prefixes_mix_in_one_filter():
                        "noise-a", "debug-x", "link-down"):
         bus.publish(Event(event_type, "s"))
     assert [e.event_type for e in received] == ["link-up", "handover-complete", "link-down"]
+
+
+def test_deliveries_match_a_linear_scan_across_subscription_changes():
+    # Overlapping patterns, one subscription accepting a type twice, and
+    # subscriptions that come and go between publishes.
+    patterns = (("link-up",), ("link-*",), ("link-up", "link-*"), ("link-down", "handover-*"),
+                ("*",), ("flow-arrival", "link-up"), ("handover-complete",), ("link-quality-*", "x"))
+    types = ("link-up", "link-down", "link-quality-report", "handover-complete",
+             "handover-failed", "flow-arrival", "x", "y")
+    predicates = ((), (("cell", "=", "c1"),), (("rate", ">=", 5),))
+    payloads = ({}, {"cell": "c1"}, {"cell": "c2", "rate": 7}, {"rate": "high"}, {"rate": 3})
+    rng = random.Random(1234)
+    for trial in range(200):
+        pool = [Subscription(f"s{i}", rng.choice(patterns),
+                             source_filter=rng.choice((None, None, "gll", "mrrm")),
+                             payload_predicates=rng.choice(predicates),
+                             min_interval_ms=rng.choice((None, None, 100)))
+                for i in range(8)]
+        clock = Clock()
+        bus = TriggerBus(clock=clock)
+        oracle = LinearScanDelivery()
+        handles = {}
+        got = []
+        for _ in range(40):
+            op = rng.random()
+            if op < 0.3:
+                spec = rng.choice(pool)
+                handles[spec] = bus.subscribe(spec, lambda t, c=spec.consumer_id: got.append(c))
+                oracle.subscribe(spec)
+            elif op < 0.45 and handles:
+                spec = rng.choice(sorted(handles, key=lambda s: s.consumer_id))
+                bus.unsubscribe(handles.pop(spec))
+                oracle.unsubscribe(spec)
+            else:
+                clock.now += rng.choice((0, 50, 100))
+                event_type = rng.choice(types)
+                source = rng.choice(("gll", "mrrm"))
+                payload = dict(rng.choice(payloads))
+                got.clear()
+                count = bus.publish(Event(event_type, source, payload=payload))
+                expected = oracle.publish(event_type, source, payload, clock.now)
+                assert got == expected, (trial, event_type, source, payload)
+                assert count == len(expected)
 
 
 # -- correlation ------------------------------------------------------------
