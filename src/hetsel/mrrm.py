@@ -25,13 +25,26 @@ everything stage two and the assignment read is as it was then: each stage-one
 entry's cell, rate, delay, residual error, scores, per-unit cost and residual
 resources; the ``tentative`` demands; and each undecided flow's QoS bounds,
 demand, serving cell, whether it holds that cell's link and charge, and
-whether that cell is reported.  It then records copies of that round's
+whether that cell is reported.  It then returns copies of that round's
 decisions and skips stage two.  The inputs are rebuilt and compared each
 round rather than flagged by their writers, because time changes them
 (cool-downs and policies checks expire) as well as actions (``set-cell-field``,
 ``map_flow``, ``unmap_flow``).  A flow whose serving cell is reported again
 but is not its target, say because the cell's operator is now denied, drops
 the cell with a ``release`` decision.
+
+A flow's ``decision`` record is written only when it differs, in any
+attribute, from the last one written for that flow, so a settled or replayed
+round writes nothing for the flows it leaves as they were.  The last record is
+forgotten when the flow's ``flow-arrival`` reaches this component, the event
+on which the run statistics start the flow afresh, so a flow that leaves and
+comes back under the same id has its first decision written again even when
+its departure was never delivered; it is also freed on ``flow-departure``.
+
+Arrivals do not decide at once.  The first ``flow-arrival`` of an instant
+schedules one round at that same instant, after everything already due then,
+and a round that runs first for any other reason makes it unnecessary.  So a
+burst of N arrivals ranks the flows once, not N times.
 
 Every piece of run state names an access by its cell id, as flows, events
 and the environment do: the latest report per cell, failure cool-downs, the
@@ -340,6 +353,10 @@ class MultiRadioResourceManager:
         self._set_dirty = False
         self._deciding = False
         self._decide_again = False
+        # True from a flow-arrival until the next round has run
+        self._arrivals_undecided = False
+        # the last decision record written per flow
+        self._last_decision: dict[str, dict[str, Any]] = {}
         # (inputs, decisions) of the last round that initiated nothing
         self._settled: Optional[tuple[tuple, list[dict[str, Any]]]] = None
         bus.subscribe(
@@ -449,6 +466,7 @@ class MultiRadioResourceManager:
             self._deciding = False
 
     def _decide_once(self) -> list[dict[str, Any]]:
+        self._arrivals_undecided = False
         # Demand already committed to targets of unfinished attaches this and
         # previous rounds; executing handovers have charged real resources.
         tentative: dict[str, int] = {}
@@ -464,17 +482,24 @@ class MultiRadioResourceManager:
         if self._settled is not None and self._settled[0] == inputs:
             decisions = [dict(decision) for decision in self._settled[1]]
             for decision in decisions:
-                self._record("decision", decision)
+                self._record_decision(decision)
             return decisions
         decisions = []
         for flow in pending:
             ranked = select_access(flow, stage, tentative)
             decision = self._assign(flow, ranked, tentative)
             decisions.append(decision)
-            self._record("decision", decision)
+            self._record_decision(decision)
         if all(decision["action"] == "none" for decision in decisions):
             self._settled = (inputs, [dict(decision) for decision in decisions])
         return decisions
+
+    def _record_decision(self, decision: dict[str, Any]) -> None:
+        """Write ``decision`` unless it repeats the flow's last written one."""
+        flow_id = decision["flow"]
+        if self._last_decision.get(flow_id) != decision:
+            self._last_decision[flow_id] = dict(decision)
+            self._record("decision", decision)
 
     def _round_inputs(self, stage: RoundCandidates, tentative: Mapping[str, int],
                       flows: list[Flow]) -> tuple:
@@ -656,9 +681,17 @@ class MultiRadioResourceManager:
             del self.in_flight[flow_id]
 
     def _on_flow_arrival(self, payload: Mapping[str, Any]) -> None:
-        self.decide()
+        self._last_decision.pop(payload["flow"], None)
+        if not self._arrivals_undecided:
+            self._arrivals_undecided = True
+            self.loop.schedule_after(0, self._arrival_round)
+
+    def _arrival_round(self) -> None:
+        if self._arrivals_undecided:
+            self.decide()
 
     def _on_flow_departure(self, payload: Mapping[str, Any]) -> None:
+        self._last_decision.pop(payload["flow"], None)
         entry = self.in_flight.pop(payload["flow"], None)
         if entry is not None and entry.stage == "executing":
             self.env.unmap_flow(entry.flow, entry.target)

@@ -163,3 +163,21 @@ def linear_ramp_value(start: float, end: float, k: int, step_ms: int,
     """Expected field value after the k-th interpolation step."""
     fraction = min(1.0, (k * step_ms) / duration_ms)
     return start + (end - start) * fraction
+
+
+def thin_decisions(records: Iterable) -> list:
+    """Drop every ``decision`` record equal, in all its attributes, to the
+    same flow's previous decision record since that flow's last
+    ``flow-arrival`` event; every other record stays, in order."""
+    last: dict = {}
+    kept = []
+    for record in records:
+        if record.kind == "event" and record.attributes.get("type") == "flow-arrival":
+            last.pop(record.attributes["flow"], None)
+        elif record.kind == "decision":
+            flow_id = record.attributes["flow"]
+            if last.get(flow_id) == record.attributes:
+                continue
+            last[flow_id] = record.attributes
+        kept.append(record)
+    return kept

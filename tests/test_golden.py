@@ -30,25 +30,25 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "a9f1d1183e7df1cdf5181fdeadddc6a787ee7f128db309e2c9f16539cebe8f14",
+        "7216c56d10977eccf19b451dd83bbf355da7c12dc4f01f6f03227faba0188070",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "c601cf5be9e85de3b03e85cf6e7418357ecbf3b3b1007164a76a3ca44edaa3c0",
+        "a02a5be3446e65a900a780f8c127c5685ca43e6042fa8789e30c6302b21d9c92",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
     "scan_full_fallback": (
-        "a57e8641bd2262f8c6df4b3a2005bbf69a432543c2eefc607cac0882a1f93904",
+        "15fcbaebe083022a766b074f02a112a5d78df9b6c035d6c310c7bae1735c3cd8",
         "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "99fc89c1df135053b70719027d52ee1104a14c770b7a4c6aa3bfdcf626972f76",
+        "0354154f4805456ce337d39dab370ac078315c9197d82eb63917231bf8696c14",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "6ad6d3c6540f6bdfb5d94e0e117c49fb2768d980ba6cffa56450b204d03bfc6a",
+        "8ee0cde1fecba801ee8b84edbaa015e5bf5bbe50e4f1ae59fb95be80b1f74050",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "7d57b8c49d133f1df5a7be4afd9db2c596126b396e9acfd75613b332a3768cc6",
+        "dba6ed625abe1714989bb2e0c4a1681a2db72e735c71bb9b5ac4bdff168a98c7",
         "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
     "two_operators_deny": (
-        "58082b3a158a2fc4ccc4ed61afd817159bda95add388cbc300d141aa312331ee",
+        "9357fd3cf44bd64d2e10d274784e0a496ac356384fe6576f9a8605aa18655216",
         "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
@@ -69,9 +69,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "eb394444f16b6661b427651a891e4465003c69ad0d93343dc07735f4858f77f7",
-    "metro_dense": "6f89ebd8ebca02bca42734475d58e2e0ce4afb2372af778175b2a4a57f3149f7",
-    "monitor_fanout": "3f3acfa7344f9e5c156282d139ef3439418b16ddd8433e3088a4e5716cb8508f",
+    "commuter_churn": "58b43955f50783cbd3910ad90c87a22fb74bc98b7cf9b5f72df8b0c70fe43a6d",
+    "metro_dense": "ce9307264eac3b1dc0abaee285613b24c6d059dfda7ebdad3354a36c8e38f30e",
+    "monitor_fanout": "575ae7e55a37d1c229b90c367966e7b723eac7b1c910f6ab38b33bbc721ff7e5",
 }
 
 

@@ -300,7 +300,7 @@ def test_weight_scaling_leaves_order_unchanged(rng):
 
 def make_world(cells, flows=(), selection=None, policies=None, caps=None,
                respond=True, gll_cfg=None, delays=(10, 1, 19, 16, 302),
-               make_before_break=True, check_timeout=1000):
+               make_before_break=True, check_timeout=1000, record=None):
     loop = EventLoop()
     bus = TriggerBus(clock=lambda: loop.now)
     if respond:
@@ -312,7 +312,7 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
         loop, env, bus, gll,
         policies=policies, selection=selection, caps=caps,
         policies_check_timeout_ms=check_timeout,
-        make_before_break=make_before_break)
+        make_before_break=make_before_break, record=record)
     executor = MobilityExecutor(loop, env, bus, model=MobilityDelayModel(tuple(delays)))
     events = []
     bus.subscribe(Subscription("probe", ("*",)), events.append)
@@ -582,6 +582,56 @@ def test_settled_round_is_decided_afresh_when_the_serving_link_is_lost(selects):
     decisions = world.mrrm.decide()
     assert selects == ["f1", "f1"]
     assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
+
+
+# -- written decisions and arrival rounds ---------------------------------------
+
+
+def test_decision_record_is_written_only_when_it_changes():
+    a, b = make_cell("a"), make_cell("b")
+    written = []
+    world = make_world([a, b], flows=[make_flow("f1", serving="a")],
+                       record=lambda kind, attrs: written.append(dict(attrs)))
+    world.mrrm.reports["a"] = synthetic_report(candidate_for(a), quality=1 / 6, load=0.1)
+    world.mrrm.reports["b"] = synthetic_report(candidate_for(b), quality=0.3)
+    first = world.mrrm.decide()
+    for _ in range(3):
+        assert world.mrrm.decide() == first  # returned, though not written again
+    assert written == first
+    world.mrrm.reports["b"] = synthetic_report(candidate_for(b), quality=0.0)
+    changed = world.mrrm.decide()
+    assert changed != first
+    assert written == first + changed
+    # an arrival under the flow's id starts it afresh: its next decision is
+    # written even though it repeats the last one
+    world.bus.publish(trg.Event(trg.FLOW_ARRIVAL, "env", payload={"flow": "f1"}))
+    world.loop.run_until(0)
+    assert written == first + changed + changed
+
+
+def test_an_arrival_burst_is_decided_in_one_round(monkeypatch):
+    arrivals = 6
+    # no flow fits the cell, so none goes in flight and every round ranks
+    # every flow that has arrived so far
+    scenario = scenario_from_dict({
+        "cells": [{"cell_id": "c1", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch1",
+                   "used_resources": 60, "total_resources": 100}],
+        "timeline": [{"at": 1000, "kind": "flow-arrival", "target": f"f{j}",
+                      "resource_demand": 50} for j in range(arrivals)],
+        "duration_ms": 1500,
+    })
+    run = build_run(scenario)
+    ranked_at = []
+
+    def counting(flow, stage, tentative):
+        ranked_at.append(run.loop.now)
+        return select_access(flow, stage, tentative)
+
+    monkeypatch.setattr(mrrm_mod, "select_access", counting)
+    execute_run(run)
+    # one round ranks every new flow once; a round per arrival would rank
+    # 1 + 2 + ... + 6 = 21 times
+    assert 0 < ranked_at.count(1000) <= arrivals
 
 
 def test_herd_two_cells_settles_without_ping_pong():
