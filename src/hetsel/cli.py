@@ -6,12 +6,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .harness.bench import bench_trg
 from .harness.runner import run_to_files
 from .harness.stats import compute_stats, report_breakdown
-from .harness.trace import TraceError, read_trace
+from .harness.trace import MissingAttributeError, TraceError, read_trace
 from .simenv.env import InvariantError
 from .simenv.scenario import ScenarioError
 
@@ -57,14 +57,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _replay(fold: Callable[..., Any], path: str) -> Any:
+    """``fold`` over the trace file at ``path``; a record it cannot read names the file."""
+    try:
+        return fold(read_trace(path))
+    except MissingAttributeError as exc:
+        raise TraceError(f"{path}: {exc}") from None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    reports = report_breakdown(read_trace(args.trace))
+    reports = _replay(report_breakdown, args.trace)
     print(json.dumps([r.as_dict() for r in reports], indent=2))
     return EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = compute_stats(read_trace(args.trace))
+    stats = _replay(compute_stats, args.trace)
     print(json.dumps(stats.as_dict(), indent=2))
     return EXIT_OK
 

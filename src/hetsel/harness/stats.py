@@ -1,7 +1,8 @@
 """Run statistics and handover breakdowns, recomputed from the trace alone.
 
 Both functions are pure passes over trace records, so re-running them on a
-written trace file reproduces exactly what the run reported.
+written trace file reproduces exactly what the run reported.  A record that
+lacks an attribute a pass reads raises ``MissingAttributeError`` naming it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..mobility import TRACE_POINTS
-from .trace import TraceRecord
+from .trace import MissingAttributeError, TraceRecord
 
 PING_PONG_WINDOW_MS = 10000
 
@@ -74,12 +75,15 @@ def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
     """
     points: dict[str, dict[int, int]] = {}
     request_at: dict[str, int] = {}
-    for record in records:
-        if record.kind != "trace-point":
-            continue
-        handover = str(record.attributes["handover"])
-        points.setdefault(handover, {})[int(record.attributes["point"])] = record.at
-        request_at[handover] = int(record.attributes["request_at"])
+    try:
+        for record in records:
+            if record.kind != "trace-point":
+                continue
+            handover = str(record.attributes["handover"])
+            points.setdefault(handover, {})[int(record.attributes["point"])] = record.at
+            request_at[handover] = int(record.attributes["request_at"])
+    except KeyError as exc:
+        raise MissingAttributeError(record, exc.args[0]) from None
     reports = []
     for handover, stamps in points.items():
         if set(stamps) != set(range(1, TRACE_POINTS + 1)):
@@ -124,59 +128,62 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
         serviced = state.cell is not None and link_up.get(state.cell, False)
         return not serviced and state.known_candidates >= 1
 
-    for record in records:
-        elapsed = record.at - last_at
-        if elapsed > 0:
-            for flow_id, state in flows.items():
-                if in_gap(state):
-                    gaps[flow_id] = gaps.get(flow_id, 0) + elapsed
-        last_at = record.at
+    try:
+        for record in records:
+            elapsed = record.at - last_at
+            if elapsed > 0:
+                for flow_id, state in flows.items():
+                    if in_gap(state):
+                        gaps[flow_id] = gaps.get(flow_id, 0) + elapsed
+            last_at = record.at
 
-        if record.kind == "delivery":
-            stats.trigger_deliveries += 1
-            continue
-        if record.kind == "decision":
-            flow_id = str(record.attributes["flow"])
-            if flow_id in flows:
-                flows[flow_id].known_candidates = int(record.attributes["candidates"])
-            continue
-        if record.kind != "event":
-            continue
+            if record.kind == "delivery":
+                stats.trigger_deliveries += len(record.attributes["consumers"])
+                continue
+            if record.kind == "decision":
+                flow_id = str(record.attributes["flow"])
+                if flow_id in flows:
+                    flows[flow_id].known_candidates = int(record.attributes["candidates"])
+                continue
+            if record.kind != "event":
+                continue
 
-        event_type = record.attributes.get("type")
-        payload = record.attributes
-        if event_type == "flow-arrival":
-            serving = payload.get("serving") or None
-            flows[str(payload["flow"])] = _FlowState(serving)
-        elif event_type == "flow-departure":
-            flows.pop(str(payload["flow"]), None)
-        elif event_type == "flow-mapped":
-            flow = flows.get(str(payload["flow"]))
-            if flow is not None:
-                flow.cell = str(payload["cell"])
-        elif event_type == "link-up":
-            link_up[str(payload["cell"])] = True
-        elif event_type == "link-down":
-            link_up[str(payload["cell"])] = False
-        elif event_type == "handover-execution-request":
-            stats.handovers_attempted += 1
-        elif event_type == "handover-complete":
-            stats.handovers_completed += 1
-            flow = flows.get(str(payload["flow"]))
-            if flow is not None:
-                source, target = str(payload["from"]), str(payload["to"])
-                if flow.last_move is not None:
-                    at, prev_source, prev_target = flow.last_move
-                    if (prev_target == source and prev_source == target
-                            and record.at - at <= PING_PONG_WINDOW_MS):
-                        stats.ping_pong_count += 1
-                flow.last_move = (record.at, source, target)
-        elif event_type == "handover-failed":
-            stats.handovers_failed += 1
-        elif event_type == "scan-complete":
-            mode = str(payload["mode"])
-            stats.scan_counts[mode] = stats.scan_counts.get(mode, 0) + 1
-            stats.energy += float(payload.get("energy", 0.0))
+            event_type = record.attributes.get("type")
+            payload = record.attributes
+            if event_type == "flow-arrival":
+                serving = payload.get("serving") or None
+                flows[str(payload["flow"])] = _FlowState(serving)
+            elif event_type == "flow-departure":
+                flows.pop(str(payload["flow"]), None)
+            elif event_type == "flow-mapped":
+                flow = flows.get(str(payload["flow"]))
+                if flow is not None:
+                    flow.cell = str(payload["cell"])
+            elif event_type == "link-up":
+                link_up[str(payload["cell"])] = True
+            elif event_type == "link-down":
+                link_up[str(payload["cell"])] = False
+            elif event_type == "handover-execution-request":
+                stats.handovers_attempted += 1
+            elif event_type == "handover-complete":
+                stats.handovers_completed += 1
+                flow = flows.get(str(payload["flow"]))
+                if flow is not None:
+                    source, target = str(payload["from"]), str(payload["to"])
+                    if flow.last_move is not None:
+                        at, prev_source, prev_target = flow.last_move
+                        if (prev_target == source and prev_source == target
+                                and record.at - at <= PING_PONG_WINDOW_MS):
+                            stats.ping_pong_count += 1
+                    flow.last_move = (record.at, source, target)
+            elif event_type == "handover-failed":
+                stats.handovers_failed += 1
+            elif event_type == "scan-complete":
+                mode = str(payload["mode"])
+                stats.scan_counts[mode] = stats.scan_counts.get(mode, 0) + 1
+                stats.energy += float(payload.get("energy", 0.0))
+    except KeyError as exc:
+        raise MissingAttributeError(record, exc.args[0]) from None
 
     stats.service_gap_ms = gaps
     return stats

@@ -13,13 +13,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Union
 
-# Attribute values are scalars, so the per-call circular-reference bookkeeping
-# buys nothing; an unencodable value still raises.
+# Attribute values are scalars or freshly built lists of them, never a container
+# that holds itself, so the per-call circular-reference bookkeeping buys
+# nothing; an unencodable value still raises.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 class TraceError(ValueError):
     """Unreadable or out-of-order trace data."""
+
+
+class MissingAttributeError(TraceError):
+    """A well-formed record lacks an attribute that its reader needs."""
+
+    def __init__(self, record: TraceRecord, name: str):
+        super().__init__(f"record lacks attribute {name!r}: {format_record(record)}")
 
 
 @dataclass(frozen=True)

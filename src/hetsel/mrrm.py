@@ -591,6 +591,11 @@ class MultiRadioResourceManager:
 
     def _after_link_up(self, entry: _InFlight) -> None:
         flow, target = entry.flow, entry.target
+        if self.flows.get(flow.flow_id) is not flow:
+            # the flow left while attaching, and its departure never reached us
+            del self.in_flight[flow.flow_id]
+            self._detach_unused()
+            return
         if not self.env.map_flow(flow, target):
             logger.info("resources on %s gone before mapping %s; will retry",
                         target, flow.flow_id)
@@ -699,8 +704,11 @@ class MultiRadioResourceManager:
 
     def _on_handover_complete(self, payload: Mapping[str, Any]) -> None:
         flow = self.flows.get(payload["flow"])
-        self.in_flight.pop(payload["flow"], None)
+        entry = self.in_flight.pop(payload["flow"], None)
         if flow is None:
+            if entry is not None:  # it left mid-handover, and its departure never reached us
+                self.env.unmap_flow(entry.flow, entry.target)
+                self._detach_unused()
             return
         self.env.unmap_flow(flow, payload["from"])
         flow.serving = payload["to"]

@@ -8,6 +8,12 @@ and hands that same event to each match synchronously, in
 subscription-creation order.  Correlation rules watch the event stream and
 publish synthetic events through the same path.  Delivery is fully
 synchronous so that a run embedding the bus stays deterministic.
+
+A publish is recorded twice at most: the event before any delivery, and,
+when it reached anyone, one ``delivery`` record listing its consumers once
+they have all run.  Only then is that list known, since a consumer may
+publish at the same instant and so rate-limit a later subscriber, or change
+the payload that a later subscriber's predicates read.
 """
 
 from __future__ import annotations
@@ -238,7 +244,9 @@ class TriggerBus:
 
     ``clock`` supplies the current sim time stamped onto published events.
     ``recorder``, when given, is called as ``recorder(at, kind, attrs)`` for
-    every publish (kind ``event``) and delivery (kind ``delivery``).
+    every publish (kind ``event``) and, after the deliveries of a publish that
+    reached at least one consumer, once with their consumer ids (kind
+    ``delivery``).
     """
 
     def __init__(
@@ -322,23 +330,24 @@ class TriggerBus:
                 "synthetic": event.synthetic,
                 **event.payload,
             })
-            count = 0
+            consumers: list[str] = []
             for live in self._deliveries(event.event_type):
                 if not live.passes(event) or live.rate_limited(event.at):
                     continue
                 live.last_delivery_at = event.at
-                count += 1
+                consumers.append(live.spec.consumer_id)
                 self.delivered += 1
+                live.callback(event)
+            if consumers:
                 self._record(event.at, "delivery", {
-                    "consumer": live.spec.consumer_id,
+                    "consumers": consumers,
                     "type": event.event_type,
                     "source": event.source,
                     "synthetic": event.synthetic,
                 })
-                live.callback(event)
             for fired in self._advance_rules(event):
                 self.publish(fired)
-            return count
+            return len(consumers)
         finally:
             self._depth -= 1
 

@@ -27,6 +27,18 @@ OPERATORS = ("OpA", "OpB", "OpC")
 RATS = ("WLAN", "UMTS", "GSM")
 
 
+# A flow that leaves while its attach is pending, and whose departure the bus
+# drops, so MRRM learns of it only from the environment.
+DEPARTED_WHILE_ATTACHING_WORLD = {
+    "duration_ms": 1500,
+    "gll": {"attach_latency_ms": 200},
+    "trg": {"drop_types": ["flow-departure"]},
+    "cells": [{"cell_id": "c1", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch1"}],
+    "timeline": [{"at": 500, "kind": "flow-arrival", "target": "f", "resource_demand": 30},
+                 {"at": 550, "kind": "flow-departure", "target": "f"}],
+}
+
+
 def make_cell(cell_id="wlan1", rat="WLAN", operator_id="OpA", frequency="ch6", **over) -> Cell:
     defaults = dict(
         covered=True,

@@ -30,25 +30,25 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "7216c56d10977eccf19b451dd83bbf355da7c12dc4f01f6f03227faba0188070",
+        "1f850f16da7a0874e7436b3f131c1f0e54a9455899720b7e2c4db4e4b2e1fe25",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "a02a5be3446e65a900a780f8c127c5685ca43e6042fa8789e30c6302b21d9c92",
+        "5e43b4c4797df50d0af90dcaff96aaadf106fc21a021ee4361fa4c5f2bc35633",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
     "scan_full_fallback": (
-        "15fcbaebe083022a766b074f02a112a5d78df9b6c035d6c310c7bae1735c3cd8",
+        "f406192eb22f457da71f20a29ca6d4e6114a7e2dd4a26c57dcfe7f4472e9d70f",
         "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "0354154f4805456ce337d39dab370ac078315c9197d82eb63917231bf8696c14",
+        "45d25b05cca2e31cdc37f4d080a8dbe0eeaaa146a18c4982ed47fe6d11f93a90",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "8ee0cde1fecba801ee8b84edbaa015e5bf5bbe50e4f1ae59fb95be80b1f74050",
+        "cf79477c7be6a8f65f8696b36a5c5eeef347a533c4a19e596abd15619efe1bb5",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "dba6ed625abe1714989bb2e0c4a1681a2db72e735c71bb9b5ac4bdff168a98c7",
+        "90253c3790e6619642e2f0b00171ef1109eb02d64152b12c7e2b89a6cc74f307",
         "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
     "two_operators_deny": (
-        "9357fd3cf44bd64d2e10d274784e0a496ac356384fe6576f9a8605aa18655216",
+        "0043bca6c0218bed85a3a3cea63d0b73c4695c20d6348dc6df52cdeaafcc2b1a",
         "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
@@ -69,9 +69,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "58b43955f50783cbd3910ad90c87a22fb74bc98b7cf9b5f72df8b0c70fe43a6d",
-    "metro_dense": "ce9307264eac3b1dc0abaee285613b24c6d059dfda7ebdad3354a36c8e38f30e",
-    "monitor_fanout": "575ae7e55a37d1c229b90c367966e7b723eac7b1c910f6ab38b33bbc721ff7e5",
+    "commuter_churn": "5766324dee7c628f04e5252b88d1037a7f259d2f480127dac95c17d025e43117",
+    "metro_dense": "6d6eddfc8805a75870ee97fd87ca4fdeb28f23a30206cca92282e6e34a6a1280",
+    "monitor_fanout": "1fad871d0ec81d472eade81e38eabf426031cbb28f64c52307914648d366d906",
 }
 
 

@@ -13,6 +13,7 @@ from hetsel import trg
 from hetsel.cli import EXIT_BROKEN_PIPE
 from hetsel.cli import main as cli_main
 from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
+from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.trace import (
     TraceError,
     TraceRecord,
@@ -107,17 +108,19 @@ def test_zero_delay_model_keeps_point_order():
 # Strings that a guessing codec reads back as another type or another string.
 _AWKWARD_STRINGS = ("007", "1e3", "", "-", " ", "t=1", "a b", "x=y", "true", "None")
 
-_attribute_values = (st.sampled_from(_AWKWARD_STRINGS) | st.text() | st.integers()
-                     | st.booleans() | st.none() | st.floats(allow_nan=False))
+_strings = st.sampled_from(_AWKWARD_STRINGS) | st.text()
+_attribute_values = (_strings | st.integers() | st.booleans() | st.none()
+                     | st.floats(allow_nan=False) | st.lists(_strings, max_size=4))
 
 
 @given(at=st.integers(0, 10**12),
        component=st.sampled_from(("trg", "gll", "mrrm", "mobility", "harness")),
        kind=st.sampled_from(("event", "delivery", "decision", "trace-point")),
-       attributes=st.dictionaries(st.sampled_from(_AWKWARD_STRINGS) | st.text(),
-                                  _attribute_values, max_size=8))
+       attributes=st.dictionaries(_strings, _attribute_values, max_size=8))
 @example(at=0, component="trg", kind="event",
          attributes={value: value for value in _AWKWARD_STRINGS})
+@example(at=0, component="trg", kind="delivery",
+         attributes={"consumers": list(_AWKWARD_STRINGS), "type": "x"})
 @example(at=0, component="trg", kind="event",
          attributes={"inf": float("inf"), "-inf": float("-inf"), "zero": 0.0, "one": 1})
 def test_trace_record_roundtrip(at, component, kind, attributes):
@@ -138,6 +141,27 @@ def test_read_trace_names_the_file_and_line_of_a_corrupt_line(tmp_path, capsys):
     for command in ("stats", "report"):
         assert cli_main([command, str(path)]) == 2
         assert f"{path}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    't=5 trg event {"source":"env","synthetic":false,"type":"flow-arrival"}',
+    # a delivery record of the shape that named one consumer per record
+    't=5 trg delivery {"consumer":"mrrm","source":"env","synthetic":false,"type":"x"}',
+])
+def test_cli_names_the_file_and_record_that_lacks_an_attribute(tmp_path, capsys, line):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    assert cli_main(["stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: record lacks attribute ")
+    assert line in err
+
+
+def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    path.write_text('t=5 mobility trace-point {"handover":"h","point":1}\n', encoding="utf-8")
+    assert cli_main(["report", str(path)]) == 2
+    assert f"error: {path}: record lacks attribute 'request_at'" in capsys.readouterr().err
 
 
 def test_format_record_rejects_a_value_json_cannot_encode():
@@ -341,8 +365,6 @@ def test_ping_pong_counter_sees_a_b_a():
 
 
 def test_run_registers_information_sources_in_uci_registry():
-    from hetsel.harness.runner import build_run
-
     run = build_run(load_scenario(SCENARIO_DIR / "scan_targeted_hit.json"))
     assert run.bus.resolve_uci("multiaccess/link-quality").source == "gll"
     assert run.bus.resolve_uci("multiaccess/candidate-report").source == "mrrm"
@@ -419,6 +441,16 @@ def test_new_access_event_precedes_the_next_candidate_report():
                       and "late" in str(r.attributes.get("candidates", "")))
     assert detected_idx < report_idx
     assert records[detected_idx].at == records[report_idx].at == 1000
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_delivery_records_list_every_delivery(path):
+    run = build_run(load_scenario(path))
+    result = execute_run(run)
+    listed = sum(len(r.attributes["consumers"]) for r in read_trace(result.trace_lines)
+                 if r.kind == "delivery")
+    assert listed == run.bus.delivered == result.stats.trigger_deliveries > 0
 
 
 # -- determinism -------------------------------------------------------------------

@@ -29,6 +29,7 @@ from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 from hetsel.trg import PoliciesCheckResponder, Subscription, TriggerBus
 
 from conftest import (
+    DEPARTED_WHILE_ATTACHING_WORLD,
     SCENARIO_DIR,
     make_cell,
     make_flow,
@@ -495,6 +496,38 @@ def test_flow_whose_cell_returns_under_a_denied_operator_is_released():
                if r.kind == "decision"]
     assert actions.count("release") == 1
     assert set(actions) == {"none", "release"}
+
+
+def test_flow_that_departed_while_attaching_is_not_mapped_when_the_link_comes_up():
+    run = build_run(scenario_from_dict(DEPARTED_WHILE_ATTACHING_WORLD))
+    result = execute_run(run)
+    assert run.env.flows == {}
+    assert run.env.cells["c1"].used_resources == 0
+    assert run.env._charges == {}
+    assert not run.gll.is_attached("c1")
+    assert not run.mrrm.in_flight
+    assert not [r for r in read_trace(result.trace_lines)
+                if r.kind == "event" and r.attributes["type"] == trg.FLOW_MAPPED]
+
+
+def test_flow_that_departed_mid_handover_releases_its_target():
+    # f hands over from the slow c0 to the fast c1 (requested at 100, done at
+    # 205) and leaves at 150; the bus drops its departure
+    cell = {"rat": "WLAN", "operator_id": "OpA", "frequency": "ch1"}
+    run = build_run(scenario_from_dict({
+        "duration_ms": 1000,
+        "mobility": {"delays_ms": [10, 20, 5, 30, 40]},
+        "trg": {"drop_types": ["flow-departure"]},
+        "cells": [{"cell_id": "c0", "achievable_rate": 1e5, **cell},
+                  {"cell_id": "c1", "achievable_rate": 9e6, **cell}],
+        "flows": [{"flow_id": "f", "resource_demand": 30, "serving": "c0"}],
+        "timeline": [{"at": 150, "kind": "flow-departure", "target": "f"}],
+    }))
+    execute_run(run)
+    assert run.env._charges == {}
+    assert run.env.cells["c1"].used_resources == 0
+    assert not run.gll.attached
+    assert not run.mrrm.in_flight
 
 
 # -- settled-round replay ------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Every generated scenario passes validation, so it must run to completion with
 its invariants holding: cells stay within capacity, every served flow holds
-its link and its charge, the written trace replays to the in-run statistics,
-and a second run is byte-identical.  Timeline values leave room for every
+its link and its charge, every charge belongs to a live flow, the delivery
+records list every delivery, the written trace replays to the in-run
+statistics, and a second run is byte-identical.  Timeline values leave room for every
 demand, so no action fails a capacity check.  In a world whose timeline is
 empty, selection converges: handovers stop after a bounded number of
 decision rounds.  Replaying settled decision rounds changes no trace, of a
@@ -28,7 +29,7 @@ from hetsel.harness.trace import read_trace
 from hetsel.mrrm import MultiRadioResourceManager, select_access
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 
-from conftest import SHIPPED_SCENARIOS
+from conftest import DEPARTED_WHILE_ATTACHING_WORLD, SHIPPED_SCENARIOS
 from oracles import thin_decisions
 
 MAX_BASE = 40      # base load of a cell, initial and set
@@ -171,6 +172,7 @@ _DENIED_ON_RETURN_WORLD = {
 
 @given(doc=scenarios())
 @example(doc=_DENIED_ON_RETURN_WORLD)
+@example(doc=DEPARTED_WHILE_ATTACHING_WORLD)
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_generated_scenarios_run_clean(doc):
@@ -181,12 +183,17 @@ def test_generated_scenarios_run_clean(doc):
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
     # GLL reports on the detected cells alone, so every attached one must be there
     assert run.gll.attached <= run.gll.detected.keys()
+    for flow_id, cell_id in run.env._charges:
+        assert flow_id in run.env.flows, (flow_id, cell_id)
     for flow in run.env.flows.values():
         # a flow keeps pointing at a cell that went dark until it moves away
         if flow.serving is not None and run.env.cells[flow.serving].covered:
             cell_id = flow.serving
             assert run.gll.is_attached(cell_id), (flow.flow_id, cell_id)
             assert run.env.is_charged(flow, cell_id), (flow.flow_id, cell_id)
+    listed = sum(len(r.attributes["consumers"]) for r in read_trace(result.trace_lines)
+                 if r.kind == "delivery")
+    assert listed == run.bus.delivered == result.stats.trigger_deliveries
     assert compute_stats(read_trace(result.trace_lines)).as_dict() == result.stats.as_dict()
     assert execute_run(build_run(scenario)).trace_text == result.trace_text
 

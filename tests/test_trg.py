@@ -130,6 +130,57 @@ def test_delivery_order_is_subscription_creation_order():
     assert order == list(range(100))
 
 
+def recording_bus():
+    records = []
+    bus = TriggerBus(recorder=lambda at, kind, attrs: records.append((kind, dict(attrs))))
+    return bus, records
+
+
+def test_one_delivery_record_per_publish_after_its_consumers_ran():
+    bus, records = recording_bus()
+
+    def consumer(name):
+        return lambda t: records.append(("ran", name))
+
+    # created c2, c1, c3; c3's predicate fails
+    bus.subscribe(Subscription("c2", ("x",)), consumer("c2"))
+    bus.subscribe(Subscription("c1", ("x",)), consumer("c1"))
+    bus.subscribe(Subscription("c3", ("x",), payload_predicates=(("v", "=", 1),)),
+                  consumer("c3"))
+    assert bus.publish(Event("x", "s", payload={"v": 0})) == 2
+    assert records == [
+        ("event", {"type": "x", "source": "s", "synthetic": False, "v": 0}),
+        ("ran", "c2"),
+        ("ran", "c1"),
+        ("delivery", {"consumers": ["c2", "c1"], "type": "x", "source": "s",
+                      "synthetic": False}),
+    ]
+
+
+def test_publish_that_reaches_no_one_writes_no_delivery_record():
+    bus, records = recording_bus()
+    bus.subscribe(Subscription("c1", ("y",)), lambda t: None)
+    assert bus.publish(Event("x", "s")) == 0
+    assert [kind for kind, _ in records] == ["event"]
+
+
+def test_nested_publish_writes_its_delivery_record_before_the_outer_one():
+    bus, records = recording_bus()
+    bus.subscribe(Subscription("outer", ("x",)), lambda t: bus.publish(Event("y", "outer")))
+    bus.subscribe(Subscription("inner", ("y",)), lambda t: None)
+    # a later subscriber to x, rate-limited by the nested publish's delivery
+    # to it at the same instant
+    bus.subscribe(Subscription("both", ("x", "y"), min_interval_ms=100), lambda t: None)
+    assert bus.publish(Event("x", "s")) == 1
+    assert [(kind, attrs["type"], attrs.get("consumers")) for kind, attrs in records] == [
+        ("event", "x", None),
+        ("event", "y", None),
+        ("delivery", "y", ["inner", "both"]),
+        ("delivery", "x", ["outer"]),
+    ]
+    assert bus.delivered == 3
+
+
 def test_rate_limit_skips_events_inside_interval():
     clock = Clock()
     bus = TriggerBus(clock=clock)
