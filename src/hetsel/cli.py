@@ -11,7 +11,7 @@ from typing import Any, Callable, Optional, Sequence
 from .harness.bench import bench_trg
 from .harness.runner import run_to_files
 from .harness.stats import compute_stats, report_breakdown
-from .harness.trace import MissingAttributeError, TraceError, read_trace
+from .harness.trace import RecordError, TraceError, read_trace
 from .simenv.env import InvariantError
 from .simenv.scenario import ScenarioError
 
@@ -61,7 +61,7 @@ def _replay(fold: Callable[..., Any], path: str) -> Any:
     """``fold`` over the trace file at ``path``; a record it cannot read names the file."""
     try:
         return fold(read_trace(path))
-    except MissingAttributeError as exc:
+    except RecordError as exc:
         raise TraceError(f"{path}: {exc}") from None
 
 

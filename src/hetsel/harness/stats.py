@@ -2,7 +2,8 @@
 
 Both functions are pure passes over trace records, so re-running them on a
 written trace file reproduces exactly what the run reported.  A record that
-lacks an attribute a pass reads raises ``MissingAttributeError`` naming it.
+lacks an attribute a pass reads raises ``MissingAttributeError`` naming it,
+and one whose attribute has a type the pass cannot use raises ``RecordError``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..mobility import TRACE_POINTS
-from .trace import MissingAttributeError, TraceRecord
+from .trace import MissingAttributeError, RecordError, TraceError, TraceRecord
 
 PING_PONG_WINDOW_MS = 10000
 
@@ -84,6 +85,10 @@ def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
             request_at[handover] = int(record.attributes["request_at"])
     except KeyError as exc:
         raise MissingAttributeError(record, exc.args[0]) from None
+    except TraceError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise RecordError(record, f"record has an attribute of the wrong type ({exc})") from None
     reports = []
     for handover, stamps in points.items():
         if set(stamps) != set(range(1, TRACE_POINTS + 1)):
@@ -184,6 +189,10 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
                 stats.energy += float(payload.get("energy", 0.0))
     except KeyError as exc:
         raise MissingAttributeError(record, exc.args[0]) from None
+    except TraceError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise RecordError(record, f"record has an attribute of the wrong type ({exc})") from None
 
     stats.service_gap_ms = gaps
     return stats

@@ -23,11 +23,18 @@ class TraceError(ValueError):
     """Unreadable or out-of-order trace data."""
 
 
-class MissingAttributeError(TraceError):
+class RecordError(TraceError):
+    """A well-formed record that its reader cannot use; the message names it."""
+
+    def __init__(self, record: TraceRecord, problem: str):
+        super().__init__(f"{problem}: {format_record(record)}")
+
+
+class MissingAttributeError(RecordError):
     """A well-formed record lacks an attribute that its reader needs."""
 
     def __init__(self, record: TraceRecord, name: str):
-        super().__init__(f"record lacks attribute {name!r}: {format_record(record)}")
+        super().__init__(record, f"record lacks attribute {name!r}")
 
 
 @dataclass(frozen=True)

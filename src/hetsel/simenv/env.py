@@ -190,11 +190,12 @@ class Environment:
             return
         cell.covered = covered
         if not covered:
-            # A dead cell carries nothing.  Its flows keep their serving
-            # pointer until a handover completes or they are re-attached.
-            for flow in self.flows.values():
-                if flow.serving == cell.cell_id:
-                    self.unmap_flow(flow, cell.cell_id)
+            # A dead cell carries nothing: the charges of the flows it serves
+            # go, and so do those of handovers and attaches aiming at it.  Its
+            # flows keep their serving pointer until a handover completes or
+            # they are re-attached.
+            for flow_id, cell_id in [key for key in self._charges if key[1] == cell.cell_id]:
+                self._uncharge(flow_id, cell_id)
         self._emit("cell-coverage-change", {
             "cell": cell.cell_id,
             "covered": covered,
@@ -293,7 +294,10 @@ class Environment:
         return (flow.flow_id, cell_id) in self._charges
 
     def unmap_flow(self, flow: Flow, cell_id: str) -> None:
-        demand = self._charges.pop((flow.flow_id, cell_id), None)
+        self._uncharge(flow.flow_id, cell_id)
+
+    def _uncharge(self, flow_id: str, cell_id: str) -> None:
+        demand = self._charges.pop((flow_id, cell_id), None)
         if demand is None:
             return
         cell = self.cells[cell_id]

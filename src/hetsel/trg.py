@@ -5,9 +5,15 @@ on the event, takes the live subscriptions whose type patterns accept its
 type (a per-type list, built on first use and rebuilt after any subscribe or
 unsubscribe), checks each one's source, payload predicates and rate limit,
 and hands that same event to each match synchronously, in
-subscription-creation order.  Correlation rules watch the event stream and
-publish synthetic events through the same path.  Delivery is fully
-synchronous so that a run embedding the bus stays deterministic.
+subscription-creation order.  A subscription's predicates are compiled when
+it is made: each comparator is looked up by its spelling once.  Delivery is
+fully synchronous so that a run embedding the bus stays deterministic.
+
+Correlation rules watch the event stream and publish synthetic events through
+the same path.  An event advances only the rules whose pattern contains its
+type, taken from a second per-type index kept like the delivery one.  The
+others may skip it because a partial match expires lazily: the next event
+whose type is in the pattern drops an expired match before it compares.
 
 A publish is recorded twice at most: the event before any delivery, and,
 when it reached anyone, one ``delivery`` record listing its consumers once
@@ -170,18 +176,9 @@ def _compile_types(patterns: tuple[str, ...]) -> tuple[frozenset[str], tuple[str
     return frozenset(exact), tuple(prefixes)
 
 
-def _predicate_holds(predicate: tuple[str, str, Any], payload: dict[str, Any]) -> bool:
-    attribute, comparator, constant = predicate
-    if attribute not in payload:
-        return False
-    try:
-        return COMPARATORS[comparator](payload[attribute], constant)
-    except TypeError:
-        return False
-
-
 class _LiveSubscription:
-    __slots__ = ("spec", "callback", "handle", "last_delivery_at", "exact", "prefixes")
+    __slots__ = ("spec", "callback", "handle", "last_delivery_at", "exact", "prefixes",
+                 "source_filter", "predicates", "min_interval_ms")
 
     def __init__(self, spec: Subscription, callback: Callable[[Event], None], handle: int):
         self.spec = spec
@@ -189,21 +186,35 @@ class _LiveSubscription:
         self.handle = handle
         self.last_delivery_at: Optional[int] = None
         self.exact, self.prefixes = _compile_types(spec.accepted_types)
+        self.source_filter = spec.source_filter
+        self.predicates = tuple((attribute, COMPARATORS[comparator], constant)
+                                for attribute, comparator, constant in spec.payload_predicates)
+        self.min_interval_ms = spec.min_interval_ms
 
     def accepts(self, event_type: str) -> bool:
         return event_type in self.exact or event_type.startswith(self.prefixes)
 
     def passes(self, event: Event) -> bool:
-        """Source filter and payload predicates; the type is checked apart."""
-        spec = self.spec
-        if spec.source_filter is not None and event.source != spec.source_filter:
+        """Source filter and payload predicates; the type is checked apart.  A
+        predicate on a missing attribute, or on values that do not compare, is
+        false."""
+        if self.source_filter is not None and event.source != self.source_filter:
             return False
-        return all(_predicate_holds(p, event.payload) for p in spec.payload_predicates)
+        payload = event.payload
+        for attribute, compare, constant in self.predicates:
+            if attribute not in payload:
+                return False
+            try:
+                if not compare(payload[attribute], constant):
+                    return False
+            except TypeError:
+                return False
+        return True
 
     def rate_limited(self, now: int) -> bool:
-        if self.spec.min_interval_ms is None or self.last_delivery_at is None:
+        if self.min_interval_ms is None or self.last_delivery_at is None:
             return False
-        return now - self.last_delivery_at < self.spec.min_interval_ms
+        return now - self.last_delivery_at < self.min_interval_ms
 
 
 class _RuleState:
@@ -219,7 +230,15 @@ class _RuleState:
         self.anchor_at = None
 
     def advance(self, event: Event) -> bool:
-        """Feed one event; return True when the pattern completes."""
+        """Feed one event; return True when the pattern completes.
+
+        The bus feeds a rule only the events whose type is in its pattern.
+        Any other event would only reset an expired partial match and then
+        fail the type comparison.  The next event whose type is in the pattern
+        makes that same reset before it compares: time never decreases, so a
+        window that had expired at the skipped event has expired at that later
+        one too.
+        """
         rule = self.rule
         if self.anchor_at is not None and event.at - self.anchor_at > rule.window_ms:
             self.reset()
@@ -265,6 +284,9 @@ class TriggerBus:
         self._by_spec: dict[Subscription, int] = {}
         self._next_handle = 1
         self._rules: dict[int, _RuleState] = {}
+        # event type -> rules whose pattern contains it, in handle order;
+        # filled on first use, emptied whenever a rule comes or goes
+        self._rules_by_type: dict[str, tuple[_RuleState, ...]] = {}
         self._next_rule_handle = 1
         self._registry: dict[str, UciRecord] = {}
         self._depth = 0
@@ -371,8 +393,12 @@ class TriggerBus:
         return self.publish(event)
 
     def _advance_rules(self, event: Event) -> list[Event]:
+        states = self._rules_by_type.get(event.event_type)
+        if states is None:
+            states = self._rules_by_type[event.event_type] = tuple(
+                state for state in self._rules.values() if event.event_type in state.rule.pattern)
         fired: list[Event] = []
-        for state in self._rules.values():
+        for state in states:
             if state.advance(event):
                 fired.append(Event(
                     event_type=state.rule.output_type,
@@ -396,11 +422,13 @@ class TriggerBus:
         handle = self._next_rule_handle
         self._next_rule_handle += 1
         self._rules[handle] = _RuleState(rule)
+        self._rules_by_type.clear()
         return handle
 
     def drop_correlation(self, handle: int) -> None:
         if self._rules.pop(handle, None) is None:
             raise UnknownHandleError(handle)
+        self._rules_by_type.clear()
 
     # -- UCI registry --------------------------------------------------------
 

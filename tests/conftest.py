@@ -39,6 +39,24 @@ DEPARTED_WHILE_ATTACHING_WORLD = {
 }
 
 
+# Three flows hand over, break-before-make, from c0 to c1 when c0 goes dark;
+# c1 goes dark and comes back before the handovers complete, and f0 leaves
+# later.  The targets' charges on c1 must not survive c1's loss of coverage.
+_WLAN = {"rat": "WLAN", "operator_id": "OpA", "frequency": "ch1",
+         "achievable_rate": 1e5, "base_delay_ms": 1}
+TARGET_LOST_COVERAGE_WORLD = {
+    "duration_ms": 2000,
+    "gll": {"attach_latency_ms": 0},
+    "mobility": {"make_before_break": False, "delays_ms": [0] * 5},
+    "cells": [{"cell_id": "c0", **_WLAN}, {"cell_id": "c1", **_WLAN}],
+    "flows": [{"flow_id": f"f{j}", "resource_demand": 1, "serving": "c0"} for j in range(3)]
+    + [{"flow_id": "f3", "resource_demand": 1}],
+    "timeline": [{"at": 100, "kind": kind, "target": cell_id}
+                 for kind in ("cell-down", "cell-up") for cell_id in ("c0", "c1")]
+    + [{"at": 500, "kind": "flow-departure", "target": "f0"}],
+}
+
+
 def make_cell(cell_id="wlan1", rat="WLAN", operator_id="OpA", frequency="ch6", **over) -> Cell:
     defaults = dict(
         covered=True,

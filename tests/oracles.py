@@ -77,8 +77,12 @@ class LinearScanDelivery:
     missing attribute or on values that do not compare), then the rate limit.
     """
 
-    _COMPARE = {"=": lambda a, b: a == b, "<": lambda a, b: a < b,
-                ">=": lambda a, b: a >= b}
+    _COMPARE = {"=": lambda a, b: a == b,
+                "!=": lambda a, b: not a == b, "≠": lambda a, b: not a == b,
+                "<": lambda a, b: a < b,
+                "<=": lambda a, b: a < b or a == b, "≤": lambda a, b: a < b or a == b,
+                ">": lambda a, b: b < a,
+                ">=": lambda a, b: b < a or a == b, "≥": lambda a, b: b < a or a == b}
 
     def __init__(self):
         self.live = []  # [spec, last delivery time], creation order
@@ -116,6 +120,50 @@ class LinearScanDelivery:
             return self._COMPARE[comparator](payload[attribute], constant)
         except TypeError:
             return False
+
+
+class LinearScanCorrelation:
+    """Which synthetic events correlation rules fire, found by feeding every
+    published event to every live rule, in definition order.  A rule first
+    drops a partial match whose window has passed since its anchor, then
+    takes the event if its type is the pattern's next one.  The events fired
+    by one publish are then published in turn, depth first.  Rules must not
+    fire one another in a cycle: there is no depth limit here.
+    """
+
+    def __init__(self):
+        self.rules = []  # [handle, rule, next index, anchor time], definition order
+
+    def define(self, handle: int, rule) -> None:
+        self.rules.append([handle, rule, 0, None])
+
+    def drop(self, handle: int) -> None:
+        self.rules = [entry for entry in self.rules if entry[0] != handle]
+
+    def publish(self, event_type: str, at: int) -> list[tuple[str, str, str]]:
+        """The ``(type, rule id, completed_by)`` of every synthetic event the
+        publish fires, nested ones included, in publication order."""
+        fired = []
+        for entry in self.rules:
+            _, rule, index, anchor = entry
+            if anchor is not None and at - anchor > rule.window_ms:
+                index, anchor = 0, None
+            if event_type == rule.pattern[index]:
+                if index == 0:
+                    anchor = at
+                index += 1
+                if index == len(rule.pattern):
+                    fired.append((rule.output_type, rule.rule_id, event_type))
+                    if rule.reset_on_fire:
+                        index, anchor = 0, None
+                    else:
+                        index = len(rule.pattern) - 1
+            entry[2], entry[3] = index, anchor
+        published = []
+        for synthetic in fired:
+            published.append(synthetic)
+            published.extend(self.publish(synthetic[0], at))
+        return published
 
 
 def correlation_fires(

@@ -160,6 +160,21 @@ def test_release_cell_resources_keeps_serving_pointer():
     assert flow.serving is not None
 
 
+def test_cell_down_releases_the_charges_of_flows_it_does_not_serve():
+    # A handover or attach target is charged before the flow is served
+    # there; losing coverage releases that charge too, and leaves the
+    # flow's charge on its serving cell.
+    loop, env, emitted = make_env([make_cell("wlan1"), make_cell("wlan2")])
+    flow = make_flow("f1", resource_demand=10, serving="wlan1")
+    env.flows["f1"] = flow
+    env.map_flow(flow, "wlan1")
+    env.map_flow(flow, "wlan2")
+    env.apply_action(ScenarioAction(0, "cell-down", "wlan2"))
+    assert env.cells["wlan2"].used_resources == 0
+    assert env._charges == {("f1", "wlan1"): 10}
+    assert flow.serving == "wlan1"
+
+
 def test_set_used_resources_sets_the_base_load():
     # Flow charges stay on top of the base, and a departure takes back only
     # what was charged.

@@ -164,6 +164,20 @@ def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys
     assert f"error: {path}: record lacks attribute 'request_at'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line", [
+    ("stats", 't=0 trg delivery {"consumers":5,"source":"env","synthetic":false,"type":"x"}'),
+    ("report", 't=5 mobility trace-point {"handover":"h","point":"x","request_at":0}'),
+])
+def test_cli_names_the_file_and_record_whose_attribute_has_the_wrong_type(
+        tmp_path, capsys, command, line):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    assert cli_main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: record has an attribute of the wrong type ")
+    assert line in err
+
+
 def test_format_record_rejects_a_value_json_cannot_encode():
     with pytest.raises(TypeError):
         format_record(TraceRecord(0, "trg", "event", {"cells": {"a", "b"}}))

@@ -31,6 +31,7 @@ from hetsel.trg import PoliciesCheckResponder, Subscription, TriggerBus
 from conftest import (
     DEPARTED_WHILE_ATTACHING_WORLD,
     SCENARIO_DIR,
+    TARGET_LOST_COVERAGE_WORLD,
     make_cell,
     make_flow,
     random_instance,
@@ -508,6 +509,19 @@ def test_flow_that_departed_while_attaching_is_not_mapped_when_the_link_comes_up
     assert not run.mrrm.in_flight
     assert not [r for r in read_trace(result.trace_lines)
                 if r.kind == "event" and r.attributes["type"] == trg.FLOW_MAPPED]
+
+
+def test_handover_target_that_loses_coverage_keeps_no_charge():
+    run = build_run(scenario_from_dict(TARGET_LOST_COVERAGE_WORLD))
+    execute_run(run)
+    # each flow left is charged on its serving cell alone, and f0 nowhere
+    assert sorted(run.env._charges) == sorted(
+        (flow.flow_id, flow.serving) for flow in run.env.flows.values())
+    assert "f0" not in run.env.flows
+    for cell in run.env.cells.values():
+        assert cell.used_resources == sum(
+            demand for (_, cell_id), demand in run.env._charges.items()
+            if cell_id == cell.cell_id)
 
 
 def test_flow_that_departed_mid_handover_releases_its_target():

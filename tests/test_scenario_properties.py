@@ -2,8 +2,9 @@
 
 Every generated scenario passes validation, so it must run to completion with
 its invariants holding: cells stay within capacity, every served flow holds
-its link and its charge, every charge belongs to a live flow, the delivery
-records list every delivery, the written trace replays to the in-run
+its link and its charge, every charge belongs to a live flow, only a flow in
+a make-before-break handover is charged on two cells, the delivery records
+list every delivery, the written trace replays to the in-run
 statistics, and a second run is byte-identical.  Timeline values leave room for every
 demand, so no action fails a capacity check.  In a world whose timeline is
 empty, selection converges: handovers stop after a bounded number of
@@ -29,7 +30,7 @@ from hetsel.harness.trace import read_trace
 from hetsel.mrrm import MultiRadioResourceManager, select_access
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 
-from conftest import DEPARTED_WHILE_ATTACHING_WORLD, SHIPPED_SCENARIOS
+from conftest import DEPARTED_WHILE_ATTACHING_WORLD, SHIPPED_SCENARIOS, TARGET_LOST_COVERAGE_WORLD
 from oracles import thin_decisions
 
 MAX_BASE = 40      # base load of a cell, initial and set
@@ -173,6 +174,7 @@ _DENIED_ON_RETURN_WORLD = {
 @given(doc=scenarios())
 @example(doc=_DENIED_ON_RETURN_WORLD)
 @example(doc=DEPARTED_WHILE_ATTACHING_WORLD)
+@example(doc=TARGET_LOST_COVERAGE_WORLD)
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_generated_scenarios_run_clean(doc):
@@ -183,8 +185,15 @@ def test_generated_scenarios_run_clean(doc):
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
     # GLL reports on the detected cells alone, so every attached one must be there
     assert run.gll.attached <= run.gll.detected.keys()
+    charged = {}
     for flow_id, cell_id in run.env._charges:
         assert flow_id in run.env.flows, (flow_id, cell_id)
+        charged.setdefault(flow_id, []).append(cell_id)
+    for flow_id, cell_ids in charged.items():
+        # only a make-before-break handover holds two charges at once
+        entry = run.mrrm.in_flight.get(flow_id)
+        assert len(cell_ids) == 1 or (entry is not None and entry.source is not None), (
+            flow_id, cell_ids)
     for flow in run.env.flows.values():
         # a flow keeps pointing at a cell that went dark until it moves away
         if flow.serving is not None and run.env.cells[flow.serving].covered:

@@ -19,7 +19,7 @@ from hetsel.trg import (
     UnknownHandleError,
 )
 
-from oracles import LinearScanDelivery, correlation_fires
+from oracles import LinearScanCorrelation, LinearScanDelivery, correlation_fires
 
 
 class Clock:
@@ -219,8 +219,14 @@ def test_deliveries_match_a_linear_scan_across_subscription_changes():
                 ("*",), ("flow-arrival", "link-up"), ("handover-complete",), ("link-quality-*", "x"))
     types = ("link-up", "link-down", "link-quality-report", "handover-complete",
              "handover-failed", "flow-arrival", "x", "y")
-    predicates = ((), (("cell", "=", "c1"),), (("rate", ">=", 5),))
-    payloads = ({}, {"cell": "c1"}, {"cell": "c2", "rate": 7}, {"rate": "high"}, {"rate": 3})
+    # every comparator spelling, and predicates whose values do not compare
+    # (a str against a number): those are false
+    predicates = ((), (("cell", "=", "c1"),), (("rate", ">=", 5),), (("cell", "≠", "c1"),),
+                  (("rate", "≤", 5.0), ("cell", "!=", "c2")), (("rate", "<", 4),),
+                  (("rate", ">", 3.0),), (("rate", "≥", 3),), (("cell", "<=", "c1"),),
+                  (("cell", ">", 2.5),), (("rate", "=", 3.0), ("rate", "<=", "3")))
+    payloads = ({}, {"cell": "c1"}, {"cell": "c2", "rate": 7}, {"rate": "high"}, {"rate": 3},
+                {"cell": "c1", "rate": 5.0}, {"cell": "c0", "rate": 3.0})
     rng = random.Random(1234)
     for trial in range(200):
         pool = [Subscription(f"s{i}", rng.choice(patterns),
@@ -344,6 +350,58 @@ def test_correlation_against_oracle_on_random_strings():
             bus.publish(Event(etype, "s"))
         expected = correlation_fires(pattern, window, events)
         assert fired == expected, (pattern, window, events)
+
+
+def test_correlation_matches_a_linear_scan_over_every_rule():
+    # Patterns repeat types and mix in the output of other rules; events
+    # mix in types no pattern names; rules come and go between publishes.
+    in_pattern = ("a", "b", "c", "x")
+    types = in_pattern + ("u", "quality-alert-1")
+    fixed = (CorrelationRule("rep", ("a", "a", "b"), 20, "x"),
+             CorrelationRule("armed", ("b", "c"), 100, "y", reset_on_fire=False),
+             CorrelationRule("chain", ("x", "c"), 50, "y"))
+    rng = random.Random(2718)
+    fired_by = []
+    for trial in range(300):
+        pool = list(fixed)
+        for i in range(5):
+            pattern = tuple(rng.choice(in_pattern) for _ in range(rng.randint(2, 3)))
+            # "x" is fired only by rules that do not wait for it: no cycles
+            pool.append(CorrelationRule(f"r{i}", pattern, rng.choice((5, 20, 100)),
+                                        "y" if "x" in pattern else rng.choice(("x", "y")),
+                                        reset_on_fire=rng.random() < 0.6))
+        clock = Clock()
+        bus = TriggerBus(clock=clock)
+        oracle = LinearScanCorrelation()
+        got = []
+
+        def collect(t):
+            if t.synthetic:
+                got.append((t.event_type, t.payload["rule"], t.payload["completed_by"]))
+
+        bus.subscribe(Subscription("c1", ("*",)), collect)
+        handles = []
+        for _ in range(60):
+            op = rng.random()
+            if op < 0.1:
+                rule = rng.choice(pool)
+                handle = bus.define_correlation(rule)
+                oracle.define(handle, rule)
+                handles.append(handle)
+            elif op < 0.15 and handles:
+                handle = handles.pop(rng.randrange(len(handles)))
+                bus.drop_correlation(handle)
+                oracle.drop(handle)
+            else:
+                clock.now += rng.choice((0, 1, 5, 30, 100))
+                event_type = rng.choice(types)
+                got.clear()
+                bus.publish(Event(event_type, "s"))
+                expected = oracle.publish(event_type, clock.now)
+                assert got == expected, (trial, clock.now, event_type)
+                fired_by.extend(rule_id for _, rule_id, _ in expected)
+    assert len(fired_by) > 500
+    assert {"rep", "armed", "chain"} <= set(fired_by)
 
 
 # -- UCI registry ---------------------------------------------------------------
