@@ -8,7 +8,6 @@ runner).
 """
 
 from .gll import (
-    AccessCandidate,
     GenericLinkLayer,
     LinkMeasurement,
     LinkQualityReport,
@@ -35,7 +34,6 @@ from .simenv.scenario import Scenario, load_scenario, scenario_from_dict
 from .trg import CorrelationRule, Event, Subscription, TriggerBus, UciRecord
 
 __all__ = [
-    "AccessCandidate",
     "Cell",
     "CorrelationRule",
     "Environment",

@@ -4,7 +4,7 @@ Maps per-RAT measurements onto normalized [0,1] metrics, runs scans and
 attach/detach against the simulated environment, and reports periodically on
 all detected accesses.  Reports and link changes leave this layer as events
 on the trigger bus; everything above it sees :class:`LinkQualityReport`
-values and is RAT-agnostic.
+values, each naming its access by cell id, and is RAT-agnostic.
 
 The layer keeps only link state, each access named by its cell id: the
 attached and detected cells and the access history.  Every attached cell is
@@ -32,23 +32,10 @@ class NotAttachedError(ValueError):
 
 
 @dataclass(frozen=True)
-class AccessCandidate:
-    """Identity of one usable access; equality is field-wise."""
-
-    rat: str
-    operator_id: str
-    cell_id: str
-    frequency: str
-
-    def sort_key(self) -> tuple[str, str, str, str]:
-        return (self.operator_id, self.rat, self.cell_id, self.frequency)
-
-
-@dataclass(frozen=True)
 class LinkMeasurement:
     """Raw per-access numbers as sampled from the environment."""
 
-    candidate: AccessCandidate
+    cell_id: str
     residual_error_rate: float
     achievable_rate: float
     delay_ms: float
@@ -61,7 +48,7 @@ class LinkMeasurement:
 class LinkQualityReport:
     """Normalized metrics in [0,1] plus the raw measurement they summarize."""
 
-    candidate: AccessCandidate
+    cell_id: str
     q_error: float
     q_rate: float
     q_delay: float
@@ -213,22 +200,13 @@ def map_link_quality(
         quality = (cfg.w_error * q_error + cfg.w_rate * q_rate
                    + cfg.w_delay * q_delay + cfg.w_load * q_load)
     return LinkQualityReport(
-        candidate=m.candidate,
+        cell_id=m.cell_id,
         q_error=q_error,
         q_rate=q_rate,
         q_delay=q_delay,
         q_load=q_load,
         quality=quality,
         raw=m,
-    )
-
-
-def candidate_for(cell: Cell) -> AccessCandidate:
-    return AccessCandidate(
-        rat=cell.rat,
-        operator_id=cell.operator_id,
-        cell_id=cell.cell_id,
-        frequency=cell.frequency,
     )
 
 
@@ -262,12 +240,8 @@ def scan_results(
 
 def report_to_payload(report: LinkQualityReport) -> dict[str, Any]:
     m = report.raw
-    c = report.candidate
     return {
-        "cell": c.cell_id,
-        "rat": c.rat,
-        "operator": c.operator_id,
-        "frequency": c.frequency,
+        "cell": report.cell_id,
         "q_error": report.q_error,
         "q_rate": report.q_rate,
         "q_delay": report.q_delay,
@@ -283,14 +257,9 @@ def report_to_payload(report: LinkQualityReport) -> dict[str, Any]:
 
 
 def report_from_payload(payload: Mapping[str, Any]) -> LinkQualityReport:
-    candidate = AccessCandidate(
-        rat=payload["rat"],
-        operator_id=payload["operator"],
-        cell_id=payload["cell"],
-        frequency=payload["frequency"],
-    )
+    cell_id = payload["cell"]
     raw = LinkMeasurement(
-        candidate=candidate,
+        cell_id=cell_id,
         residual_error_rate=payload["residual_error_rate"],
         achievable_rate=payload["achievable_rate"],
         delay_ms=payload["delay_ms"],
@@ -299,7 +268,7 @@ def report_from_payload(payload: Mapping[str, Any]) -> LinkQualityReport:
         taken_at=payload["taken_at"],
     )
     return LinkQualityReport(
-        candidate=candidate,
+        cell_id=cell_id,
         q_error=payload["q_error"],
         q_rate=payload["q_rate"],
         q_delay=payload["q_delay"],
@@ -421,7 +390,7 @@ class GenericLinkLayer:
 
     def measure(self, cell: Cell) -> LinkMeasurement:
         return LinkMeasurement(
-            candidate=candidate_for(cell),
+            cell_id=cell.cell_id,
             residual_error_rate=residual_error_rate(
                 cell.raw_error_rate, self.cfg.mac.retransmissions_for(cell.rat)),
             achievable_rate=cell.achievable_rate,

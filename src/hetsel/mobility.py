@@ -3,8 +3,11 @@
 The real re-establishment of network-layer connectivity is modeled as five
 configurable fixed delays (event capture/address configuration, trigger
 processing, trigger delivery, mobility-protocol processing, update
-signaling).  A trace-point record is written as each phase completes; losing
-target coverage mid-pipeline fails the handover.
+signaling).  A trace-point record is written as each phase completes.  The
+handover fails at the first step whose target is out of coverage or no longer
+carries the charge of a flow still admitted; a cell that goes dark releases
+every charge on it, so a target that goes dark and comes back between two
+steps fails the handover too.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ class MobilityExecutor:
         if pipeline.aborted:
             return
         target = self.env.cells.get(pipeline.target)
-        if target is None or not target.covered:
+        flow = self.env.flows.get(pipeline.flow_id)
+        if (target is None or not target.covered
+                or (flow is not None and not self.env.is_charged(flow, pipeline.target))):
             pipeline.aborted = True
             self.bus.publish(trg.Event(trg.HANDOVER_FAILED, self.COMPONENT, payload={
                 "handover": pipeline.handover_id,

@@ -47,10 +47,9 @@ and a round that runs first for any other reason makes it unnecessary.  So a
 burst of N arrivals ranks the flows once, not N times.
 
 Every piece of run state names an access by its cell id, as flows, events
-and the environment do: the latest report per cell, failure cool-downs, the
-stage-one position index and the cells of unfinished attaches and handovers.
-An ``AccessCandidate`` appears only where its identity fields are read: in
-reports, policy filtering and ranking.
+and the environment do: reports, rankings, failure cool-downs, the stage-one
+position index and the cells of unfinished attaches and handovers.  Stage one
+reads an access's RAT, operator and other attributes from its ``Cell``.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import gll as gll_mod
 from . import trg
-from .gll import AccessCandidate, GenericLinkLayer, LinkMeasurement, LinkQualityReport
+from .gll import GenericLinkLayer, LinkMeasurement, LinkQualityReport
 from .simenv.env import Cell, Environment, Flow
 from .simenv.loop import EventLoop
 
@@ -151,11 +150,11 @@ class RankedList:
     """Scored candidates for one flow, best first."""
 
     flow_id: str
-    entries: tuple[tuple[AccessCandidate, float], ...]
+    entries: tuple[tuple[str, float], ...]  # (cell id, score)
     serving_score: Optional[float] = None  # None when the serving access is not ranked
 
     @property
-    def head(self) -> Optional[AccessCandidate]:
+    def head(self) -> Optional[str]:
         return self.entries[0][0] if self.entries else None
 
 
@@ -163,18 +162,23 @@ class RankedList:
 class RoundCandidates:
     """Stage-one result of one decision round, shared by every flow.
 
-    ``entries`` holds the admitted candidates in lexicographic order, each
-    with its raw measurement, its score for a QoS-feasible and for an
-    infeasible flow, and the score one unit of demand costs on its cell
-    (``w_cell / total_resources``); ``position`` maps a candidate's cell id
-    to its index there.
+    ``entries`` holds the admitted candidates in ``_identity`` order, each as
+    its cell id with its raw measurement, its score for a QoS-feasible and
+    for an infeasible flow, and the score one unit of demand costs on its
+    cell (``w_cell / total_resources``); ``position`` maps a cell id to its
+    index there.
     """
 
-    entries: tuple[tuple[AccessCandidate, LinkMeasurement, float, float, float], ...]
+    entries: tuple[tuple[str, LinkMeasurement, float, float, float], ...]
     position: dict[str, int]
 
 
 # -- pure selection pipeline ---------------------------------------------------
+
+
+def _identity(cell: Cell) -> tuple[str, str, str]:
+    """Candidates are listed by operator, then RAT, then cell id."""
+    return (cell.operator_id, cell.rat, cell.cell_id)
 
 
 def qos_feasible(flow: Flow, m: LinkMeasurement) -> bool:
@@ -187,64 +191,60 @@ def qos_feasible(flow: Flow, m: LinkMeasurement) -> bool:
 
 
 def policy_filter(
-    candidates: Iterable[AccessCandidate],
+    cells: Iterable[Cell],
     policies: PolicySet,
     caps: TerminalCapabilities,
-    cell_meta: Mapping[str, Cell],
-) -> list[AccessCandidate]:
-    """Stage one's policy check: drop disallowed accesses, order the rest by
-    preference."""
+) -> list[Cell]:
+    """Stage one's policy check: keep the accesses the policies and the
+    terminal allow, in the order given."""
     kept = []
-    for candidate in candidates:
-        meta = cell_meta.get(candidate.cell_id)
-        if meta is None:
-            continue
-        op = candidate.operator_id
+    for cell in cells:
+        op = cell.operator_id
         if policies.allowed_operators and op not in policies.allowed_operators:
             continue
         if op in policies.denied_operators:
             continue
-        if meta.security_level < policies.min_security_level:
+        if cell.security_level < policies.min_security_level:
             continue
-        if policies.max_cost_per_mb is not None and meta.cost_per_mb > policies.max_cost_per_mb:
+        if policies.max_cost_per_mb is not None and cell.cost_per_mb > policies.max_cost_per_mb:
             continue
         if (not policies.roaming_allowed and policies.home_operator is not None
                 and op != policies.home_operator):
             continue
-        if not caps.supports(candidate.rat):
+        if not caps.supports(cell.rat):
             continue
-        kept.append(candidate)
-    kept.sort(key=lambda c: (-policies.preference(c.operator_id, c.rat), c.sort_key()))
+        kept.append(cell)
     return kept
 
 
 def _score(
     f_qos: float,
     report: LinkQualityReport,
+    cell: Cell,
     policies: PolicySet,
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
 ) -> float:
     """The one score formula; ``f_qos`` is 1.0 or 0.0.  Both stages sum
     through here, in this order, so their scores are bit-identical."""
-    candidate = report.candidate
     return (cfg.w_qos * f_qos
             + cfg.w_link * report.quality
             + cfg.w_cell * report.q_load
-            + cfg.w_term * (1.0 - caps.energy_cost_for(candidate.rat))
-            + cfg.w_pol * policies.preference(candidate.operator_id, candidate.rat))
+            + cfg.w_term * (1.0 - caps.energy_cost_for(cell.rat))
+            + cfg.w_pol * policies.preference(cell.operator_id, cell.rat))
 
 
 def dynamic_score(
     flow: Flow,
     report: LinkQualityReport,
+    cell: Cell,
     policies: PolicySet,
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
 ) -> float:
     """Weighted sum of the five decision factors for one flow on one access."""
     f_qos = 1.0 if qos_feasible(flow, report.raw) else 0.0
-    return _score(f_qos, report, policies, caps, cfg)
+    return _score(f_qos, report, cell, policies, caps, cfg)
 
 
 def round_candidates(
@@ -252,7 +252,7 @@ def round_candidates(
     policies: PolicySet,
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
-    cell_meta: Mapping[str, Cell],
+    cells: Mapping[str, Cell],
 ) -> RoundCandidates:
     """Stage one, once per decision round: everything no flow changes.
 
@@ -261,20 +261,20 @@ def round_candidates(
     survivor's two possible scores are summed exactly as ``dynamic_score``
     sums them, so stage two only has to pick one and correct it for load.
     """
-    by_candidate = {r.candidate: r for r in reports if r.raw.covered}
-    allowed = policy_filter(by_candidate.keys(), policies, caps, cell_meta)
+    by_cell = {r.cell_id: r for r in reports if r.raw.covered}
+    allowed = policy_filter((cells[cell_id] for cell_id in by_cell), policies, caps)
     entries = []
-    for candidate in sorted(allowed, key=AccessCandidate.sort_key):
-        report = by_candidate[candidate]
+    for cell in sorted(allowed, key=_identity):
+        report = by_cell[cell.cell_id]
         if report.raw.load >= cfg.load_threshold:
             continue
-        entries.append((candidate, report.raw,
-                        _score(1.0, report, policies, caps, cfg),
-                        _score(0.0, report, policies, caps, cfg),
-                        cfg.w_cell / cell_meta[candidate.cell_id].total_resources))
+        entries.append((cell.cell_id, report.raw,
+                        _score(1.0, report, cell, policies, caps, cfg),
+                        _score(0.0, report, cell, policies, caps, cfg),
+                        cfg.w_cell / cell.total_resources))
     return RoundCandidates(
         entries=tuple(entries),
-        position={entry[0].cell_id: i for i, entry in enumerate(entries)},
+        position={entry[0]: i for i, entry in enumerate(entries)},
     )
 
 
@@ -290,8 +290,8 @@ def select_access(flow: Flow, stage: RoundCandidates,
     serving = stage.position.get(flow.serving, -1)
     demand = flow.resource_demand
     scores = [(feasible if qos_feasible(flow, raw) else infeasible)
-              - (0.0 if i == serving else per_unit * (tentative.get(c.cell_id, 0) + demand))
-              for i, (c, raw, feasible, infeasible, per_unit) in enumerate(stage.entries)]
+              - (0.0 if i == serving else per_unit * (tentative.get(cell_id, 0) + demand))
+              for i, (cell_id, raw, feasible, infeasible, per_unit) in enumerate(stage.entries)]
     # False sorts before True: the serving access wins a score tie
     order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
     entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
@@ -397,11 +397,11 @@ class MultiRadioResourceManager:
         multiaccess availability without any coupling to this component."""
         entries = sorted(
             (r for r in self.reports.values() if r.raw.covered),
-            key=lambda r: r.candidate.sort_key(),
+            key=lambda r: _identity(self.env.cells[r.cell_id]),
         )
         self.bus.publish(trg.Event(trg.CANDIDATE_REPORT, self.COMPONENT, payload={
             "count": len(entries),
-            "candidates": ",".join(r.candidate.cell_id for r in entries),
+            "candidates": ",".join(r.cell_id for r in entries),
         }))
         self._set_dirty = False
         return entries
@@ -445,7 +445,7 @@ class MultiRadioResourceManager:
         for cell_id, report in self.reports.items():
             if self.cooldown_until.get(cell_id, -1) > now:
                 continue
-            if not self._operator_admitted(report.candidate.operator_id):
+            if not self._operator_admitted(self.env.cells[cell_id].operator_id):
                 continue
             usable.append(report)
         return usable
@@ -507,9 +507,9 @@ class MultiRadioResourceManager:
         comparable value: equal inputs give equal decisions."""
         residual = self.env.residual_resources
         return (
-            tuple((c.cell_id, raw.achievable_rate, raw.delay_ms, raw.residual_error_rate,
-                   feasible, infeasible, per_unit, residual(c.cell_id))
-                  for c, raw, feasible, infeasible, per_unit in stage.entries),
+            tuple((cell_id, raw.achievable_rate, raw.delay_ms, raw.residual_error_rate,
+                   feasible, infeasible, per_unit, residual(cell_id))
+                  for cell_id, raw, feasible, infeasible, per_unit in stage.entries),
             dict(tentative),
             tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
                    f.serving, self._holds(f), f.serving in self.reports) for f in flows),
@@ -539,8 +539,7 @@ class MultiRadioResourceManager:
         holds = self._holds(flow)
         target: Optional[str] = None
         target_score = 0.0
-        for candidate, score in ranked.entries:
-            cell_id = candidate.cell_id
+        for cell_id, score in ranked.entries:
             if (holds and cell_id == serving) or self._fits(flow, cell_id, tentative):
                 target, target_score = cell_id, score
                 break
@@ -632,7 +631,7 @@ class MultiRadioResourceManager:
 
     def _on_report(self, payload: Mapping[str, Any]) -> None:
         report = gll_mod.report_from_payload(payload)
-        cell_id = report.candidate.cell_id
+        cell_id = report.cell_id
         if cell_id not in self.reports:
             self._set_dirty = True
         self.reports[cell_id] = report

@@ -8,11 +8,9 @@ from pathlib import Path
 import pytest
 
 from hetsel.gll import (
-    AccessCandidate,
     LinkMeasurement,
     LinkQualityReport,
     MappingConfig,
-    candidate_for,
     map_link_quality,
     residual_error_rate,
 )
@@ -73,9 +71,7 @@ def make_cell(cell_id="wlan1", rat="WLAN", operator_id="OpA", frequency="ch6", *
                 frequency=frequency, **defaults)
 
 
-def make_measurement(candidate=None, **over) -> LinkMeasurement:
-    if candidate is None:
-        candidate = AccessCandidate("WLAN", "OpA", "wlan1", "ch6")
+def make_measurement(cell_id="wlan1", **over) -> LinkMeasurement:
     defaults = dict(
         residual_error_rate=0.0,
         achievable_rate=10e6,
@@ -85,15 +81,15 @@ def make_measurement(candidate=None, **over) -> LinkMeasurement:
         taken_at=0,
     )
     defaults.update(over)
-    return LinkMeasurement(candidate=candidate, **defaults)
+    return LinkMeasurement(cell_id=cell_id, **defaults)
 
 
-def synthetic_report(candidate=None, quality=1.0, **raw_over) -> LinkQualityReport:
+def synthetic_report(cell_id="wlan1", quality=1.0, **raw_over) -> LinkQualityReport:
     """Report with an explicitly chosen composite quality (raw fields stay
     consistent enough for feasibility checks)."""
-    raw = make_measurement(candidate, **raw_over)
+    raw = make_measurement(cell_id, **raw_over)
     return LinkQualityReport(
-        candidate=raw.candidate,
+        cell_id=cell_id,
         q_error=1.0,
         q_rate=1.0,
         q_delay=1.0,
@@ -107,7 +103,7 @@ def report_for_cell(cell: Cell, cfg: MappingConfig | None = None,
                     retransmissions: int = 0, taken_at: int = 0) -> LinkQualityReport:
     cfg = cfg or MappingConfig()
     m = LinkMeasurement(
-        candidate=candidate_for(cell),
+        cell_id=cell.cell_id,
         residual_error_rate=residual_error_rate(cell.raw_error_rate, retransmissions),
         achievable_rate=cell.achievable_rate,
         delay_ms=cell.base_delay_ms,
@@ -193,7 +189,7 @@ def random_instance(rng: random.Random):
     for j in range(rng.randint(1, 4)):
         serving = None
         if reports and rng.random() < 0.5:
-            serving = rng.choice(reports).candidate.cell_id
+            serving = rng.choice(reports).cell_id
         flows.append(make_flow(
             flow_id=f"f{j}",
             service_class=rng.choice(("real-time", "interactive", "background")),

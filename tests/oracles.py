@@ -16,25 +16,24 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
 
     Every access but the serving one is scored at its post-move load: the
     demand ``tentative`` already commits to its cell plus the flow's own.
-    Returns (candidate, score) for the winner under the documented tie-break
+    Returns (cell id, score) for the winner under the documented tie-break
     (serving access first, then lexicographic identity), or None when no
     candidate survives the filters.
     """
     best = None
     for report in reports:
-        c = report.candidate
         if not report.raw.covered:
             continue
-        meta = cell_meta.get(c.cell_id)
-        if meta is None:
+        c = cell_meta.get(report.cell_id)
+        if c is None:
             continue
         if policies.allowed_operators and c.operator_id not in policies.allowed_operators:
             continue
         if c.operator_id in policies.denied_operators:
             continue
-        if meta.security_level < policies.min_security_level:
+        if c.security_level < policies.min_security_level:
             continue
-        if policies.max_cost_per_mb is not None and meta.cost_per_mb > policies.max_cost_per_mb:
+        if policies.max_cost_per_mb is not None and c.cost_per_mb > policies.max_cost_per_mb:
             continue
         if (not policies.roaming_allowed and policies.home_operator is not None
                 and c.operator_id != policies.home_operator):
@@ -59,12 +58,12 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
                  + cfg.w_pol * preference)
         if c.cell_id != flow.serving:
             moved = tentative.get(c.cell_id, 0) + flow.resource_demand
-            score -= cfg.w_cell / meta.total_resources * moved
+            score -= cfg.w_cell / c.total_resources * moved
         key = (-score,
                0 if c.cell_id == flow.serving else 1,
                (c.operator_id, c.rat, c.cell_id, c.frequency))
         if best is None or key < best[0]:
-            best = (key, c, score)
+            best = (key, c.cell_id, score)
     if best is None:
         return None
     return best[1], best[2]

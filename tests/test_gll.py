@@ -204,11 +204,34 @@ def test_targeted_scan_subset_of_full_scan(data):
     assert targeted <= full
 
 
-def test_report_payload_roundtrip():
-    m = make_measurement(residual_error_rate=0.01, achievable_rate=1e6,
-                         delay_ms=50.0, load=0.4, taken_at=123)
-    report = map_link_quality(m, MappingConfig())
-    assert report_from_payload(report_to_payload(report)) == report
+_CLASSES = ("real-time", "interactive", "background")
+
+
+@given(
+    m=st.builds(
+        make_measurement,
+        cell_id=st.text(min_size=1, max_size=8),
+        residual_error_rate=st.floats(0, 1),
+        achievable_rate=st.one_of(st.just(0.0), st.floats(0, 1e9)),
+        delay_ms=st.floats(0, 10_000),
+        load=st.floats(0, 1),
+        covered=st.booleans(),
+        taken_at=st.integers(0, 10**9),
+    ),
+    reference_rate=st.one_of(
+        st.floats(1, 1e9),
+        st.dictionaries(st.sampled_from(("default",) + _CLASSES), st.floats(1, 1e9),
+                        min_size=1)),
+    service_class=st.sampled_from((None,) + _CLASSES),
+)
+@settings(max_examples=200)
+def test_report_payload_roundtrip(m, reference_rate, service_class):
+    report = map_link_quality(m, MappingConfig(reference_rate=reference_rate), service_class)
+    payload = report_to_payload(report)
+    assert report_from_payload(payload) == report
+    # the payload names its access by cell id alone
+    assert payload["cell"] == m.cell_id
+    assert not {"rat", "operator", "frequency"} & payload.keys()
 
 
 # -- scan behaviour over the environment -----------------------------------------

@@ -30,25 +30,28 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "1f850f16da7a0874e7436b3f131c1f0e54a9455899720b7e2c4db4e4b2e1fe25",
+        "5d77b9ea325125a4c517d253d141330a4ce237f4f12f79cd7de81dc279031c94",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "5e43b4c4797df50d0af90dcaff96aaadf106fc21a021ee4361fa4c5f2bc35633",
+        "eb75b02db1f7f0089af238f8eb520208280ee453dc85234eac8aaded17407089",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
+    "policies_check_timeout": (
+        "cef049f72b8c8c214b052663bde619304e52465a83fd43d14340ab88670c9bcf",
+        "9b04fb5810c09d14450400ae8d731bb0a56065d9078f3e0c567bd679f6b7d85d"),
     "scan_full_fallback": (
-        "f406192eb22f457da71f20a29ca6d4e6114a7e2dd4a26c57dcfe7f4472e9d70f",
+        "d6421697967efee3da741ae7db4f3eae9a983b39312854246e54bc1c40afacfa",
         "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "45d25b05cca2e31cdc37f4d080a8dbe0eeaaa146a18c4982ed47fe6d11f93a90",
+        "8ad647814bd92479c925366b10db6cd431def366fa0f5d3eca8a41bc2ac6e32b",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "cf79477c7be6a8f65f8696b36a5c5eeef347a533c4a19e596abd15619efe1bb5",
+        "42d6106b30cff0716db166771b92b8960bb0560b3555b4b0d9d1ca15c02211f6",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "90253c3790e6619642e2f0b00171ef1109eb02d64152b12c7e2b89a6cc74f307",
+        "d4278ee8234f1e958ab0c7e84d6afd80b8492dbb0a4989f881fc1473fee6dcfe",
         "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
     "two_operators_deny": (
-        "0043bca6c0218bed85a3a3cea63d0b73c4695c20d6348dc6df52cdeaafcc2b1a",
+        "01a9e74b887fa0a9398b30280b1a82ce1fa66bc8f7e94bc46e70feb2e717c168",
         "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
@@ -69,9 +72,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "5766324dee7c628f04e5252b88d1037a7f259d2f480127dac95c17d025e43117",
-    "metro_dense": "6d6eddfc8805a75870ee97fd87ca4fdeb28f23a30206cca92282e6e34a6a1280",
-    "monitor_fanout": "1fad871d0ec81d472eade81e38eabf426031cbb28f64c52307914648d366d906",
+    "commuter_churn": "46c88d51efe03092977149bc5ee71e38e5b978f7a5ee012c522963b1cbb872e1",
+    "metro_dense": "5cde1526210b84339db9aed0164e85a2f806063f9c05fda4208e67f3d8b4ee38",
+    "monitor_fanout": "94d50be7bf48e0b7c8bceac5b5d8e61049616ef9ba7c1f083449b0bb465d7253",
 }
 
 

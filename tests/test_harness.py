@@ -265,6 +265,24 @@ def test_two_operators_deny_keeps_flows_off_the_denied_operator():
     assert _moves(execute_scenario(scenario_from_dict(doc)))[0]["target"] == "opb_wlan"
 
 
+def test_policies_check_timeout_keeps_flows_off_the_unanswered_operator():
+    run = build_run(load_scenario(SCENARIO_DIR / "policies_check_timeout.json"))
+    result = execute_run(run)
+    events = [r.attributes for r in map(parse_record, result.trace_lines) if r.kind == "event"]
+    # the flow already holds OpA's cell, so only OpB is asked about, and no one answers
+    assert [e["operator"] for e in events if e["type"] == "policies-check-request"] == ["OpB"]
+    assert not [e for e in events if e["type"] == "policies-check-answer"]
+    assert run.mrrm.operators["OpB"].verdict == "timeout"
+    assert not _moves(result)
+    assert run.env.flows["f1"].serving == "opa_wlan"
+    assert result.stats.handovers_attempted == 0
+    # Only the silence keeps the flow off OpB: answered, its cell scores higher.
+    doc = json.loads((SCENARIO_DIR / "policies_check_timeout.json").read_text(encoding="utf-8"))
+    doc["trg"]["respond_to_policies_check"] = True
+    assert [m["target"] for m in _moves(execute_scenario(scenario_from_dict(doc)))] == [
+        "opb_wlan"]
+
+
 def test_dropped_flow_arrival_keeps_the_served_flows_cadence():
     # GLL reads flow classes from the environment, not from flow-arrival
     # events, so the real-time flow still sets a 100 ms reporting grid.

@@ -8,7 +8,7 @@ import pytest
 
 from hetsel import mrrm as mrrm_mod
 from hetsel import trg
-from hetsel.gll import GenericLinkLayer, GllConfig, candidate_for
+from hetsel.gll import GenericLinkLayer, GllConfig
 from hetsel.harness import execute_scenario
 from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.trace import read_trace
@@ -44,35 +44,20 @@ from oracles import selection_oracle_best
 # -- policy filter ------------------------------------------------------------
 
 
-def _candidates(*cells):
-    return [candidate_for(c) for c in cells]
-
-
 def test_denied_operator_is_excluded():
     a = make_cell("a", operator_id="OpA")
     b = make_cell("b", rat="UMTS", operator_id="OpB", frequency="f1")
     c = make_cell("c", operator_id="OpC", frequency="ch11")
     cells = {x.cell_id: x for x in (a, b, c)}
-    kept = policy_filter(_candidates(a, b, c), PolicySet(denied_operators={"OpC"}),
-                         TerminalCapabilities(), cells)
+    kept = policy_filter(cells.values(), PolicySet(denied_operators={"OpC"}),
+                         TerminalCapabilities())
     assert {k.cell_id for k in kept} == {"a", "b"}
-
-
-def test_empty_policy_keeps_all_in_preference_order():
-    a = make_cell("a", operator_id="OpA")
-    b = make_cell("b", operator_id="OpB")
-    cells = {x.cell_id: x for x in (a, b)}
-    policies = PolicySet(static_preference={("OpB", "WLAN"): 0.8, ("OpA", "WLAN"): 0.3})
-    kept = policy_filter(_candidates(a, b), policies, TerminalCapabilities(), cells)
-    assert [k.cell_id for k in kept] == ["b", "a"]
 
 
 def test_unsupported_rat_excluded_regardless_of_preference():
     a = make_cell("a", rat="GSM")
-    cells = {"a": a}
     policies = PolicySet(static_preference={("OpA", "GSM"): 1.0})
-    kept = policy_filter(_candidates(a), policies,
-                         TerminalCapabilities(supported_rats={"WLAN", "UMTS"}), cells)
+    kept = policy_filter([a], policies, TerminalCapabilities(supported_rats={"WLAN", "UMTS"}))
     assert kept == []
 
 
@@ -81,11 +66,9 @@ def test_security_cost_and_roaming_gates():
     pricey = make_cell("pricey", cost_per_mb=2.0)
     foreign = make_cell("foreign", operator_id="OpB")
     home = make_cell("home", operator_id="OpA")
-    cells = {c.cell_id: c for c in (low_sec, pricey, foreign, home)}
     policies = PolicySet(min_security_level=1, max_cost_per_mb=1.0,
                          roaming_allowed=False, home_operator="OpA")
-    kept = policy_filter(_candidates(low_sec, pricey, foreign, home), policies,
-                         TerminalCapabilities(), cells)
+    kept = policy_filter([low_sec, pricey, foreign, home], policies, TerminalCapabilities())
     assert [k.cell_id for k in kept] == ["home"]
 
 
@@ -96,7 +79,8 @@ def test_score_upper_bound():
     report = synthetic_report(quality=1.0)
     flow = make_flow(min_rate=1e6)
     policies = PolicySet(static_preference={("OpA", "WLAN"): 1.0})
-    score = dynamic_score(flow, report, policies, TerminalCapabilities(), SelectionConfig())
+    score = dynamic_score(flow, report, make_cell(), policies, TerminalCapabilities(),
+                          SelectionConfig())
     assert score == pytest.approx(1.0)
 
 
@@ -104,7 +88,8 @@ def test_infeasible_qos_costs_exactly_its_weight():
     report = synthetic_report(quality=1.0, achievable_rate=0.5e6)
     flow = make_flow(min_rate=1e6)
     policies = PolicySet(static_preference={("OpA", "WLAN"): 1.0})
-    score = dynamic_score(flow, report, policies, TerminalCapabilities(), SelectionConfig())
+    score = dynamic_score(flow, report, make_cell(), policies, TerminalCapabilities(),
+                          SelectionConfig())
     assert score == pytest.approx(0.7)
 
 
@@ -113,7 +98,7 @@ def test_hand_evaluated_score_example():
     report = synthetic_report(quality=0.6875, load=0.4)
     flow = make_flow(min_rate=1e6)
     caps = TerminalCapabilities(energy_cost={"WLAN": 0.2})
-    score = dynamic_score(flow, report, PolicySet(), caps, SelectionConfig())
+    score = dynamic_score(flow, report, make_cell(), PolicySet(), caps, SelectionConfig())
     assert score == pytest.approx(0.75625)
 
 
@@ -127,8 +112,8 @@ def test_singleton_candidate():
     ranked = select_access(flow, round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}), {"a": 5})
     assert len(ranked.entries) == 1
-    assert ranked.head.cell_id == "a"
-    expected = dynamic_score(flow, reports[0], PolicySet(), TerminalCapabilities(),
+    assert ranked.head == "a"
+    expected = dynamic_score(flow, reports[0], cell, PolicySet(), TerminalCapabilities(),
                              SelectionConfig())
     # an unserved flow sees the cell at its post-move load: 5 committed + 10 own of 100
     assert ranked.entries[0][1] == pytest.approx(expected - 0.2 * 15 / 100)
@@ -139,20 +124,20 @@ def test_serving_cell_is_scored_at_its_reported_load():
     b = make_cell("b")
     cells = {"a": a, "b": b}
     # a's load 0.1 is the flow's own demand; b is empty before the move
-    reports = [synthetic_report(candidate_for(a), quality=0.8, load=0.1),
-               synthetic_report(candidate_for(b), quality=0.8)]
+    reports = [synthetic_report(a.cell_id, quality=0.8, load=0.1),
+               synthetic_report(b.cell_id, quality=0.8)]
     flow = make_flow(resource_demand=10, serving=a.cell_id)
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {})
-    scores = {c.cell_id: score for c, score in ranked.entries}
-    assert scores["a"] == dynamic_score(flow, reports[0], policies, caps, cfg)
+    scores = dict(ranked.entries)
+    assert scores["a"] == dynamic_score(flow, reports[0], a, policies, caps, cfg)
     assert ranked.serving_score == scores["a"]
     # b at its post-move load is a's twin: 0.3 + 0.3 * 0.8 + 0.2 * 0.9 + 0.1 + 0.05
     assert scores["a"] == pytest.approx(0.87)
     assert scores["b"] == pytest.approx(0.87)
     # the same move committed by an earlier flow of the round makes b worse
     ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {"b": 10})
-    assert ranked.head.cell_id == "a"
+    assert ranked.head == "a"
     assert ranked.entries[1][1] == pytest.approx(0.85)
 
 
@@ -164,7 +149,7 @@ def test_load_threshold_hard_termination():
     ranked = select_access(make_flow(), round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(load_threshold=0.9), cells),
         {})
-    assert [c.cell_id for c, _ in ranked.entries] == ["good"]
+    assert [cell_id for cell_id, _ in ranked.entries] == ["good"]
 
 
 def test_uncovered_candidates_never_ranked():
@@ -184,7 +169,7 @@ def test_serving_access_wins_score_ties():
     serving_b = make_flow(resource_demand=0, serving=b.cell_id)
     ranked = select_access(serving_b, round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells), {})
-    assert ranked.head.cell_id == "b"
+    assert ranked.head == "b"
 
 
 def test_head_matches_brute_force_oracle_on_random_instances(rng):
@@ -205,24 +190,24 @@ def test_head_matches_brute_force_oracle_on_random_instances(rng):
 def test_filter_soundness_on_random_instances(rng):
     for _ in range(200):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
-        by_candidate = {r.candidate: r for r in reports}
+        by_cell = {r.cell_id: r for r in reports}
         tentative = random_tentative(rng, cells)
         for flow in flows:
             ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
                                    tentative)
-            for candidate, _ in ranked.entries:
-                report = by_candidate[candidate]
-                meta = cells[candidate.cell_id]
+            for cell_id, _ in ranked.entries:
+                report = by_cell[cell_id]
+                cell = cells[cell_id]
                 assert report.raw.load < cfg.load_threshold
                 assert report.raw.covered
-                assert candidate.operator_id not in policies.denied_operators
+                assert cell.operator_id not in policies.denied_operators
                 if policies.allowed_operators:
-                    assert candidate.operator_id in policies.allowed_operators
-                assert meta.security_level >= policies.min_security_level
+                    assert cell.operator_id in policies.allowed_operators
+                assert cell.security_level >= policies.min_security_level
                 if policies.max_cost_per_mb is not None:
-                    assert meta.cost_per_mb <= policies.max_cost_per_mb
+                    assert cell.cost_per_mb <= policies.max_cost_per_mb
                 if caps.supported_rats:
-                    assert candidate.rat in caps.supported_rats
+                    assert cell.rat in caps.supported_rats
 
 
 def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
@@ -230,18 +215,20 @@ def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
     candidate with ``dynamic_score``, less ``w_cell / total_resources`` per
     unit of post-move demand on every access but the serving one, and sort by
     (-score, serving first, identity)."""
-    by_candidate = {r.candidate: r for r in reports if r.raw.covered}
+    by_cell = {r.cell_id: r for r in reports if r.raw.covered}
     scored = []
-    for c in policy_filter(by_candidate, policies, caps, cells):
-        if by_candidate[c].raw.load >= cfg.load_threshold:
+    for c in policy_filter([cells[cell_id] for cell_id in by_cell], policies, caps):
+        if by_cell[c.cell_id].raw.load >= cfg.load_threshold:
             continue
-        score = dynamic_score(flow, by_candidate[c], policies, caps, cfg)
+        score = dynamic_score(flow, by_cell[c.cell_id], c, policies, caps, cfg)
         if c.cell_id != flow.serving:
             moved = tentative.get(c.cell_id, 0) + flow.resource_demand
-            score -= cfg.w_cell / cells[c.cell_id].total_resources * moved
+            score -= cfg.w_cell / c.total_resources * moved
         scored.append((c, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].cell_id != flow.serving, pair[0].sort_key()))
-    return scored
+    scored.sort(key=lambda pair: (-pair[1], pair[0].cell_id != flow.serving,
+                                  (pair[0].operator_id, pair[0].rat, pair[0].cell_id,
+                                   pair[0].frequency)))
+    return [(c.cell_id, score) for c, score in scored]
 
 
 def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, tentative):
@@ -249,7 +236,7 @@ def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells,
     assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
     # bit-identical scores: the per-round sums are taken in dynamic_score's order
     assert [score for _, score in ranked.entries] == [score for _, score in expected]
-    serving = [score for c, score in expected if c.cell_id == flow.serving]
+    serving = [score for cell_id, score in expected if cell_id == flow.serving]
     assert ranked.serving_score == (serving[0] if serving else None)
 
 
@@ -275,7 +262,7 @@ def test_identical_cells_tie_break_serving_first_exactly():
         flow = make_flow(resource_demand=0, serving=serving)
         ranked = select_access(flow, stage, {})
         assert ranked.entries[0][1] == ranked.entries[1][1]
-        assert ranked.head.cell_id == ("b" if serving == "b" else "a")
+        assert ranked.head == ("b" if serving == "b" else "a")
         _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {})
 
 
@@ -357,9 +344,8 @@ def test_hysteresis_blocks_small_improvements():
     world = make_world([a, b], flows=[flow])
     # a's load 0.1 is f1's own demand of 10, and b's post-move load is the same,
     # so both score 0.63 + 0.3 * quality  ->  serving 0.68, head 0.72
-    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=1 / 6,
-                                                            load=0.1)
-    world.mrrm.reports[b.cell_id] = synthetic_report(candidate_for(b), quality=0.3)
+    world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=1 / 6, load=0.1)
+    world.mrrm.reports[b.cell_id] = synthetic_report(b.cell_id, quality=0.3)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "none"
     assert decisions[0]["target"] == "b"
@@ -372,9 +358,8 @@ def test_improvement_beyond_delta_triggers_handover():
     flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow])
     # as above: serving 0.63 + 0.3 / 6 = 0.68, head 0.63 + 0.3 * 0.4 = 0.75
-    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=1 / 6,
-                                                            load=0.1)
-    world.mrrm.reports[b.cell_id] = synthetic_report(candidate_for(b), quality=0.4)
+    world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=1 / 6, load=0.1)
+    world.mrrm.reports[b.cell_id] = synthetic_report(b.cell_id, quality=0.4)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "handover"
     assert decisions[0]["target_score"] - decisions[0]["serving_score"] == pytest.approx(0.07)
@@ -393,8 +378,8 @@ def test_serving_updates_only_upon_completion():
     b = make_cell("b")
     flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a, b], flows=[flow], delays=(100, 100, 100, 100, 100))
-    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=0.0)
-    world.mrrm.reports[b.cell_id] = synthetic_report(candidate_for(b), quality=1.0)
+    world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=0.0)
+    world.mrrm.reports[b.cell_id] = synthetic_report(b.cell_id, quality=1.0)
     world.mrrm.decide()
     world.loop.run_until(400)  # link-up at 50, request at 50, pipeline ends at 550
     assert world.env.flows["f1"].serving == "a"
@@ -441,8 +426,8 @@ def test_resource_check_walks_down_the_ranking():
     small = make_cell("small", total_resources=5)
     big = make_cell("big", total_resources=100)
     world = make_world([small, big], flows=[make_flow("f1", resource_demand=10)])
-    world.mrrm.reports[small.cell_id] = synthetic_report(candidate_for(small), quality=1.0)
-    world.mrrm.reports[big.cell_id] = synthetic_report(candidate_for(big), quality=0.5)
+    world.mrrm.reports[small.cell_id] = synthetic_report(small.cell_id, quality=1.0)
+    world.mrrm.reports[big.cell_id] = synthetic_report(big.cell_id, quality=0.5)
     decisions = world.mrrm.decide()
     assert decisions[0]["action"] == "attach"
     assert decisions[0]["target"] == "big"
@@ -453,8 +438,8 @@ def test_sequential_assignment_respects_tentative_demand():
     other = make_cell("b")
     flows = [make_flow("f1", resource_demand=10), make_flow("f2", resource_demand=10)]
     world = make_world([cell, other], flows=flows)
-    world.mrrm.reports[cell.cell_id] = synthetic_report(candidate_for(cell), quality=1.0)
-    world.mrrm.reports[other.cell_id] = synthetic_report(candidate_for(other), quality=0.5)
+    world.mrrm.reports[cell.cell_id] = synthetic_report(cell.cell_id, quality=1.0)
+    world.mrrm.reports[other.cell_id] = synthetic_report(other.cell_id, quality=0.5)
     decisions = world.mrrm.decide()
     by_flow = {d["flow"]: d for d in decisions}
     assert by_flow["f1"]["target"] == "a"
@@ -524,6 +509,25 @@ def test_handover_target_that_loses_coverage_keeps_no_charge():
             if cell_id == cell.cell_id)
 
 
+def test_handover_whose_target_went_dark_and_came_back_fails():
+    run = build_run(scenario_from_dict(TARGET_LOST_COVERAGE_WORLD))
+    result = execute_run(run)
+    # c1 went dark and came back before the first pipeline step, releasing
+    # the targets' charges: no handover completes onto it
+    stats = result.stats
+    assert (stats.handovers_attempted, stats.handovers_completed,
+            stats.handovers_failed) == (3, 0, 3)
+    events = [r for r in read_trace(result.trace_lines) if r.kind == "event"]
+    assert [e.attributes["failed_at_point"] for e in events
+            if e.attributes["type"] == trg.HANDOVER_FAILED] == [1, 1, 1]
+    assert [(e.at, e.attributes["flow"], e.attributes["cell"]) for e in events
+            if e.attributes["type"] == trg.FLOW_MAPPED] == [
+        (50, "f3", "c1"), (500, "f1", "c0"), (500, "f2", "c0"), (500, "f3", "c0")]
+    for flow in run.env.flows.values():
+        assert run.gll.is_attached(flow.serving)
+        assert run.env.is_charged(flow, flow.serving)
+
+
 def test_flow_that_departed_mid_handover_releases_its_target():
     # f hands over from the slow c0 to the fast c1 (requested at 100, done at
     # 205) and leaves at 150; the bus drops its departure
@@ -565,9 +569,9 @@ def _settled_world(serving_quality):
     the hysteresis when a's quality is 1/6, and a heads it at quality 1."""
     a, b = make_cell("a"), make_cell("b")
     world = make_world([a, b], flows=[make_flow("f1", serving="a")])
-    world.mrrm.reports["a"] = synthetic_report(candidate_for(a), quality=serving_quality,
+    world.mrrm.reports["a"] = synthetic_report(a.cell_id, quality=serving_quality,
                                                load=0.1)
-    world.mrrm.reports["b"] = synthetic_report(candidate_for(b), quality=0.3)
+    world.mrrm.reports["b"] = synthetic_report(b.cell_id, quality=0.3)
     return world
 
 
@@ -639,13 +643,13 @@ def test_decision_record_is_written_only_when_it_changes():
     written = []
     world = make_world([a, b], flows=[make_flow("f1", serving="a")],
                        record=lambda kind, attrs: written.append(dict(attrs)))
-    world.mrrm.reports["a"] = synthetic_report(candidate_for(a), quality=1 / 6, load=0.1)
-    world.mrrm.reports["b"] = synthetic_report(candidate_for(b), quality=0.3)
+    world.mrrm.reports["a"] = synthetic_report(a.cell_id, quality=1 / 6, load=0.1)
+    world.mrrm.reports["b"] = synthetic_report(b.cell_id, quality=0.3)
     first = world.mrrm.decide()
     for _ in range(3):
         assert world.mrrm.decide() == first  # returned, though not written again
     assert written == first
-    world.mrrm.reports["b"] = synthetic_report(candidate_for(b), quality=0.0)
+    world.mrrm.reports["b"] = synthetic_report(b.cell_id, quality=0.0)
     changed = world.mrrm.decide()
     assert changed != first
     assert written == first + changed
@@ -694,7 +698,7 @@ def test_candidate_report_lists_current_set_and_publishes():
     world = make_world([a, b])
     seed_reports(world, a, b)
     entries = world.mrrm.candidate_report()
-    assert [e.candidate.cell_id for e in entries] == ["a", "b"]
+    assert [e.cell_id for e in entries] == ["a", "b"]
     published = events_of(world, trg.CANDIDATE_REPORT)
     assert published[-1].payload == {"count": 2, "candidates": "a,b"}
 
@@ -710,7 +714,7 @@ def test_quality_floor_triggers_scan_in_same_step():
     a = make_cell("a")
     flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a], flows=[flow])
-    world.mrrm.reports[a.cell_id] = synthetic_report(candidate_for(a), quality=0.05)
+    world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=0.05)
     assert world.gll.scan_counts["targeted"] == 0
     world.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, "gll", payload={"count": 1}))
     assert world.gll.scan_counts["targeted"] == 1
