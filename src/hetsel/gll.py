@@ -4,7 +4,10 @@ Maps per-RAT measurements onto normalized [0,1] metrics, runs scans and
 attach/detach against the simulated environment, and reports periodically on
 all detected accesses.  Reports and link changes leave this layer as events
 on the trigger bus; everything above it sees :class:`LinkQualityReport`
-values, each naming its access by cell id, and is RAT-agnostic.
+values, each naming its access by cell id, and is RAT-agnostic.  A report
+has one form: its fields are the keys of its ``link-quality-report``
+payload.  :class:`LinkMeasurement` is this layer's raw sample and the input
+of ``map_link_quality``.
 
 The layer keeps only link state, each access named by its cell id: the
 attached and detected cells and the access history.  Every attached cell is
@@ -33,7 +36,8 @@ class NotAttachedError(ValueError):
 
 @dataclass(frozen=True)
 class LinkMeasurement:
-    """Raw per-access numbers as sampled from the environment."""
+    """Raw per-access numbers as sampled from the environment; a report
+    copies them after its normalized metrics."""
 
     cell_id: str
     residual_error_rate: float
@@ -46,15 +50,24 @@ class LinkMeasurement:
 
 @dataclass(frozen=True)
 class LinkQualityReport:
-    """Normalized metrics in [0,1] plus the raw measurement they summarize."""
+    """Normalized metrics in [0,1] followed by the raw numbers they summarize.
 
-    cell_id: str
+    The fields are, in order, the keys of a ``link-quality-report`` payload,
+    so the access is named ``cell`` as in every event payload.
+    """
+
+    cell: str
     q_error: float
     q_rate: float
     q_delay: float
     q_load: float
     quality: float
-    raw: LinkMeasurement
+    residual_error_rate: float
+    achievable_rate: float
+    delay_ms: float
+    load: float
+    covered: bool
+    taken_at: int
 
 
 @dataclass
@@ -199,15 +212,9 @@ def map_link_quality(
     else:
         quality = (cfg.w_error * q_error + cfg.w_rate * q_rate
                    + cfg.w_delay * q_delay + cfg.w_load * q_load)
-    return LinkQualityReport(
-        cell_id=m.cell_id,
-        q_error=q_error,
-        q_rate=q_rate,
-        q_delay=q_delay,
-        q_load=q_load,
-        quality=quality,
-        raw=m,
-    )
+    return LinkQualityReport(m.cell_id, q_error, q_rate, q_delay, q_load, quality,
+                             m.residual_error_rate, m.achievable_rate, m.delay_ms,
+                             m.load, m.covered, m.taken_at)
 
 
 def scan_results(
@@ -239,43 +246,11 @@ def scan_results(
 
 
 def report_to_payload(report: LinkQualityReport) -> dict[str, Any]:
-    m = report.raw
-    return {
-        "cell": report.cell_id,
-        "q_error": report.q_error,
-        "q_rate": report.q_rate,
-        "q_delay": report.q_delay,
-        "q_load": report.q_load,
-        "quality": report.quality,
-        "residual_error_rate": m.residual_error_rate,
-        "achievable_rate": m.achievable_rate,
-        "delay_ms": m.delay_ms,
-        "load": m.load,
-        "covered": m.covered,
-        "taken_at": m.taken_at,
-    }
+    return report.__dict__.copy()
 
 
 def report_from_payload(payload: Mapping[str, Any]) -> LinkQualityReport:
-    cell_id = payload["cell"]
-    raw = LinkMeasurement(
-        cell_id=cell_id,
-        residual_error_rate=payload["residual_error_rate"],
-        achievable_rate=payload["achievable_rate"],
-        delay_ms=payload["delay_ms"],
-        load=payload["load"],
-        covered=payload["covered"],
-        taken_at=payload["taken_at"],
-    )
-    return LinkQualityReport(
-        cell_id=cell_id,
-        q_error=payload["q_error"],
-        q_rate=payload["q_rate"],
-        q_delay=payload["q_delay"],
-        q_load=payload["q_load"],
-        quality=payload["quality"],
-        raw=raw,
-    )
+    return LinkQualityReport(**payload)
 
 
 # -- the component -------------------------------------------------------------
@@ -309,7 +284,6 @@ class GenericLinkLayer:
         self.detected: dict[str, None] = {}  # insertion-ordered; holds every attached cell
         self._pending_attach: set[str] = set()
         self._tick_scheduled = False
-        self.scan_counts = {"targeted": 0, "full": 0}
         self._subscribe()
 
     def _subscribe(self) -> None:
@@ -421,7 +395,6 @@ class GenericLinkLayer:
         the probing time has elapsed on the sim clock."""
         if mode not in ("targeted", "full"):
             raise ValueError(f"unknown scan mode {mode!r}")
-        self.scan_counts[mode] += 1
         if mode == "targeted":
             pairs = self.history.pairs()
             cost = self.cfg.targeted_probe_ms * len(pairs)

@@ -49,7 +49,8 @@ burst of N arrivals ranks the flows once, not N times.
 Every piece of run state names an access by its cell id, as flows, events
 and the environment do: reports, rankings, failure cool-downs, the stage-one
 position index and the cells of unfinished attaches and handovers.  Stage one
-reads an access's RAT, operator and other attributes from its ``Cell``.
+reads an access's RAT, operator and other attributes from its ``Cell``, and
+its measured numbers from its report, which a stage-one entry carries.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from . import gll as gll_mod
 from . import trg
-from .gll import GenericLinkLayer, LinkMeasurement, LinkQualityReport
+from .gll import GenericLinkLayer, LinkQualityReport
 from .simenv.env import Cell, Environment, Flow
 from .simenv.loop import EventLoop
 
@@ -163,13 +164,12 @@ class RoundCandidates:
     """Stage-one result of one decision round, shared by every flow.
 
     ``entries`` holds the admitted candidates in ``_identity`` order, each as
-    its cell id with its raw measurement, its score for a QoS-feasible and
-    for an infeasible flow, and the score one unit of demand costs on its
-    cell (``w_cell / total_resources``); ``position`` maps a cell id to its
-    index there.
+    its report with its score for a QoS-feasible and for an infeasible flow,
+    and the score one unit of demand costs on its cell (``w_cell /
+    total_resources``); ``position`` maps a cell id to its index there.
     """
 
-    entries: tuple[tuple[str, LinkMeasurement, float, float, float], ...]
+    entries: tuple[tuple[LinkQualityReport, float, float, float], ...]
     position: dict[str, int]
 
 
@@ -181,13 +181,13 @@ def _identity(cell: Cell) -> tuple[str, str, str]:
     return (cell.operator_id, cell.rat, cell.cell_id)
 
 
-def qos_feasible(flow: Flow, m: LinkMeasurement) -> bool:
+def qos_feasible(flow: Flow, report: LinkQualityReport) -> bool:
     """Stage two's per-flow check: True when the access can carry the flow;
     boundaries are inclusive."""
-    return (m.covered
-            and m.achievable_rate >= flow.min_rate
-            and m.delay_ms <= flow.max_delay_ms
-            and m.residual_error_rate <= flow.max_loss)
+    return (report.covered
+            and report.achievable_rate >= flow.min_rate
+            and report.delay_ms <= flow.max_delay_ms
+            and report.residual_error_rate <= flow.max_loss)
 
 
 def policy_filter(
@@ -243,7 +243,7 @@ def dynamic_score(
     cfg: SelectionConfig,
 ) -> float:
     """Weighted sum of the five decision factors for one flow on one access."""
-    f_qos = 1.0 if qos_feasible(flow, report.raw) else 0.0
+    f_qos = 1.0 if qos_feasible(flow, report) else 0.0
     return _score(f_qos, report, cell, policies, caps, cfg)
 
 
@@ -261,20 +261,20 @@ def round_candidates(
     survivor's two possible scores are summed exactly as ``dynamic_score``
     sums them, so stage two only has to pick one and correct it for load.
     """
-    by_cell = {r.cell_id: r for r in reports if r.raw.covered}
+    by_cell = {r.cell: r for r in reports if r.covered}
     allowed = policy_filter((cells[cell_id] for cell_id in by_cell), policies, caps)
     entries = []
     for cell in sorted(allowed, key=_identity):
         report = by_cell[cell.cell_id]
-        if report.raw.load >= cfg.load_threshold:
+        if report.load >= cfg.load_threshold:
             continue
-        entries.append((cell.cell_id, report.raw,
+        entries.append((report,
                         _score(1.0, report, cell, policies, caps, cfg),
                         _score(0.0, report, cell, policies, caps, cfg),
                         cfg.w_cell / cell.total_resources))
     return RoundCandidates(
         entries=tuple(entries),
-        position={entry[0]: i for i, entry in enumerate(entries)},
+        position={entry[0].cell: i for i, entry in enumerate(entries)},
     )
 
 
@@ -289,12 +289,12 @@ def select_access(flow: Flow, stage: RoundCandidates,
     """
     serving = stage.position.get(flow.serving, -1)
     demand = flow.resource_demand
-    scores = [(feasible if qos_feasible(flow, raw) else infeasible)
-              - (0.0 if i == serving else per_unit * (tentative.get(cell_id, 0) + demand))
-              for i, (cell_id, raw, feasible, infeasible, per_unit) in enumerate(stage.entries)]
+    scores = [(feasible if qos_feasible(flow, report) else infeasible)
+              - (0.0 if i == serving else per_unit * (tentative.get(report.cell, 0) + demand))
+              for i, (report, feasible, infeasible, per_unit) in enumerate(stage.entries)]
     # False sorts before True: the serving access wins a score tie
     order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
-    entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
+    entries = tuple((stage.entries[i][0].cell, scores[i]) for _, _, i in order)
     serving_score = scores[serving] if serving >= 0 else None
     return RankedList(flow_id=flow.flow_id, entries=entries, serving_score=serving_score)
 
@@ -396,12 +396,12 @@ class MultiRadioResourceManager:
         """Current candidate set; also published so upper layers can follow
         multiaccess availability without any coupling to this component."""
         entries = sorted(
-            (r for r in self.reports.values() if r.raw.covered),
-            key=lambda r: _identity(self.env.cells[r.cell_id]),
+            (r for r in self.reports.values() if r.covered),
+            key=lambda r: _identity(self.env.cells[r.cell]),
         )
         self.bus.publish(trg.Event(trg.CANDIDATE_REPORT, self.COMPONENT, payload={
             "count": len(entries),
-            "candidates": ",".join(r.cell_id for r in entries),
+            "candidates": ",".join(r.cell for r in entries),
         }))
         self._set_dirty = False
         return entries
@@ -434,8 +434,11 @@ class MultiRadioResourceManager:
             logger.info("policies-check for %s timed out; treating as denied", operator_id)
 
     def _operator_admitted(self, operator_id: str) -> bool:
+        """False while a policies check is pending or after it timed out.  A
+        denial lives in ``policies.denied_operators`` alone, so that an
+        ``allow-operator`` policy change re-admits the operator."""
         state = self.operators.get(operator_id)
-        return state is None or state.verdict == "allow"
+        return state is None or state.verdict not in ("pending", "timeout")
 
     # -- decision pipeline ----------------------------------------------------------
 
@@ -504,12 +507,15 @@ class MultiRadioResourceManager:
     def _round_inputs(self, stage: RoundCandidates, tentative: Mapping[str, int],
                       flows: list[Flow]) -> tuple:
         """Everything stage two and ``_assign`` read in one round, as one
-        comparable value: equal inputs give equal decisions."""
+        comparable value: equal inputs give equal decisions.  A report counts
+        only through the fields listed here: its ``q_*`` reach stage two only
+        through the scores, and its ``taken_at`` changes every tick, so
+        keying on either would make every settled round look new."""
         residual = self.env.residual_resources
         return (
-            tuple((cell_id, raw.achievable_rate, raw.delay_ms, raw.residual_error_rate,
-                   feasible, infeasible, per_unit, residual(cell_id))
-                  for cell_id, raw, feasible, infeasible, per_unit in stage.entries),
+            tuple((r.cell, r.achievable_rate, r.delay_ms, r.residual_error_rate,
+                   feasible, infeasible, per_unit, residual(r.cell))
+                  for r, feasible, infeasible, per_unit in stage.entries),
             dict(tentative),
             tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
                    f.serving, self._holds(f), f.serving in self.reports) for f in flows),
@@ -631,10 +637,9 @@ class MultiRadioResourceManager:
 
     def _on_report(self, payload: Mapping[str, Any]) -> None:
         report = gll_mod.report_from_payload(payload)
-        cell_id = report.cell_id
-        if cell_id not in self.reports:
+        if report.cell not in self.reports:
             self._set_dirty = True
-        self.reports[cell_id] = report
+        self.reports[report.cell] = report
 
     def _on_batch(self, payload: Mapping[str, Any]) -> None:
         if self._set_dirty:

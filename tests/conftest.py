@@ -89,13 +89,18 @@ def synthetic_report(cell_id="wlan1", quality=1.0, **raw_over) -> LinkQualityRep
     consistent enough for feasibility checks)."""
     raw = make_measurement(cell_id, **raw_over)
     return LinkQualityReport(
-        cell_id=cell_id,
+        cell=cell_id,
         q_error=1.0,
         q_rate=1.0,
         q_delay=1.0,
         q_load=1.0 - raw.load,
         quality=quality,
-        raw=raw,
+        residual_error_rate=raw.residual_error_rate,
+        achievable_rate=raw.achievable_rate,
+        delay_ms=raw.delay_ms,
+        load=raw.load,
+        covered=raw.covered,
+        taken_at=raw.taken_at,
     )
 
 
@@ -189,7 +194,7 @@ def random_instance(rng: random.Random):
     for j in range(rng.randint(1, 4)):
         serving = None
         if reports and rng.random() < 0.5:
-            serving = rng.choice(reports).cell_id
+            serving = rng.choice(reports).cell
         flows.append(make_flow(
             flow_id=f"f{j}",
             service_class=rng.choice(("real-time", "interactive", "background")),

@@ -22,9 +22,9 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
     """
     best = None
     for report in reports:
-        if not report.raw.covered:
+        if not report.covered:
             continue
-        c = cell_meta.get(report.cell_id)
+        c = cell_meta.get(report.cell)
         if c is None:
             continue
         if policies.allowed_operators and c.operator_id not in policies.allowed_operators:
@@ -40,12 +40,12 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
             continue
         if caps.supported_rats and c.rat not in caps.supported_rats:
             continue
-        if report.raw.load >= cfg.load_threshold:
+        if report.load >= cfg.load_threshold:
             continue
-        feasible = (report.raw.covered
-                    and report.raw.achievable_rate >= flow.min_rate
-                    and report.raw.delay_ms <= flow.max_delay_ms
-                    and report.raw.residual_error_rate <= flow.max_loss)
+        feasible = (report.covered
+                    and report.achievable_rate >= flow.min_rate
+                    and report.delay_ms <= flow.max_delay_ms
+                    and report.residual_error_rate <= flow.max_loss)
         if c.operator_id in policies.operator_preference:
             preference = policies.operator_preference[c.operator_id]
         else:

@@ -1,5 +1,6 @@
 """Link abstraction: metric mapping, scans, attach lifecycle, reporting cadence."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hetsel.gll import (
     AccessHistory,
     GenericLinkLayer,
     GllConfig,
+    LinkQualityReport,
     MacScheme,
     MappingConfig,
     NotAttachedError,
@@ -25,7 +27,7 @@ from hetsel.mrrm import qos_feasible
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
 
-from conftest import make_cell, make_flow, make_measurement
+from conftest import make_cell, make_flow, make_measurement, synthetic_report
 from oracles import monte_carlo_residual
 
 # -- residual error ------------------------------------------------------------
@@ -97,21 +99,21 @@ def test_per_class_reference_rate():
 
 def test_qos_feasible_conjunction():
     flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
-    m = make_measurement(achievable_rate=2e6, delay_ms=50, residual_error_rate=0.001)
-    assert qos_feasible(flow, m) is True
+    report = synthetic_report(achievable_rate=2e6, delay_ms=50, residual_error_rate=0.001)
+    assert qos_feasible(flow, report) is True
 
 
 def test_qos_requires_coverage():
     flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
-    m = make_measurement(achievable_rate=2e6, delay_ms=50,
-                         residual_error_rate=0.001, covered=False)
-    assert qos_feasible(flow, m) is False
+    report = synthetic_report(achievable_rate=2e6, delay_ms=50,
+                              residual_error_rate=0.001, covered=False)
+    assert qos_feasible(flow, report) is False
 
 
 def test_qos_boundaries_are_inclusive():
     flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
-    m = make_measurement(achievable_rate=1e6, delay_ms=100, residual_error_rate=0.01)
-    assert qos_feasible(flow, m) is True
+    report = synthetic_report(achievable_rate=1e6, delay_ms=100, residual_error_rate=0.01)
+    assert qos_feasible(flow, report) is True
 
 
 # -- property tests ------------------------------------------------------------------
@@ -232,6 +234,16 @@ def test_report_payload_roundtrip(m, reference_rate, service_class):
     # the payload names its access by cell id alone
     assert payload["cell"] == m.cell_id
     assert not {"rat", "operator", "frequency"} & payload.keys()
+    # one form: the report's fields are the payload's keys, in order
+    assert list(payload) == [f.name for f in dataclasses.fields(LinkQualityReport)]
+
+
+def test_report_from_payload_rejects_a_missing_key():
+    payload = report_to_payload(map_link_quality(make_measurement(), MappingConfig()))
+    for key in list(payload):
+        partial = {k: v for k, v in payload.items() if k != key}
+        with pytest.raises(TypeError):
+            report_from_payload(partial)
 
 
 # -- scan behaviour over the environment -----------------------------------------

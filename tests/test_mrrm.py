@@ -1,5 +1,6 @@
 """Access selection: filters, scoring, ranking, decisions, policies-check."""
 
+import dataclasses
 import logging
 import random
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 
 from hetsel import mrrm as mrrm_mod
 from hetsel import trg
-from hetsel.gll import GenericLinkLayer, GllConfig
+from hetsel.gll import GenericLinkLayer, GllConfig, report_to_payload
 from hetsel.harness import execute_scenario
 from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.trace import read_trace
@@ -190,7 +191,7 @@ def test_head_matches_brute_force_oracle_on_random_instances(rng):
 def test_filter_soundness_on_random_instances(rng):
     for _ in range(200):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
-        by_cell = {r.cell_id: r for r in reports}
+        by_cell = {r.cell: r for r in reports}
         tentative = random_tentative(rng, cells)
         for flow in flows:
             ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
@@ -198,8 +199,8 @@ def test_filter_soundness_on_random_instances(rng):
             for cell_id, _ in ranked.entries:
                 report = by_cell[cell_id]
                 cell = cells[cell_id]
-                assert report.raw.load < cfg.load_threshold
-                assert report.raw.covered
+                assert report.load < cfg.load_threshold
+                assert report.covered
                 assert cell.operator_id not in policies.denied_operators
                 if policies.allowed_operators:
                     assert cell.operator_id in policies.allowed_operators
@@ -215,10 +216,10 @@ def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
     candidate with ``dynamic_score``, less ``w_cell / total_resources`` per
     unit of post-move demand on every access but the serving one, and sort by
     (-score, serving first, identity)."""
-    by_cell = {r.cell_id: r for r in reports if r.raw.covered}
+    by_cell = {r.cell: r for r in reports if r.covered}
     scored = []
     for c in policy_filter([cells[cell_id] for cell_id in by_cell], policies, caps):
-        if by_cell[c.cell_id].raw.load >= cfg.load_threshold:
+        if by_cell[c.cell_id].load >= cfg.load_threshold:
             continue
         score = dynamic_score(flow, by_cell[c.cell_id], c, policies, caps, cfg)
         if c.cell_id != flow.serving:
@@ -635,6 +636,23 @@ def test_settled_round_is_decided_afresh_when_the_serving_link_is_lost(selects):
     assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
 
 
+def test_settled_round_ignores_report_fields_stage_two_does_not_read(selects):
+    world = _settled_world(1 / 6)
+    assert world.mrrm.decide()[0]["action"] == "none"
+    for tick in range(1, 4):
+        # fresh reports through the bus: a later sample time, and other
+        # sub-metrics behind the same composite quality
+        for cell_id in ("a", "b"):
+            report = dataclasses.replace(world.mrrm.reports[cell_id], taken_at=100 * tick,
+                                         q_error=1.0 - tick / 10, q_rate=tick / 10,
+                                         q_delay=0.5 + tick / 10)
+            world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll",
+                                        payload=report_to_payload(report)))
+        assert world.mrrm.reports["a"].taken_at == 100 * tick
+        world.mrrm.decide()
+    assert selects == ["f1"]
+
+
 # -- written decisions and arrival rounds ---------------------------------------
 
 
@@ -698,7 +716,7 @@ def test_candidate_report_lists_current_set_and_publishes():
     world = make_world([a, b])
     seed_reports(world, a, b)
     entries = world.mrrm.candidate_report()
-    assert [e.cell_id for e in entries] == ["a", "b"]
+    assert [e.cell for e in entries] == ["a", "b"]
     published = events_of(world, trg.CANDIDATE_REPORT)
     assert published[-1].payload == {"count": 2, "candidates": "a,b"}
 
@@ -710,14 +728,27 @@ def test_candidate_report_empty_still_publishes():
     assert events_of(world, trg.CANDIDATE_REPORT)[-1].payload["count"] == 0
 
 
+def spy_scans(world):
+    """The modes of the scans MRRM asks GLL for, call by call."""
+    modes = []
+    request = world.gll.request_scan
+
+    def spy(mode):
+        modes.append(mode)
+        request(mode)
+
+    world.gll.request_scan = spy
+    return modes
+
+
 def test_quality_floor_triggers_scan_in_same_step():
     a = make_cell("a")
     flow = make_flow("f1", serving=a.cell_id)
     world = make_world([a], flows=[flow])
     world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=0.05)
-    assert world.gll.scan_counts["targeted"] == 0
+    scans = spy_scans(world)
     world.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, "gll", payload={"count": 1}))
-    assert world.gll.scan_counts["targeted"] == 1
+    assert scans == ["targeted"]
 
 
 def test_policy_change_denying_current_operator_moves_the_flow():
@@ -743,9 +774,10 @@ def test_unknown_trigger_type_logs_and_ignores(caplog):
 
 def test_qos_unsatisfied_triggers_spontaneous_scan():
     world = make_world([make_cell("a")])
+    scans = spy_scans(world)
     world.bus.send_downward(trg.Event(trg.QOS_UNSATISFIED, "app", payload={"flow": "f1"}),
                             target="mrrm")
-    assert world.gll.scan_counts["targeted"] == 1
+    assert scans == ["targeted"]
 
 
 # -- policies check ---------------------------------------------------------------
@@ -789,6 +821,25 @@ def test_unanswered_check_times_out_and_excludes():
     world.env.apply_action(ScenarioAction(0, "cell-up", "b"))
     world.loop.run_until(4000)
     assert len(events_of(world, trg.POLICIES_CHECK_REQUEST)) > first_requests
+
+
+def test_allow_operator_readmits_an_operator_its_policies_check_denied():
+    a = make_cell("a", operator_id="OpA")
+    b = make_cell("b", operator_id="OpB", achievable_rate=100e6, base_delay_ms=1)
+    flow = make_flow("f1", serving=a.cell_id)
+    world = make_world([a, b], flows=[flow], respond=False,
+                       policies=PolicySet(static_preference={("OpB", "WLAN"): 0.9}))
+    PoliciesCheckResponder(world.bus, {"OpB": trg.PolicyRecord("deny")})
+    world.gll.start()
+    world.loop.run_until(2000)
+    assert world.mrrm.operators["OpB"].verdict == "deny"
+    assert world.env.flows["f1"].serving == "a"
+    world.bus.send_downward(
+        trg.Event(trg.POLICY_CHANGED, "policy-editor",
+                  payload={"action": "allow-operator", "operator": "OpB"}),
+        target="mrrm")
+    world.loop.run_until(6000)
+    assert world.env.flows["f1"].serving == "b"
 
 
 def test_late_answer_admits_candidate():

@@ -16,7 +16,9 @@ every decision, less the repeats, and reads back to the same statistics.
 Worlds ramp link quality, and their operators' policies checks are answered
 from a drawn store and default verdict, or go unanswered and time out, so
 that what selection admits changes over a run.  A flow may leave and arrive
-again under the same id, and the bus may drop every flow departure.
+again under the same id, and the bus may drop every flow departure.  Up to
+three correlation rules watch the run's own events and one another's
+synthetic ones, so the trace holds synthetic and nested publishes.
 """
 
 import pytest
@@ -48,6 +50,28 @@ _AWKWARD_IDS = ("007", "1e3", "true", "a b", "-", "None")
 def _ids(draw, prefix, count):
     pool = [f"{prefix}{i}" for i in range(count)] + list(_AWKWARD_IDS)
     return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count, unique=True))
+
+
+# Types the run itself publishes; reports and batches come every tick.
+_WATCHED_TYPES = ("link-quality-report", "measurement-batch", "flow-mapped",
+                  "handover-complete")
+
+
+def _correlations(draw):
+    """Zero to three correlation rules.  A later rule may also watch an
+    earlier rule's output, so one synthetic publish nests in another."""
+    rules = []
+    for i in range(draw(st.integers(0, 3))):
+        pattern = draw(st.lists(st.sampled_from(_WATCHED_TYPES), min_size=2, max_size=3))
+        if rules and draw(st.booleans()):
+            slot = draw(st.integers(0, len(pattern) - 1))
+            pattern[slot] = draw(st.sampled_from([rule["output_type"] for rule in rules]))
+        rules.append({"rule_id": f"r{i}",
+                      "pattern": pattern,
+                      "window_ms": draw(st.sampled_from((50, 500, 5000))),
+                      "output_type": f"burst-{i}",
+                      "reset_on_fire": draw(st.booleans())})
+    return rules
 
 
 @st.composite
@@ -152,7 +176,8 @@ def scenarios(draw, max_initial_flows=4, max_actions=16):
                     st.sampled_from(("OpA", "OpB")),
                     st.fixed_dictionaries({"verdict": st.sampled_from(("allow", "deny")),
                                            "preference": st.none() | st.floats(0.0, 1.0)}),
-                    max_size=2))},
+                    max_size=2)),
+                "correlations": _correlations(draw)},
         "cells": cells,
         "flows": flows,
         "timeline": timeline,
@@ -171,7 +196,26 @@ _DENIED_ON_RETURN_WORLD = {
 }
 
 
+# Each tick's pair of reports fires r0, r1 fires on r0's events inside their
+# publish, and r2 watches r1's events and the GLL's batches.
+_CHAINED_RULES_WORLD = {
+    "duration_ms": 3000,
+    "trg": {"correlations": [
+        {"rule_id": "r0", "pattern": ["link-quality-report"] * 2, "window_ms": 50,
+         "output_type": "burst-0"},
+        {"rule_id": "r1", "pattern": ["burst-0", "burst-0"], "window_ms": 500,
+         "output_type": "burst-1", "reset_on_fire": False},
+        {"rule_id": "r2", "pattern": ["burst-1", "measurement-batch"], "window_ms": 5000,
+         "output_type": "burst-2"}]},
+    "cells": [{"cell_id": f"c{i}", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch1"}
+              for i in range(2)],
+    "flows": [{"flow_id": "f0", "resource_demand": 5}],
+    "timeline": [{"at": 1000, "kind": "flow-arrival", "target": "f1", "resource_demand": 5}],
+}
+
+
 @given(doc=scenarios())
+@example(doc=_CHAINED_RULES_WORLD)
 @example(doc=_DENIED_ON_RETURN_WORLD)
 @example(doc=DEPARTED_WHILE_ATTACHING_WORLD)
 @example(doc=TARGET_LOST_COVERAGE_WORLD)
@@ -280,6 +324,7 @@ def test_replaying_settled_rounds_leaves_shipped_traces_unchanged(path):
 
 
 @given(doc=scenarios(max_initial_flows=MAX_FLOWS))
+@example(doc=_CHAINED_RULES_WORLD)
 @example(doc=_DENIED_ON_RETURN_WORLD)
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
