@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Any, Callable, Optional, Sequence
 
 from .harness.bench import bench_trg
@@ -78,6 +79,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.subscribers < 0 or args.events <= 0:
+        print("error: --subscribers must be >= 0 and --events positive", file=sys.stderr)
+        return EXIT_BAD_INPUT
     summary = bench_trg(args.subscribers, args.events)
     print(json.dumps(summary.as_dict(), indent=2))
     return EXIT_OK
@@ -102,11 +106,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ScenarioError, TraceError, ValueError) as exc:
+    except (ScenarioError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        # Bad input was caught above; anything else is a defect of the program.
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -13,7 +13,7 @@ from .. import trg
 from ..gll import GenericLinkLayer
 from ..mobility import MobilityExecutor
 from ..mrrm import MultiRadioResourceManager
-from ..simenv.env import Environment
+from ..simenv.env import ActionError, Environment
 from ..simenv.loop import EventLoop
 from ..simenv.scenario import Scenario, ScenarioError, load_scenario
 from .stats import RunStats, compute_stats
@@ -117,8 +117,8 @@ def _install_initial_flows(run: Run) -> None:
 def execute_run(run: Run) -> RunResult:
     """Play the timeline to the configured duration and gather statistics."""
     _install_initial_flows(run)
-    for action in run.scenario.timeline:
-        run.loop.schedule(action.at, _make_action(run, action))
+    for index, action in enumerate(run.scenario.timeline):
+        run.loop.schedule(action.at, _make_action(run, index, action))
     run.mrrm.start()
     run.gll.start()
     run.loop.run_until(run.scenario.duration_ms)
@@ -127,8 +127,15 @@ def execute_run(run: Run) -> RunResult:
     return RunResult(scenario=run.scenario, trace_lines=run.recorder.lines(), stats=stats)
 
 
-def _make_action(run: Run, action):
-    return lambda: run.env.apply_action(action)
+def _make_action(run: Run, index: int, action):
+    """The timeline entry as a loop callback; an action the world refuses
+    when it fires names its entry, as the loader names a bad one."""
+    def apply() -> None:
+        try:
+            run.env.apply_action(action)
+        except ActionError as exc:
+            raise ScenarioError(f"timeline[{index}]: {exc}") from None
+    return apply
 
 
 def execute_scenario(scenario: Scenario) -> RunResult:

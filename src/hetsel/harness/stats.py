@@ -142,9 +142,6 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
                         gaps[flow_id] = gaps.get(flow_id, 0) + elapsed
             last_at = record.at
 
-            if record.kind == "delivery":
-                stats.trigger_deliveries += len(record.attributes["consumers"])
-                continue
             if record.kind == "decision":
                 flow_id = str(record.attributes["flow"])
                 if flow_id in flows:
@@ -153,8 +150,9 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
             if record.kind != "event":
                 continue
 
-            event_type = record.attributes.get("type")
             payload = record.attributes
+            event_type = payload.get("type")
+            stats.trigger_deliveries += len(payload.get("consumers", ()))
             if event_type == "flow-arrival":
                 serving = payload.get("serving") or None
                 flows[str(payload["flow"])] = _FlowState(serving)

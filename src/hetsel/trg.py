@@ -15,11 +15,11 @@ type, taken from a second per-type index kept like the delivery one.  The
 others may skip it because a partial match expires lazily: the next event
 whose type is in the pattern drops an expired match before it compares.
 
-A publish is recorded twice at most: the event before any delivery, and,
-when it reached anyone, one ``delivery`` record listing its consumers once
-they have all run.  Only then is that list known, since a consumer may
-publish at the same instant and so rate-limit a later subscriber, or change
-the payload that a later subscriber's predicates read.
+A publish is recorded once, before any consumer runs.  Its consumers are
+chosen from the event as it was published, rate limits included, before the
+first callback; the record lists them under ``consumers`` when there are any.
+So a consumer's nested publish at the same instant cannot rate-limit a later
+consumer of the outer event, nor change what a later predicate reads.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ COMPARATORS = {
     ">=": lambda a, b: a >= b,
     "≥": lambda a, b: a >= b,
 }
+
+# The attributes a publish's record sets itself; a payload may not use them.
+_RECORD_KEYS = frozenset(("type", "source", "synthetic", "consumers"))
 
 # Nested synthetic publications deeper than this are dropped (mis-configured
 # correlation rules could otherwise recurse without bound).
@@ -262,10 +265,10 @@ class TriggerBus:
     """Synchronous in-process trigger bus with a local UCI registry.
 
     ``clock`` supplies the current sim time stamped onto published events.
-    ``recorder``, when given, is called as ``recorder(at, kind, attrs)`` for
-    every publish (kind ``event``) and, after the deliveries of a publish that
-    reached at least one consumer, once with their consumer ids (kind
-    ``delivery``).
+    ``recorder``, when given, is called as ``recorder(at, "event", attrs)``
+    once per publish, before any consumer runs: ``attrs`` holds the event's
+    ``type``, ``source``, ``synthetic`` and payload and, when the publish
+    reaches anyone, ``consumers``, their ids in subscription-creation order.
     """
 
     def __init__(
@@ -332,10 +335,15 @@ class TriggerBus:
         """Stamp ``event.at`` and hand ``event`` itself to every matching
         subscription; returns the delivery count.
 
+        A payload key that names a record attribute of its own (``type``,
+        ``source``, ``synthetic``, ``consumers``) raises ``ValueError``.
         Bus-level drop rules apply before anything else.  Correlation rules
         advance after the deliveries; completed patterns publish their
         synthetic event recursively through this same method.
         """
+        if not _RECORD_KEYS.isdisjoint(event.payload):
+            raise ValueError(f"payload of {event.event_type!r} overwrites record attributes "
+                             f"{sorted(_RECORD_KEYS.intersection(event.payload))}")
         event.at = self._clock()
         if (event.event_type in self._drop_exact
                 or event.event_type.startswith(self._drop_prefixes)):
@@ -346,27 +354,20 @@ class TriggerBus:
         self._depth += 1
         try:
             self.published += 1
-            self._record(event.at, "event", {
-                "type": event.event_type,
-                "source": event.source,
-                "synthetic": event.synthetic,
-                **event.payload,
-            })
-            consumers: list[str] = []
+            consumers: list[_LiveSubscription] = []
             for live in self._deliveries(event.event_type):
-                if not live.passes(event) or live.rate_limited(event.at):
-                    continue
-                live.last_delivery_at = event.at
-                consumers.append(live.spec.consumer_id)
-                self.delivered += 1
+                if live.passes(event) and not live.rate_limited(event.at):
+                    live.last_delivery_at = event.at
+                    consumers.append(live)
+            if self._recorder is not None:
+                attrs = {"type": event.event_type, "source": event.source,
+                         "synthetic": event.synthetic, **event.payload}
+                if consumers:
+                    attrs["consumers"] = [live.spec.consumer_id for live in consumers]
+                self._recorder(event.at, "event", attrs)
+            self.delivered += len(consumers)
+            for live in consumers:
                 live.callback(event)
-            if consumers:
-                self._record(event.at, "delivery", {
-                    "consumers": consumers,
-                    "type": event.event_type,
-                    "source": event.source,
-                    "synthetic": event.synthetic,
-                })
             for fired in self._advance_rules(event):
                 self.publish(fired)
             return len(consumers)
@@ -407,10 +408,6 @@ class TriggerBus:
                     synthetic=True,
                 ))
         return fired
-
-    def _record(self, at: int, kind: str, attrs: dict[str, Any]) -> None:
-        if self._recorder is not None:
-            self._recorder(at, kind, attrs)
 
     # -- correlation -------------------------------------------------------
 

@@ -30,28 +30,28 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "5d77b9ea325125a4c517d253d141330a4ce237f4f12f79cd7de81dc279031c94",
+        "d12c4ff95c64bd16328fb87edcb697248aeae9d6eac9183b58733dbd7365bd79",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "eb75b02db1f7f0089af238f8eb520208280ee453dc85234eac8aaded17407089",
+        "3517b27c89f5537f0f7fa5bb8e2ba7becf67e569cb37cb27fc74c40484399703",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
     "policies_check_timeout": (
-        "cef049f72b8c8c214b052663bde619304e52465a83fd43d14340ab88670c9bcf",
+        "6cb03300b384fa152c7536ba408fcd99ea0df075a9d42e54f2d18f8e4d39b0d5",
         "9b04fb5810c09d14450400ae8d731bb0a56065d9078f3e0c567bd679f6b7d85d"),
     "scan_full_fallback": (
-        "d6421697967efee3da741ae7db4f3eae9a983b39312854246e54bc1c40afacfa",
+        "add192a4bf0550c40dc7628feb450b217dfbb9431150d51b8b2979de63549795",
         "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "8ad647814bd92479c925366b10db6cd431def366fa0f5d3eca8a41bc2ac6e32b",
+        "e75b9364122cc8a55f913fa15eceff08a57237828d6fd2922e4e05ca1efb5a06",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "42d6106b30cff0716db166771b92b8960bb0560b3555b4b0d9d1ca15c02211f6",
+        "d0ec29173cb43671e4acb5a4b42eba00fb6526115e4b8bf370e7b0463d613d94",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "d4278ee8234f1e958ab0c7e84d6afd80b8492dbb0a4989f881fc1473fee6dcfe",
+        "983563ba41e8af3a919923b271512330affb11baa5dc22ec560a0199738325f3",
         "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
     "two_operators_deny": (
-        "01a9e74b887fa0a9398b30280b1a82ce1fa66bc8f7e94bc46e70feb2e717c168",
+        "59166787272177c1de7fa640c9db2ab9ad34b20ceae9c0d4c553ad6f1b7bc0dc",
         "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
@@ -72,9 +72,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "46c88d51efe03092977149bc5ee71e38e5b978f7a5ee012c522963b1cbb872e1",
-    "metro_dense": "5cde1526210b84339db9aed0164e85a2f806063f9c05fda4208e67f3d8b4ee38",
-    "monitor_fanout": "94d50be7bf48e0b7c8bceac5b5d8e61049616ef9ba7c1f083449b0bb465d7253",
+    "commuter_churn": "30ea0e4fe5fc272d2b9d22b3cd4e4284ddef586c4163db64aaa868dd74d072d1",
+    "metro_dense": "7824f64e096fd158851ef9f4c49533b06d788f0a39346fa3960d7357c76e2586",
+    "monitor_fanout": "24060c19aa87327d8d2742ae0736265cc29f7d974eb2d563230228581f6b36e3",
 }
 
 

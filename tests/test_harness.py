@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hetsel import trg
-from hetsel.cli import EXIT_BROKEN_PIPE
+from hetsel.cli import EXIT_BAD_INPUT, EXIT_BROKEN_PIPE, EXIT_INTERNAL
 from hetsel.cli import main as cli_main
 from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
 from hetsel.harness.runner import build_run, execute_run
@@ -22,6 +22,7 @@ from hetsel.harness.trace import (
     parse_record,
     read_trace,
 )
+from hetsel.gll import GenericLinkLayer
 from hetsel.mobility import MobilityDelayModel, MobilityExecutor
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
@@ -115,11 +116,11 @@ _attribute_values = (_strings | st.integers() | st.booleans() | st.none()
 
 @given(at=st.integers(0, 10**12),
        component=st.sampled_from(("trg", "gll", "mrrm", "mobility", "harness")),
-       kind=st.sampled_from(("event", "delivery", "decision", "trace-point")),
+       kind=st.sampled_from(("event", "decision", "trace-point")),
        attributes=st.dictionaries(_strings, _attribute_values, max_size=8))
 @example(at=0, component="trg", kind="event",
          attributes={value: value for value in _AWKWARD_STRINGS})
-@example(at=0, component="trg", kind="delivery",
+@example(at=0, component="trg", kind="event",
          attributes={"consumers": list(_AWKWARD_STRINGS), "type": "x"})
 @example(at=0, component="trg", kind="event",
          attributes={"inf": float("inf"), "-inf": float("-inf"), "zero": 0.0, "one": 1})
@@ -145,8 +146,8 @@ def test_read_trace_names_the_file_and_line_of_a_corrupt_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     't=5 trg event {"source":"env","synthetic":false,"type":"flow-arrival"}',
-    # a delivery record of the shape that named one consumer per record
-    't=5 trg delivery {"consumer":"mrrm","source":"env","synthetic":false,"type":"x"}',
+    # an event record that reached a consumer but lacks its payload
+    't=5 trg event {"consumers":["gll"],"source":"env","synthetic":false,"type":"link-up"}',
 ])
 def test_cli_names_the_file_and_record_that_lacks_an_attribute(tmp_path, capsys, line):
     path = tmp_path / "trace.txt"
@@ -165,7 +166,7 @@ def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command, line", [
-    ("stats", 't=0 trg delivery {"consumers":5,"source":"env","synthetic":false,"type":"x"}'),
+    ("stats", 't=0 trg event {"consumers":5,"source":"env","synthetic":false,"type":"x"}'),
     ("report", 't=5 mobility trace-point {"handover":"h","point":"x","request_at":0}'),
 ])
 def test_cli_names_the_file_and_record_whose_attribute_has_the_wrong_type(
@@ -480,9 +481,10 @@ def test_new_access_event_precedes_the_next_candidate_report():
 def test_delivery_records_list_every_delivery(path):
     run = build_run(load_scenario(path))
     result = execute_run(run)
-    listed = sum(len(r.attributes["consumers"]) for r in read_trace(result.trace_lines)
-                 if r.kind == "delivery")
+    records = list(read_trace(result.trace_lines))
+    listed = sum(len(r.attributes.get("consumers", ())) for r in records if r.kind == "event")
     assert listed == run.bus.delivered == result.stats.trigger_deliveries > 0
+    assert compute_stats(records).as_dict() == result.stats.as_dict()
 
 
 # -- determinism -------------------------------------------------------------------
@@ -565,6 +567,47 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     code = cli_main(["run", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "cells[0]" in capsys.readouterr().err
+
+
+def _write_refused_action_scenario(path):
+    """A scenario that passes the loader, but whose timeline sets a base load
+    that leaves no room for the demand already charged on the cell."""
+    doc = {
+        "duration_ms": 1000,
+        "cells": [{"cell_id": "a", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch6",
+                   "total_resources": 100}],
+        "flows": [{"flow_id": "f1", "service_class": "interactive", "min_rate": 0,
+                   "max_delay_ms": 500, "max_loss": 1.0, "resource_demand": 10,
+                   "serving": "a"}],
+        "timeline": [{"at": 500, "kind": "set-cell-field", "target": "a",
+                      "field": "used_resources", "value": 95}],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_scenario(path)
+
+
+def test_cli_names_the_timeline_entry_whose_action_the_run_refuses(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    _write_refused_action_scenario(scenario)
+    assert cli_main(["run", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: timeline[0]: a.used_resources: ")
+
+
+def test_cli_exits_3_with_a_traceback_when_a_run_raises_value_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise ValueError("defect inside a run")
+
+    monkeypatch.setattr(GenericLinkLayer, "_tick", broken)
+    code = cli_main(["run", str(SCENARIO_DIR / "table1_mn.json"), "--out", str(tmp_path)])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback ") and "ValueError: defect inside a run" in err
+
+
+def test_cli_bench_rejects_bad_counts(capsys):
+    assert cli_main(["bench-trg", "--subscribers", "-1", "--events", "10"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: --subscribers must be >= 0")
 
 
 def test_cli_reports_empty_for_handover_free_trace(tmp_path, capsys):

@@ -3,8 +3,8 @@
 Every generated scenario passes validation, so it must run to completion with
 its invariants holding: cells stay within capacity, every served flow holds
 its link and its charge, every charge belongs to a live flow, only a flow in
-a make-before-break handover is charged on two cells, the delivery records
-list every delivery, the written trace replays to the in-run
+a make-before-break handover is charged on two cells, the event records'
+consumer lists count every delivery, the written trace replays to the in-run
 statistics, and a second run is byte-identical.  Timeline values leave room for every
 demand, so no action fails a capacity check.  In a world whose timeline is
 empty, selection converges: handovers stop after a bounded number of
@@ -244,8 +244,8 @@ def test_generated_scenarios_run_clean(doc):
             cell_id = flow.serving
             assert run.gll.is_attached(cell_id), (flow.flow_id, cell_id)
             assert run.env.is_charged(flow, cell_id), (flow.flow_id, cell_id)
-    listed = sum(len(r.attributes["consumers"]) for r in read_trace(result.trace_lines)
-                 if r.kind == "delivery")
+    listed = sum(len(r.attributes.get("consumers", ())) for r in read_trace(result.trace_lines)
+                 if r.kind == "event")
     assert listed == run.bus.delivered == result.stats.trigger_deliveries
     assert compute_stats(read_trace(result.trace_lines)).as_dict() == result.stats.as_dict()
     assert execute_run(build_run(scenario)).trace_text == result.trace_text

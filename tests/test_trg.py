@@ -136,7 +136,7 @@ def recording_bus():
     return bus, records
 
 
-def test_one_delivery_record_per_publish_after_its_consumers_ran():
+def test_one_event_record_per_publish_before_its_consumers_run():
     bus, records = recording_bus()
 
     def consumer(name):
@@ -149,11 +149,10 @@ def test_one_delivery_record_per_publish_after_its_consumers_ran():
                   consumer("c3"))
     assert bus.publish(Event("x", "s", payload={"v": 0})) == 2
     assert records == [
-        ("event", {"type": "x", "source": "s", "synthetic": False, "v": 0}),
+        ("event", {"type": "x", "source": "s", "synthetic": False, "v": 0,
+                   "consumers": ["c2", "c1"]}),
         ("ran", "c2"),
         ("ran", "c1"),
-        ("delivery", {"consumers": ["c2", "c1"], "type": "x", "source": "s",
-                      "synthetic": False}),
     ]
 
 
@@ -161,24 +160,32 @@ def test_publish_that_reaches_no_one_writes_no_delivery_record():
     bus, records = recording_bus()
     bus.subscribe(Subscription("c1", ("y",)), lambda t: None)
     assert bus.publish(Event("x", "s")) == 0
-    assert [kind for kind, _ in records] == ["event"]
+    assert records == [("event", {"type": "x", "source": "s", "synthetic": False})]
 
 
-def test_nested_publish_writes_its_delivery_record_before_the_outer_one():
+def test_consumers_are_chosen_before_a_nested_publish_at_the_same_instant():
     bus, records = recording_bus()
     bus.subscribe(Subscription("outer", ("x",)), lambda t: bus.publish(Event("y", "outer")))
     bus.subscribe(Subscription("inner", ("y",)), lambda t: None)
-    # a later subscriber to x, rate-limited by the nested publish's delivery
-    # to it at the same instant
+    # a later subscriber to x: chosen for x before outer's nested publish of y
+    # runs, so x reaches it and that delivery rate-limits it for y
     bus.subscribe(Subscription("both", ("x", "y"), min_interval_ms=100), lambda t: None)
-    assert bus.publish(Event("x", "s")) == 1
+    assert bus.publish(Event("x", "s")) == 2
     assert [(kind, attrs["type"], attrs.get("consumers")) for kind, attrs in records] == [
-        ("event", "x", None),
-        ("event", "y", None),
-        ("delivery", "y", ["inner", "both"]),
-        ("delivery", "x", ["outer"]),
+        ("event", "x", ["outer", "both"]),
+        ("event", "y", ["inner"]),
     ]
     assert bus.delivered == 3
+
+
+@pytest.mark.parametrize("key", ["type", "source", "synthetic", "consumers"])
+def test_publish_rejects_a_payload_that_overwrites_a_record_attribute(key):
+    bus, records = recording_bus()
+    received, cb = collector()
+    bus.subscribe(Subscription("c1", ("policy-changed",)), cb)
+    with pytest.raises(ValueError, match=repr(key)):
+        bus.publish(Event("policy-changed", "upper", payload={key: "handover-complete"}))
+    assert records == [] and received == [] and bus.published == 0
 
 
 def test_rate_limit_skips_events_inside_interval():
@@ -235,7 +242,9 @@ def test_deliveries_match_a_linear_scan_across_subscription_changes():
                              min_interval_ms=rng.choice((None, None, 100)))
                 for i in range(8)]
         clock = Clock()
-        bus = TriggerBus(clock=clock)
+        recorded = []
+        bus = TriggerBus(clock=clock, recorder=lambda at, kind, attrs: recorded.append(
+            attrs.get("consumers", [])))
         oracle = LinearScanDelivery()
         handles = {}
         got = []
@@ -258,6 +267,7 @@ def test_deliveries_match_a_linear_scan_across_subscription_changes():
                 count = bus.publish(Event(event_type, source, payload=payload))
                 expected = oracle.publish(event_type, source, payload, clock.now)
                 assert got == expected, (trial, event_type, source, payload)
+                assert recorded[-1] == expected
                 assert count == len(expected)
 
 
