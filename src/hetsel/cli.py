@@ -46,6 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {args.out}: cannot create directory: {exc.strerror}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     result, trace_path, stats_path = run_to_files(args.scenario, args.out)
     summary = result.stats
     print(f"trace:  {trace_path}")

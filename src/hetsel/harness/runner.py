@@ -148,9 +148,9 @@ def run_to_files(
 ) -> tuple[RunResult, Path, Path]:
     """Load a scenario file, run it, and write trace + stats into ``out_dir``."""
     scenario = load_scenario(scenario_path)
-    result = execute_scenario(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    result = execute_scenario(scenario)
     trace_path = out / "trace.txt"
     stats_path = out / "stats.json"
     trace_path.write_text(result.trace_text, encoding="utf-8")

@@ -14,16 +14,18 @@ Post-move load: a serving cell's report already counts the flow's own demand,
 a target's does not, and neither counts the demand that earlier flows of the
 same round have moved there.  So stage two subtracts
 ``w_cell * (tentative[cell] + resource_demand) / total_resources`` from every
-non-serving candidate's score, where ``tentative`` is the demand already
-committed to each cell by unfinished attaches, this round's included.  Flows
-then compare like with like and do not all jump to the same lightly loaded
-cell and back.  The load term inside link quality (``q_load``) keeps the
-reported load.
+non-serving candidate's score.  Flows then compare like with like and do not
+all jump to the same lightly loaded cell and back.  The load term inside link
+quality (``q_load``) keeps the reported load.
 
-A round replays the last settled one, a round that initiated nothing, when
-everything stage two and the assignment read is as it was then: each stage-one
-entry's cell, rate, delay, residual error, scores, per-unit cost and residual
-resources; the ``tentative`` demands; and each undecided flow's QoS bounds,
+A round reads each candidate once, at its start: its stage-one entry is that
+snapshot, and stage two, the fit check and the settled-round key read it.
+``tentative`` is the demand the snapshot lacks, that of unfinished attaches,
+this round's included, and is taken off a target's score and residual alike;
+so capacity that break-before-make frees mid-round is seen a round later.  A
+round replays the last settled one, a round that initiated nothing, when
+everything stage two and the assignment read is as it was then: the stage-one
+entries; the ``tentative`` demands; and each undecided flow's QoS bounds,
 demand, serving cell, whether it holds that cell's link and charge, and
 whether that cell is reported.  It then returns copies of that round's
 decisions and skips stage two.  The inputs are rebuilt and compared each
@@ -50,7 +52,7 @@ Every piece of run state names an access by its cell id, as flows, events
 and the environment do: reports, rankings, failure cool-downs, the stage-one
 position index and the cells of unfinished attaches and handovers.  Stage one
 reads an access's RAT, operator and other attributes from its ``Cell``, and
-its measured numbers from its report, which a stage-one entry carries.
+its measured numbers from its report.
 """
 
 from __future__ import annotations
@@ -164,12 +166,13 @@ class RoundCandidates:
     """Stage-one result of one decision round, shared by every flow.
 
     ``entries`` holds the admitted candidates in ``_identity`` order, each as
-    its report with its score for a QoS-feasible and for an infeasible flow,
-    and the score one unit of demand costs on its cell (``w_cell /
-    total_resources``); ``position`` maps a cell id to its index there.
+    the round's one snapshot of it: cell id, rate, delay, residual error, the
+    scores of a QoS-feasible and of an infeasible flow, the score a unit of
+    demand costs (``w_cell / total_resources``) and the residual resources,
+    which lack ``tentative``; ``position`` maps a cell id to its index there.
     """
 
-    entries: tuple[tuple[LinkQualityReport, float, float, float], ...]
+    entries: tuple[tuple[str, float, float, float, float, float, float, int], ...]
     position: dict[str, int]
 
 
@@ -181,13 +184,14 @@ def _identity(cell: Cell) -> tuple[str, str, str]:
     return (cell.operator_id, cell.rat, cell.cell_id)
 
 
+def _carries(flow: Flow, rate: float, delay_ms: float, error_rate: float) -> bool:
+    return rate >= flow.min_rate and delay_ms <= flow.max_delay_ms and error_rate <= flow.max_loss
+
+
 def qos_feasible(flow: Flow, report: LinkQualityReport) -> bool:
-    """Stage two's per-flow check: True when the access can carry the flow;
-    boundaries are inclusive."""
-    return (report.covered
-            and report.achievable_rate >= flow.min_rate
-            and report.delay_ms <= flow.max_delay_ms
-            and report.residual_error_rate <= flow.max_loss)
+    """Stage two's per-flow check: True when the access can carry the flow, bounds inclusive."""
+    return report.covered and _carries(flow, report.achievable_rate, report.delay_ms,
+                                       report.residual_error_rate)
 
 
 def policy_filter(
@@ -268,13 +272,15 @@ def round_candidates(
         report = by_cell[cell.cell_id]
         if report.load >= cfg.load_threshold:
             continue
-        entries.append((report,
+        entries.append((cell.cell_id,
+                        report.achievable_rate, report.delay_ms, report.residual_error_rate,
                         _score(1.0, report, cell, policies, caps, cfg),
                         _score(0.0, report, cell, policies, caps, cfg),
-                        cfg.w_cell / cell.total_resources))
+                        cfg.w_cell / cell.total_resources,
+                        cell.total_resources - cell.used_resources))
     return RoundCandidates(
         entries=tuple(entries),
-        position={entry[0].cell: i for i, entry in enumerate(entries)},
+        position={entry[0]: i for i, entry in enumerate(entries)},
     )
 
 
@@ -289,12 +295,13 @@ def select_access(flow: Flow, stage: RoundCandidates,
     """
     serving = stage.position.get(flow.serving, -1)
     demand = flow.resource_demand
-    scores = [(feasible if qos_feasible(flow, report) else infeasible)
-              - (0.0 if i == serving else per_unit * (tentative.get(report.cell, 0) + demand))
-              for i, (report, feasible, infeasible, per_unit) in enumerate(stage.entries)]
+    scores = [(feasible if _carries(flow, rate, delay, error) else infeasible)
+              - (0.0 if i == serving else per_unit * (tentative.get(cell_id, 0) + demand))
+              for i, (cell_id, rate, delay, error, feasible, infeasible, per_unit, _)
+              in enumerate(stage.entries)]
     # False sorts before True: the serving access wins a score tie
     order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
-    entries = tuple((stage.entries[i][0].cell, scores[i]) for _, _, i in order)
+    entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
     serving_score = scores[serving] if serving >= 0 else None
     return RankedList(flow_id=flow.flow_id, entries=entries, serving_score=serving_score)
 
@@ -470,8 +477,8 @@ class MultiRadioResourceManager:
 
     def _decide_once(self) -> list[dict[str, Any]]:
         self._arrivals_undecided = False
-        # Demand already committed to targets of unfinished attaches this and
-        # previous rounds; executing handovers have charged real resources.
+        # The demand the round's snapshot lacks: unfinished attaches, this
+        # round's included; executing handovers are charged in the snapshot.
         tentative: dict[str, int] = {}
         for entry in self.in_flight.values():
             if entry.stage == "attaching":
@@ -490,7 +497,7 @@ class MultiRadioResourceManager:
         decisions = []
         for flow in pending:
             ranked = select_access(flow, stage, tentative)
-            decision = self._assign(flow, ranked, tentative)
+            decision = self._assign(flow, ranked, stage, tentative)
             decisions.append(decision)
             self._record_decision(decision)
         if all(decision["action"] == "none" for decision in decisions):
@@ -507,19 +514,10 @@ class MultiRadioResourceManager:
     def _round_inputs(self, stage: RoundCandidates, tentative: Mapping[str, int],
                       flows: list[Flow]) -> tuple:
         """Everything stage two and ``_assign`` read in one round, as one
-        comparable value: equal inputs give equal decisions.  A report counts
-        only through the fields listed here: its ``q_*`` reach stage two only
-        through the scores, and its ``taken_at`` changes every tick, so
-        keying on either would make every settled round look new."""
-        residual = self.env.residual_resources
-        return (
-            tuple((r.cell, r.achievable_rate, r.delay_ms, r.residual_error_rate,
-                   feasible, infeasible, per_unit, residual(r.cell))
-                  for r, feasible, infeasible, per_unit in stage.entries),
-            dict(tentative),
-            tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
-                   f.serving, self._holds(f), f.serving in self.reports) for f in flows),
-        )
+        comparable value: equal inputs give equal decisions."""
+        return (stage.entries, dict(tentative),
+                tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
+                       f.serving, self._holds(f), f.serving in self.reports) for f in flows))
 
     def _holds(self, flow: Flow) -> bool:
         """True when the serving access still holds the flow's link and charge."""
@@ -527,11 +525,8 @@ class MultiRadioResourceManager:
         return (serving is not None and self.gll.is_attached(serving)
                 and self.env.is_charged(flow, serving))
 
-    def _fits(self, flow: Flow, cell_id: str, tentative: dict[str, int]) -> bool:
-        residual = self.env.residual_resources(cell_id) - tentative.get(cell_id, 0)
-        return residual >= flow.resource_demand
-
-    def _assign(self, flow: Flow, ranked: RankedList, tentative: dict[str, int]) -> dict[str, Any]:
+    def _assign(self, flow: Flow, ranked: RankedList, stage: RoundCandidates,
+                tentative: dict[str, int]) -> dict[str, Any]:
         decision: dict[str, Any] = {
             "flow": flow.flow_id,
             "candidates": len(ranked.entries),
@@ -546,7 +541,8 @@ class MultiRadioResourceManager:
         target: Optional[str] = None
         target_score = 0.0
         for cell_id, score in ranked.entries:
-            if (holds and cell_id == serving) or self._fits(flow, cell_id, tentative):
+            residual = stage.entries[stage.position[cell_id]][-1] - tentative.get(cell_id, 0)
+            if (holds and cell_id == serving) or residual >= flow.resource_demand:
                 target, target_score = cell_id, score
                 break
         if not holds and serving in self.reports and target != serving:

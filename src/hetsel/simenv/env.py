@@ -270,10 +270,6 @@ class Environment:
 
     # -- resource accounting -------------------------------------------------
 
-    def residual_resources(self, cell_id: str) -> int:
-        cell = self.cells[cell_id]
-        return cell.total_resources - cell.used_resources
-
     def map_flow(self, flow: Flow, cell_id: str) -> bool:
         """Charge the flow's demand against the cell; False when it cannot fit.
 

@@ -13,6 +13,7 @@ from hetsel import trg
 from hetsel.cli import EXIT_BAD_INPUT, EXIT_BROKEN_PIPE, EXIT_INTERNAL
 from hetsel.cli import main as cli_main
 from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
+from hetsel.harness import runner as runner_mod
 from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.trace import (
     TraceError,
@@ -567,6 +568,20 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     code = cli_main(["run", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "cells[0]" in capsys.readouterr().err
+
+
+def test_cli_run_exits_2_without_running_when_out_cannot_be_created(tmp_path, capsys,
+                                                                   monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    runs = []
+    monkeypatch.setattr(runner_mod, "execute_scenario", runs.append)
+    out = blocker / "sub"
+    code = cli_main(["run", str(SCENARIO_DIR / "scan_targeted_hit.json"), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert runs == []
+    assert capsys.readouterr().err == (
+        f"error: {out}: cannot create directory: Not a directory\n")
 
 
 def _write_refused_action_scenario(path):

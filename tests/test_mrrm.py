@@ -447,6 +447,29 @@ def test_sequential_assignment_respects_tentative_demand():
     assert by_flow["f2"]["target"] == "b"  # a cannot fit both demands
 
 
+def test_attach_to_an_attached_cell_counts_its_demand_once_in_the_round():
+    """f1 attaches to a, which is already attached, so f1 is charged there at
+    once; f2's fit check must not count f1's demand again through
+    ``tentative``.  Both fit a's 90 spare units, and b is too slow for them."""
+    def wlan(cell_id, rate, channel):
+        return {"cell_id": cell_id, "rat": "WLAN", "operator_id": "OpA",
+                "frequency": channel, "total_resources": 100, "achievable_rate": rate}
+    scenario = scenario_from_dict({
+        "duration_ms": 4000,
+        "cells": [wlan("a", 54e6, "ch1"), wlan("b", 1e6, "ch6")],
+        "mrrm": {"selection": {"load_threshold": 1.0}},
+        "flows": [{"flow_id": "f0", "serving": "a", "resource_demand": 10}],
+        "timeline": [{"at": 2000, "kind": "flow-arrival", "target": flow_id,
+                      "resource_demand": 40, "min_rate": 2e6} for flow_id in ("f1", "f2")],
+    })
+    result = execute_scenario(scenario)
+    records = read_trace(result.trace_lines)
+    attaches = [(r.at, r.attributes["flow"], r.attributes["target"]) for r in records
+                if r.kind == "decision" and r.attributes["action"] == "attach"]
+    assert attaches == [(2000, "f1", "a"), (2000, "f2", "a")]
+    assert result.stats.service_gap_total_ms == 0
+
+
 def test_decide_is_idempotent_in_static_environment():
     a = make_cell("a")
     b = make_cell("b")
