@@ -19,21 +19,24 @@ all jump to the same lightly loaded cell and back.  The load term inside link
 quality (``q_load``) keeps the reported load.
 
 A round reads each candidate once, at its start: its stage-one entry is that
-snapshot, and stage two, the fit check and the settled-round key read it.
-``tentative`` is the demand the snapshot lacks, that of unfinished attaches,
-this round's included, and is taken off a target's score and residual alike;
-so capacity that break-before-make frees mid-round is seen a round later.  A
-round replays the last settled one, a round that initiated nothing, when
-everything stage two and the assignment read is as it was then: the stage-one
-entries; the ``tentative`` demands; and each undecided flow's QoS bounds,
-demand, serving cell, whether it holds that cell's link and charge, and
-whether that cell is reported.  It then returns copies of that round's
-decisions and skips stage two.  The inputs are rebuilt and compared each
-round rather than flagged by their writers, because time changes them
-(cool-downs and policies checks expire) as well as actions (``set-cell-field``,
-``map_flow``, ``unmap_flow``).  A flow whose serving cell is reported again
-but is not its target, say because the cell's operator is now denied, drops
-the cell with a ``release`` decision.
+snapshot, and stage two and the fit check read it.  ``tentative`` is the
+demand the snapshot lacks, that of unfinished attaches, this round's
+included, and is taken off a target's score and residual alike; so capacity
+that break-before-make frees mid-round is seen a round later.  A flow whose
+serving cell is reported again but is not its target, say because the cell's
+operator is now denied, drops the cell with a ``release`` decision.
+
+A round replays the last settled one, the last round decided afresh if it
+initiated nothing, when nothing it reads can have changed since; it then
+returns that round's decisions and runs neither stage.  The writers of that
+state keep the marks that say so, whether or not their events are
+delivered: this component's generation, bumped by every event it handles but
+a report or a batch, by a report that is new, dropped or differs in a field
+a round reads, and by a policies check that times out; the environment's
+generation, bumped by every write to cells, flows and charges; and the set
+of attached links.  Time alone changes one input, a cool-down's expiry, so a
+replay also needs the clock before the earliest cool-down that was pending
+at the settle.
 
 A flow's ``decision`` record is written only when it differs, in any
 attribute, from the last one written for that flow, so a settled or replayed
@@ -58,6 +61,7 @@ its measured numbers from its report.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -182,6 +186,12 @@ class RoundCandidates:
 def _identity(cell: Cell) -> tuple[str, str, str]:
     """Candidates are listed by operator, then RAT, then cell id."""
     return (cell.operator_id, cell.rat, cell.cell_id)
+
+
+def _read_by_a_round(report: LinkQualityReport) -> tuple:
+    """The report fields that stage one and the assignment read."""
+    return (report.covered, report.load, report.achievable_rate, report.delay_ms,
+            report.residual_error_rate, report.quality, report.q_load)
 
 
 def _carries(flow: Flow, rate: float, delay_ms: float, error_rate: float) -> bool:
@@ -364,8 +374,11 @@ class MultiRadioResourceManager:
         self._arrivals_undecided = False
         # the last decision record written per flow
         self._last_decision: dict[str, dict[str, Any]] = {}
-        # (inputs, decisions) of the last round that initiated nothing
-        self._settled: Optional[tuple[tuple, list[dict[str, Any]]]] = None
+        # counts this component's own writes to what a round reads
+        self._generation = 0
+        # (marks, earliest cool-down expiry then pending, decisions) of the
+        # last round decided afresh, when it initiated nothing
+        self._settled: Optional[tuple[tuple, float, list[dict[str, Any]]]] = None
         bus.subscribe(
             trg.Subscription(consumer_id="mrrm", accepted_types=tuple(self._HANDLERS)),
             self.on_trigger,
@@ -398,6 +411,7 @@ class MultiRadioResourceManager:
     def _drop_report(self, cell_id: str) -> None:
         if self.reports.pop(cell_id, None) is not None:
             self._set_dirty = True
+            self._generation += 1
 
     def candidate_report(self) -> list[LinkQualityReport]:
         """Current candidate set; also published so upper layers can follow
@@ -438,6 +452,7 @@ class MultiRadioResourceManager:
         state = self.operators.get(operator_id)
         if state is not None and state.verdict == "pending" and state.asked_at == asked_at:
             state.verdict = "timeout"
+            self._generation += 1
             logger.info("policies-check for %s timed out; treating as denied", operator_id)
 
     def _operator_admitted(self, operator_id: str) -> bool:
@@ -461,7 +476,9 @@ class MultiRadioResourceManager:
         return usable
 
     def decide(self) -> list[dict[str, Any]]:
-        """Re-run selection for every flow; returns the decision records."""
+        """Re-run selection for every flow; returns the decision records.  A
+        replayed round returns the settled round's own records, which the
+        caller reads and does not change."""
         if self._deciding:
             self._decide_again = True
             return []
@@ -477,6 +494,11 @@ class MultiRadioResourceManager:
 
     def _decide_once(self) -> list[dict[str, Any]]:
         self._arrivals_undecided = False
+        now = self.loop.now
+        inputs = self._round_inputs()
+        settled = self._settled
+        if settled is not None and settled[0] == inputs and now < settled[1]:
+            return list(settled[2])
         # The demand the round's snapshot lacks: unfinished attaches, this
         # round's included; executing handovers are charged in the snapshot.
         tentative: dict[str, int] = {}
@@ -488,20 +510,16 @@ class MultiRadioResourceManager:
                                  self.selection, self.env.cells)
         pending = [self.flows[flow_id] for flow_id in sorted(self.flows)
                    if flow_id not in self.in_flight]
-        inputs = self._round_inputs(stage, tentative, pending)
-        if self._settled is not None and self._settled[0] == inputs:
-            decisions = [dict(decision) for decision in self._settled[1]]
-            for decision in decisions:
-                self._record_decision(decision)
-            return decisions
         decisions = []
         for flow in pending:
             ranked = select_access(flow, stage, tentative)
             decision = self._assign(flow, ranked, stage, tentative)
             decisions.append(decision)
             self._record_decision(decision)
+        self._settled = None
         if all(decision["action"] == "none" for decision in decisions):
-            self._settled = (inputs, [dict(decision) for decision in decisions])
+            expiry = min((t for t in self.cooldown_until.values() if t > now), default=math.inf)
+            self._settled = (inputs, expiry, [dict(decision) for decision in decisions])
         return decisions
 
     def _record_decision(self, decision: dict[str, Any]) -> None:
@@ -511,13 +529,11 @@ class MultiRadioResourceManager:
             self._last_decision[flow_id] = dict(decision)
             self._record("decision", decision)
 
-    def _round_inputs(self, stage: RoundCandidates, tentative: Mapping[str, int],
-                      flows: list[Flow]) -> tuple:
-        """Everything stage two and ``_assign`` read in one round, as one
-        comparable value: equal inputs give equal decisions."""
-        return (stage.entries, dict(tentative),
-                tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
-                       f.serving, self._holds(f), f.serving in self.reports) for f in flows))
+    def _round_inputs(self) -> tuple:
+        """The round's marks: this component's generation, the environment's
+        and the attached links.  Until a cool-down expires, equal marks mean
+        equal round inputs, so equal decisions."""
+        return (self._generation, self.env.generation, frozenset(self.gll.attached))
 
     def _holds(self, flow: Flow) -> bool:
         """True when the serving access still holds the flow's link and charge."""
@@ -629,12 +645,18 @@ class MultiRadioResourceManager:
         if handler is None:
             logger.warning("mrrm ignoring unknown trigger type %s", t.event_type)
             return
+        # a report marks a change itself, and a batch changes nothing a round reads
+        if t.event_type not in (trg.LINK_QUALITY_REPORT, trg.MEASUREMENT_BATCH):
+            self._generation += 1
         handler(self, t.payload)
 
     def _on_report(self, payload: Mapping[str, Any]) -> None:
         report = gll_mod.report_from_payload(payload)
-        if report.cell not in self.reports:
+        old = self.reports.get(report.cell)
+        if old is None:
             self._set_dirty = True
+        if old is None or _read_by_a_round(old) != _read_by_a_round(report):
+            self._generation += 1
         self.reports[report.cell] = report
 
     def _on_batch(self, payload: Mapping[str, Any]) -> None:
@@ -646,9 +668,8 @@ class MultiRadioResourceManager:
     def _check_quality_floor(self) -> None:
         if self._scan_pending is not None:
             return
-        for flow_id in sorted(self.flows):
-            flow = self.flows[flow_id]
-            if flow.serving is None or flow_id in self.in_flight:
+        for flow in self.flows.values():
+            if flow.serving is None or flow.flow_id in self.in_flight:
                 continue
             report = self.reports.get(flow.serving)
             quality = report.quality if report is not None else 0.0

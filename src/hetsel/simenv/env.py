@@ -132,7 +132,9 @@ class Environment:
     """Mutable world state driven by scenario actions.
 
     ``emit`` publishes an environment-change event (type, payload) onto the
-    run's bus.  Flows arrive already built and validated.
+    run's bus.  Flows arrive already built and validated.  ``generation``
+    counts the writes to cells, flows and charges, whether or not their event
+    is ever delivered: equal generations mean an unchanged world.
     """
 
     def __init__(
@@ -152,6 +154,7 @@ class Environment:
         # (flow_id, cell_id) -> the demand currently charged there; during a
         # make-before-break handover a flow is briefly charged on both cells.
         self._charges: dict[tuple[str, str], int] = {}
+        self.generation = 0
 
     # -- actions -----------------------------------------------------------
 
@@ -179,6 +182,7 @@ class Environment:
                          if cell_id == cell.cell_id)
         previous = getattr(cell, name)
         setattr(cell, name, value)
+        self.generation += 1
         try:
             cell.validate()
         except ValueError as exc:
@@ -189,6 +193,7 @@ class Environment:
         if cell.covered == covered:
             return
         cell.covered = covered
+        self.generation += 1
         if not covered:
             # A dead cell carries nothing: the charges of the flows it serves
             # go, and so do those of handovers and attaches aiming at it.  Its
@@ -222,6 +227,7 @@ class Environment:
         if flow.flow_id in self.flows:
             raise ActionError(f"flow {flow.flow_id!r} already exists")
         self.flows[flow.flow_id] = replace(flow)
+        self.generation += 1
         self._emit("flow-arrival", {
             "flow": flow.flow_id,
             "service_class": flow.service_class,
@@ -239,6 +245,7 @@ class Environment:
         flow = self.flows.pop(action.target, None)
         if flow is None:
             raise ActionError(f"unknown flow {action.target!r}")
+        self.generation += 1
         if flow.serving is not None:
             self.unmap_flow(flow, flow.serving)
             flow.serving = None
@@ -263,6 +270,7 @@ class Environment:
             def apply_step() -> None:
                 fraction = min(1.0, (k * step) / duration)
                 setattr(cell, name, start + (end - start) * fraction)
+                self.generation += 1
             return apply_step
 
         for k in range(1, steps + 1):
@@ -284,6 +292,7 @@ class Environment:
             return False
         cell.used_resources += flow.resource_demand
         self._charges[key] = flow.resource_demand
+        self.generation += 1
         return True
 
     def is_charged(self, flow: Flow, cell_id: str) -> bool:
@@ -296,6 +305,7 @@ class Environment:
         demand = self._charges.pop((flow_id, cell_id), None)
         if demand is None:
             return
+        self.generation += 1
         cell = self.cells[cell_id]
         cell.used_resources -= demand
         if cell.used_resources < 0:

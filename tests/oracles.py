@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
+from hetsel.mrrm import round_candidates
+
 
 def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative):
     """Brute-force argmax over the whole filter+score pipeline.
@@ -228,3 +230,63 @@ def thin_decisions(records: Iterable) -> list:
             last[flow_id] = record.attributes
         kept.append(record)
     return kept
+
+
+def full_round_key(mrrm) -> tuple:
+    """Everything stage two and the assignment read in one decision round of
+    ``mrrm``, rebuilt from its state as one comparable value: equal keys give
+    equal decisions.  This is what the manager compared each round before
+    its writers kept marks; it reuses the library's stage one, since what it
+    checks is the marks, not the ranking."""
+    tentative: dict = {}
+    for entry in mrrm.in_flight.values():
+        if entry.stage == "attaching":
+            tentative[entry.target] = tentative.get(entry.target, 0) + entry.flow.resource_demand
+    stage = round_candidates(mrrm.usable_reports(), mrrm.policies, mrrm.caps, mrrm.selection,
+                             mrrm.env.cells)
+    pending = [mrrm.flows[flow_id] for flow_id in sorted(mrrm.flows)
+               if flow_id not in mrrm.in_flight]
+    return (stage.entries, tentative,
+            tuple((f.flow_id, f.min_rate, f.max_delay_ms, f.max_loss, f.resource_demand,
+                   f.serving,
+                   f.serving in mrrm.gll.attached and mrrm.env.is_charged(f, f.serving),
+                   f.serving in mrrm.reports)
+                  for f in pending))
+
+
+class ReplayGate:
+    """Holds a manager's settled-round replays to the full round key.
+
+    Install it on a built run before the run executes.  Before each round it
+    rebuilds ``full_round_key``.  A round that reads no reports, stage one's
+    first step, was replayed: its full key must equal that of the last round
+    that initiated nothing, or the round fails.  ``replayed`` counts those
+    rounds; ``replayable`` counts every round whose full key equals that one,
+    the rounds a comparison of full keys would replay.
+    """
+
+    def __init__(self, mrrm):
+        self.replayed = self.replayable = 0
+        self._settled_key = None
+        decide_once, usable_reports = mrrm._decide_once, mrrm.usable_reports
+        reads = []
+
+        def counted_usable_reports():
+            reads.append(True)
+            return usable_reports()
+
+        def gated_decide_once():
+            key = full_round_key(mrrm)
+            reads.clear()
+            decisions = decide_once()
+            replayable = self._settled_key is not None and key == self._settled_key
+            self.replayable += replayable
+            if not reads:
+                assert replayable, f"t={mrrm.loop.now}: a round replayed on changed inputs"
+                self.replayed += 1
+            if all(decision["action"] == "none" for decision in decisions):
+                self._settled_key = key
+            return decisions
+
+        mrrm.usable_reports = counted_usable_reports
+        mrrm._decide_once = gated_decide_once

@@ -290,9 +290,9 @@ def test_weight_scaling_leaves_order_unchanged(rng):
 
 def make_world(cells, flows=(), selection=None, policies=None, caps=None,
                respond=True, gll_cfg=None, delays=(10, 1, 19, 16, 302),
-               make_before_break=True, check_timeout=1000, record=None):
+               make_before_break=True, check_timeout=1000, record=None, drop_types=()):
     loop = EventLoop()
-    bus = TriggerBus(clock=lambda: loop.now)
+    bus = TriggerBus(clock=lambda: loop.now, drop_types=drop_types)
     if respond:
         PoliciesCheckResponder(bus)
     env = Environment(loop, cells,
@@ -588,11 +588,13 @@ def selects(monkeypatch):
     return calls
 
 
-def _settled_world(serving_quality):
+def _settled_world(serving_quality, flows=("f1",), drop_types=()):
     """f1 holds a, at a's load 0.1; b (quality 0.3) heads the ranking inside
-    the hysteresis when a's quality is 1/6, and a heads it at quality 1."""
+    the hysteresis when a's quality is 1/6, and a heads it at quality 1.
+    Further flows hold a too."""
     a, b = make_cell("a"), make_cell("b")
-    world = make_world([a, b], flows=[make_flow("f1", serving="a")])
+    world = make_world([a, b], flows=[make_flow(flow_id, serving="a") for flow_id in flows],
+                       drop_types=drop_types)
     world.mrrm.reports["a"] = synthetic_report(a.cell_id, quality=serving_quality,
                                                load=0.1)
     world.mrrm.reports["b"] = synthetic_report(b.cell_id, quality=0.3)
@@ -676,6 +678,53 @@ def test_settled_round_ignores_report_fields_stage_two_does_not_read(selects):
     assert selects == ["f1"]
 
 
+def test_a_replayed_round_runs_no_stage_one(monkeypatch):
+    world = _settled_world(1 / 6)
+    first = world.mrrm.decide()
+    calls = []
+    monkeypatch.setattr(mrrm_mod, "round_candidates", lambda *args: calls.append(args))
+    monkeypatch.setattr(world.mrrm, "usable_reports", lambda: calls.append(()))
+    assert world.mrrm.decide() == first
+    assert calls == []
+
+
+def test_a_link_lost_under_a_dropped_link_down_is_decided_afresh(selects):
+    world = _settled_world(1.0, drop_types=["link-down"])
+    world.mrrm.decide()
+    world.gll.detach("a")  # its link-down never reaches mrrm
+    decisions = world.mrrm.decide()
+    assert selects == ["f1", "f1"]
+    assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
+
+
+def test_a_departure_under_a_dropped_flow_departure_is_decided_afresh(selects):
+    world = _settled_world(1 / 6, flows=("f1", "f2"), drop_types=["flow-departure"])
+    assert [d["flow"] for d in world.mrrm.decide()] == ["f1", "f2"]
+    world.env.apply_action(ScenarioAction(0, "flow-departure", "f2"))
+    assert [d["flow"] for d in world.mrrm.decide()] == ["f1"]
+    assert selects == ["f1", "f2", "f1"]
+
+
+def test_an_arrival_under_a_dropped_flow_arrival_is_decided_afresh(selects):
+    world = _settled_world(1 / 6, drop_types=["flow-arrival"])
+    world.mrrm.decide()
+    world.env.admit_flow(make_flow("f2"))
+    assert [d["flow"] for d in world.mrrm.decide()] == ["f1", "f2"]
+    assert selects == ["f1", "f1", "f2"]
+
+
+def test_a_quality_ramp_step_is_decided_afresh(selects):
+    world = _settled_world(1 / 6)
+    world.mrrm.decide()
+    world.env.apply_action(ScenarioAction(0, "quality-ramp", "b", {
+        "field": "raw_error_rate", "end": 0.5, "duration_ms": 100, "step_ms": 100}))
+    world.mrrm.decide()  # the ramp has not stepped yet
+    assert selects == ["f1"]
+    world.loop.run_until(100)
+    world.mrrm.decide()
+    assert selects == ["f1", "f1"]
+
+
 # -- written decisions and arrival rounds ---------------------------------------
 
 
@@ -690,7 +739,8 @@ def test_decision_record_is_written_only_when_it_changes():
     for _ in range(3):
         assert world.mrrm.decide() == first  # returned, though not written again
     assert written == first
-    world.mrrm.reports["b"] = synthetic_report(b.cell_id, quality=0.0)
+    world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll", payload=report_to_payload(
+        synthetic_report(b.cell_id, quality=0.0))))
     changed = world.mrrm.decide()
     assert changed != first
     assert written == first + changed

@@ -9,9 +9,14 @@ statistics, and a second run is byte-identical.  Timeline values leave room for 
 demand, so no action fails a capacity check.  In a world whose timeline is
 empty, selection converges: handovers stop after a bounded number of
 decision rounds.  Replaying settled decision rounds changes no trace, of a
-generated or of a shipped scenario.  A run that writes a flow's decision
+generated or of a shipped scenario, and a round is replayed only when the
+full round key (``oracles.ReplayGate``) says its inputs are those of the
+settled round: on every round of the generated, shipped, mutated and
+benchmark worlds.  A run that writes a flow's decision
 record only when it changes writes exactly the records of a run that writes
 every decision, less the repeats, and reads back to the same statistics.
+A shipped scenario with one leaf mutated is rejected by a diagnostic that
+names a path of the document, or runs clean.
 
 Worlds ramp link quality, and their operators' policies checks are answered
 from a drawn store and default verdict, or go unanswered and time out, so
@@ -20,6 +25,10 @@ again under the same id, and the bus may drop every flow departure.  Up to
 three correlation rules watch the run's own events and one another's
 synthetic ones, so the trace holds synthetic and nested publishes.
 """
+
+import json
+import math
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -30,10 +39,19 @@ from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.stats import compute_stats
 from hetsel.harness.trace import read_trace
 from hetsel.mrrm import MultiRadioResourceManager, select_access
-from hetsel.simenv.scenario import load_scenario, scenario_from_dict
+from hetsel.simenv.scenario import ScenarioError, load_scenario, scenario_from_dict
 
-from conftest import DEPARTED_WHILE_ATTACHING_WORLD, SHIPPED_SCENARIOS, TARGET_LOST_COVERAGE_WORLD
-from oracles import thin_decisions
+from conftest import (
+    DEPARTED_WHILE_ATTACHING_WORLD,
+    REPO_ROOT,
+    SHIPPED_SCENARIOS,
+    TARGET_LOST_COVERAGE_WORLD,
+)
+from oracles import ReplayGate, thin_decisions
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+from worlds import WORKLOADS, generate  # noqa: E402
 
 MAX_BASE = 40      # base load of a cell, initial and set
 MIN_TOTAL = 200    # capacity of a cell, initial and set
@@ -222,8 +240,13 @@ _CHAINED_RULES_WORLD = {
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_generated_scenarios_run_clean(doc):
-    scenario = scenario_from_dict(doc)
+    _check_run_clean(scenario_from_dict(doc))
+
+
+def _check_run_clean(scenario):
+    """Run ``scenario`` under the replay gate and check its invariants."""
     run = build_run(scenario)
+    ReplayGate(run.mrrm)
     result = execute_run(run)
     for cell in run.env.cells.values():
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
@@ -356,10 +379,13 @@ _REARRIVAL_WORLD = {
 
 def _check_thinned_against_full(scenario):
     """The run writes the full trace less the repeated decision records, and
-    both traces read back to the run's statistics."""
+    both traces read back to the run's statistics.  The full trace decides
+    every round afresh, since a replayed round writes nothing, and writes
+    every decision."""
     result = execute_run(build_run(scenario))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MultiRadioResourceManager, "_record_decision", _record_every_decision)
+        patch.setattr(MultiRadioResourceManager, "_round_inputs", lambda self, *args: object())
         full = execute_run(build_run(scenario))
     records = list(read_trace(result.trace_lines))
     full_records = list(read_trace(full.trace_lines))
@@ -385,3 +411,86 @@ def test_generated_traces_are_the_full_traces_less_repeated_decisions(doc):
 def test_a_flow_that_returns_unseen_keeps_its_service_gap():
     result, _ = _check_thinned_against_full(scenario_from_dict(_REARRIVAL_WORLD))
     assert result.stats.service_gap_ms == {"big": 4500}
+
+
+# -- the marks against the full round key ----------------------------------------
+
+MIN_REPLAY_COVERAGE = 0.95  # of the rounds that a comparison of full keys replays
+
+
+def _gated_run(scenario):
+    run = build_run(scenario)
+    gate = ReplayGate(run.mrrm)
+    execute_run(run)
+    return gate
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_marks_replay_shipped_rounds_only_on_unchanged_inputs(path):
+    assert _gated_run(load_scenario(path)).replayed > 0
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_marks_replay_benchmark_rounds_only_on_unchanged_inputs(workload, seed):
+    gate = _gated_run(scenario_from_dict(generate(workload, seed).scenario))
+    if seed == 1:
+        assert gate.replayed >= MIN_REPLAY_COVERAGE * gate.replayable > 0, (
+            gate.replayed, gate.replayable)
+
+
+# -- mutated shipped scenarios ------------------------------------------------------
+
+_MUTANT_VALUES = (0, 1, -1, 1e9, -1e9, 1e300, math.nan, "", None, True, False, [], {})
+_DELETE = object()
+
+
+def _leaves(node, path=()):
+    """The key paths of every scalar, empty list and empty object."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _rendered_paths(node, path=""):
+    """Every node's path as a diagnostic names it: ``cells[0].rat``."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _rendered_paths(child, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _rendered_paths(child, f"{path}[{index}]")
+
+
+@st.composite
+def mutants(draw):
+    """A shipped scenario and a copy with one leaf replaced, or its key deleted."""
+    text = draw(st.sampled_from(SHIPPED_SCENARIOS)).read_text(encoding="utf-8")
+    doc, mutant = json.loads(text), json.loads(text)
+    names = sorted({cell[key] for cell in doc.get("cells", ())
+                    for key in ("cell_id", "operator_id")})
+    *parents, key = draw(st.sampled_from(list(_leaves(doc))))
+    value = draw(st.sampled_from(_MUTANT_VALUES + tuple(names) + (_DELETE,)))
+    node = mutant
+    for parent in parents:
+        node = node[parent]
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return doc, mutant
+
+
+@given(docs=mutants())
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_mutated_shipped_scenario_is_rejected_by_path_or_runs_clean(docs):
+    doc, mutant = docs
+    try:
+        _check_run_clean(scenario_from_dict(mutant))
+    except ScenarioError as exc:
+        # a missing key is named by its path in the unmutated document
+        assert str(exc).split(": ", 1)[0] in set(_rendered_paths(doc)), str(exc)
