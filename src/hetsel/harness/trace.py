@@ -9,9 +9,8 @@ type.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, NamedTuple, Union
 
 # Attribute values are scalars or freshly built lists of them, never a container
 # that holds itself, so the per-call circular-reference bookkeeping buys
@@ -37,12 +36,13 @@ class MissingAttributeError(RecordError):
         super().__init__(record, f"record lacks attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace line, read-only; built once per record written or read."""
+
     at: int
     component: str
     kind: str
-    attributes: dict[str, Any] = field(default_factory=dict)
+    attributes: dict[str, Any]
 
 
 def format_record(record: TraceRecord) -> str:

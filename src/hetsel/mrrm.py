@@ -379,6 +379,9 @@ class MultiRadioResourceManager:
         # (marks, earliest cool-down expiry then pending, decisions) of the
         # last round decided afresh, when it initiated nothing
         self._settled: Optional[tuple[tuple, float, list[dict[str, Any]]]] = None
+        # (this component's generation, the environment's) at the last
+        # quality-floor walk that found no flow under the floor
+        self._floor_clear: Optional[tuple[int, int]] = None
         bus.subscribe(
             trg.Subscription(consumer_id="mrrm", accepted_types=tuple(self._HANDLERS)),
             self.on_trigger,
@@ -666,7 +669,17 @@ class MultiRadioResourceManager:
         self.decide()
 
     def _check_quality_floor(self) -> None:
+        """Scan when a served flow's access reports a quality under the floor.
+
+        The walk reads reports, flows, their serving cells and which flows
+        are in flight.  Their writers keep the marks of a round, and a flow
+        entering ``in_flight`` only shrinks what the walk checks; so with
+        the marks of a walk that found no flow under the floor, it finds none.
+        """
         if self._scan_pending is not None:
+            return
+        marks = (self._generation, self.env.generation)
+        if marks == self._floor_clear:
             return
         for flow in self.flows.values():
             if flow.serving is None or flow.flow_id in self.in_flight:
@@ -676,6 +689,7 @@ class MultiRadioResourceManager:
             if quality < self.selection.quality_floor:
                 self._start_scan()
                 return
+        self._floor_clear = marks
 
     def _on_new_access(self, payload: Mapping[str, Any]) -> None:
         operator_id = payload["operator"]

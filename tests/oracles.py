@@ -290,3 +290,46 @@ class ReplayGate:
 
         mrrm.usable_reports = counted_usable_reports
         mrrm._decide_once = gated_decide_once
+
+
+def flows_under_floor(mrrm) -> list[str]:
+    """The flows a full quality-floor walk of ``mrrm`` finds: served, not in
+    flight, and on an access that is unreported or reports a quality under
+    the floor."""
+    under = []
+    for flow in mrrm.env.flows.values():
+        if flow.serving is None or flow.flow_id in mrrm.in_flight:
+            continue
+        report = mrrm.reports.get(flow.serving)
+        if report is None or report.quality < mrrm.selection.quality_floor:
+            under.append(flow.flow_id)
+    return under
+
+
+class FloorGate:
+    """Holds a manager's quality-floor checks to a full walk.
+
+    Install it on a built run before the run executes.  A check made while no
+    scan is pending must start a scan exactly when ``flows_under_floor``
+    finds a flow, so a check that skips its walk must find none.  ``checks``
+    counts the checks made with no scan pending and ``skipped`` those that
+    skipped the walk: they neither scanned nor stored fresh marks.
+    """
+
+    def __init__(self, mrrm):
+        self.checks = self.skipped = 0
+        check = mrrm._check_quality_floor
+
+        def gated_check():
+            if mrrm._scan_pending is not None:
+                check()
+                return
+            under = flows_under_floor(mrrm)
+            clear = mrrm._floor_clear
+            check()
+            scanned = mrrm._scan_pending is not None
+            assert scanned == bool(under), f"t={mrrm.loop.now}: scanned is {scanned}, under {under}"
+            self.checks += 1
+            self.skipped += not scanned and clear is not None and mrrm._floor_clear is clear
+
+        mrrm._check_quality_floor = gated_check

@@ -1,6 +1,5 @@
 """Link abstraction: metric mapping, scans, attach lifecycle, reporting cadence."""
 
-import dataclasses
 import random
 
 import pytest
@@ -235,7 +234,7 @@ def test_report_payload_roundtrip(m, reference_rate, service_class):
     assert payload["cell"] == m.cell_id
     assert not {"rat", "operator", "frequency"} & payload.keys()
     # one form: the report's fields are the payload's keys, in order
-    assert list(payload) == [f.name for f in dataclasses.fields(LinkQualityReport)]
+    assert list(payload) == list(LinkQualityReport._fields)
 
 
 def test_report_from_payload_rejects_a_missing_key():
@@ -244,6 +243,20 @@ def test_report_from_payload_rejects_a_missing_key():
         partial = {k: v for k, v in payload.items() if k != key}
         with pytest.raises(TypeError):
             report_from_payload(partial)
+
+
+def test_report_from_payload_rejects_an_unknown_key():
+    payload = report_to_payload(map_link_quality(make_measurement(), MappingConfig()))
+    with pytest.raises(TypeError):
+        report_from_payload({**payload, "rat": "WLAN"})
+
+
+@pytest.mark.parametrize("value", [make_measurement(), synthetic_report()],
+                         ids=lambda v: type(v).__name__)
+def test_measurements_and_reports_are_read_only(value):
+    for name in type(value)._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 # -- scan behaviour over the environment -----------------------------------------

@@ -134,6 +134,13 @@ def test_trace_record_roundtrip(at, component, kind, attributes):
         k: type(v) for k, v in attributes.items()}
 
 
+def test_trace_records_are_read_only():
+    record = TraceRecord(0, "trg", "event", {})
+    for name in TraceRecord._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_read_trace_names_the_file_and_line_of_a_corrupt_line(tmp_path, capsys):
     good = format_record(TraceRecord(0, "harness", "event", {"type": "run-end"}))
     path = tmp_path / "trace.txt"

@@ -1,6 +1,5 @@
 """Access selection: filters, scoring, ranking, decisions, policies-check."""
 
-import dataclasses
 import logging
 import random
 from types import SimpleNamespace
@@ -668,9 +667,10 @@ def test_settled_round_ignores_report_fields_stage_two_does_not_read(selects):
         # fresh reports through the bus: a later sample time, and other
         # sub-metrics behind the same composite quality
         for cell_id in ("a", "b"):
-            report = dataclasses.replace(world.mrrm.reports[cell_id], taken_at=100 * tick,
-                                         q_error=1.0 - tick / 10, q_rate=tick / 10,
-                                         q_delay=0.5 + tick / 10)
+            report = world.mrrm.reports[cell_id]._replace(taken_at=100 * tick,
+                                                          q_error=1.0 - tick / 10,
+                                                          q_rate=tick / 10,
+                                                          q_delay=0.5 + tick / 10)
             world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll",
                                         payload=report_to_payload(report)))
         assert world.mrrm.reports["a"].taken_at == 100 * tick
@@ -821,6 +821,38 @@ def test_quality_floor_triggers_scan_in_same_step():
     world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=0.05)
     scans = spy_scans(world)
     world.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, "gll", payload={"count": 1}))
+    assert scans == ["targeted"]
+
+
+def _batch(world):
+    world.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, "gll", payload={"count": 1}))
+
+
+def test_quality_floor_is_checked_again_when_only_a_report_changes():
+    world = _settled_world(1.0)
+    scans = spy_scans(world)
+    _batch(world)
+    _batch(world)
+    assert scans == []
+    report = world.mrrm.reports["a"]._replace(quality=0.05)
+    world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll",
+                                payload=report_to_payload(report)))
+    _batch(world)
+    assert scans == ["targeted"]
+
+
+def test_quality_floor_is_checked_again_when_only_the_environment_changes():
+    # the bus drops the arrival, so only the environment knows of the flow
+    world = _settled_world(1.0, drop_types=(trg.FLOW_ARRIVAL,))
+    world.mrrm.reports["b"] = synthetic_report("b", quality=0.05)
+    world.gll.force_attach("b")
+    scans = spy_scans(world)
+    _batch(world)
+    _batch(world)
+    assert scans == []
+    world.env.admit_flow(make_flow("f2", serving="b"))
+    assert world.env.map_flow(world.env.flows["f2"], "b")
+    _batch(world)
     assert scans == ["targeted"]
 
 

@@ -12,11 +12,13 @@ decision rounds.  Replaying settled decision rounds changes no trace, of a
 generated or of a shipped scenario, and a round is replayed only when the
 full round key (``oracles.ReplayGate``) says its inputs are those of the
 settled round: on every round of the generated, shipped, mutated and
-benchmark worlds.  A run that writes a flow's decision
+benchmark worlds.  Likewise a quality-floor check skips its walk only when a
+full walk (``oracles.FloorGate``) finds no flow under the floor, and scans
+exactly when it finds one.  A run that writes a flow's decision
 record only when it changes writes exactly the records of a run that writes
 every decision, less the repeats, and reads back to the same statistics.
-A shipped scenario with one leaf mutated is rejected by a diagnostic that
-names a path of the document, or runs clean.
+A shipped scenario or seed-1 benchmark world with one leaf mutated is
+rejected by a diagnostic that names a path of the document, or runs clean.
 
 Worlds ramp link quality, and their operators' policies checks are answered
 from a drawn store and default verdict, or go unanswered and time out, so
@@ -47,7 +49,7 @@ from conftest import (
     SHIPPED_SCENARIOS,
     TARGET_LOST_COVERAGE_WORLD,
 )
-from oracles import ReplayGate, thin_decisions
+from oracles import FloorGate, ReplayGate, thin_decisions
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
@@ -244,9 +246,10 @@ def test_generated_scenarios_run_clean(doc):
 
 
 def _check_run_clean(scenario):
-    """Run ``scenario`` under the replay gate and check its invariants."""
+    """Run ``scenario`` under the replay and floor gates and check its invariants."""
     run = build_run(scenario)
     ReplayGate(run.mrrm)
+    FloorGate(run.mrrm)
     result = execute_run(run)
     for cell in run.env.cells.values():
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
@@ -439,7 +442,29 @@ def test_marks_replay_benchmark_rounds_only_on_unchanged_inputs(workload, seed):
             gate.replayed, gate.replayable)
 
 
-# -- mutated shipped scenarios ------------------------------------------------------
+# -- the quality-floor walk against a full walk -------------------------------------
+
+
+def _floor_gated_run(scenario):
+    run = build_run(scenario)
+    gate = FloorGate(run.mrrm)
+    execute_run(run)
+    return gate
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_floor_checks_skip_shipped_walks_only_with_no_flow_under(path):
+    assert _floor_gated_run(load_scenario(path)).skipped > 0
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_floor_checks_skip_benchmark_walks_only_with_no_flow_under(workload, seed):
+    gate = _floor_gated_run(scenario_from_dict(generate(workload, seed).scenario))
+    assert gate.skipped > 0
+
+
+# -- mutated shipped scenarios and benchmark worlds ---------------------------------
 
 _MUTANT_VALUES = (0, 1, -1, 1e9, -1e9, 1e300, math.nan, "", None, True, False, [], {})
 _DELETE = object()
@@ -465,10 +490,14 @@ def _rendered_paths(node, path=""):
             yield from _rendered_paths(child, f"{path}[{index}]")
 
 
+_SHIPPED_TEXTS = tuple(path.read_text(encoding="utf-8") for path in SHIPPED_SCENARIOS)
+_BENCHMARK_TEXTS = tuple(json.dumps(generate(workload, 1).scenario) for workload in WORKLOADS)
+
+
 @st.composite
-def mutants(draw):
-    """A shipped scenario and a copy with one leaf replaced, or its key deleted."""
-    text = draw(st.sampled_from(SHIPPED_SCENARIOS)).read_text(encoding="utf-8")
+def mutants(draw, texts=_SHIPPED_TEXTS):
+    """One of ``texts``, parsed, and a copy with one leaf replaced, or its key deleted."""
+    text = draw(st.sampled_from(texts))
     doc, mutant = json.loads(text), json.loads(text)
     names = sorted({cell[key] for cell in doc.get("cells", ())
                     for key in ("cell_id", "operator_id")})
@@ -488,7 +517,19 @@ def mutants(draw):
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_a_mutated_shipped_scenario_is_rejected_by_path_or_runs_clean(docs):
-    doc, mutant = docs
+    _check_mutant(*docs)
+
+
+# Most mutants are rejected at load; one that runs clean runs its world twice,
+# up to a second or two each, so 25 examples stay well under 15 s.
+@given(docs=mutants(_BENCHMARK_TEXTS))
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_a_mutated_benchmark_world_is_rejected_by_path_or_runs_clean(docs):
+    _check_mutant(*docs)
+
+
+def _check_mutant(doc, mutant):
     try:
         _check_run_clean(scenario_from_dict(mutant))
     except ScenarioError as exc:
