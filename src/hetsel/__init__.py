@@ -23,9 +23,6 @@ from .mrrm import (
     RoundCandidates,
     SelectionConfig,
     TerminalCapabilities,
-    dynamic_score,
-    policy_filter,
-    qos_feasible,
     round_candidates,
     select_access,
 )
@@ -55,11 +52,8 @@ __all__ = [
     "TerminalCapabilities",
     "TriggerBus",
     "UciRecord",
-    "dynamic_score",
     "load_scenario",
     "map_link_quality",
-    "policy_filter",
-    "qos_feasible",
     "residual_error_rate",
     "round_candidates",
     "scenario_from_dict",

@@ -1,14 +1,17 @@
 """Multiradio resource management: per-flow access selection and handover control.
 
 Selection runs in two stages.  Stage one, ``round_candidates``, runs once per
-decision round: it drops uncovered accesses, filters on the slow-changing
-policy constraints (operators, security, cost, roaming, terminal RAT
-support), terminates cells at or above the load threshold, and sums every
-flow-independent score term (link quality, cell resources, terminal energy
-cost, preference) for each survivor.  Stage two, ``select_access``, runs once
-per flow: it adds the QoS-fit term, scores every candidate but the serving
-one at its post-move load, and ranks the candidates.  The head of the ranked
-list serves each flow, guarded by hysteresis and a failure cool-down.
+decision round, in one pass over the reports the manager hands it: it drops
+uncovered accesses, cells at or above the load threshold and accesses the
+slow-changing policy constraints exclude (operators, security, cost,
+roaming, terminal RAT support), and sums every flow-independent score term
+(link quality, cell resources, terminal energy cost, preference) for each
+survivor.  The manager hands it only the reports of cells out of failure
+cool-down whose operator has passed its policies check.  Stage two,
+``select_access``, runs once per flow: it adds the QoS-fit term, scores every
+candidate but the serving one at its post-move load, and ranks the
+candidates.  The first candidate of the ranked list with room for the flow
+serves it, guarded by hysteresis and a failure cool-down.
 
 Post-move load: a serving cell's report already counts the flow's own demand,
 a target's does not, and neither counts the demand that earlier flows of the
@@ -63,7 +66,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from . import gll as gll_mod
 from . import trg
@@ -156,13 +159,8 @@ class SelectionConfig:
 class RankedList:
     """Scored candidates for one flow, best first."""
 
-    flow_id: str
     entries: tuple[tuple[str, float], ...]  # (cell id, score)
-    serving_score: Optional[float] = None  # None when the serving access is not ranked
-
-    @property
-    def head(self) -> Optional[str]:
-        return self.entries[0][0] if self.entries else None
+    serving_score: Optional[float]  # None when the serving access is not ranked
 
 
 @dataclass(frozen=True)
@@ -198,39 +196,6 @@ def _carries(flow: Flow, rate: float, delay_ms: float, error_rate: float) -> boo
     return rate >= flow.min_rate and delay_ms <= flow.max_delay_ms and error_rate <= flow.max_loss
 
 
-def qos_feasible(flow: Flow, report: LinkQualityReport) -> bool:
-    """Stage two's per-flow check: True when the access can carry the flow, bounds inclusive."""
-    return report.covered and _carries(flow, report.achievable_rate, report.delay_ms,
-                                       report.residual_error_rate)
-
-
-def policy_filter(
-    cells: Iterable[Cell],
-    policies: PolicySet,
-    caps: TerminalCapabilities,
-) -> list[Cell]:
-    """Stage one's policy check: keep the accesses the policies and the
-    terminal allow, in the order given."""
-    kept = []
-    for cell in cells:
-        op = cell.operator_id
-        if policies.allowed_operators and op not in policies.allowed_operators:
-            continue
-        if op in policies.denied_operators:
-            continue
-        if cell.security_level < policies.min_security_level:
-            continue
-        if policies.max_cost_per_mb is not None and cell.cost_per_mb > policies.max_cost_per_mb:
-            continue
-        if (not policies.roaming_allowed and policies.home_operator is not None
-                and op != policies.home_operator):
-            continue
-        if not caps.supports(cell.rat):
-            continue
-        kept.append(cell)
-    return kept
-
-
 def _score(
     f_qos: float,
     report: LinkQualityReport,
@@ -239,26 +204,12 @@ def _score(
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
 ) -> float:
-    """The one score formula; ``f_qos`` is 1.0 or 0.0.  Both stages sum
-    through here, in this order, so their scores are bit-identical."""
+    """The one score formula; ``f_qos`` is 1.0 or 0.0, the QoS-fit term."""
     return (cfg.w_qos * f_qos
             + cfg.w_link * report.quality
             + cfg.w_cell * report.q_load
             + cfg.w_term * (1.0 - caps.energy_cost_for(cell.rat))
             + cfg.w_pol * policies.preference(cell.operator_id, cell.rat))
-
-
-def dynamic_score(
-    flow: Flow,
-    report: LinkQualityReport,
-    cell: Cell,
-    policies: PolicySet,
-    caps: TerminalCapabilities,
-    cfg: SelectionConfig,
-) -> float:
-    """Weighted sum of the five decision factors for one flow on one access."""
-    f_qos = 1.0 if qos_feasible(flow, report) else 0.0
-    return _score(f_qos, report, cell, policies, caps, cfg)
 
 
 def round_candidates(
@@ -270,28 +221,45 @@ def round_candidates(
 ) -> RoundCandidates:
     """Stage one, once per decision round: everything no flow changes.
 
-    Uncovered accesses are not candidates, the policy filter applies, and
-    cells at or above the load threshold are terminated outright.  Each
-    survivor's two possible scores are summed exactly as ``dynamic_score``
-    sums them, so stage two only has to pick one and correct it for load.
+    One pass over ``reports`` drops an access that is uncovered, at or above
+    the load threshold, excluded by the policies (operator not allowed or
+    denied, security too low, cost too high, roaming) or of a RAT the
+    terminal does not support.  Each survivor's two possible scores, for a
+    QoS-feasible and an infeasible flow, are summed here, so stage two only
+    has to pick one and correct it for load.
     """
-    by_cell = {r.cell: r for r in reports if r.covered}
-    allowed = policy_filter((cells[cell_id] for cell_id in by_cell), policies, caps)
-    entries = []
-    for cell in sorted(allowed, key=_identity):
-        report = by_cell[cell.cell_id]
+    kept = []
+    for report in reports:
+        if not report.covered:
+            continue
         if report.load >= cfg.load_threshold:
             continue
-        entries.append((cell.cell_id,
-                        report.achievable_rate, report.delay_ms, report.residual_error_rate,
-                        _score(1.0, report, cell, policies, caps, cfg),
-                        _score(0.0, report, cell, policies, caps, cfg),
-                        cfg.w_cell / cell.total_resources,
-                        cell.total_resources - cell.used_resources))
-    return RoundCandidates(
-        entries=tuple(entries),
-        position={entry[0]: i for i, entry in enumerate(entries)},
-    )
+        cell = cells[report.cell]
+        operator = cell.operator_id
+        if policies.allowed_operators and operator not in policies.allowed_operators:
+            continue
+        if operator in policies.denied_operators:
+            continue
+        if cell.security_level < policies.min_security_level:
+            continue
+        if policies.max_cost_per_mb is not None and cell.cost_per_mb > policies.max_cost_per_mb:
+            continue
+        if (not policies.roaming_allowed and policies.home_operator is not None
+                and operator != policies.home_operator):
+            continue
+        if not caps.supports(cell.rat):
+            continue
+        kept.append((_identity(cell),
+                     (cell.cell_id,
+                      report.achievable_rate, report.delay_ms, report.residual_error_rate,
+                      _score(1.0, report, cell, policies, caps, cfg),
+                      _score(0.0, report, cell, policies, caps, cfg),
+                      cfg.w_cell / cell.total_resources,
+                      cell.total_resources - cell.used_resources)))
+    kept.sort()
+    entries = tuple(entry for _, entry in kept)
+    return RoundCandidates(entries=entries,
+                           position={entry[0]: i for i, entry in enumerate(entries)})
 
 
 def select_access(flow: Flow, stage: RoundCandidates,
@@ -313,7 +281,7 @@ def select_access(flow: Flow, stage: RoundCandidates,
     order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
     entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
     serving_score = scores[serving] if serving >= 0 else None
-    return RankedList(flow_id=flow.flow_id, entries=entries, serving_score=serving_score)
+    return RankedList(entries, serving_score)
 
 
 # -- the component ---------------------------------------------------------------
@@ -467,16 +435,14 @@ class MultiRadioResourceManager:
 
     # -- decision pipeline ----------------------------------------------------------
 
-    def usable_reports(self) -> list[LinkQualityReport]:
+    def usable_reports(self) -> Iterator[LinkQualityReport]:
+        """The reports stage one reads: those of cells out of failure
+        cool-down whose operator is admitted."""
         now = self.loop.now
-        usable = []
         for cell_id, report in self.reports.items():
-            if self.cooldown_until.get(cell_id, -1) > now:
-                continue
-            if not self._operator_admitted(self.env.cells[cell_id].operator_id):
-                continue
-            usable.append(report)
-        return usable
+            if (self.cooldown_until.get(cell_id, -1) <= now
+                    and self._operator_admitted(self.env.cells[cell_id].operator_id)):
+                yield report
 
     def decide(self) -> list[dict[str, Any]]:
         """Re-run selection for every flow; returns the decision records.  A

@@ -13,57 +13,74 @@ from typing import Iterable, Optional, Sequence
 from hetsel.mrrm import round_candidates
 
 
-def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative):
-    """Brute-force argmax over the whole filter+score pipeline.
+def long_hand_score(flow, report, c, policies, caps, cfg, tentative):
+    """One access's score for ``flow`` term by term, or None when a filter
+    drops the access.
 
-    Every access but the serving one is scored at its post-move load: the
-    demand ``tentative`` already commits to its cell plus the flow's own.
-    Returns (cell id, score) for the winner under the documented tie-break
-    (serving access first, then lexicographic identity), or None when no
-    candidate survives the filters.
+    The five weighted terms are summed in the documented order, QoS fit
+    first.  An access other than the serving one loses ``w_cell /
+    total_resources`` per unit of its post-move demand: the demand
+    ``tentative`` already commits to its cell plus the flow's own.
+    """
+    if not report.covered:
+        return None
+    if policies.allowed_operators and c.operator_id not in policies.allowed_operators:
+        return None
+    if c.operator_id in policies.denied_operators:
+        return None
+    if c.security_level < policies.min_security_level:
+        return None
+    if policies.max_cost_per_mb is not None and c.cost_per_mb > policies.max_cost_per_mb:
+        return None
+    if (not policies.roaming_allowed and policies.home_operator is not None
+            and c.operator_id != policies.home_operator):
+        return None
+    if caps.supported_rats and c.rat not in caps.supported_rats:
+        return None
+    if report.load >= cfg.load_threshold:
+        return None
+    feasible = (report.achievable_rate >= flow.min_rate
+                and report.delay_ms <= flow.max_delay_ms
+                and report.residual_error_rate <= flow.max_loss)
+    if c.operator_id in policies.operator_preference:
+        preference = policies.operator_preference[c.operator_id]
+    else:
+        preference = policies.static_preference.get((c.operator_id, c.rat), 0.5)
+    energy = caps.energy_cost.get(c.rat, 0.0)
+    score = (cfg.w_qos * (1.0 if feasible else 0.0)
+             + cfg.w_link * report.quality
+             + cfg.w_cell * report.q_load
+             + cfg.w_term * (1.0 - energy)
+             + cfg.w_pol * preference)
+    if c.cell_id != flow.serving:
+        moved = tentative.get(c.cell_id, 0) + flow.resource_demand
+        score -= cfg.w_cell / c.total_resources * moved
+    return score
+
+
+def long_hand_key(flow, c, score) -> tuple:
+    """The documented ranking order: best score first, then the serving
+    access, then lexicographic identity."""
+    return (-score,
+            0 if c.cell_id == flow.serving else 1,
+            (c.operator_id, c.rat, c.cell_id, c.frequency))
+
+
+def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative):
+    """Brute-force argmax of ``long_hand_score`` under ``long_hand_key``.
+
+    Returns (cell id, score) for the winner, or None when no candidate
+    survives the filters.
     """
     best = None
     for report in reports:
-        if not report.covered:
-            continue
         c = cell_meta.get(report.cell)
         if c is None:
             continue
-        if policies.allowed_operators and c.operator_id not in policies.allowed_operators:
+        score = long_hand_score(flow, report, c, policies, caps, cfg, tentative)
+        if score is None:
             continue
-        if c.operator_id in policies.denied_operators:
-            continue
-        if c.security_level < policies.min_security_level:
-            continue
-        if policies.max_cost_per_mb is not None and c.cost_per_mb > policies.max_cost_per_mb:
-            continue
-        if (not policies.roaming_allowed and policies.home_operator is not None
-                and c.operator_id != policies.home_operator):
-            continue
-        if caps.supported_rats and c.rat not in caps.supported_rats:
-            continue
-        if report.load >= cfg.load_threshold:
-            continue
-        feasible = (report.covered
-                    and report.achievable_rate >= flow.min_rate
-                    and report.delay_ms <= flow.max_delay_ms
-                    and report.residual_error_rate <= flow.max_loss)
-        if c.operator_id in policies.operator_preference:
-            preference = policies.operator_preference[c.operator_id]
-        else:
-            preference = policies.static_preference.get((c.operator_id, c.rat), 0.5)
-        energy = caps.energy_cost.get(c.rat, 0.0)
-        score = (cfg.w_qos * (1.0 if feasible else 0.0)
-                 + cfg.w_link * report.quality
-                 + cfg.w_cell * report.q_load
-                 + cfg.w_term * (1.0 - energy)
-                 + cfg.w_pol * preference)
-        if c.cell_id != flow.serving:
-            moved = tentative.get(c.cell_id, 0) + flow.resource_demand
-            score -= cfg.w_cell / c.total_resources * moved
-        key = (-score,
-               0 if c.cell_id == flow.serving else 1,
-               (c.operator_id, c.rat, c.cell_id, c.frequency))
+        key = long_hand_key(flow, c, score)
         if best is None or key < best[0]:
             best = (key, c.cell_id, score)
     if best is None:

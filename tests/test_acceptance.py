@@ -102,9 +102,9 @@ def test_criterion_4_selection_oracle_equivalence():
             expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells, tentative)
             checked += 1
             if expected is None:
-                if ranked.head is not None:
+                if ranked.entries:
                     mismatches += 1
-            elif ranked.head != expected[0]:
+            elif not ranked.entries or ranked.entries[0][0] != expected[0]:
                 mismatches += 1
     runtime = time.perf_counter() - started
     ok = mismatches == 0 and runtime < 30.0

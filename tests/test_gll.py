@@ -22,7 +22,6 @@ from hetsel.gll import (
     residual_error_rate,
     scan_results,
 )
-from hetsel.mrrm import qos_feasible
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
 
@@ -91,28 +90,6 @@ def test_per_class_reference_rate():
     assert map_link_quality(m, cfg, "real-time").q_rate == pytest.approx(0.5)
     assert map_link_quality(m, cfg, "background").q_rate == 1.0
     assert map_link_quality(m, cfg).q_rate == 1.0
-
-
-# -- QoS feasibility --------------------------------------------------------------
-
-
-def test_qos_feasible_conjunction():
-    flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
-    report = synthetic_report(achievable_rate=2e6, delay_ms=50, residual_error_rate=0.001)
-    assert qos_feasible(flow, report) is True
-
-
-def test_qos_requires_coverage():
-    flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
-    report = synthetic_report(achievable_rate=2e6, delay_ms=50,
-                              residual_error_rate=0.001, covered=False)
-    assert qos_feasible(flow, report) is False
-
-
-def test_qos_boundaries_are_inclusive():
-    flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
-    report = synthetic_report(achievable_rate=1e6, delay_ms=100, residual_error_rate=0.01)
-    assert qos_feasible(flow, report) is True
 
 
 # -- property tests ------------------------------------------------------------------

@@ -18,8 +18,6 @@ from hetsel.mrrm import (
     PolicySet,
     SelectionConfig,
     TerminalCapabilities,
-    dynamic_score,
-    policy_filter,
     round_candidates,
     select_access,
 )
@@ -39,67 +37,103 @@ from conftest import (
     report_for_cell,
     synthetic_report,
 )
-from oracles import selection_oracle_best
+from oracles import long_hand_key, long_hand_score, selection_oracle_best
 
-# -- policy filter ------------------------------------------------------------
-
-
-def test_denied_operator_is_excluded():
-    a = make_cell("a", operator_id="OpA")
-    b = make_cell("b", rat="UMTS", operator_id="OpB", frequency="f1")
-    c = make_cell("c", operator_id="OpC", frequency="ch11")
-    cells = {x.cell_id: x for x in (a, b, c)}
-    kept = policy_filter(cells.values(), PolicySet(denied_operators={"OpC"}),
-                         TerminalCapabilities())
-    assert {k.cell_id for k in kept} == {"a", "b"}
+# -- stage one's filter -----------------------------------------------------------
 
 
-def test_unsupported_rat_excluded_regardless_of_preference():
-    a = make_cell("a", rat="GSM")
-    policies = PolicySet(static_preference={("OpA", "GSM"): 1.0})
-    kept = policy_filter([a], policies, TerminalCapabilities(supported_rats={"WLAN", "UMTS"}))
-    assert kept == []
+def _candidate_ids(cells, policies, caps, cfg=SelectionConfig()):
+    stage = round_candidates([report_for_cell(c) for c in cells], policies, caps, cfg,
+                             {c.cell_id: c for c in cells})
+    return [entry[0] for entry in stage.entries]
 
 
-def test_security_cost_and_roaming_gates():
-    low_sec = make_cell("lowsec", security_level=0)
-    pricey = make_cell("pricey", cost_per_mb=2.0)
-    foreign = make_cell("foreign", operator_id="OpB")
-    home = make_cell("home", operator_id="OpA")
-    policies = PolicySet(min_security_level=1, max_cost_per_mb=1.0,
-                         roaming_allowed=False, home_operator="OpA")
-    kept = policy_filter([low_sec, pricey, foreign, home], policies, TerminalCapabilities())
-    assert [k.cell_id for k in kept] == ["home"]
+def test_candidates_are_listed_by_operator_rat_and_cell():
+    cells = [make_cell("c", operator_id="OpB", rat="UMTS"), make_cell("b", operator_id="OpB"),
+             make_cell("z", operator_id="OpA"), make_cell("a", operator_id="OpB")]
+    assert _candidate_ids(cells, PolicySet(), TerminalCapabilities()) == ["z", "c", "a", "b"]
 
 
-# -- dynamic score ---------------------------------------------------------------
+# every limit at the cell's own value: each bound admits it, inclusively
+_AT_THE_LIMITS = dict(allowed_operators={"OpA"}, min_security_level=2, max_cost_per_mb=1.0,
+                      roaming_allowed=False, home_operator="OpA")
+
+
+@pytest.mark.parametrize("rule, policies, supported_rats", [
+    ("operator not allowed", {"allowed_operators": {"OpB"}}, {"WLAN"}),
+    ("operator denied", {"denied_operators": {"OpA"}, "allowed_operators": set()}, {"WLAN"}),
+    ("security too low", {"min_security_level": 3}, {"WLAN"}),
+    ("cost too high", {"max_cost_per_mb": 0.5}, {"WLAN"}),
+    ("roaming", {"home_operator": "OpB"}, {"WLAN"}),
+    # a RAT the terminal lacks goes whatever its preference
+    ("RAT unsupported", {"static_preference": {("OpA", "WLAN"): 1.0}}, {"UMTS", "GSM"}),
+])
+def test_each_stage_one_rule_alone_removes_a_cell(rule, policies, supported_rats):
+    cell = make_cell("a", security_level=2, cost_per_mb=1.0)
+    caps = TerminalCapabilities(supported_rats={"WLAN"})
+    assert _candidate_ids([cell], PolicySet(**_AT_THE_LIMITS), caps) == ["a"]
+    removing = PolicySet(**{**_AT_THE_LIMITS, **policies})
+    assert _candidate_ids([cell], removing, TerminalCapabilities(supported_rats)) == [], rule
+
+
+def test_a_rule_removes_only_the_cells_it_names():
+    cells = [make_cell("a", operator_id="OpA"), make_cell("b", operator_id="OpB"),
+             make_cell("c", operator_id="OpC")]
+    kept = _candidate_ids(cells, PolicySet(denied_operators={"OpC"}), TerminalCapabilities())
+    assert kept == ["a", "b"]
+
+
+# -- scores against the long-hand formula --------------------------------------------
+
+
+def _serving_score(flow, report, cell, policies, caps, cfg=SelectionConfig()):
+    """The score ``select_access`` gives ``flow`` on the one access it is
+    served by; it must equal the long-hand score bit for bit."""
+    flow.serving = cell.cell_id
+    stage = round_candidates([report], policies, caps, cfg, {cell.cell_id: cell})
+    ranked = select_access(flow, stage, {})
+    assert ranked.serving_score == long_hand_score(flow, report, cell, policies, caps, cfg, {})
+    return ranked.serving_score
 
 
 def test_score_upper_bound():
     report = synthetic_report(quality=1.0)
-    flow = make_flow(min_rate=1e6)
     policies = PolicySet(static_preference={("OpA", "WLAN"): 1.0})
-    score = dynamic_score(flow, report, make_cell(), policies, TerminalCapabilities(),
-                          SelectionConfig())
+    score = _serving_score(make_flow(min_rate=1e6), report, make_cell(), policies,
+                           TerminalCapabilities())
     assert score == pytest.approx(1.0)
 
 
 def test_infeasible_qos_costs_exactly_its_weight():
     report = synthetic_report(quality=1.0, achievable_rate=0.5e6)
-    flow = make_flow(min_rate=1e6)
     policies = PolicySet(static_preference={("OpA", "WLAN"): 1.0})
-    score = dynamic_score(flow, report, make_cell(), policies, TerminalCapabilities(),
-                          SelectionConfig())
+    score = _serving_score(make_flow(min_rate=1e6), report, make_cell(), policies,
+                           TerminalCapabilities())
     assert score == pytest.approx(0.7)
 
 
 def test_hand_evaluated_score_example():
     # defaults; f_qos=1, quality 0.6875, q_load 0.6, energy 0.2, pref 0.5
     report = synthetic_report(quality=0.6875, load=0.4)
-    flow = make_flow(min_rate=1e6)
     caps = TerminalCapabilities(energy_cost={"WLAN": 0.2})
-    score = dynamic_score(flow, report, make_cell(), PolicySet(), caps, SelectionConfig())
+    score = _serving_score(make_flow(min_rate=1e6), report, make_cell(), PolicySet(), caps)
     assert score == pytest.approx(0.75625)
+
+
+@pytest.mark.parametrize("rate, delay_ms, error_rate, feasible", [
+    (2e6, 50, 0.001, True),
+    (1e6, 100, 0.01, True),  # every bound is inclusive
+    (0.9e6, 50, 0.001, False),
+    (2e6, 101, 0.001, False),
+    (2e6, 50, 0.011, False),
+])
+def test_qos_fit_is_the_conjunction_of_rate_delay_and_loss(rate, delay_ms, error_rate, feasible):
+    flow = make_flow(min_rate=1e6, max_delay_ms=100, max_loss=0.01)
+    report = synthetic_report(quality=0.5, achievable_rate=rate, delay_ms=delay_ms,
+                              residual_error_rate=error_rate)
+    score = _serving_score(flow, report, make_cell(), PolicySet(), TerminalCapabilities())
+    # quality 0.5, q_load 1, no energy cost, preference 0.5: 0.15 + 0.2 + 0.1 + 0.05
+    assert score == pytest.approx(0.5 + (0.3 if feasible else 0.0))
 
 
 # -- select_access ------------------------------------------------------------------
@@ -111,12 +145,13 @@ def test_singleton_candidate():
     flow = make_flow(resource_demand=10)
     ranked = select_access(flow, round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}), {"a": 5})
-    assert len(ranked.entries) == 1
-    assert ranked.head == "a"
-    expected = dynamic_score(flow, reports[0], cell, PolicySet(), TerminalCapabilities(),
-                             SelectionConfig())
+    assert [cell_id for cell_id, _ in ranked.entries] == ["a"]
+    assert ranked.entries[0][1] == long_hand_score(flow, reports[0], cell, PolicySet(),
+                                                   TerminalCapabilities(), SelectionConfig(),
+                                                   {"a": 5})
+    # quality 0.25 * (1 + 1 + 0.95 + 1), so 0.3 + 0.3 * 0.9875 + 0.2 + 0.1 + 0.05 unloaded;
     # an unserved flow sees the cell at its post-move load: 5 committed + 10 own of 100
-    assert ranked.entries[0][1] == pytest.approx(expected - 0.2 * 15 / 100)
+    assert ranked.entries[0][1] == pytest.approx(0.94625 - 0.2 * 15 / 100)
 
 
 def test_serving_cell_is_scored_at_its_reported_load():
@@ -130,14 +165,14 @@ def test_serving_cell_is_scored_at_its_reported_load():
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {})
     scores = dict(ranked.entries)
-    assert scores["a"] == dynamic_score(flow, reports[0], a, policies, caps, cfg)
+    assert scores["a"] == long_hand_score(flow, reports[0], a, policies, caps, cfg, {})
     assert ranked.serving_score == scores["a"]
     # b at its post-move load is a's twin: 0.3 + 0.3 * 0.8 + 0.2 * 0.9 + 0.1 + 0.05
     assert scores["a"] == pytest.approx(0.87)
     assert scores["b"] == pytest.approx(0.87)
     # the same move committed by an earlier flow of the round makes b worse
     ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {"b": 10})
-    assert ranked.head == "a"
+    assert ranked.entries[0][0] == "a"
     assert ranked.entries[1][1] == pytest.approx(0.85)
 
 
@@ -169,7 +204,7 @@ def test_serving_access_wins_score_ties():
     serving_b = make_flow(resource_demand=0, serving=b.cell_id)
     ranked = select_access(serving_b, round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells), {})
-    assert ranked.head == "b"
+    assert ranked.entries[0][0] == "b"
 
 
 def test_head_matches_brute_force_oracle_on_random_instances(rng):
@@ -181,9 +216,9 @@ def test_head_matches_brute_force_oracle_on_random_instances(rng):
                                    tentative)
             expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells, tentative)
             if expected is None:
-                assert ranked.head is None
+                assert ranked.entries == ()
             else:
-                assert ranked.head == expected[0]
+                assert ranked.entries[0][0] == expected[0]
                 assert ranked.entries[0][1] == pytest.approx(expected[1])
 
 
@@ -211,30 +246,20 @@ def test_filter_soundness_on_random_instances(rng):
 
 
 def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
-    """One flow's ranking the way it reads in the docs: filter, score every
-    candidate with ``dynamic_score``, less ``w_cell / total_resources`` per
-    unit of post-move demand on every access but the serving one, and sort by
-    (-score, serving first, identity)."""
-    by_cell = {r.cell: r for r in reports if r.covered}
+    """One flow's ranking the way it reads in the docs: score every access
+    with ``long_hand_score`` and sort by ``long_hand_key``."""
     scored = []
-    for c in policy_filter([cells[cell_id] for cell_id in by_cell], policies, caps):
-        if by_cell[c.cell_id].load >= cfg.load_threshold:
-            continue
-        score = dynamic_score(flow, by_cell[c.cell_id], c, policies, caps, cfg)
-        if c.cell_id != flow.serving:
-            moved = tentative.get(c.cell_id, 0) + flow.resource_demand
-            score -= cfg.w_cell / c.total_resources * moved
-        scored.append((c, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].cell_id != flow.serving,
-                                  (pair[0].operator_id, pair[0].rat, pair[0].cell_id,
-                                   pair[0].frequency)))
-    return [(c.cell_id, score) for c, score in scored]
+    for report in reports:
+        score = long_hand_score(flow, report, cells[report.cell], policies, caps, cfg, tentative)
+        if score is not None:
+            scored.append((long_hand_key(flow, cells[report.cell], score), report.cell, score))
+    return [(cell_id, score) for _, cell_id, score in sorted(scored)]
 
 
 def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, tentative):
     expected = _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative)
     assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
-    # bit-identical scores: the per-round sums are taken in dynamic_score's order
+    # bit-identical scores: both sum the terms in the same order
     assert [score for _, score in ranked.entries] == [score for _, score in expected]
     serving = [score for cell_id, score in expected if cell_id == flow.serving]
     assert ranked.serving_score == (serving[0] if serving else None)
@@ -262,7 +287,7 @@ def test_identical_cells_tie_break_serving_first_exactly():
         flow = make_flow(resource_demand=0, serving=serving)
         ranked = select_access(flow, stage, {})
         assert ranked.entries[0][1] == ranked.entries[1][1]
-        assert ranked.head == ("b" if serving == "b" else "a")
+        assert ranked.entries[0][0] == ("b" if serving == "b" else "a")
         _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {})
 
 
