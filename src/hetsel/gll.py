@@ -46,7 +46,6 @@ class LinkMeasurement(NamedTuple):
     delay_ms: float
     load: float
     covered: bool
-    taken_at: int = 0
 
 
 class LinkQualityReport(NamedTuple):
@@ -67,7 +66,6 @@ class LinkQualityReport(NamedTuple):
     delay_ms: float
     load: float
     covered: bool
-    taken_at: int
 
 
 @dataclass
@@ -214,7 +212,7 @@ def map_link_quality(
                    + cfg.w_delay * q_delay + cfg.w_load * q_load)
     return LinkQualityReport(m.cell_id, q_error, q_rate, q_delay, q_load, quality,
                              m.residual_error_rate, m.achievable_rate, m.delay_ms,
-                             m.load, m.covered, m.taken_at)
+                             m.load, m.covered)
 
 
 def scan_results(
@@ -367,7 +365,7 @@ class GenericLinkLayer:
         return LinkMeasurement(
             cell.cell_id,
             residual_error_rate(cell.raw_error_rate, self.cfg.mac.retransmissions_for(cell.rat)),
-            cell.achievable_rate, cell.base_delay_ms, cell.load, cell.covered, self.loop.now)
+            cell.achievable_rate, cell.base_delay_ms, cell.load, cell.covered)
 
     def _publish_reports(self, cells: list[Cell], service_class: Optional[str],
                          batch: bool) -> None:

@@ -78,7 +78,6 @@ def make_measurement(cell_id="wlan1", **over) -> LinkMeasurement:
         delay_ms=10.0,
         load=0.0,
         covered=True,
-        taken_at=0,
     )
     defaults.update(over)
     return LinkMeasurement(cell_id=cell_id, **defaults)
@@ -100,12 +99,11 @@ def synthetic_report(cell_id="wlan1", quality=1.0, **raw_over) -> LinkQualityRep
         delay_ms=raw.delay_ms,
         load=raw.load,
         covered=raw.covered,
-        taken_at=raw.taken_at,
     )
 
 
 def report_for_cell(cell: Cell, cfg: MappingConfig | None = None,
-                    retransmissions: int = 0, taken_at: int = 0) -> LinkQualityReport:
+                    retransmissions: int = 0) -> LinkQualityReport:
     cfg = cfg or MappingConfig()
     m = LinkMeasurement(
         cell_id=cell.cell_id,
@@ -114,7 +112,6 @@ def report_for_cell(cell: Cell, cfg: MappingConfig | None = None,
         delay_ms=cell.base_delay_ms,
         load=cell.load,
         covered=cell.covered,
-        taken_at=taken_at,
     )
     return map_link_quality(m, cfg)
 

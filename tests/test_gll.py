@@ -194,7 +194,6 @@ _CLASSES = ("real-time", "interactive", "background")
         delay_ms=st.floats(0, 10_000),
         load=st.floats(0, 1),
         covered=st.booleans(),
-        taken_at=st.integers(0, 10**9),
     ),
     reference_rate=st.one_of(
         st.floats(1, 1e9),

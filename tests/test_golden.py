@@ -30,28 +30,28 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "d12c4ff95c64bd16328fb87edcb697248aeae9d6eac9183b58733dbd7365bd79",
+        "21c84a3b30e7592e278bee43291a71ae17cc3f19661df089982c81130c6f09a4",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "3517b27c89f5537f0f7fa5bb8e2ba7becf67e569cb37cb27fc74c40484399703",
+        "761ac1028fd019e5fe456df0c5c0edf5f375dfc8fa72bbc598febf12aa573272",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
     "policies_check_timeout": (
-        "6cb03300b384fa152c7536ba408fcd99ea0df075a9d42e54f2d18f8e4d39b0d5",
+        "e8153f02755cfd343bc565bd88a5b1d24c96ba513e7805d81ec13a91ad436788",
         "9b04fb5810c09d14450400ae8d731bb0a56065d9078f3e0c567bd679f6b7d85d"),
     "scan_full_fallback": (
-        "add192a4bf0550c40dc7628feb450b217dfbb9431150d51b8b2979de63549795",
+        "8b7ffe7a0beaaf81b7c688c2dc8362f552596a29402a2c4145ea3f1506f931cc",
         "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "e75b9364122cc8a55f913fa15eceff08a57237828d6fd2922e4e05ca1efb5a06",
+        "bb6c3ee88b693cc5a2f9a8542676a66464b6c68e14a7f8a41ba42e263caf1196",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "d0ec29173cb43671e4acb5a4b42eba00fb6526115e4b8bf370e7b0463d613d94",
+        "1a51e31fc57ab3751fdfb05298fe7743f5853c6c59befe31cc61338f60c0b43f",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "983563ba41e8af3a919923b271512330affb11baa5dc22ec560a0199738325f3",
+        "c39c8715e91b7fdf06174395653c09a52cd8d30a0056f3468d5c27d5ddb94eda",
         "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
     "two_operators_deny": (
-        "59166787272177c1de7fa640c9db2ab9ad34b20ceae9c0d4c553ad6f1b7bc0dc",
+        "ef2c36f7ffb8ddc0539f4562fb206bee56a733f0dcac5ad9d937b0a4b8faad67",
         "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
@@ -72,9 +72,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "30ea0e4fe5fc272d2b9d22b3cd4e4284ddef586c4163db64aaa868dd74d072d1",
-    "metro_dense": "7824f64e096fd158851ef9f4c49533b06d788f0a39346fa3960d7357c76e2586",
-    "monitor_fanout": "24060c19aa87327d8d2742ae0736265cc29f7d974eb2d563230228581f6b36e3",
+    "commuter_churn": "9221bc478cd355142cc0687c5c40d7e5c3808bc3165d2b2cffb944f3ec518a46",
+    "metro_dense": "d13016aacd3cc6714ca2d3969300ff64d22eff41a4bc1e8bf58d68535632d131",
+    "monitor_fanout": "0a4ef0c7a8066f52368a96eff0d90d5dac682be69f32cc66a3b159e6b9991d35",
 }
 
 

@@ -342,7 +342,7 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
 
 def seed_reports(world, *cells):
     for cell in cells:
-        report = report_for_cell(cell, taken_at=world.loop.now)
+        report = report_for_cell(cell)
         world.mrrm.reports[cell.cell_id] = report
         world.gll.detected.setdefault(cell.cell_id, None)
 
@@ -689,16 +689,15 @@ def test_settled_round_ignores_report_fields_stage_two_does_not_read(selects):
     world = _settled_world(1 / 6)
     assert world.mrrm.decide()[0]["action"] == "none"
     for tick in range(1, 4):
-        # fresh reports through the bus: a later sample time, and other
-        # sub-metrics behind the same composite quality
+        # fresh reports through the bus: other sub-metrics behind the same
+        # composite quality
         for cell_id in ("a", "b"):
-            report = world.mrrm.reports[cell_id]._replace(taken_at=100 * tick,
-                                                          q_error=1.0 - tick / 10,
+            report = world.mrrm.reports[cell_id]._replace(q_error=1.0 - tick / 10,
                                                           q_rate=tick / 10,
                                                           q_delay=0.5 + tick / 10)
             world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll",
                                         payload=report_to_payload(report)))
-        assert world.mrrm.reports["a"].taken_at == 100 * tick
+        assert world.mrrm.reports["a"].q_rate == tick / 10
         world.mrrm.decide()
     assert selects == ["f1"]
 
