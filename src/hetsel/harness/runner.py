@@ -7,7 +7,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Union
+from typing import Any, Union
 
 from .. import trg
 from ..gll import GenericLinkLayer
@@ -28,6 +28,42 @@ _UCI_RECORDS = (
 )
 
 
+class RunRecorder(TraceRecorder):
+    """The run's trace, which the bus records each publish into.
+
+    A ``link-quality-report`` event record is written only when its
+    attributes, ``consumers`` included, differ from the last report record
+    written for the same ``cell``; the bus still publishes and delivers every
+    report.  The deliveries of the reports left out are not lost: the next
+    ``measurement-batch`` record carries their count as
+    ``repeated_deliveries``, and the ``run-end`` record whatever is left.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._last_report: dict[Any, dict[str, Any]] = {}
+        self._repeated = 0
+
+    def record_event(self, at: int, kind: str, attrs: dict[str, Any]) -> None:
+        event_type = attrs["type"]
+        if event_type == trg.LINK_QUALITY_REPORT:
+            cell = attrs.get("cell")
+            if self._last_report.get(cell) == attrs:
+                self._repeated += len(attrs.get("consumers", ()))
+                return
+            self._last_report[cell] = attrs
+        elif event_type == trg.MEASUREMENT_BATCH and self._repeated:
+            attrs["repeated_deliveries"] = self._repeated
+            self._repeated = 0
+        self.record(at, "trg", kind, attrs)
+
+    def record_end(self, at: int) -> None:
+        attrs: dict[str, Any] = {"type": trg.RUN_END}
+        if self._repeated:
+            attrs["repeated_deliveries"] = self._repeated
+        self.record(at, "harness", "event", attrs)
+
+
 @dataclass
 class Run:
     """All live parts of one run, wired together and ready to execute."""
@@ -39,7 +75,7 @@ class Run:
     gll: GenericLinkLayer
     mrrm: MultiRadioResourceManager
     executor: MobilityExecutor
-    recorder: TraceRecorder
+    recorder: RunRecorder
 
 
 @dataclass
@@ -56,10 +92,10 @@ class RunResult:
 def build_run(scenario: Scenario) -> Run:
     """Construct and wire every component; the scenario value stays untouched."""
     loop = EventLoop()
-    recorder = TraceRecorder()
+    recorder = RunRecorder()
     bus = trg.TriggerBus(
         clock=lambda: loop.now,
-        recorder=lambda at, kind, attrs: recorder.record(at, "trg", kind, attrs),
+        recorder=recorder.record_event,
         drop_types=scenario.trg.drop_types,
     )
     if scenario.trg.respond_to_policies_check:
@@ -122,7 +158,7 @@ def execute_run(run: Run) -> RunResult:
     run.mrrm.start()
     run.gll.start()
     run.loop.run_until(run.scenario.duration_ms)
-    run.recorder.record(run.scenario.duration_ms, "harness", "event", {"type": "run-end"})
+    run.recorder.record_end(run.scenario.duration_ms)
     stats = compute_stats(run.recorder.records)
     return RunResult(scenario=run.scenario, trace_lines=run.recorder.lines(), stats=stats)
 

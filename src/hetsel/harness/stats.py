@@ -121,7 +121,9 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
 
     A flow counts as in a service gap while it has no working serving link
     (no cell, or its cell's link is down) and its most recent decision showed
-    at least one ranked candidate.
+    at least one ranked candidate.  Trigger deliveries are the ``consumers``
+    an event record lists, plus the ``repeated_deliveries`` it carries for
+    the report records that the run left out as repeats.
     """
     stats = RunStats()
     flows: dict[str, _FlowState] = {}
@@ -153,6 +155,11 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
             payload = record.attributes
             event_type = payload.get("type")
             stats.trigger_deliveries += len(payload.get("consumers", ()))
+            if "repeated_deliveries" in payload:
+                repeated = payload["repeated_deliveries"]
+                if type(repeated) is not int or repeated < 0:
+                    raise TypeError(f"repeated_deliveries {repeated!r} is not a count")
+                stats.trigger_deliveries += repeated
             if event_type == "flow-arrival":
                 serving = payload.get("serving") or None
                 flows[str(payload["flow"])] = _FlowState(serving)

@@ -81,8 +81,10 @@ COMPARATORS = {
     "≥": lambda a, b: a >= b,
 }
 
-# The attributes a publish's record sets itself; a payload may not use them.
-_RECORD_KEYS = frozenset(("type", "source", "synthetic", "consumers"))
+# The attributes a publish's record sets itself, and the one the run's trace
+# adds to carry the deliveries of report records it leaves out; a payload may
+# not use them.
+_RECORD_KEYS = frozenset(("type", "source", "synthetic", "consumers", "repeated_deliveries"))
 
 # Nested synthetic publications deeper than this are dropped (mis-configured
 # correlation rules could otherwise recurse without bound).
@@ -335,8 +337,9 @@ class TriggerBus:
         """Stamp ``event.at`` and hand ``event`` itself to every matching
         subscription; returns the delivery count.
 
-        A payload key that names a record attribute of its own (``type``,
-        ``source``, ``synthetic``, ``consumers``) raises ``ValueError``.
+        A payload key that names a record attribute (``type``, ``source``,
+        ``synthetic``, ``consumers``, ``repeated_deliveries``) raises
+        ``ValueError``.
         Bus-level drop rules apply before anything else.  Correlation rules
         advance after the deliveries; completed patterns publish their
         synthetic event recursively through this same method.

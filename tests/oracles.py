@@ -249,6 +249,32 @@ def thin_decisions(records: Iterable) -> list:
     return kept
 
 
+def thin_reports(records: Iterable) -> list:
+    """Drop every ``link-quality-report`` event record equal, in all its
+    attributes, to the same cell's previous report record, and add up the
+    ``consumers`` each dropped one listed: the next ``measurement-batch``
+    event record carries the sum as ``repeated_deliveries``, or the
+    ``run-end`` record carries what is left.  Every other record stays, in
+    order."""
+    last: dict = {}
+    repeated = 0
+    kept = []
+    for record in records:
+        attributes = record.attributes
+        event_type = attributes.get("type") if record.kind == "event" else None
+        if event_type == "link-quality-report":
+            if last.get(attributes["cell"]) == attributes:
+                repeated += len(attributes.get("consumers", ()))
+                continue
+            last[attributes["cell"]] = attributes
+        elif event_type in ("measurement-batch", "run-end") and repeated:
+            record = record._replace(attributes={**attributes, "repeated_deliveries": repeated})
+            repeated = 0
+        kept.append(record)
+    assert repeated == 0, "a trace ends with its run-end record"
+    return kept
+
+
 def full_round_key(mrrm) -> tuple:
     """Everything stage two and the assignment read in one decision round of
     ``mrrm``, rebuilt from its state as one comparable value: equal keys give

@@ -30,28 +30,28 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "21c84a3b30e7592e278bee43291a71ae17cc3f19661df089982c81130c6f09a4",
+        "c9dfed1eb5e152e8f895c4c6410876ee93b8418caa9991a38999458acf5d367d",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
-        "761ac1028fd019e5fe456df0c5c0edf5f375dfc8fa72bbc598febf12aa573272",
+        "a9b30206de5f19f9c4561629e7cba0d480bf29bad99c682fecc5c0de1cfb1199",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
     "policies_check_timeout": (
-        "e8153f02755cfd343bc565bd88a5b1d24c96ba513e7805d81ec13a91ad436788",
+        "343bdbc3847b0a40dcc304e3405576ba174985ac0570578d901a9cb4fd2a17db",
         "9b04fb5810c09d14450400ae8d731bb0a56065d9078f3e0c567bd679f6b7d85d"),
     "scan_full_fallback": (
-        "8b7ffe7a0beaaf81b7c688c2dc8362f552596a29402a2c4145ea3f1506f931cc",
+        "dead6d3fbe49d1fa4f1e8dd3f1c60ed11b4fbaf6f82c21c75b0af74c5cd0419b",
         "b8444cbd37ae58315618b6936be7f7e8669f73cb2ca238a58b54d2a9ccc5d6c3"),
     "scan_targeted_hit": (
-        "bb6c3ee88b693cc5a2f9a8542676a66464b6c68e14a7f8a41ba42e263caf1196",
+        "9af2b4d6a6c2f18890da1026de2546e2923627d1b5a67db54843402331779a08",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "1a51e31fc57ab3751fdfb05298fe7743f5853c6c59befe31cc61338f60c0b43f",
+        "1d3c6143d9c4eef4dfc075a1768e255e5b8bed110b3b3692233f5313a0de6da6",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
-        "c39c8715e91b7fdf06174395653c09a52cd8d30a0056f3468d5c27d5ddb94eda",
+        "b7b7b4173067cf9e51e1c5f56898a5840503f46312dffcaf24aa3df933c1ca70",
         "8500512f02130c2241fa9a633b22673925ea2a79b0b3ac895e367a533c672d78"),
     "two_operators_deny": (
-        "ef2c36f7ffb8ddc0539f4562fb206bee56a733f0dcac5ad9d937b0a4b8faad67",
+        "a507d8bf1d0cd4faaaf863194fa3e4357b756b43c22844074046250128a4e216",
         "87078fbb2394813ac71df2f180d44b3693490f6f9e9aaca7af23a9cf362e8e68"),
 }
 
@@ -72,9 +72,9 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "9221bc478cd355142cc0687c5c40d7e5c3808bc3165d2b2cffb944f3ec518a46",
-    "metro_dense": "d13016aacd3cc6714ca2d3969300ff64d22eff41a4bc1e8bf58d68535632d131",
-    "monitor_fanout": "0a4ef0c7a8066f52368a96eff0d90d5dac682be69f32cc66a3b159e6b9991d35",
+    "commuter_churn": "15fe6a3c6f72686f3a6e99c105efbd99f578fd98485b1437c90a032036f48481",
+    "metro_dense": "5194cbb6ed8ad88aef871fa4492a12d3b4e8cbdb0e2e604e5643a2a3c84addf5",
+    "monitor_fanout": "a133b71f901281cdb0d5b6e68767c222017f33e6fa5296e592715072b503cbef",
 }
 
 

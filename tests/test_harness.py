@@ -16,6 +16,7 @@ from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_br
 from hetsel.harness import runner as runner_mod
 from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.trace import (
+    RecordError,
     TraceError,
     TraceRecord,
     TraceRecorder,
@@ -31,6 +32,7 @@ from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 from hetsel.trg import Event, Subscription, TriggerBus
 
 from conftest import SCENARIO_DIR, make_cell
+from oracles import thin_reports
 
 
 def pipeline_world(delays, cells):
@@ -175,6 +177,8 @@ def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys
 
 @pytest.mark.parametrize("command, line", [
     ("stats", 't=0 trg event {"consumers":5,"source":"env","synthetic":false,"type":"x"}'),
+    ("stats", 't=0 trg event {"count":1,"interval_ms":100,"repeated_deliveries":"3",'
+              '"source":"gll","synthetic":false,"type":"measurement-batch"}'),
     ("report", 't=5 mobility trace-point {"handover":"h","point":"x","request_at":0}'),
 ])
 def test_cli_names_the_file_and_record_whose_attribute_has_the_wrong_type(
@@ -185,6 +189,14 @@ def test_cli_names_the_file_and_record_whose_attribute_has_the_wrong_type(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: record has an attribute of the wrong type ")
     assert line in err
+
+
+@pytest.mark.parametrize("count", ["3", 1.5, True, -1, None, [1]])
+def test_stats_rejects_a_carried_delivery_count_that_is_not_a_count(count):
+    record = TraceRecord(100, "harness", "event", {"type": "run-end", "repeated_deliveries": count})
+    with pytest.raises(RecordError, match="wrong type") as caught:
+        compute_stats([record])
+    assert format_record(record) in str(caught.value)
 
 
 def test_format_record_rejects_a_value_json_cannot_encode():
@@ -487,12 +499,30 @@ def test_new_access_event_precedes_the_next_candidate_report():
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
                          ids=lambda p: p.stem)
 def test_delivery_records_list_every_delivery(path):
+    """Event records list their deliveries under ``consumers``, and carry
+    those of the report records left out as repeats."""
     run = build_run(load_scenario(path))
     result = execute_run(run)
     records = list(read_trace(result.trace_lines))
-    listed = sum(len(r.attributes.get("consumers", ())) for r in records if r.kind == "event")
-    assert listed == run.bus.delivered == result.stats.trigger_deliveries > 0
+    events = [r.attributes for r in records if r.kind == "event"]
+    listed = sum(len(attrs.get("consumers", ())) for attrs in events)
+    carried = sum(attrs.get("repeated_deliveries", 0) for attrs in events)
+    assert carried > 0
+    assert listed + carried == run.bus.delivered == result.stats.trigger_deliveries
     assert compute_stats(records).as_dict() == result.stats.as_dict()
+
+
+def test_a_trace_of_every_report_replays_to_the_same_stats(monkeypatch):
+    """A trace that writes every report, as traces did before repeats were
+    left out, carries no delivery counts and replays to the same stats."""
+    scenario = load_scenario(SCENARIO_DIR / "table1_mn.json")
+    result = execute_scenario(scenario)
+    monkeypatch.setattr(runner_mod.RunRecorder, "record_event",
+                        lambda self, at, kind, attrs: self.record(at, "trg", kind, attrs))
+    full = list(read_trace(execute_scenario(scenario).trace_lines))
+    assert len(thin_reports(full)) == len(result.trace_lines) < len(full)
+    assert not any("repeated_deliveries" in r.attributes for r in full)
+    assert compute_stats(full).as_dict() == result.stats.as_dict()
 
 
 # -- determinism -------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every generated scenario passes validation, so it must run to completion with
 its invariants holding: cells stay within capacity, every served flow holds
 its link and its charge, every charge belongs to a live flow, only a flow in
 a make-before-break handover is charged on two cells, the event records'
-consumer lists count every delivery, the written trace replays to the in-run
+consumer lists and carried counts add up to every delivery, the written trace replays to the in-run
 statistics, and a second run is byte-identical.  Timeline values leave room for every
 demand, so no action fails a capacity check.  In a world whose timeline is
 empty, selection converges: handovers stop after a bounded number of
@@ -17,6 +17,10 @@ full walk (``oracles.FloorGate``) finds no flow under the floor, and scans
 exactly when it finds one.  A run that writes a flow's decision
 record only when it changes writes exactly the records of a run that writes
 every decision, less the repeats, and reads back to the same statistics.
+Likewise a run that writes a cell's report record only when it changes
+writes the records of a run that writes every report, less the repeats,
+whose deliveries later records carry: on generated, shipped and benchmark
+worlds.
 A shipped scenario or seed-1 benchmark world with one leaf mutated is
 rejected by a diagnostic that names a path of the document, or runs clean.
 
@@ -37,7 +41,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hetsel import mrrm as mrrm_mod
-from hetsel.harness.runner import build_run, execute_run
+from hetsel.harness.runner import RunRecorder, build_run, execute_run
 from hetsel.harness.stats import compute_stats
 from hetsel.harness.trace import read_trace
 from hetsel.mrrm import MultiRadioResourceManager, select_access
@@ -49,10 +53,11 @@ from conftest import (
     SHIPPED_SCENARIOS,
     TARGET_LOST_COVERAGE_WORLD,
 )
-from oracles import FloorGate, ReplayGate, thin_decisions
+from oracles import FloorGate, ReplayGate, thin_decisions, thin_reports
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
+from worker import _subscribe_all  # noqa: E402
 from worlds import WORKLOADS, generate  # noqa: E402
 
 MAX_BASE = 40      # base load of a cell, initial and set
@@ -270,11 +275,21 @@ def _check_run_clean(scenario):
             cell_id = flow.serving
             assert run.gll.is_attached(cell_id), (flow.flow_id, cell_id)
             assert run.env.is_charged(flow, cell_id), (flow.flow_id, cell_id)
-    listed = sum(len(r.attributes.get("consumers", ())) for r in read_trace(result.trace_lines)
-                 if r.kind == "event")
-    assert listed == run.bus.delivered == result.stats.trigger_deliveries
-    assert compute_stats(read_trace(result.trace_lines)).as_dict() == result.stats.as_dict()
+    records = list(read_trace(result.trace_lines))
+    assert _listed(records) + _carried(records) == run.bus.delivered == (
+        result.stats.trigger_deliveries)
+    assert compute_stats(records).as_dict() == result.stats.as_dict()
     assert execute_run(build_run(scenario)).trace_text == result.trace_text
+
+
+def _listed(records):
+    """The deliveries the event records list under ``consumers``."""
+    return sum(len(r.attributes.get("consumers", ())) for r in records if r.kind == "event")
+
+
+def _carried(records):
+    """The deliveries of left-out report records, carried by later records."""
+    return sum(r.attributes.get("repeated_deliveries", 0) for r in records if r.kind == "event")
 
 
 CONVERGED_AFTER_ROUNDS = 20   # instants with decisions, well past any settling move
@@ -414,6 +429,58 @@ def test_generated_traces_are_the_full_traces_less_repeated_decisions(doc):
 def test_a_flow_that_returns_unseen_keeps_its_service_gap():
     result, _ = _check_thinned_against_full(scenario_from_dict(_REARRIVAL_WORLD))
     assert result.stats.service_gap_ms == {"big": 4500}
+
+
+def _record_every_event(self, at, kind, attrs):
+    self.record(at, "trg", kind, attrs)
+
+
+def _check_reports_thinned_against_full(build):
+    """The run writes the full trace less the repeated report records, whose
+    deliveries later records carry, and both traces read back to the same
+    statistics.  ``build`` makes a fresh run each time it is called."""
+    result = execute_run(build())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunRecorder, "record_event", _record_every_event)
+        full = execute_run(build())
+    records = list(read_trace(result.trace_lines))
+    full_records = list(read_trace(full.trace_lines))
+    assert records == thin_reports(full_records)
+    assert compute_stats(records).as_dict() == compute_stats(full_records).as_dict()
+    assert _carried(records) == _listed(full_records) - _listed(records)
+    assert _carried(full_records) == 0
+    return records, full_records
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_shipped_traces_are_the_full_traces_less_repeated_reports(path):
+    scenario = load_scenario(path)
+    records, full_records = _check_reports_thinned_against_full(lambda: build_run(scenario))
+    assert len(records) < len(full_records)  # every one repeats some
+
+
+@given(doc=scenarios(max_initial_flows=MAX_FLOWS))
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_traces_are_the_full_traces_less_repeated_reports(doc):
+    scenario = scenario_from_dict(doc)
+    _check_reports_thinned_against_full(lambda: build_run(scenario))
+
+
+def _benchmark_run(world):
+    """The world's run with its passive upper-layer subscriptions, as the
+    benchmark worker builds it."""
+    run = build_run(scenario_from_dict(world.scenario))
+    _subscribe_all(run.bus, world.subscriptions)
+    return run
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_traces_are_the_full_traces_less_repeated_reports(workload, seed):
+    world = generate(workload, seed)
+    records, full_records = _check_reports_thinned_against_full(lambda: _benchmark_run(world))
+    assert len(records) < len(full_records)
 
 
 # -- the marks against the full round key ----------------------------------------

@@ -178,7 +178,8 @@ def test_consumers_are_chosen_before_a_nested_publish_at_the_same_instant():
     assert bus.delivered == 3
 
 
-@pytest.mark.parametrize("key", ["type", "source", "synthetic", "consumers"])
+@pytest.mark.parametrize("key", ["type", "source", "synthetic", "consumers",
+                                 "repeated_deliveries"])
 def test_publish_rejects_a_payload_that_overwrites_a_record_attribute(key):
     bus, records = recording_bus()
     received, cb = collector()
