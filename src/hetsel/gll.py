@@ -7,14 +7,17 @@ on the trigger bus; everything above it sees :class:`LinkQualityReport`
 values, each naming its access by cell id, and is RAT-agnostic.  A report
 has one form: a read-only ``NamedTuple`` whose fields are the keys of its
 ``link-quality-report`` payload.  :class:`LinkMeasurement` is this layer's
-raw sample and the input of ``map_link_quality``.  Both are built for every
-access on every tick, and a ``NamedTuple`` builds several times faster than
-a frozen dataclass.
+raw sample and the input of ``map_link_quality``.  A measurement is taken
+of every access on every tick, and a ``NamedTuple`` builds several times
+faster than a frozen dataclass.  A report is mapped only when the
+measurement or the demanding service class differs from the cell's last
+report; otherwise the cell's last payload is published again.
 
 The layer keeps only link state, each access named by its cell id: the
-attached and detected cells and the access history.  Every attached cell is
-also detected.  Flows belong to the environment; the reporting cadence reads
-their service classes from ``Environment.flows``.
+attached and detected cells, the access history and each cell's last
+report.  Every attached cell is also detected.  Flows belong to the
+environment; the reporting cadence reads their service classes from
+``Environment.flows``.
 """
 
 from __future__ import annotations
@@ -281,6 +284,10 @@ class GenericLinkLayer:
         self.attached: set[str] = set()
         self.detected: dict[str, None] = {}  # insertion-ordered; holds every attached cell
         self._pending_attach: set[str] = set()
+        # cell id -> (measurement, service class, payload) of its last report;
+        # a report is a function of those two and the run's fixed mapping, so
+        # an unchanged cell republishes its payload
+        self._last_reports: dict[str, tuple[LinkMeasurement, Optional[str], dict[str, Any]]] = {}
         self._tick_scheduled = False
         self._subscribe()
 
@@ -370,9 +377,16 @@ class GenericLinkLayer:
     def _publish_reports(self, cells: list[Cell], service_class: Optional[str],
                          batch: bool) -> None:
         count = 0
+        held = self._last_reports
         for cell in cells:
-            report = map_link_quality(self.measure(cell), self.cfg.mapping, service_class)
-            payload = report_to_payload(report)
+            measurement = self.measure(cell)
+            last = held.get(cell.cell_id)
+            if last is not None and last[0] == measurement and last[1] == service_class:
+                payload = last[2]
+            else:
+                report = map_link_quality(measurement, self.cfg.mapping, service_class)
+                payload = report_to_payload(report)
+                held[cell.cell_id] = (measurement, service_class, payload)
             self.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, self.COMPONENT, payload=payload))
             count += 1
         if batch:

@@ -331,6 +331,9 @@ class MultiRadioResourceManager:
         self._record = record or (lambda kind, attrs: None)
         self.flows = env.flows
         self.reports: dict[str, LinkQualityReport] = {}
+        # cell id -> the payload its report was read from; GLL republishes an
+        # unchanged report's payload, and it is read only once
+        self._payloads: dict[str, Mapping[str, Any]] = {}
         self.operators: dict[str, _OperatorState] = {}
         self.cooldown_until: dict[str, int] = {}
         self.in_flight: dict[str, _InFlight] = {}
@@ -380,6 +383,7 @@ class MultiRadioResourceManager:
     # -- candidate bookkeeping --------------------------------------------------
 
     def _drop_report(self, cell_id: str) -> None:
+        self._payloads.pop(cell_id, None)
         if self.reports.pop(cell_id, None) is not None:
             self._set_dirty = True
             self._generation += 1
@@ -620,13 +624,17 @@ class MultiRadioResourceManager:
         handler(self, t.payload)
 
     def _on_report(self, payload: Mapping[str, Any]) -> None:
+        cell_id = payload["cell"]
+        if self._payloads.get(cell_id) is payload:
+            return
         report = gll_mod.report_from_payload(payload)
-        old = self.reports.get(report.cell)
+        old = self.reports.get(cell_id)
         if old is None:
             self._set_dirty = True
         if old is None or _read_by_a_round(old) != _read_by_a_round(report):
             self._generation += 1
-        self.reports[report.cell] = report
+        self.reports[cell_id] = report
+        self._payloads[cell_id] = payload
 
     def _on_batch(self, payload: Mapping[str, Any]) -> None:
         if self._set_dirty:

@@ -112,6 +112,8 @@ def _non_negative_int(value: Any, path: _Path) -> int:
 
 def _number(value: Any, path: _Path) -> float:
     if type(value) is float:
+        if value != value:  # NaN passes every range and weight-sum check
+            _fail(path, "must be a number, not NaN")
         return value
     if type(value) is not int:
         _type_error(path, "a number", value)

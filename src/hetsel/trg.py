@@ -3,8 +3,8 @@
 Producers publish :class:`Event` values; the bus stamps the current sim time
 on the event, takes the live subscriptions whose type patterns accept its
 type (a per-type list, built on first use and rebuilt after any subscribe or
-unsubscribe), checks each one's source, payload predicates and rate limit,
-and hands that same event to each match synchronously, in
+unsubscribe), checks the source, payload predicates and rate limit of each
+one that has any, and hands that same event to each match synchronously, in
 subscription-creation order.  A subscription's predicates are compiled when
 it is made: each comparator is looked up by its spelling once.  Delivery is
 fully synchronous so that a run embedding the bus stays deterministic.
@@ -182,19 +182,24 @@ def _compile_types(patterns: tuple[str, ...]) -> tuple[frozenset[str], tuple[str
 
 
 class _LiveSubscription:
-    __slots__ = ("spec", "callback", "handle", "last_delivery_at", "exact", "prefixes",
-                 "source_filter", "predicates", "min_interval_ms")
+    __slots__ = ("spec", "callback", "handle", "consumer_id", "last_delivery_at", "exact",
+                 "prefixes", "source_filter", "predicates", "min_interval_ms", "filtered")
 
     def __init__(self, spec: Subscription, callback: Callable[[Event], None], handle: int):
         self.spec = spec
         self.callback = callback
         self.handle = handle
+        self.consumer_id = spec.consumer_id
         self.last_delivery_at: Optional[int] = None
         self.exact, self.prefixes = _compile_types(spec.accepted_types)
         self.source_filter = spec.source_filter
         self.predicates = tuple((attribute, COMPARATORS[comparator], constant)
                                 for attribute, comparator, constant in spec.payload_predicates)
         self.min_interval_ms = spec.min_interval_ms
+        # an unfiltered subscription takes every event of its types, so the
+        # bus checks nothing for it and stamps no delivery time
+        self.filtered = (self.source_filter is not None or bool(self.predicates)
+                         or self.min_interval_ms is not None)
 
     def accepts(self, event_type: str) -> bool:
         return event_type in self.exact or event_type.startswith(self.prefixes)
@@ -267,6 +272,12 @@ class TriggerBus:
     """Synchronous in-process trigger bus with a local UCI registry.
 
     ``clock`` supplies the current sim time stamped onto published events.
+    Every consumer of a publish receives the same event and the same payload
+    object, and a producer may publish one payload object again in later
+    events (GLL does, for a report that has not changed).  So a consumer must
+    not mutate a payload.  A read-only ``MappingProxyType`` would enforce
+    that, but unpacking one into a record takes about 0.7 µs against 0.3 µs
+    for a dict of a report's 11 keys (CPython 3.11).
     ``recorder``, when given, is called as ``recorder(at, "event", attrs)``
     once per publish, before any consumer runs: ``attrs`` holds the event's
     ``type``, ``source``, ``synthetic`` and payload and, when the publish
@@ -329,7 +340,7 @@ class TriggerBus:
         self._delivery.clear()
 
     def has_consumer(self, consumer_id: str) -> bool:
-        return any(s.spec.consumer_id == consumer_id for s in self._subscriptions.values())
+        return any(s.consumer_id == consumer_id for s in self._subscriptions.values())
 
     # -- publication -------------------------------------------------------
 
@@ -359,20 +370,26 @@ class TriggerBus:
             self.published += 1
             consumers: list[_LiveSubscription] = []
             for live in self._deliveries(event.event_type):
-                if live.passes(event) and not live.rate_limited(event.at):
+                if live.filtered:
+                    if not live.passes(event) or live.rate_limited(event.at):
+                        continue
                     live.last_delivery_at = event.at
-                    consumers.append(live)
+                consumers.append(live)
             if self._recorder is not None:
                 attrs = {"type": event.event_type, "source": event.source,
                          "synthetic": event.synthetic, **event.payload}
                 if consumers:
-                    attrs["consumers"] = [live.spec.consumer_id for live in consumers]
+                    attrs["consumers"] = [live.consumer_id for live in consumers]
                 self._recorder(event.at, "event", attrs)
             self.delivered += len(consumers)
             for live in consumers:
                 live.callback(event)
-            for fired in self._advance_rules(event):
-                self.publish(fired)
+            rules = self._rules_by_type.get(event.event_type)
+            if rules is None:
+                rules = self._watching(event.event_type)
+            if rules:
+                for fired in self._advance_rules(event, rules):
+                    self.publish(fired)
             return len(consumers)
         finally:
             self._depth -= 1
@@ -396,11 +413,13 @@ class TriggerBus:
             raise SubscriptionError(f"target {target} has no live subscription")
         return self.publish(event)
 
-    def _advance_rules(self, event: Event) -> list[Event]:
-        states = self._rules_by_type.get(event.event_type)
-        if states is None:
-            states = self._rules_by_type[event.event_type] = tuple(
-                state for state in self._rules.values() if event.event_type in state.rule.pattern)
+    def _watching(self, event_type: str) -> tuple[_RuleState, ...]:
+        """Index and return the rules whose pattern contains ``event_type``."""
+        states = self._rules_by_type[event_type] = tuple(
+            state for state in self._rules.values() if event_type in state.rule.pattern)
+        return states
+
+    def _advance_rules(self, event: Event, states: tuple[_RuleState, ...]) -> list[Event]:
         fired: list[Event] = []
         for state in states:
             if state.advance(event):

@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
+from hetsel.gll import map_link_quality, report_from_payload, report_to_payload
 from hetsel.mrrm import round_candidates
+from hetsel.trg import LINK_QUALITY_REPORT
 
 
 def long_hand_score(flow, report, c, policies, caps, cfg, tentative):
@@ -376,3 +378,42 @@ class FloorGate:
             self.skipped += not scanned and clear is not None and mrrm._floor_clear is clear
 
         mrrm._check_quality_floor = gated_check
+
+
+class ReportGate:
+    """Holds every link-quality report GLL publishes to a fresh mapping.
+
+    Install it on a built run before the run executes.  It wraps the run's
+    ``bus.publish``.  A report that GLL publishes must equal the payload of
+    the cell's measurement mapped afresh for the demanding service class.
+    Once a publish that reached anyone returns, MRRM must hold the report
+    that payload reads back to: MRRM's subscription takes every report with
+    no filter, so any delivery of one includes MRRM.  ``reports`` counts
+    GLL's reports and ``reused`` those whose payload is the very object GLL
+    published last for the cell.
+    """
+
+    def __init__(self, run):
+        self.reports = self.reused = 0
+        gll, mrrm, publish = run.gll, run.mrrm, run.bus.publish
+        last = {}
+        assert run.bus.has_consumer("mrrm")
+
+        def gated_publish(event):
+            if event.event_type != LINK_QUALITY_REPORT or event.source != gll.COMPONENT:
+                return publish(event)
+            payload = event.payload
+            cell_id = payload["cell"]
+            fresh = report_to_payload(map_link_quality(
+                gll.measure(gll.env.cells[cell_id]), gll.cfg.mapping, gll.demanding_class()))
+            assert payload == fresh, f"t={gll.loop.now}: {cell_id} reported {payload}, not {fresh}"
+            self.reports += 1
+            self.reused += last.get(cell_id) is payload
+            last[cell_id] = payload
+            delivered = publish(event)
+            if delivered:
+                assert mrrm.reports[cell_id] == report_from_payload(payload), (
+                    f"t={gll.loop.now}: mrrm holds {mrrm.reports.get(cell_id)} for {payload}")
+            return delivered
+
+        run.bus.publish = gated_publish

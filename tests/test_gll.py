@@ -22,7 +22,7 @@ from hetsel.gll import (
     residual_error_rate,
     scan_results,
 )
-from hetsel.simenv.env import Environment
+from hetsel.simenv.env import Environment, ScenarioAction
 from hetsel.simenv.loop import EventLoop
 
 from conftest import make_cell, make_flow, make_measurement, synthetic_report
@@ -424,3 +424,70 @@ def test_configure_reporting_rejects_bad_interval():
     loop, bus, env, gll, events = live_gll([cell])
     with pytest.raises(ValueError):
         gll.configure_reporting(ReportingConfig(intervals_ms={"real-time": 0}))
+
+
+# -- reused report payloads ------------------------------------------------------
+
+
+def _report_payloads(events):
+    return [e.payload for e in events if e.event_type == trg.LINK_QUALITY_REPORT]
+
+
+def _fresh_payload(gll, cell, service_class):
+    return report_to_payload(map_link_quality(gll.measure(cell), gll.cfg.mapping, service_class))
+
+
+def test_an_unchanged_cell_republishes_its_payload():
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    gll.start()
+    loop.run_until(1500)
+    first, *rest = _report_payloads(events)
+    assert len(rest) == 2 and all(payload is first for payload in rest)
+    assert first == _fresh_payload(gll, cell, None)
+
+
+def test_a_new_demanding_class_maps_the_report_again():
+    # only the class changes: a real-time flow reads a higher reference rate
+    cell = make_cell("wlan1", achievable_rate=5e6)
+    mapping = MappingConfig(reference_rate={"default": 2e6, "real-time": 1e7})
+    loop, bus, env, gll, events = live_gll([cell], GllConfig(mapping=mapping))
+    env.admit_flow(make_flow("f1", service_class="background"))
+    gll.start()
+    loop.run_until(500)
+    env.admit_flow(make_flow("f2", service_class="real-time"))
+    loop.run_until(1000)
+    before, after = _report_payloads(events)
+    assert before["q_rate"] == 1.0 and after["q_rate"] == 0.5
+    assert after == _fresh_payload(gll, cell, "real-time")
+
+
+@pytest.mark.parametrize("params", (
+    {"field": "achievable_rate", "value": 1e6},
+    {"field": "used_resources", "value": 40},
+))
+def test_a_set_cell_field_maps_the_report_again(params):
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    gll.start()
+    loop.run_until(500)
+    env.apply_action(ScenarioAction(600, "set-cell-field", "wlan1", params))
+    loop.run_until(1500)
+    first, changed, repeated = _report_payloads(events)
+    assert changed != first and changed == _fresh_payload(gll, cell, None)
+    assert repeated is changed
+
+
+def test_a_quality_ramp_step_maps_the_report_again():
+    cell = make_cell("wlan1", raw_error_rate=0.0)
+    loop, bus, env, gll, events = live_gll([cell])
+    gll.start()
+    loop.run_until(600)
+    # steps at 1100 and 1600, between the ticks every 500 ms
+    env.apply_action(ScenarioAction(600, "quality-ramp", "wlan1", {
+        "field": "raw_error_rate", "end": 0.1, "duration_ms": 1000, "step_ms": 500}))
+    loop.run_until(2500)
+    payloads = _report_payloads(events)
+    assert [payload["residual_error_rate"] for payload in payloads] == [0.0, 0.0, 0.05, 0.1, 0.1]
+    assert payloads[1] is payloads[0] and payloads[4] is payloads[3]
+    assert payloads[-1] == _fresh_payload(gll, cell, None)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from hetsel import gll as gll_mod
 from hetsel import mrrm as mrrm_mod
 from hetsel import trg
 from hetsel.gll import GenericLinkLayer, GllConfig, report_to_payload
@@ -747,6 +748,44 @@ def test_a_quality_ramp_step_is_decided_afresh(selects):
     world.loop.run_until(100)
     world.mrrm.decide()
     assert selects == ["f1", "f1"]
+
+
+# -- reports read from their payloads ---------------------------------------------
+
+
+def _publish_report(world, payload):
+    world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll", payload=payload))
+
+
+def test_a_republished_payload_is_read_once(monkeypatch):
+    cell = make_cell("a")
+    world = make_world([cell])
+    reads = []
+    read = gll_mod.report_from_payload
+    monkeypatch.setattr(gll_mod, "report_from_payload", lambda p: reads.append(p) or read(p))
+    payload = report_to_payload(report_for_cell(cell))
+    for _ in range(3):
+        _publish_report(world, payload)
+    assert len(reads) == 1
+    _publish_report(world, dict(payload))  # equal, but not the payload read
+    assert len(reads) == 2
+    assert world.mrrm.reports["a"] == report_for_cell(cell)
+
+
+@pytest.mark.parametrize("event_type, payload", (
+    (trg.ACCESS_LOST, {"cell": "a"}),
+    (trg.LINK_DOWN, {"cell": "a", "reason": "lost"}),
+))
+def test_a_dropped_report_is_learned_again_from_the_same_payload(event_type, payload):
+    cell = make_cell("a")
+    world = make_world([cell])
+    report = report_to_payload(report_for_cell(cell))
+    _publish_report(world, report)
+    world.bus.publish(trg.Event(event_type, "gll", payload=payload))
+    assert "a" not in world.mrrm.reports
+    _publish_report(world, report)
+    assert world.mrrm.reports["a"] == report_for_cell(cell)
+    assert [r.cell for r in world.mrrm.candidate_report()] == ["a"]
 
 
 # -- written decisions and arrival rounds ---------------------------------------

@@ -220,6 +220,31 @@ def test_bad_weight_sum_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("section, key, path", [
+    ("cells", "achievable_rate", "cells[0].achievable_rate"),
+    ("cells", "base_delay_ms", "cells[0].base_delay_ms"),
+    ("selection", "w_cell", "mrrm.selection.w_cell"),
+])
+def test_nan_is_rejected_by_path(tmp_path, capsys, section, key, path):
+    data = minimal()
+    if section == "cells":
+        data["cells"][0][key] = float("nan")
+    else:
+        data["mrrm"] = {"selection": {key: float("nan")}}
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: .*NaN"):
+        scenario_from_dict(data)
+    file = tmp_path / "s.json"
+    file.write_text(json.dumps(data), encoding="utf-8")  # written as a bare NaN
+    assert cli_main(["run", str(file), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert f"{path}:" in capsys.readouterr().err
+
+
+def test_an_unbounded_max_delay_is_accepted():
+    data = minimal()
+    data["flows"][0]["max_delay_ms"] = float("inf")
+    assert scenario_from_dict(data).flows[0].max_delay_ms == float("inf")
+
+
 def test_malformed_json_reports_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

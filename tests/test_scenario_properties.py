@@ -14,7 +14,10 @@ full round key (``oracles.ReplayGate``) says its inputs are those of the
 settled round: on every round of the generated, shipped, mutated and
 benchmark worlds.  Likewise a quality-floor check skips its walk only when a
 full walk (``oracles.FloorGate``) finds no flow under the floor, and scans
-exactly when it finds one.  A run that writes a flow's decision
+exactly when it finds one.  A report that GLL publishes, its payload reused
+or not, equals a fresh mapping of the cell, and MRRM holds what it reads
+back to (``oracles.ReportGate``): on the same worlds, and every shipped and
+benchmark world reuses some.  A run that writes a flow's decision
 record only when it changes writes exactly the records of a run that writes
 every decision, less the repeats, and reads back to the same statistics.
 Likewise a run that writes a cell's report record only when it changes
@@ -53,7 +56,7 @@ from conftest import (
     SHIPPED_SCENARIOS,
     TARGET_LOST_COVERAGE_WORLD,
 )
-from oracles import FloorGate, ReplayGate, thin_decisions, thin_reports
+from oracles import FloorGate, ReplayGate, ReportGate, thin_decisions, thin_reports
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
@@ -251,10 +254,12 @@ def test_generated_scenarios_run_clean(doc):
 
 
 def _check_run_clean(scenario):
-    """Run ``scenario`` under the replay and floor gates and check its invariants."""
+    """Run ``scenario`` under the replay, floor and report gates and check its
+    invariants."""
     run = build_run(scenario)
     ReplayGate(run.mrrm)
     FloorGate(run.mrrm)
+    ReportGate(run)
     result = execute_run(run)
     for cell in run.env.cells.values():
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
@@ -529,6 +534,28 @@ def test_floor_checks_skip_shipped_walks_only_with_no_flow_under(path):
 def test_floor_checks_skip_benchmark_walks_only_with_no_flow_under(workload, seed):
     gate = _floor_gated_run(scenario_from_dict(generate(workload, seed).scenario))
     assert gate.skipped > 0
+
+
+# -- reused report payloads against a fresh mapping ---------------------------------
+
+
+def _report_gated_run(run):
+    gate = ReportGate(run)
+    execute_run(run)
+    return gate
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_reports_are_reused_only_when_unchanged_shipped(path):
+    gate = _report_gated_run(build_run(load_scenario(path)))
+    assert 0 < gate.reused < gate.reports
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_reports_are_reused_only_when_unchanged_benchmark(workload, seed):
+    gate = _report_gated_run(_benchmark_run(generate(workload, seed)))
+    assert 0 < gate.reused < gate.reports
 
 
 # -- mutated shipped scenarios and benchmark worlds ---------------------------------
