@@ -1,4 +1,5 @@
-"""Builds a complete run from a Scenario and executes it to a trace."""
+"""Builds a complete run from a Scenario and executes it to a trace, whose
+records its :class:`RunRecorder` alone lays out and leaves out."""
 
 from __future__ import annotations
 
@@ -28,34 +29,62 @@ _UCI_RECORDS = (
 )
 
 
-class RunRecorder(TraceRecorder):
-    """The run's trace, which the bus records each publish into.
+# A payload may not use an event record's own attributes or its carried count.
+_RECORD_KEYS = frozenset(("type", "source", "synthetic", "consumers", "repeated_deliveries"))
 
-    A ``link-quality-report`` event record is written only when its
-    attributes, ``consumers`` included, differ from the last report record
-    written for the same ``cell``; the bus still publishes and delivers every
-    report.  The deliveries of the reports left out are not lost: the next
-    ``measurement-batch`` record carries their count as
-    ``repeated_deliveries``, and the ``run-end`` record whatever is left.
+
+class RunRecorder(TraceRecorder):
+    """The run's trace: the bus hands it each publish, MRRM each decision.
+
+    An event record holds the event's ``type``, ``source``, ``synthetic``,
+    payload and, if it reached anyone, ``consumers``.  A record equal to the
+    last one written under its key is left out: a ``link-quality-report`` is
+    keyed by ``cell``, a ``decision`` by ``flow``, and a ``flow-arrival`` or
+    ``flow-departure`` record forgets its flow's key.  The bus still delivers
+    every report; the deliveries of those left out ride on the next
+    ``measurement-batch`` record as ``repeated_deliveries``, and what is left
+    on the ``run-end`` record.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._last_report: dict[Any, dict[str, Any]] = {}
+        self._last: dict[tuple[str, Any], Any] = {}  # key -> what its last record held
         self._repeated = 0
 
-    def record_event(self, at: int, kind: str, attrs: dict[str, Any]) -> None:
-        event_type = attrs["type"]
+    def _repeats(self, key: tuple[str, Any], held: Any) -> bool:
+        return self._last.get(key) == held
+
+    def record_event(self, event: trg.Event, consumers: list[str]) -> None:
+        event_type, payload = event.event_type, event.payload
+        key = None
         if event_type == trg.LINK_QUALITY_REPORT:
-            cell = attrs.get("cell")
-            if self._last_report.get(cell) == attrs:
-                self._repeated += len(attrs.get("consumers", ()))
+            # a payload that is the held object compares equal at once
+            key = (event_type, payload.get("cell"))
+            held = (payload, event.source, event.synthetic, consumers)
+            if self._repeats(key, held):
+                self._repeated += len(consumers)
                 return
-            self._last_report[cell] = attrs
-        elif event_type == trg.MEASUREMENT_BATCH and self._repeated:
+        elif event_type == trg.FLOW_ARRIVAL or event_type == trg.FLOW_DEPARTURE:
+            self._last.pop(("decision", payload.get("flow")), None)
+        if not _RECORD_KEYS.isdisjoint(payload):
+            raise ValueError(f"payload of {event_type!r} overwrites record attributes "
+                             f"{sorted(_RECORD_KEYS.intersection(payload))}")
+        attrs = {"type": event_type, "source": event.source, "synthetic": event.synthetic,
+                 **payload}
+        if consumers:
+            attrs["consumers"] = consumers
+        if event_type == trg.MEASUREMENT_BATCH and self._repeated:
             attrs["repeated_deliveries"] = self._repeated
             self._repeated = 0
-        self.record(at, "trg", kind, attrs)
+        if key is not None:
+            self._last[key] = held
+        self.record(event.at, "trg", "event", attrs)
+
+    def record_decision(self, at: int, decision: dict[str, Any]) -> None:
+        key = ("decision", decision["flow"])
+        if not self._repeats(key, decision):
+            self._last[key] = dict(decision)
+            self.record(at, "mrrm", "decision", decision)
 
     def record_end(self, at: int) -> None:
         attrs: dict[str, Any] = {"type": trg.RUN_END}
@@ -124,7 +153,7 @@ def build_run(scenario: Scenario) -> Run:
         policies=copy.deepcopy(scenario.policies),
         selection=copy.deepcopy(scenario.selection),
         caps=copy.deepcopy(scenario.capabilities),
-        record=lambda kind, attrs: recorder.record(loop.now, "mrrm", kind, attrs),
+        record=lambda kind, decision: recorder.record_decision(loop.now, decision),
         policies_check_timeout_ms=scenario.policies_check_timeout_ms,
         make_before_break=scenario.make_before_break,
     )

@@ -41,13 +41,8 @@ of attached links.  Time alone changes one input, a cool-down's expiry, so a
 replay also needs the clock before the earliest cool-down that was pending
 at the settle.
 
-A flow's ``decision`` record is written only when it differs, in any
-attribute, from the last one written for that flow, so a settled or replayed
-round writes nothing for the flows it leaves as they were.  The last record is
-forgotten when the flow's ``flow-arrival`` reaches this component, the event
-on which the run statistics start the flow afresh, so a flow that leaves and
-comes back under the same id has its first decision written again even when
-its departure was never delivered; it is also freed on ``flow-departure``.
+Each decision of a round decided afresh goes to ``record``; a replayed round
+records nothing.
 
 Arrivals do not decide at once.  The first ``flow-arrival`` of an instant
 schedules one round at that same instant, after everything already due then,
@@ -343,8 +338,6 @@ class MultiRadioResourceManager:
         self._decide_again = False
         # True from a flow-arrival until the next round has run
         self._arrivals_undecided = False
-        # the last decision record written per flow
-        self._last_decision: dict[str, dict[str, Any]] = {}
         # counts this component's own writes to what a round reads
         self._generation = 0
         # (marks, earliest cool-down expiry then pending, decisions) of the
@@ -488,19 +481,12 @@ class MultiRadioResourceManager:
             ranked = select_access(flow, stage, tentative)
             decision = self._assign(flow, ranked, stage, tentative)
             decisions.append(decision)
-            self._record_decision(decision)
+            self._record("decision", decision)
         self._settled = None
         if all(decision["action"] == "none" for decision in decisions):
             expiry = min((t for t in self.cooldown_until.values() if t > now), default=math.inf)
             self._settled = (inputs, expiry, [dict(decision) for decision in decisions])
         return decisions
-
-    def _record_decision(self, decision: dict[str, Any]) -> None:
-        """Write ``decision`` unless it repeats the flow's last written one."""
-        flow_id = decision["flow"]
-        if self._last_decision.get(flow_id) != decision:
-            self._last_decision[flow_id] = dict(decision)
-            self._record("decision", decision)
 
     def _round_inputs(self) -> tuple:
         """The round's marks: this component's generation, the environment's
@@ -629,7 +615,7 @@ class MultiRadioResourceManager:
             return
         report = gll_mod.report_from_payload(payload)
         old = self.reports.get(cell_id)
-        if old is None:
+        if old is None or old.covered != report.covered:
             self._set_dirty = True
         if old is None or _read_by_a_round(old) != _read_by_a_round(report):
             self._generation += 1
@@ -695,7 +681,6 @@ class MultiRadioResourceManager:
             del self.in_flight[flow_id]
 
     def _on_flow_arrival(self, payload: Mapping[str, Any]) -> None:
-        self._last_decision.pop(payload["flow"], None)
         if not self._arrivals_undecided:
             self._arrivals_undecided = True
             self.loop.schedule_after(0, self._arrival_round)
@@ -705,7 +690,6 @@ class MultiRadioResourceManager:
             self.decide()
 
     def _on_flow_departure(self, payload: Mapping[str, Any]) -> None:
-        self._last_decision.pop(payload["flow"], None)
         entry = self.in_flight.pop(payload["flow"], None)
         if entry is not None and entry.stage == "executing":
             self.env.unmap_flow(entry.flow, entry.target)

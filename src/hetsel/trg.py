@@ -15,11 +15,11 @@ type, taken from a second per-type index kept like the delivery one.  The
 others may skip it because a partial match expires lazily: the next event
 whose type is in the pattern drops an expired match before it compares.
 
-A publish is recorded once, before any consumer runs.  Its consumers are
-chosen from the event as it was published, rate limits included, before the
-first callback; the record lists them under ``consumers`` when there are any.
-So a consumer's nested publish at the same instant cannot rate-limit a later
-consumer of the outer event, nor change what a later predicate reads.
+A publish's consumers are chosen from the event as it was published, rate
+limits included, before the first callback, and handed with the event to the
+recorder, which alone decides what the trace holds.  So a consumer's nested
+publish at the same instant cannot rate-limit a later consumer of the outer
+event, nor change what a later predicate reads.
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ COMPARATORS = {
     ">=": lambda a, b: a >= b,
     "≥": lambda a, b: a >= b,
 }
-
-# The attributes a publish's record sets itself, and the one the run's trace
-# adds to carry the deliveries of report records it leaves out; a payload may
-# not use them.
-_RECORD_KEYS = frozenset(("type", "source", "synthetic", "consumers", "repeated_deliveries"))
 
 # Nested synthetic publications deeper than this are dropped (mis-configured
 # correlation rules could otherwise recurse without bound).
@@ -278,16 +273,16 @@ class TriggerBus:
     not mutate a payload.  A read-only ``MappingProxyType`` would enforce
     that, but unpacking one into a record takes about 0.7 µs against 0.3 µs
     for a dict of a report's 11 keys (CPython 3.11).
-    ``recorder``, when given, is called as ``recorder(at, "event", attrs)``
-    once per publish, before any consumer runs: ``attrs`` holds the event's
-    ``type``, ``source``, ``synthetic`` and payload and, when the publish
-    reaches anyone, ``consumers``, their ids in subscription-creation order.
+    ``recorder``, when given, is called as ``recorder(event, consumer_ids)``,
+    the ids in subscription-creation order, once per publish that is not
+    dropped, before any consumer runs; if it raises, the publish is neither
+    counted nor delivered, though the rate limits of its consumers count it.
     """
 
     def __init__(
         self,
         clock: Callable[[], int] = lambda: 0,
-        recorder: Optional[Callable[[int, str, dict[str, Any]], None]] = None,
+        recorder: Optional[Callable[[Event, list[str]], None]] = None,
         drop_types: Iterable[str] = (),
     ):
         self._clock = clock
@@ -348,16 +343,10 @@ class TriggerBus:
         """Stamp ``event.at`` and hand ``event`` itself to every matching
         subscription; returns the delivery count.
 
-        A payload key that names a record attribute (``type``, ``source``,
-        ``synthetic``, ``consumers``, ``repeated_deliveries``) raises
-        ``ValueError``.
         Bus-level drop rules apply before anything else.  Correlation rules
         advance after the deliveries; completed patterns publish their
         synthetic event recursively through this same method.
         """
-        if not _RECORD_KEYS.isdisjoint(event.payload):
-            raise ValueError(f"payload of {event.event_type!r} overwrites record attributes "
-                             f"{sorted(_RECORD_KEYS.intersection(event.payload))}")
         event.at = self._clock()
         if (event.event_type in self._drop_exact
                 or event.event_type.startswith(self._drop_prefixes)):
@@ -367,7 +356,6 @@ class TriggerBus:
             return 0
         self._depth += 1
         try:
-            self.published += 1
             consumers: list[_LiveSubscription] = []
             for live in self._deliveries(event.event_type):
                 if live.filtered:
@@ -376,11 +364,8 @@ class TriggerBus:
                     live.last_delivery_at = event.at
                 consumers.append(live)
             if self._recorder is not None:
-                attrs = {"type": event.event_type, "source": event.source,
-                         "synthetic": event.synthetic, **event.payload}
-                if consumers:
-                    attrs["consumers"] = [live.consumer_id for live in consumers]
-                self._recorder(event.at, "event", attrs)
+                self._recorder(event, [live.consumer_id for live in consumers])
+            self.published += 1
             self.delivered += len(consumers)
             for live in consumers:
                 live.callback(event)

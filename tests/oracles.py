@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from hetsel.gll import map_link_quality, report_from_payload, report_to_payload
 from hetsel.mrrm import round_candidates
-from hetsel.trg import LINK_QUALITY_REPORT
+from hetsel.trg import CANDIDATE_REPORT, LINK_QUALITY_REPORT, MEASUREMENT_BATCH
 
 
 def long_hand_score(flow, report, c, policies, caps, cfg, tentative):
@@ -236,11 +236,13 @@ def linear_ramp_value(start: float, end: float, k: int, step_ms: int,
 def thin_decisions(records: Iterable) -> list:
     """Drop every ``decision`` record equal, in all its attributes, to the
     same flow's previous decision record since that flow's last
-    ``flow-arrival`` event; every other record stays, in order."""
+    ``flow-arrival`` or ``flow-departure`` event; every other record stays,
+    in order."""
     last: dict = {}
     kept = []
     for record in records:
-        if record.kind == "event" and record.attributes.get("type") == "flow-arrival":
+        event_type = record.attributes.get("type") if record.kind == "event" else None
+        if event_type in ("flow-arrival", "flow-departure"):
             last.pop(record.attributes["flow"], None)
         elif record.kind == "decision":
             flow_id = record.attributes["flow"]
@@ -414,6 +416,39 @@ class ReportGate:
             if delivered:
                 assert mrrm.reports[cell_id] == report_from_payload(payload), (
                     f"t={gll.loop.now}: mrrm holds {mrrm.reports.get(cell_id)} for {payload}")
+            return delivered
+
+        run.bus.publish = gated_publish
+
+
+class CandidateGate:
+    """Holds the candidate list MRRM publishes to the reports it holds.
+
+    Install it on a built run before the run executes.  It wraps the run's
+    ``bus.publish``.  Once a measurement batch that reached anyone returns,
+    the last ``candidate-report`` MRRM published must list the cells of the
+    covered reports MRRM held when the batch arrived, by operator, then RAT,
+    then cell id.  MRRM's subscription takes every batch with no filter, so
+    any delivery of one includes MRRM; what the batch's own round changes is
+    listed at the next batch.
+    """
+
+    def __init__(self, run):
+        mrrm, cells, publish = run.mrrm, run.env.cells, run.bus.publish
+        last = [""]  # before MRRM publishes a list, it lists no candidates
+
+        def gated_publish(event):
+            if event.event_type == CANDIDATE_REPORT and event.source == mrrm.COMPONENT:
+                last[0] = event.payload["candidates"]
+            if event.event_type != MEASUREMENT_BATCH:
+                return publish(event)
+            covered = sorted((cells[cell_id].operator_id, cells[cell_id].rat, cell_id)
+                             for cell_id, report in mrrm.reports.items() if report.covered)
+            expected = ",".join(cell_id for _, _, cell_id in covered)
+            delivered = publish(event)
+            if delivered:
+                assert last[0] == expected, (
+                    f"t={mrrm.loop.now}: candidates {last[0]!r}, covered reports {expected!r}")
             return delivered
 
         run.bus.publish = gated_publish

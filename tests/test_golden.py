@@ -35,6 +35,9 @@ GOLDEN = {
     "herd_two_cells": (
         "a9b30206de5f19f9c4561629e7cba0d480bf29bad99c682fecc5c0de1cfb1199",
         "224c605be9a51995f5dda8e75d83283f3ba0f40b2eed8c713b5764aa029f3913"),
+    "network_cell_return": (
+        "a13b4d7df6827b5d501c1d17e5bec63579a5b6090f0192dc8c9fc09d2c8bf739",
+        "b5969b7f9a3f15e102946248894e241e5c44391946d1bf73bb6dc5267b8c75d7"),
     "policies_check_timeout": (
         "343bdbc3847b0a40dcc304e3405576ba174985ac0570578d901a9cb4fd2a17db",
         "9b04fb5810c09d14450400ae8d731bb0a56065d9078f3e0c567bd679f6b7d85d"),

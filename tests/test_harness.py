@@ -14,7 +14,7 @@ from hetsel.cli import EXIT_BAD_INPUT, EXIT_BROKEN_PIPE, EXIT_INTERNAL
 from hetsel.cli import main as cli_main
 from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
 from hetsel.harness import runner as runner_mod
-from hetsel.harness.runner import build_run, execute_run
+from hetsel.harness.runner import RunRecorder, build_run, execute_run
 from hetsel.harness.trace import (
     RecordError,
     TraceError,
@@ -26,20 +26,20 @@ from hetsel.harness.trace import (
 )
 from hetsel.gll import GenericLinkLayer
 from hetsel.mobility import MobilityDelayModel, MobilityExecutor
+from hetsel.mrrm import MultiRadioResourceManager
 from hetsel.simenv.env import Environment
 from hetsel.simenv.loop import EventLoop
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 from hetsel.trg import Event, Subscription, TriggerBus
 
-from conftest import SCENARIO_DIR, make_cell
-from oracles import thin_reports
+from conftest import SCENARIO_DIR, make_cell, synthetic_report
+from oracles import thin_decisions, thin_reports
 
 
 def pipeline_world(delays, cells):
     loop = EventLoop()
-    recorder = TraceRecorder()
-    bus = TriggerBus(clock=lambda: loop.now,
-                     recorder=lambda at, kind, attrs: recorder.record(at, "trg", kind, attrs))
+    recorder = RunRecorder()
+    bus = TriggerBus(clock=lambda: loop.now, recorder=recorder.record_event)
     env = Environment(loop, cells, emit=lambda t, p: bus.publish(Event(t, "env", payload=p)))
     executor = MobilityExecutor(loop, env, bus, model=MobilityDelayModel(delays),
                                 record=lambda kind, attrs: recorder.record(
@@ -104,6 +104,106 @@ def test_zero_delay_model_keeps_point_order():
     loop.run_until(10)
     points = [r.attributes["point"] for r in recorder.records if r.kind == "trace-point"]
     assert points == [1, 2, 3, 4, 5]
+
+
+# -- the run's recorder ----------------------------------------------------------
+
+
+def recorded_bus():
+    recorder = RunRecorder()
+    return TriggerBus(recorder=recorder.record_event), recorder
+
+
+def test_an_event_record_holds_the_event_and_who_it_reached():
+    bus, recorder = recorded_bus()
+    bus.subscribe(Subscription("c2", ("x",)), lambda t: None)
+    bus.subscribe(Subscription("c1", ("x",)), lambda t: None)
+    bus.publish(Event("x", "s", payload={"v": 0}))
+    bus.publish(Event("y", "s", payload={"v": 1}))
+    assert [(r.component, r.kind, r.attributes) for r in recorder.records] == [
+        ("trg", "event", {"type": "x", "source": "s", "synthetic": False, "v": 0,
+                          "consumers": ["c2", "c1"]}),
+        # a publish that reaches no one lists no consumers
+        ("trg", "event", {"type": "y", "source": "s", "synthetic": False, "v": 1}),
+    ]
+
+
+@pytest.mark.parametrize("key", ["type", "source", "synthetic", "consumers",
+                                 "repeated_deliveries"])
+def test_a_payload_that_overwrites_a_record_attribute_is_refused(key):
+    bus, recorder = recorded_bus()
+    received = []
+    bus.subscribe(Subscription("c1", ("policy-changed",)), received.append)
+    with pytest.raises(ValueError, match=repr(key)):
+        bus.publish(Event("policy-changed", "upper", payload={key: "handover-complete"}))
+    assert recorder.records == [] and received == [] and bus.published == 0
+
+
+def test_a_report_record_is_written_only_when_it_changes():
+    bus, recorder = recorded_bus()
+    bus.subscribe(Subscription("mrrm", ("link-quality-report",)), lambda t: None)
+    payload = {"cell": "a", "quality": 0.5}
+    for report in (payload, payload, dict(payload), {"cell": "b", "quality": 0.5},
+                   {"cell": "a", "quality": 0.4}, payload):
+        bus.publish(Event("link-quality-report", "gll", payload=report))
+    bus.publish(Event("measurement-batch", "gll", payload={"count": 6}))
+    bus.publish(Event("link-quality-report", "gll", payload=payload))
+    recorder.record_end(0)
+    assert [(r.attributes["type"], r.attributes.get("cell"), r.attributes.get("quality"),
+             r.attributes.get("repeated_deliveries")) for r in recorder.records] == [
+        ("link-quality-report", "a", 0.5, None),
+        ("link-quality-report", "b", 0.5, None),
+        ("link-quality-report", "a", 0.4, None),
+        ("link-quality-report", "a", 0.5, None),
+        ("measurement-batch", None, None, 2),  # the held payload, then an equal one
+        ("run-end", None, None, 1),
+    ]
+
+
+def test_a_report_record_is_written_again_for_another_source_or_consumers():
+    bus, recorder = recorded_bus()
+    payload = {"cell": "a"}
+    bus.publish(Event("link-quality-report", "gll", payload=payload))
+    bus.publish(Event("link-quality-report", "upper", payload=payload))
+    bus.publish(Event("link-quality-report", "upper", payload=payload, synthetic=True))
+    bus.subscribe(Subscription("mrrm", ("link-quality-report",)), lambda t: None)
+    bus.publish(Event("link-quality-report", "upper", payload=payload, synthetic=True))
+    assert len(recorder.records) == 4
+
+
+def test_decision_record_is_written_only_when_it_changes(monkeypatch):
+    # every round is decided afresh, so none is left unwritten as a replay
+    monkeypatch.setattr(MultiRadioResourceManager, "_round_inputs", lambda self: object())
+    run = build_run(scenario_from_dict({
+        "cells": [{"cell_id": c, "rat": "WLAN", "operator_id": "OpA", "frequency": "ch6",
+                   "total_resources": 100} for c in ("a", "b")],
+        "flows": [{"flow_id": "f1", "serving": "a", "resource_demand": 10, "min_rate": 1e6}],
+    }))
+    runner_mod._install_initial_flows(run)
+    mrrm = run.mrrm
+    mrrm.reports["a"] = synthetic_report("a", quality=1 / 6, load=0.1)
+    mrrm.reports["b"] = synthetic_report("b", quality=0.3)
+
+    def written():
+        return [r.attributes for r in run.recorder.records if r.kind == "decision"]
+
+    first = mrrm.decide()
+    for _ in range(3):
+        assert mrrm.decide() == first  # returned, though not written again
+    assert written() == first
+    mrrm.reports["b"] = synthetic_report("b", quality=0.0)
+    changed = mrrm.decide()
+    assert changed != first
+    assert written() == first + changed
+    # an arrival under the flow's id starts it afresh: its next decision is
+    # written even though it repeats the last one
+    run.bus.publish(Event(trg.FLOW_ARRIVAL, "env", payload={"flow": "f1"}))
+    run.loop.run_until(0)
+    assert written() == first + changed + changed
+    # and so does a departure, should the flow be decided again
+    run.bus.publish(Event(trg.FLOW_DEPARTURE, "env", payload={"flow": "f1"}))
+    mrrm.decide()
+    assert written() == first + changed + changed + changed
 
 
 # -- trace format ----------------------------------------------------------------
@@ -513,14 +613,14 @@ def test_delivery_records_list_every_delivery(path):
 
 
 def test_a_trace_of_every_report_replays_to_the_same_stats(monkeypatch):
-    """A trace that writes every report, as traces did before repeats were
-    left out, carries no delivery counts and replays to the same stats."""
+    """A trace that writes every report and decision, as traces did before
+    repeats were left out, carries no delivery counts and replays to the
+    same stats."""
     scenario = load_scenario(SCENARIO_DIR / "table1_mn.json")
     result = execute_scenario(scenario)
-    monkeypatch.setattr(runner_mod.RunRecorder, "record_event",
-                        lambda self, at, kind, attrs: self.record(at, "trg", kind, attrs))
+    monkeypatch.setattr(runner_mod.RunRecorder, "_repeats", lambda self, key, held: False)
     full = list(read_trace(execute_scenario(scenario).trace_lines))
-    assert len(thin_reports(full)) == len(result.trace_lines) < len(full)
+    assert len(thin_reports(thin_decisions(full))) == len(result.trace_lines) < len(full)
     assert not any("repeated_deliveries" in r.attributes for r in full)
     assert compute_stats(full).as_dict() == result.stats.as_dict()
 

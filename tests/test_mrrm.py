@@ -788,30 +788,7 @@ def test_a_dropped_report_is_learned_again_from_the_same_payload(event_type, pay
     assert [r.cell for r in world.mrrm.candidate_report()] == ["a"]
 
 
-# -- written decisions and arrival rounds ---------------------------------------
-
-
-def test_decision_record_is_written_only_when_it_changes():
-    a, b = make_cell("a"), make_cell("b")
-    written = []
-    world = make_world([a, b], flows=[make_flow("f1", serving="a")],
-                       record=lambda kind, attrs: written.append(dict(attrs)))
-    world.mrrm.reports["a"] = synthetic_report(a.cell_id, quality=1 / 6, load=0.1)
-    world.mrrm.reports["b"] = synthetic_report(b.cell_id, quality=0.3)
-    first = world.mrrm.decide()
-    for _ in range(3):
-        assert world.mrrm.decide() == first  # returned, though not written again
-    assert written == first
-    world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll", payload=report_to_payload(
-        synthetic_report(b.cell_id, quality=0.0))))
-    changed = world.mrrm.decide()
-    assert changed != first
-    assert written == first + changed
-    # an arrival under the flow's id starts it afresh: its next decision is
-    # written even though it repeats the last one
-    world.bus.publish(trg.Event(trg.FLOW_ARRIVAL, "env", payload={"flow": "f1"}))
-    world.loop.run_until(0)
-    assert written == first + changed + changed
+# -- arrival rounds -----------------------------------------------------------------
 
 
 def test_an_arrival_burst_is_decided_in_one_round(monkeypatch):
@@ -862,6 +839,35 @@ def test_candidate_report_empty_still_publishes():
     entries = world.mrrm.candidate_report()
     assert entries == []
     assert events_of(world, trg.CANDIDATE_REPORT)[-1].payload["count"] == 0
+
+
+def _candidate_lists(location, drop_types=()):
+    """(time, candidates) of each candidate-report of a run in which cell b
+    goes dark at 1000 and comes back at 3000."""
+    result = execute_scenario(scenario_from_dict({
+        "duration_ms": 4000,
+        "mrrm_location": location,
+        "trg": {"drop_types": list(drop_types)},
+        "cells": [{"cell_id": c, "rat": "WLAN", "operator_id": "OpA", "frequency": "ch6"}
+                  for c in ("a", "b")],
+        "flows": [{"flow_id": "f1", "resource_demand": 5}],
+        "timeline": [{"at": 1000, "kind": "cell-down", "target": "b"},
+                     {"at": 3000, "kind": "cell-up", "target": "b"}],
+    }))
+    return [(r.at, r.attributes["candidates"]) for r in read_trace(result.trace_lines)
+            if r.kind == "event" and r.attributes["type"] == trg.CANDIDATE_REPORT]
+
+
+def test_candidate_report_follows_a_network_side_cell_that_comes_back():
+    # network-side GLL keeps reporting the dark cell, as uncovered
+    assert _candidate_lists("network") == [(200, "a,b"), (1000, "a"), (3000, "a,b")]
+
+
+def test_candidate_report_follows_a_report_that_flips_coverage():
+    # with the coverage change dropped, GLL never loses the cell: only its
+    # report says that it went dark and came back
+    assert _candidate_lists("terminal", drop_types=["cell-coverage-change"]) == [
+        (200, "a,b"), (1000, "a"), (3000, "a,b")]
 
 
 def spy_scans(world):

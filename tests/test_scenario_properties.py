@@ -17,13 +17,13 @@ full walk (``oracles.FloorGate``) finds no flow under the floor, and scans
 exactly when it finds one.  A report that GLL publishes, its payload reused
 or not, equals a fresh mapping of the cell, and MRRM holds what it reads
 back to (``oracles.ReportGate``): on the same worlds, and every shipped and
-benchmark world reuses some.  A run that writes a flow's decision
-record only when it changes writes exactly the records of a run that writes
-every decision, less the repeats, and reads back to the same statistics.
-Likewise a run that writes a cell's report record only when it changes
-writes the records of a run that writes every report, less the repeats,
-whose deliveries later records carry: on generated, shipped and benchmark
-worlds.
+benchmark world reuses some.  After each measurement batch, the candidate
+list MRRM last published names the covered reports it held when the batch
+arrived (``oracles.CandidateGate``).  A run writes exactly the records of a run
+whose recorder leaves nothing out and that decides every round afresh, less
+the repeated decision and report records, whose deliveries later records
+carry, and reads back to the same statistics: on generated, shipped and
+benchmark worlds.
 A shipped scenario or seed-1 benchmark world with one leaf mutated is
 rejected by a diagnostic that names a path of the document, or runs clean.
 
@@ -56,7 +56,14 @@ from conftest import (
     SHIPPED_SCENARIOS,
     TARGET_LOST_COVERAGE_WORLD,
 )
-from oracles import FloorGate, ReplayGate, ReportGate, thin_decisions, thin_reports
+from oracles import (
+    CandidateGate,
+    FloorGate,
+    ReplayGate,
+    ReportGate,
+    thin_decisions,
+    thin_reports,
+)
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
@@ -260,6 +267,7 @@ def _check_run_clean(scenario):
     ReplayGate(run.mrrm)
     FloorGate(run.mrrm)
     ReportGate(run)
+    CandidateGate(run)
     result = execute_run(run)
     for cell in run.env.cells.values():
         assert 0 <= cell.used_resources <= cell.total_resources, cell.cell_id
@@ -379,10 +387,6 @@ def test_replaying_settled_rounds_leaves_generated_traces_unchanged(doc):
     assert _run(scenario)[0] == _run(scenario, replay=False)[0]
 
 
-def _record_every_decision(self, decision):
-    self._record("decision", decision)
-
-
 # One WLAN cell too loaded for the flow: "big" stays unserved with one
 # candidate, leaves unseen by mrrm and the statistics (its departure is
 # dropped) and arrives again, where the statistics start it afresh.  Its
@@ -400,76 +404,56 @@ _REARRIVAL_WORLD = {
 }
 
 
-def _check_thinned_against_full(scenario):
-    """The run writes the full trace less the repeated decision records, and
-    both traces read back to the run's statistics.  The full trace decides
-    every round afresh, since a replayed round writes nothing, and writes
-    every decision."""
-    result = execute_run(build_run(scenario))
+def _check_thinned_against_full(build):
+    """The run writes the full trace less its repeated decision and report
+    records, later records carry the deliveries of the reports left out, and
+    both traces read back to the same statistics.  The full trace is written
+    by a recorder that leaves nothing out, of a run that decides every round
+    afresh, since a replayed round writes nothing.  ``build`` makes a fresh
+    run each time it is called."""
+    result = execute_run(build())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MultiRadioResourceManager, "_record_decision", _record_every_decision)
+        patch.setattr(RunRecorder, "_repeats", lambda self, key, held: False)
         patch.setattr(MultiRadioResourceManager, "_round_inputs", lambda self, *args: object())
-        full = execute_run(build_run(scenario))
+        full = execute_run(build())
     records = list(read_trace(result.trace_lines))
     full_records = list(read_trace(full.trace_lines))
-    assert records == thin_decisions(full_records)
+    assert records == thin_reports(thin_decisions(full_records))
     assert compute_stats(records).as_dict() == compute_stats(full_records).as_dict()
-    return result, full
+    assert _carried(records) == _listed(full_records) - _listed(records)
+    assert _carried(full_records) == 0
+    return result, records, full_records
+
+
+def _left_out(records, full_records):
+    """How many decision records and report records the run left out."""
+    def count(of):
+        return (sum(r.kind == "decision" for r in of),
+                sum(r.attributes.get("type") == "link-quality-report" for r in of))
+    (decisions, reports), (all_decisions, all_reports) = count(records), count(full_records)
+    return all_decisions - decisions, all_reports - reports
 
 
 @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
-def test_shipped_traces_are_the_full_traces_less_repeated_decisions(path):
-    result, full = _check_thinned_against_full(load_scenario(path))
-    assert len(result.trace_lines) < len(full.trace_lines)  # every one repeats some
+def test_shipped_traces_are_the_full_traces_less_repeats(path):
+    scenario = load_scenario(path)
+    _, records, full_records = _check_thinned_against_full(lambda: build_run(scenario))
+    assert min(_left_out(records, full_records)) > 0  # each repeats decisions and reports
 
 
 @given(doc=scenarios(max_initial_flows=MAX_FLOWS))
 @example(doc=_REARRIVAL_WORLD)
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_generated_traces_are_the_full_traces_less_repeated_decisions(doc):
-    _check_thinned_against_full(scenario_from_dict(doc))
+def test_generated_traces_are_the_full_traces_less_repeats(doc):
+    scenario = scenario_from_dict(doc)
+    _check_thinned_against_full(lambda: build_run(scenario))
 
 
 def test_a_flow_that_returns_unseen_keeps_its_service_gap():
-    result, _ = _check_thinned_against_full(scenario_from_dict(_REARRIVAL_WORLD))
+    scenario = scenario_from_dict(_REARRIVAL_WORLD)
+    result, _, _ = _check_thinned_against_full(lambda: build_run(scenario))
     assert result.stats.service_gap_ms == {"big": 4500}
-
-
-def _record_every_event(self, at, kind, attrs):
-    self.record(at, "trg", kind, attrs)
-
-
-def _check_reports_thinned_against_full(build):
-    """The run writes the full trace less the repeated report records, whose
-    deliveries later records carry, and both traces read back to the same
-    statistics.  ``build`` makes a fresh run each time it is called."""
-    result = execute_run(build())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RunRecorder, "record_event", _record_every_event)
-        full = execute_run(build())
-    records = list(read_trace(result.trace_lines))
-    full_records = list(read_trace(full.trace_lines))
-    assert records == thin_reports(full_records)
-    assert compute_stats(records).as_dict() == compute_stats(full_records).as_dict()
-    assert _carried(records) == _listed(full_records) - _listed(records)
-    assert _carried(full_records) == 0
-    return records, full_records
-
-
-@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
-def test_shipped_traces_are_the_full_traces_less_repeated_reports(path):
-    scenario = load_scenario(path)
-    records, full_records = _check_reports_thinned_against_full(lambda: build_run(scenario))
-    assert len(records) < len(full_records)  # every one repeats some
-
-
-@given(doc=scenarios(max_initial_flows=MAX_FLOWS))
-@settings(max_examples=60, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_generated_traces_are_the_full_traces_less_repeated_reports(doc):
-    scenario = scenario_from_dict(doc)
-    _check_reports_thinned_against_full(lambda: build_run(scenario))
 
 
 def _benchmark_run(world):
@@ -482,10 +466,10 @@ def _benchmark_run(world):
 
 @pytest.mark.parametrize("seed", (1, 2))
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_traces_are_the_full_traces_less_repeated_reports(workload, seed):
+def test_benchmark_traces_are_the_full_traces_less_repeats(workload, seed):
     world = generate(workload, seed)
-    records, full_records = _check_reports_thinned_against_full(lambda: _benchmark_run(world))
-    assert len(records) < len(full_records)
+    _, records, full_records = _check_thinned_against_full(lambda: _benchmark_run(world))
+    assert min(_left_out(records, full_records)) > 0
 
 
 # -- the marks against the full round key ----------------------------------------
