@@ -288,6 +288,9 @@ class GenericLinkLayer:
         # a report is a function of those two and the run's fixed mapping, so
         # an unchanged cell republishes its payload
         self._last_reports: dict[str, tuple[LinkMeasurement, Optional[str], dict[str, Any]]] = {}
+        # (env.generation, class) of the last demanding_class; flows change
+        # only with the generation, intervals only through the two setters
+        self._demanding: Optional[tuple[int, Optional[str]]] = None
         self._tick_scheduled = False
         self._subscribe()
 
@@ -311,8 +314,13 @@ class GenericLinkLayer:
     def demanding_class(self) -> Optional[str]:
         """The service class of the live flow with the shortest interval; the
         first admitted wins a tie."""
-        return min((f.service_class for f in self.env.flows.values()),
-                   key=self.cfg.reporting.interval_for, default=None)
+        generation = self.env.generation
+        held = self._demanding
+        if held is None or held[0] != generation:
+            held = self._demanding = (generation, min(
+                (f.service_class for f in self.env.flows.values()),
+                key=self.cfg.reporting.interval_for, default=None))
+        return held[1]
 
     def effective_interval(self) -> int:
         return self._interval_of(self.demanding_class())
@@ -326,6 +334,7 @@ class GenericLinkLayer:
         """Swap the cadence table; takes effect at the next tick."""
         cfg.validate()
         self.cfg.reporting = cfg
+        self._demanding = None
         if cfg.enabled and not self._tick_scheduled:
             self._schedule_tick(self.effective_interval())
 
@@ -538,3 +547,4 @@ class GenericLinkLayer:
                 logger.warning("ignoring non-positive reporting interval %s", interval)
                 return
             self.cfg.reporting.intervals_ms[service_class] = int(interval)
+            self._demanding = None

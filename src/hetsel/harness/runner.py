@@ -83,7 +83,8 @@ class RunRecorder(TraceRecorder):
     def record_decision(self, at: int, decision: dict[str, Any]) -> None:
         key = ("decision", decision["flow"])
         if not self._repeats(key, decision):
-            self._last[key] = dict(decision)
+            # MRRM keeps its decision; one copy serves the key and the record
+            decision = self._last[key] = dict(decision)
             self.record(at, "mrrm", "decision", decision)
 
     def record_end(self, at: int) -> None:

@@ -130,17 +130,14 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
     link_up: dict[str, bool] = {}
     gaps: dict[str, int] = {}
     last_at = 0
-
-    def in_gap(state: _FlowState) -> bool:
-        serviced = state.cell is not None and link_up.get(state.cell, False)
-        return not serviced and state.known_candidates >= 1
-
     try:
         for record in records:
             elapsed = record.at - last_at
             if elapsed > 0:
                 for flow_id, state in flows.items():
-                    if in_gap(state):
+                    # in a gap: not serviced (a cell of None is never a key of
+                    # link_up) while its last decision ranked a candidate
+                    if state.known_candidates >= 1 and not link_up.get(state.cell, False):
                         gaps[flow_id] = gaps.get(flow_id, 0) + elapsed
             last_at = record.at
 

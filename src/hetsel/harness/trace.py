@@ -4,18 +4,38 @@ One record per line: a fixed prefix (time, component, kind) followed by the
 attributes as one compact JSON object with sorted keys, so that two runs of
 the same scenario diff byte-identically and every value reads back with its
 type.
+
+Both directions leave little beyond the C JSON work per record.
+``json.JSONEncoder.encode`` builds a fresh C encoder on every call, so the
+compact, sorted-key encoder is built once here, with the arguments ``encode``
+passes for these settings; its output is byte-for-byte ``encode``'s.  On an
+interpreter without the ``_json`` accelerator, ``c_make_encoder`` is ``None``
+and the encoder's own pure-Python ``iterencode`` is used instead.  The reader
+binds one ``raw_decode``: it takes the attribute text with JSON whitespace
+stripped and rejects the line unless one JSON object spans all of it, which
+accepts and rejects exactly what ``json.loads`` does.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Union
 
 # Attribute values are scalars or freshly built lists of them, never a container
-# that holds itself, so the per-call circular-reference bookkeeping buys
-# nothing; an unencodable value still raises.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+# that holds itself, so the circular-reference bookkeeping (``markers``) buys
+# nothing; an unencodable value still raises TypeError.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+if c_make_encoder is None:
+    _iterencode = _ENCODER.iterencode
+else:
+    _iterencode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan)
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
 
 
 class TraceError(ValueError):
@@ -45,22 +65,31 @@ class TraceRecord(NamedTuple):
     attributes: dict[str, Any]
 
 
+# ``TraceRecord(...)`` runs a generated Python ``__new__`` that only makes this
+# call; the per-record paths make it directly.
+_new_record = tuple.__new__
+
+
 def format_record(record: TraceRecord) -> str:
-    return f"t={record.at} {record.component} {record.kind} {_encode(record.attributes)}"
+    return (f"t={record.at} {record.component} {record.kind} "
+            f"{''.join(_iterencode(record.attributes, 0))}")
 
 
 def parse_record(line: str) -> TraceRecord:
     parts = line.split(" ", 3)
     if len(parts) < 4 or not parts[0].startswith("t="):
         raise TraceError(f"malformed trace line: {line!r}")
+    text = parts[3].strip(_JSON_WHITESPACE)
     try:
         at = int(parts[0][2:])
-        attributes = json.loads(parts[3])
+        attributes, end = _raw_decode(text)
     except ValueError as exc:
         raise TraceError(f"malformed trace line: {exc}") from None
+    if end != len(text):
+        raise TraceError(f"malformed trace line: data after the attributes: {line!r}")
     if not isinstance(attributes, dict):
         raise TraceError(f"malformed trace line: attributes are not an object: {line!r}")
-    return TraceRecord(at, parts[1], parts[2], attributes)
+    return _new_record(TraceRecord, (at, parts[1], parts[2], attributes))
 
 
 class TraceRecorder:
@@ -71,10 +100,12 @@ class TraceRecorder:
         self._last_at = 0
 
     def record(self, at: int, component: str, kind: str, attrs: dict[str, Any]) -> None:
+        """Append a record that keeps ``attrs`` itself, not a copy: the caller
+        hands over a dict it does not mutate afterwards."""
         if at < self._last_at:
             raise TraceError(f"trace time went backwards: {at} after {self._last_at}")
         self._last_at = at
-        self.records.append(TraceRecord(at, component, kind, dict(attrs)))
+        self.records.append(_new_record(TraceRecord, (at, component, kind, attrs)))
 
     def lines(self) -> list[str]:
         return [format_record(r) for r in self.records]

@@ -387,7 +387,8 @@ class ReportGate:
 
     Install it on a built run before the run executes.  It wraps the run's
     ``bus.publish``.  A report that GLL publishes must equal the payload of
-    the cell's measurement mapped afresh for the demanding service class.
+    the cell's measurement mapped afresh for the demanding service class,
+    worked out long-hand from the live flows and the interval table.
     Once a publish that reached anyone returns, MRRM must hold the report
     that payload reads back to: MRRM's subscription takes every report with
     no filter, so any delivery of one includes MRRM.  ``reports`` counts
@@ -406,8 +407,10 @@ class ReportGate:
                 return publish(event)
             payload = event.payload
             cell_id = payload["cell"]
+            demanding = min((flow.service_class for flow in gll.env.flows.values()),
+                            key=gll.cfg.reporting.interval_for, default=None)
             fresh = report_to_payload(map_link_quality(
-                gll.measure(gll.env.cells[cell_id]), gll.cfg.mapping, gll.demanding_class()))
+                gll.measure(gll.env.cells[cell_id]), gll.cfg.mapping, demanding))
             assert payload == fresh, f"t={gll.loop.now}: {cell_id} reported {payload}, not {fresh}"
             self.reports += 1
             self.reused += last.get(cell_id) is payload

@@ -462,6 +462,37 @@ def test_a_new_demanding_class_maps_the_report_again():
     assert after == _fresh_payload(gll, cell, "real-time")
 
 
+def _slow_real_time_by_trigger(bus, gll):
+    bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload={
+        "service_class": "real-time", "interval_ms": 1000}), target="gll")
+
+
+def _slow_real_time_by_table(bus, gll):
+    gll.configure_reporting(ReportingConfig(intervals_ms={"real-time": 1000, "background": 500}))
+
+
+@pytest.mark.parametrize("slow_real_time", (_slow_real_time_by_trigger, _slow_real_time_by_table))
+def test_a_reporting_interval_change_flips_the_demanding_class(slow_real_time):
+    # no flow arrives or leaves, so the world's generation stays put
+    cell = make_cell("wlan1", achievable_rate=5e6)
+    mapping = MappingConfig(reference_rate={"default": 2e6, "real-time": 1e7})
+    loop, bus, env, gll, events = live_gll([cell], GllConfig(mapping=mapping))
+    env.admit_flow(make_flow("f1", service_class="background"))
+    env.admit_flow(make_flow("f2", service_class="real-time"))
+    gll.start()
+    loop.run_until(150)
+    assert gll.demanding_class() == "real-time"
+    generation = env.generation
+    slow_real_time(bus, gll)
+    assert env.generation == generation and gll.demanding_class() == "background"
+    loop.run_until(700)
+    batches = [e for e in events if e.event_type == trg.MEASUREMENT_BATCH]
+    assert [(e.at, e.payload["interval_ms"]) for e in batches] == [(100, 100), (200, 500),
+                                                                    (700, 500)]
+    assert [p["q_rate"] for p in _report_payloads(events)] == [0.5, 1.0, 1.0]
+    assert _report_payloads(events)[-1] == _fresh_payload(gll, cell, "background")
+
+
 @pytest.mark.parametrize("params", (
     {"field": "achievable_rate", "value": 1e6},
     {"field": "used_resources", "value": 40},

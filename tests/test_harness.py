@@ -1,5 +1,6 @@
 """Mobility pipeline, trace processing, run statistics, CLI."""
 
+import importlib.util
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from hetsel.cli import EXIT_BAD_INPUT, EXIT_BROKEN_PIPE, EXIT_INTERNAL
 from hetsel.cli import main as cli_main
 from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
 from hetsel.harness import runner as runner_mod
+from hetsel.harness import trace as trace_mod
 from hetsel.harness.runner import RunRecorder, build_run, execute_run
 from hetsel.harness.trace import (
     RecordError,
@@ -236,6 +238,37 @@ def test_trace_record_roundtrip(at, component, kind, attributes):
         k: type(v) for k, v in attributes.items()}
 
 
+_json_leaves = _strings | st.integers() | st.booleans() | st.none() | st.floats()
+
+
+@given(at=st.integers(0, 10**12),
+       component=st.sampled_from(("trg", "gll", "mrrm", "mobility", "harness")),
+       kind=st.sampled_from(("event", "decision", "trace-point")),
+       attributes=st.dictionaries(_strings, st.recursive(
+           _json_leaves, lambda inner: st.lists(inner, max_size=3), max_leaves=8), max_size=8))
+@example(at=7, component="trg", kind="event", attributes={
+    "nan": float("nan"), "inf": [float("inf"), float("-inf")], "big": 2**70, "neg": -0.0,
+    "\u00e9": "\u00fcn\u00efc\u00f6de \U0001f600", "ctl": "\x00\x1f\"\\\u2028", "t": True})
+def test_format_record_writes_what_json_dumps_writes(at, component, kind, attributes):
+    compact = json.dumps(attributes, sort_keys=True, separators=(",", ":"))
+    assert format_record(TraceRecord(at, component, kind, attributes)) == (
+        f"t={at} {component} {kind} {compact}")
+
+
+def test_the_fallback_without_the_c_encoder_writes_the_same_lines(monkeypatch):
+    # a copy of the module built as on an interpreter without _json
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    spec = importlib.util.spec_from_file_location("trace_without_c", trace_mod.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback._iterencode == fallback._ENCODER.iterencode
+    record = TraceRecord(3, "trg", "event", {"z": [1, 2.5, float("inf")], "a": "\u00e9\x00",
+                                             "n": None, "b": False})
+    assert fallback.format_record(record) == format_record(record)
+    with pytest.raises(TypeError):
+        fallback.format_record(TraceRecord(0, "trg", "event", {"cells": {"a", "b"}}))
+
+
 def test_trace_records_are_read_only():
     record = TraceRecord(0, "trg", "event", {})
     for name in TraceRecord._fields + ("extra",):
@@ -299,16 +332,51 @@ def test_stats_rejects_a_carried_delivery_count_that_is_not_a_count(count):
     assert format_record(record) in str(caught.value)
 
 
-def test_format_record_rejects_a_value_json_cannot_encode():
+@pytest.mark.parametrize("attributes", [
+    {"cells": {"a", "b"}}, {"cells": ["a", {"b"}]}, {"raw": b"x"}, {"at": object()},
+    {(1, 2): "key"},
+])
+def test_format_record_rejects_a_value_json_cannot_encode(attributes):
     with pytest.raises(TypeError):
-        format_record(TraceRecord(0, "trg", "event", {"cells": {"a", "b"}}))
+        format_record(TraceRecord(0, "trg", "event", attributes))
 
 
 @pytest.mark.parametrize("line", ["5 trg event {}", "t=5 trg event", "t=x trg event {}",
-                                  "t=5 trg event [1]"])
+                                  "t=5 trg event [1]", 't=5 trg event {"a":1} x',
+                                  "t=5 trg event {}{}", 't=5 trg event "s"', "t=5 trg event 1",
+                                  "t=5 trg event "])
 def test_parse_record_rejects_malformed_lines(line):
     with pytest.raises(TraceError):
         parse_record(line)
+
+
+@st.composite
+def _attribute_texts(draw):
+    """An attribute text json.loads may or may not read as one object."""
+    blank = st.text(alphabet=" \t\n\r\x0b\x0c\xa0\ufeff", max_size=3)
+    value = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(_strings, inner, max_size=3), max_leaves=6)
+    body = draw(value.map(json.dumps) | st.text(max_size=12))
+    tail = draw(st.sampled_from(("", "x", "{}", "1", ",", "}", '"')) | st.text(max_size=3))
+    return draw(blank) + body + draw(blank) + tail
+
+
+@given(text=_attribute_texts())
+@example(text=' \t{"a": [1, NaN]}\r\n ')
+@example(text='\ufeff{}')
+@example(text='{} \x0b')
+def test_parse_record_accepts_exactly_what_json_loads_reads_as_an_object(text):
+    try:
+        expected = json.loads(text)
+    except ValueError:
+        expected = None
+    line = f"t=5 trg event {text}"
+    if isinstance(expected, dict):
+        # repr, not ==: it tells 1 from 1.0 and True, and NaN equals no NaN
+        assert repr(parse_record(line)) == repr(TraceRecord(5, "trg", "event", expected))
+    else:
+        with pytest.raises(TraceError):
+            parse_record(line)
 
 
 def test_trace_rejects_time_going_backwards():
