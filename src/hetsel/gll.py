@@ -9,9 +9,13 @@ has one form: a read-only ``NamedTuple`` whose fields are the keys of its
 ``link-quality-report`` payload.  :class:`LinkMeasurement` is this layer's
 raw sample and the input of ``map_link_quality``.  A measurement is taken
 of every access on every tick, and a ``NamedTuple`` builds several times
-faster than a frozen dataclass.  A report is mapped only when the
-measurement or the demanding service class differs from the cell's last
-report; otherwise the cell's last payload is published again.
+faster than a frozen dataclass.  This layer alone decides when a cell's
+report changed: its payload object changes exactly when its content does.
+A report is mapped only when the measurement or the demanding service class
+differs from the cell's last report, and the cell's last payload is
+published again when they do not differ or when the fresh mapping equals it.
+An access and its report are withdrawn only by ``access-lost`` or by
+``link-down`` with reason ``lost``.
 
 The layer keeps only link state, each access named by its cell id: the
 attached and detected cells, the access history and each cell's last
@@ -395,6 +399,8 @@ class GenericLinkLayer:
             else:
                 report = map_link_quality(measurement, self.cfg.mapping, service_class)
                 payload = report_to_payload(report)
+                if last is not None and last[2] == payload:
+                    payload = last[2]
                 held[cell.cell_id] = (measurement, service_class, payload)
             self.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, self.COMPONENT, payload=payload))
             count += 1
@@ -537,14 +543,19 @@ class GenericLinkLayer:
 
     def _on_reporting_change(self, payload: Mapping[str, Any]) -> None:
         if "enabled" in payload:
-            self.cfg.reporting.enabled = bool(payload["enabled"])
-            if self.cfg.reporting.enabled:
+            enabled = payload["enabled"]
+            if type(enabled) is not bool:
+                logger.warning("ignoring non-boolean reporting switch %r", enabled)
+                return
+            self.cfg.reporting.enabled = enabled
+            if enabled:
                 self._schedule_tick(self.effective_interval())
         service_class = payload.get("service_class")
         interval = payload.get("interval_ms")
         if service_class is not None and interval is not None:
-            if interval <= 0:
-                logger.warning("ignoring non-positive reporting interval %s", interval)
+            if type(interval) is not int or interval <= 0:
+                logger.warning("ignoring reporting interval %r: not a positive integer",
+                               interval)
                 return
-            self.cfg.reporting.intervals_ms[service_class] = int(interval)
+            self.cfg.reporting.intervals_ms[service_class] = interval
             self._demanding = None

@@ -129,7 +129,7 @@ def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]
         where = "trace"
         lines = source
     for number, line in enumerate(lines, 1):
-        line = line.strip()
+        line = line.strip(_JSON_WHITESPACE)
         if not line:
             continue
         try:

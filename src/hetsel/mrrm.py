@@ -34,12 +34,12 @@ initiated nothing, when nothing it reads can have changed since; it then
 returns that round's decisions and runs neither stage.  The writers of that
 state keep the marks that say so, whether or not their events are
 delivered: this component's generation, bumped by every event it handles but
-a report or a batch, by a report that is new, dropped or differs in a field
-a round reads, and by a policies check that times out; the environment's
-generation, bumped by every write to cells, flows and charges; and the set
-of attached links.  Time alone changes one input, a cool-down's expiry, so a
-replay also needs the clock before the earliest cool-down that was pending
-at the settle.
+a report or a batch, by a report payload it has not read (GLL makes a new one
+exactly when a report changes) and by a policies check that times out; the
+environment's generation, bumped by every write to cells, flows and charges;
+and the set of attached links.  Time alone changes one input, a cool-down's
+expiry, so a replay also needs the clock before the earliest cool-down that
+was pending at the settle.
 
 Each decision of a round decided afresh goes to ``record``; a replayed round
 records nothing.
@@ -74,6 +74,19 @@ logger = logging.getLogger(__name__)
 DEFAULT_PREFERENCE = 0.5
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number that is not NaN; a bool is not a number here."""
+    return type(value) in (int, float) and value == value
+
+
+def _is_preference(value: Any) -> bool:
+    return _is_number(value) and 0.0 <= value <= 1.0
+
+
+def _is_security_level(value: Any) -> bool:
+    return type(value) is int and 0 <= value <= 3
+
+
 @dataclass
 class PolicySet:
     """Slow-changing selection constraints and operator preferences.
@@ -101,9 +114,9 @@ class PolicySet:
         if self.allowed_operators & self.denied_operators:
             raise ValueError("allowed and denied operators overlap")
         for table in (self.static_preference, self.operator_preference):
-            if any(not 0.0 <= p <= 1.0 for p in table.values()):
+            if not all(map(_is_preference, table.values())):
                 raise ValueError("preferences must lie in [0,1]")
-        if not 0 <= self.min_security_level <= 3:
+        if not _is_security_level(self.min_security_level):
             raise ValueError("min_security_level outside 0..3")
 
 
@@ -179,12 +192,6 @@ class RoundCandidates:
 def _identity(cell: Cell) -> tuple[str, str, str]:
     """Candidates are listed by operator, then RAT, then cell id."""
     return (cell.operator_id, cell.rat, cell.cell_id)
-
-
-def _read_by_a_round(report: LinkQualityReport) -> tuple:
-    """The report fields that stage one and the assignment read."""
-    return (report.covered, report.load, report.achievable_rate, report.delay_ms,
-            report.residual_error_rate, report.quality, report.q_load)
 
 
 def _carries(flow: Flow, rate: float, delay_ms: float, error_rate: float) -> bool:
@@ -326,8 +333,8 @@ class MultiRadioResourceManager:
         self._record = record or (lambda kind, attrs: None)
         self.flows = env.flows
         self.reports: dict[str, LinkQualityReport] = {}
-        # cell id -> the payload its report was read from; GLL republishes an
-        # unchanged report's payload, and it is read only once
+        # cell id -> the payload its report was read from; any other payload
+        # GLL publishes for the cell is a changed report
         self._payloads: dict[str, Mapping[str, Any]] = {}
         self.operators: dict[str, _OperatorState] = {}
         self.cooldown_until: dict[str, int] = {}
@@ -379,7 +386,6 @@ class MultiRadioResourceManager:
         self._payloads.pop(cell_id, None)
         if self.reports.pop(cell_id, None) is not None:
             self._set_dirty = True
-            self._generation += 1
 
     def candidate_report(self) -> list[LinkQualityReport]:
         """Current candidate set; also published so upper layers can follow
@@ -576,6 +582,7 @@ class MultiRadioResourceManager:
             logger.info("resources on %s gone before mapping %s; will retry",
                         target, flow.flow_id)
             del self.in_flight[flow.flow_id]
+            self._detach_unused()
             return
         if entry.source is None:
             del self.in_flight[flow.flow_id]
@@ -617,8 +624,7 @@ class MultiRadioResourceManager:
         old = self.reports.get(cell_id)
         if old is None or old.covered != report.covered:
             self._set_dirty = True
-        if old is None or _read_by_a_round(old) != _read_by_a_round(report):
-            self._generation += 1
+        self._generation += 1
         self.reports[cell_id] = report
         self._payloads[cell_id] = payload
 
@@ -669,8 +675,8 @@ class MultiRadioResourceManager:
             self._after_link_up(self.in_flight[flow_id])
 
     def _on_link_down(self, payload: Mapping[str, Any]) -> None:
-        self._drop_report(payload["cell"])
-        if payload.get("reason") == "lost":
+        if payload.get("reason") == "lost":  # a requested detach keeps the report
+            self._drop_report(payload["cell"])
             self.decide()
 
     def _on_attach_failed(self, payload: Mapping[str, Any]) -> None:
@@ -730,25 +736,31 @@ class MultiRadioResourceManager:
         self._start_scan()
 
     def _on_policy_changed(self, payload: Mapping[str, Any]) -> None:
+        """Apply one policy change and decide again.  A change whose action
+        is unknown, whose operator is not a name or whose value breaks the
+        rules of ``PolicySet.validate`` (a JSON bool for roaming) is logged
+        and changes nothing."""
         action = payload.get("action")
-        operator = payload.get("operator", "")
+        operator = payload.get("operator")
         value = payload.get("value")
-        if action == "deny-operator":
-            self.policies.denied_operators.add(operator)
-        elif action == "allow-operator":
-            self.policies.denied_operators.discard(operator)
-            if self.policies.allowed_operators:
-                self.policies.allowed_operators.add(operator)
-        elif action == "set-min-security":
-            self.policies.min_security_level = int(value)
-        elif action == "set-max-cost":
-            self.policies.max_cost_per_mb = float(value)
-        elif action == "set-roaming":
-            self.policies.roaming_allowed = bool(value)
-        elif action == "set-preference":
-            self.policies.operator_preference[operator] = float(value)
+        policies = self.policies
+        named = type(operator) is str and operator != ""
+        if action == "deny-operator" and named:
+            policies.denied_operators.add(operator)
+        elif action == "allow-operator" and named:
+            policies.denied_operators.discard(operator)
+            if policies.allowed_operators:
+                policies.allowed_operators.add(operator)
+        elif action == "set-min-security" and _is_security_level(value):
+            policies.min_security_level = value
+        elif action == "set-max-cost" and _is_number(value):
+            policies.max_cost_per_mb = float(value)
+        elif action == "set-roaming" and type(value) is bool:
+            policies.roaming_allowed = value
+        elif action == "set-preference" and named and _is_preference(value):
+            policies.operator_preference[operator] = float(value)
         else:
-            logger.warning("ignoring unknown policy change action %r", action)
+            logger.warning("ignoring policy change %r", dict(payload))
             return
         self.decide()
 

@@ -262,17 +262,6 @@ def _mrrm(value: Any, path: _Path) -> dict[str, Any]:
     return _fields(value, path, _MRRM)
 
 
-def _correlation(value: Any, path: _Path) -> CorrelationRule:
-    fields = _fields(value, path, _CORRELATION)
-    if len(fields.get("pattern", ())) < 2:
-        _fail((path, "pattern"), "pattern length must be >= 2")
-    if "window_ms" not in fields:
-        _fail((path, "window_ms"), "required field missing")
-    if not fields.get("rule_id") or not fields.get("output_type"):
-        _fail(path, "rule_id and output_type are required")
-    return CorrelationRule(**fields)
-
-
 def _output_type(value: Any, path: _Path) -> str:
     if _str(value, path) in RESERVED_TYPES:
         _fail(path, f"{value!r} is a reserved event type")
@@ -334,7 +323,7 @@ _MRRM = {
     "policies_check_timeout_ms": _non_negative_int,
 }
 _CORRELATION = {
-    "rule_id": _str, "pattern": _list_of(_str, tuple), "window_ms": _positive_int,
+    "rule_id": _str, "pattern": _list_of(_str, tuple), "window_ms": _int,
     "output_type": _output_type, "reset_on_fire": _bool,
 }
 _TRG = {
@@ -343,7 +332,9 @@ _TRG = {
         "verdict": _one_of(VERDICTS), "preference": _optional(_fraction)})),
     "respond_to_policies_check": _bool,
     "default_verdict": _one_of(VERDICTS),
-    "correlations": _list_of(_correlation),
+    "correlations": _list_of(_section(CorrelationRule, _CORRELATION,
+                                      required=("rule_id", "pattern", "window_ms",
+                                                "output_type"))),
 }
 _MOBILITY = {"delays_ms": _delay_model, "make_before_break": _bool}
 _CELL = {

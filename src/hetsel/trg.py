@@ -155,6 +155,14 @@ class CorrelationRule:
     output_type: str
     reset_on_fire: bool = True
 
+    def validate(self) -> None:
+        if not self.rule_id or not self.output_type:
+            raise CorrelationRuleError("rule_id and output_type must be non-empty")
+        if len(self.pattern) < 2:
+            raise CorrelationRuleError("pattern length must be >= 2")
+        if self.window_ms <= 0:
+            raise CorrelationRuleError("window_ms must be positive")
+
 
 @dataclass(frozen=True)
 class UciRecord:
@@ -419,10 +427,7 @@ class TriggerBus:
     # -- correlation -------------------------------------------------------
 
     def define_correlation(self, rule: CorrelationRule) -> int:
-        if len(rule.pattern) < 2:
-            raise CorrelationRuleError("pattern length must be >= 2")
-        if rule.window_ms <= 0:
-            raise CorrelationRuleError("window_ms must be positive")
+        rule.validate()
         handle = self._next_rule_handle
         self._next_rule_handle += 1
         self._rules[handle] = _RuleState(rule)

@@ -391,7 +391,9 @@ class ReportGate:
     worked out long-hand from the live flows and the interval table.
     Once a publish that reached anyone returns, MRRM must hold the report
     that payload reads back to: MRRM's subscription takes every report with
-    no filter, so any delivery of one includes MRRM.  ``reports`` counts
+    no filter, so any delivery of one includes MRRM.  A payload equal to
+    the one GLL published last for the cell must be that very object, so
+    that a new object always means a changed report.  ``reports`` counts
     GLL's reports and ``reused`` those whose payload is the very object GLL
     published last for the cell.
     """
@@ -412,8 +414,11 @@ class ReportGate:
             fresh = report_to_payload(map_link_quality(
                 gll.measure(gll.env.cells[cell_id]), gll.cfg.mapping, demanding))
             assert payload == fresh, f"t={gll.loop.now}: {cell_id} reported {payload}, not {fresh}"
+            held = last.get(cell_id)
+            assert held is payload or held != payload, (
+                f"t={gll.loop.now}: {cell_id} published a payload equal to its last anew")
             self.reports += 1
-            self.reused += last.get(cell_id) is payload
+            self.reused += held is payload
             last[cell_id] = payload
             delivered = publish(event)
             if delivered:

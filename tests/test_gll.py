@@ -1,5 +1,6 @@
 """Link abstraction: metric mapping, scans, attach lifecycle, reporting cadence."""
 
+import logging
 import random
 
 import pytest
@@ -394,6 +395,68 @@ def test_interval_change_takes_effect_at_next_tick():
     assert times[:4] == [100, 200, 300, 400]
     tail = [b - a for a, b in zip(times[4:], times[5:])]
     assert all(d == 50 for d in tail)
+
+
+def _switch_reporting(bus, enabled):
+    bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload={
+        "enabled": enabled}), target="gll")
+
+
+def test_reporting_switched_off_sends_no_batch_until_switched_on():
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    env.admit_flow(make_flow(service_class="real-time"))
+    gll.start()
+    loop.run_until(250)
+    _switch_reporting(bus, False)
+    loop.run_until(1050)  # the tick already due at 300 sends nothing
+    assert _batch_times(events) == [100, 200]
+    _switch_reporting(bus, True)  # one interval from now, 100 ms apart
+    loop.run_until(1350)
+    assert _batch_times(events) == [100, 200, 1150, 1250, 1350]
+
+
+def test_configure_reporting_restarts_switched_off_reporting():
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    env.admit_flow(make_flow(service_class="real-time"))
+    gll.start()
+    loop.run_until(150)
+    _switch_reporting(bus, False)
+    loop.run_until(1000)
+    gll.configure_reporting(ReportingConfig(intervals_ms={"real-time": 200}))
+    loop.run_until(1600)
+    assert _batch_times(events) == [100, 1200, 1400, 1600]
+
+
+def test_a_reporting_switch_that_is_not_a_boolean_is_ignored(caplog):
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    gll.start()
+    with caplog.at_level(logging.WARNING, logger="hetsel.gll"):
+        _switch_reporting(bus, "false")
+    assert gll.cfg.reporting.enabled is True
+    assert any("non-boolean" in message for message in caplog.messages)
+    loop.run_until(1000)
+    assert _batch_times(events) == [500, 1000]
+
+
+@pytest.mark.parametrize("interval", (0, -5, 0.5, 100.0, "100", True))
+def test_a_reporting_interval_that_is_not_a_positive_integer_is_ignored(interval, caplog):
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    env.admit_flow(make_flow(service_class="real-time"))
+    gll.start()
+    loop.run_until(150)
+    # a zero interval once stored would tick forever at one instant
+    bus.subscribe(trg.Subscription("guard", (trg.MEASUREMENT_BATCH,)),
+                  lambda e: len(_batch_times(events)) < 50 or pytest.fail("runaway ticks"))
+    with caplog.at_level(logging.WARNING, logger="hetsel.gll"):
+        bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload={
+            "service_class": "real-time", "interval_ms": interval}), target="gll")
+    assert any("not a positive integer" in message for message in caplog.messages)
+    loop.run_until(450)
+    assert _batch_times(events) == [100, 200, 300, 400]
 
 
 def test_mac_scheme_applies_per_rat():

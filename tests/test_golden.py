@@ -30,7 +30,7 @@ from worlds import WORKLOADS, generate  # noqa: E402
 # scenario -> (trace.txt sha256, stats.json sha256)
 GOLDEN = {
     "attenuation_sweep": (
-        "c9dfed1eb5e152e8f895c4c6410876ee93b8418caa9991a38999458acf5d367d",
+        "50330f74c3a570c62b4e684c789087c7014b6d24ca5ddb44bb84f6fedfa492d5",
         "bcc246f978665f748fa4224ff34c4583dd77bef1a8b969e5b5ccc8e2b5f19051"),
     "herd_two_cells": (
         "a9b30206de5f19f9c4561629e7cba0d480bf29bad99c682fecc5c0de1cfb1199",
@@ -48,7 +48,7 @@ GOLDEN = {
         "9af2b4d6a6c2f18890da1026de2546e2923627d1b5a67db54843402331779a08",
         "281adaa751adf93a4f6d1cfd57785a51cbafc0a75239e586bd573015bb73e663"),
     "table1_mn": (
-        "1d3c6143d9c4eef4dfc075a1768e255e5b8bed110b3b3692233f5313a0de6da6",
+        "3f2252727720bd0d873073de9dfe4c99bcda4035f0de1587bff469c3d413a99d",
         "d3554a789723046d3d68a6880669464a891196eb5df3d35194d2fd9c7347d7ec"),
     "table1_mr": (
         "b7b7b4173067cf9e51e1c5f56898a5840503f46312dffcaf24aa3df933c1ca70",
@@ -75,7 +75,7 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
 
 # benchmark workload -> trace.txt sha256 of its seed-1 world
 BENCH_TRACES = {
-    "commuter_churn": "15fe6a3c6f72686f3a6e99c105efbd99f578fd98485b1437c90a032036f48481",
+    "commuter_churn": "6154e0ce0cb4abee5ed8247f9fd0ba61c278527ec2986efa578f086c2acdbe25",
     "metro_dense": "5194cbb6ed8ad88aef871fa4492a12d3b4e8cbdb0e2e604e5643a2a3c84addf5",
     "monitor_fanout": "a133b71f901281cdb0d5b6e68767c222017f33e6fa5296e592715072b503cbef",
 }

@@ -287,6 +287,19 @@ def test_read_trace_names_the_file_and_line_of_a_corrupt_line(tmp_path, capsys):
         assert f"{path}:3: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\xa0", "\u2028"])
+def test_read_trace_strips_only_json_whitespace_as_parse_record_does(tmp_path, capsys, blank):
+    good = format_record(TraceRecord(0, "harness", "event", {"type": "run-end"}))
+    with pytest.raises(TraceError):
+        parse_record(good + blank)
+    path = tmp_path / "trace.txt"
+    path.write_text(f" {good}\r\n{good}{blank}\n", encoding="utf-8")
+    with pytest.raises(TraceError, match=f"{re.escape(str(path))}:2: "):
+        list(read_trace(path))
+    assert cli_main(["stats", str(path)]) == 2
+    assert f"{path}:2: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     't=5 trg event {"source":"env","synthetic":false,"type":"flow-arrival"}',
     # an event record that reached a consumer but lacks its payload

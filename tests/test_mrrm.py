@@ -1,5 +1,6 @@
 """Access selection: filters, scoring, ranking, decisions, policies-check."""
 
+import copy
 import logging
 import random
 from types import SimpleNamespace
@@ -545,6 +546,27 @@ def test_flow_that_departed_while_attaching_is_not_mapped_when_the_link_comes_up
                 if r.kind == "event" and r.attributes["type"] == trg.FLOW_MAPPED]
 
 
+def test_link_whose_flow_cannot_be_mapped_after_link_up_is_released():
+    # c1 fills up during f's attach latency, so f does not fit when the link
+    # comes up at 700
+    run = build_run(scenario_from_dict({
+        "duration_ms": 1500,
+        "gll": {"attach_latency_ms": 200},
+        "cells": [{"cell_id": "c1", "rat": "WLAN", "operator_id": "OpA", "frequency": "ch1"}],
+        "timeline": [{"at": 500, "kind": "flow-arrival", "target": "f", "resource_demand": 30},
+                     {"at": 550, "kind": "set-cell-field", "target": "c1",
+                      "field": "used_resources", "value": 90}],
+    }))
+    result = execute_run(run)
+    events = [(r.at, r.attributes["type"]) for r in read_trace(result.trace_lines)
+              if r.kind == "event" and r.attributes["type"] in (trg.LINK_UP, trg.LINK_DOWN)]
+    assert events == [(700, trg.LINK_UP), (700, trg.LINK_DOWN)]
+    assert not run.gll.attached
+    assert run.env.flows["f"].serving is None
+    assert run.env.cells["c1"].used_resources == 90
+    assert not run.mrrm.in_flight
+
+
 def test_handover_target_that_loses_coverage_keeps_no_charge():
     run = build_run(scenario_from_dict(TARGET_LOST_COVERAGE_WORLD))
     execute_run(run)
@@ -686,21 +708,48 @@ def test_settled_round_is_decided_afresh_when_the_serving_link_is_lost(selects):
     assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
 
 
-def test_settled_round_ignores_report_fields_stage_two_does_not_read(selects):
-    world = _settled_world(1 / 6)
-    assert world.mrrm.decide()[0]["action"] == "none"
-    for tick in range(1, 4):
-        # fresh reports through the bus: other sub-metrics behind the same
-        # composite quality
-        for cell_id in ("a", "b"):
-            report = world.mrrm.reports[cell_id]._replace(q_error=1.0 - tick / 10,
-                                                          q_rate=tick / 10,
-                                                          q_delay=0.5 + tick / 10)
-            world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll",
-                                        payload=report_to_payload(report)))
-        assert world.mrrm.reports["a"].q_rate == tick / 10
-        world.mrrm.decide()
-    assert selects == ["f1"]
+def test_a_class_flip_to_an_equal_report_republishes_it_and_the_round_replays(
+        selects, monkeypatch):
+    # one reference rate for every class, so the class alone changes no report
+    maps = []
+    map_link_quality = gll_mod.map_link_quality
+    monkeypatch.setattr(gll_mod, "map_link_quality",
+                        lambda *args: maps.append(args[2]) or map_link_quality(*args))
+    world = make_world([make_cell("a")], flows=[
+        make_flow("f1", serving="a", service_class="background"),
+        make_flow("f2", serving="a", service_class="real-time")])
+    world.gll.start()
+    world.loop.run_until(100)
+    assert selects == ["f1", "f2"]
+    world.bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload={
+        "service_class": "real-time", "interval_ms": 1000}), target="gll")
+    world.loop.run_until(200)
+    assert maps == ["real-time", "background"]
+    first, second = [e.payload for e in events_of(world, trg.LINK_QUALITY_REPORT)]
+    assert second is first
+    assert selects == ["f1", "f2"]
+
+
+def test_mrrms_own_detach_keeps_the_report_and_the_next_round_replays(selects):
+    # f2 demands nothing, so its departure leaves b's report as it was
+    a, b = make_cell("a"), make_cell("b")
+    world = make_world([a, b], flows=[make_flow("f1", serving="a"),
+                                      make_flow("f2", serving="b", resource_demand=0)])
+    world.gll.start()
+    world.loop.run_until(100)
+    assert selects == ["f1", "f2"]
+    held = world.mrrm.reports["b"]
+    world.env.apply_action(ScenarioAction(100, "flow-departure", "f2"))
+    assert not world.gll.is_attached("b")  # MRRM released the link no flow uses
+    assert [e.payload["reason"] for e in events_of(world, trg.LINK_DOWN)] == ["requested"]
+    assert world.mrrm.reports["b"] is held
+    world.mrrm.decide()
+    assert selects == ["f1", "f2", "f1"]
+    lists = len(events_of(world, trg.CANDIDATE_REPORT))
+    world.loop.run_until(200)
+    assert world.mrrm.reports["b"] is held
+    assert len(events_of(world, trg.CANDIDATE_REPORT)) == lists
+    assert selects == ["f1", "f2", "f1"]
 
 
 def test_a_replayed_round_runs_no_stage_one(monkeypatch):
@@ -937,6 +986,64 @@ def test_policy_change_denying_current_operator_moves_the_flow():
         target="mrrm")
     world.loop.run_until(600)
     assert world.env.flows["f1"].serving == "b"
+
+
+def _change_policy(world, **payload):
+    """Send a policy change down to MRRM; returns the rounds it ran."""
+    rounds = []
+    world.mrrm.decide = lambda: rounds.append(world.loop.now)
+    world.bus.send_downward(trg.Event(trg.POLICY_CHANGED, "policy-editor", payload=payload),
+                            target="mrrm")
+    return rounds
+
+
+@pytest.mark.parametrize("payload, changed", (
+    ({"action": "deny-operator", "operator": "OpC"}, {"denied_operators": {"OpB", "OpC"}}),
+    ({"action": "allow-operator", "operator": "OpB"},
+     {"denied_operators": set(), "allowed_operators": {"OpA", "OpB"}}),
+    ({"action": "set-min-security", "value": 3}, {"min_security_level": 3}),
+    ({"action": "set-max-cost", "value": 2}, {"max_cost_per_mb": 2.0}),
+    ({"action": "set-roaming", "value": False}, {"roaming_allowed": False}),
+    ({"action": "set-preference", "operator": "OpA", "value": 1},
+     {"operator_preference": {"OpA": 1.0}}),
+), ids=("deny-operator", "allow-operator", "set-min-security", "set-max-cost", "set-roaming",
+        "set-preference"))
+def test_a_policy_change_applies_its_value_and_decides(payload, changed):
+    policies = PolicySet(allowed_operators={"OpA"}, denied_operators={"OpB"},
+                         max_cost_per_mb=0.5)
+    world = make_world([make_cell("a")], policies=policies)
+    expected = {**vars(copy.deepcopy(policies)), **changed}
+    assert _change_policy(world, **payload) == [0]
+    assert vars(world.mrrm.policies) == expected
+    world.mrrm.policies.validate()
+
+
+@pytest.mark.parametrize("payload", (
+    {"action": "set-roaming", "value": "false"},
+    {"action": "set-roaming", "value": 0},
+    {"action": "set-min-security", "value": "x"},
+    {"action": "set-min-security", "value": 7},
+    {"action": "set-min-security", "value": 2.0},
+    {"action": "set-min-security", "value": True},
+    {"action": "set-max-cost", "value": "x"},
+    {"action": "set-max-cost", "value": float("nan")},
+    {"action": "set-max-cost", "value": None},
+    {"action": "set-preference", "operator": "OpA", "value": 2.0},
+    {"action": "set-preference", "operator": "OpA", "value": "0.5"},
+    {"action": "set-preference", "value": 0.5},
+    {"action": "deny-operator"},
+    {"action": "deny-operator", "operator": ""},
+    {"action": "allow-operator", "operator": 5},
+    {"action": "promote-operator", "operator": "OpA"},
+    {},
+), ids=repr)
+def test_a_bad_policy_change_is_logged_and_changes_nothing(payload, caplog):
+    world = make_world([make_cell("a")])
+    before = copy.deepcopy(world.mrrm.policies)
+    with caplog.at_level(logging.WARNING, logger="hetsel.mrrm"):
+        assert _change_policy(world, **payload) == []
+    assert world.mrrm.policies == before
+    assert any("ignoring policy change" in message for message in caplog.messages)
 
 
 def test_unknown_trigger_type_logs_and_ignores(caplog):

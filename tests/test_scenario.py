@@ -83,6 +83,10 @@ def test_top_level_diagnostic_starts_with_the_field(key, value):
     assert str(info.value).startswith(f"{key}:")
 
 
+_RULE = {"rule_id": "r", "pattern": ["link-down", "link-up"], "window_ms": 1000,
+         "output_type": "link-flap"}
+
+
 @pytest.mark.parametrize("section, path", [
     pytest.param({"mrrm": {"policies_check_timeout_ms": -1}},
                  "mrrm.policies_check_timeout_ms", id="negative-check-timeout"),
@@ -98,6 +102,18 @@ def test_top_level_diagnostic_starts_with_the_field(key, value):
         "rule_id": "r", "pattern": ["link-quality-report", "measurement-batch"],
         "window_ms": 1000, "output_type": "access-lost"}]}},
                  "trg.correlations[0].output_type", id="correlation-reserved-output"),
+    *(pytest.param({"trg": {"correlations": [_RULE, {**_RULE, **change}]}}, path, id=name)
+      for name, change, path in (
+          ("correlation-one-type-pattern", {"pattern": ["link-up"]}, "trg.correlations[1]"),
+          ("correlation-zero-window", {"window_ms": 0}, "trg.correlations[1]"),
+          ("correlation-empty-rule-id", {"rule_id": ""}, "trg.correlations[1]"),
+          ("correlation-empty-output", {"output_type": ""}, "trg.correlations[1]"),
+          ("correlation-window-not-int", {"window_ms": 1.5}, "trg.correlations[1].window_ms"),
+      )),
+    *(pytest.param({"trg": {"correlations": [
+        {k: v for k, v in _RULE.items() if k != missing}]}},
+        f"trg.correlations[0].{missing}", id=f"correlation-missing-{missing}")
+      for missing in ("rule_id", "pattern", "window_ms", "output_type")),
     pytest.param({"flows": [{"flow_id": "f1", "serving": "c1", "resource_demand": 60},
                             {"flow_id": "f2", "serving": "c1", "resource_demand": 60}]},
                  "flows[1].serving", id="initial-demands-above-capacity"),

@@ -351,6 +351,20 @@ def test_synthetic_flag_integrity():
     assert by_type == {"a": False, "b": False, "ab": True}
 
 
+@pytest.mark.parametrize("rule", (
+    CorrelationRule("r1", ("a",), 1000, "ab"),
+    CorrelationRule("r1", ("a", "b"), 0, "ab"),
+    CorrelationRule("", ("a", "b"), 1000, "ab"),
+    CorrelationRule("r1", ("a", "b"), 1000, ""),
+), ids=("one-type", "zero-window", "no-rule-id", "no-output"))
+def test_define_correlation_rejects_what_the_rule_check_rejects(rule):
+    bus = TriggerBus(clock=Clock())
+    with pytest.raises(trg.CorrelationRuleError):
+        rule.validate()
+    with pytest.raises(trg.CorrelationRuleError):
+        bus.define_correlation(rule)
+
+
 def test_correlation_against_oracle_on_random_strings():
     rng = random.Random(4242)
     alphabet = ["a", "b", "c", "d"]
