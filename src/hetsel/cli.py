@@ -51,7 +51,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {args.out}: cannot create directory: {exc.strerror}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    result, trace_path, stats_path = run_to_files(args.scenario, args.out)
+    try:
+        result, trace_path, stats_path = run_to_files(args.scenario, args.out)
+    except OSError as exc:
+        # the loader reports a scenario it cannot read; what is left is an output
+        print(f"error: {exc.filename}: cannot write: {exc.strerror}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     summary = result.stats
     print(f"trace:  {trace_path}")
     print(f"stats:  {stats_path}")

@@ -3,13 +3,15 @@
 Maps per-RAT measurements onto normalized [0,1] metrics, runs scans and
 attach/detach against the simulated environment, and reports periodically on
 all detected accesses.  Reports and link changes leave this layer as events
-on the trigger bus; everything above it sees :class:`LinkQualityReport`
-values, each naming its access by cell id, and is RAT-agnostic.  A report
-has one form: a read-only ``NamedTuple`` whose fields are the keys of its
-``link-quality-report`` payload.  :class:`LinkMeasurement` is this layer's
-raw sample and the input of ``map_link_quality``.  A measurement is taken
-of every access on every tick, and a ``NamedTuple`` builds several times
-faster than a frozen dataclass.  This layer alone decides when a cell's
+on the trigger bus; everything above it sees a report as its
+``link-quality-report`` payload, a mapping that names its access by cell id
+and is RAT-agnostic, and keeps that payload as it is, without writing to it.
+``map_link_quality`` builds a :class:`LinkQualityReport`, whose fields are
+the payload's keys in order, and ``report_to_payload`` flattens it once per
+changed report.  :class:`LinkMeasurement` is this layer's raw sample and the
+input of ``map_link_quality``.  A measurement is taken of every access on
+every tick, and a ``NamedTuple`` builds several times faster than a frozen
+dataclass.  This layer alone decides when a cell's
 report changed: its payload object changes exactly when its content does.
 A report is mapped only when the measurement or the demanding service class
 differs from the cell's last report, and the cell's last payload is

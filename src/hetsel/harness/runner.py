@@ -83,8 +83,8 @@ class RunRecorder(TraceRecorder):
     def record_decision(self, at: int, decision: dict[str, Any]) -> None:
         key = ("decision", decision["flow"])
         if not self._repeats(key, decision):
-            # MRRM keeps its decision; one copy serves the key and the record
-            decision = self._last[key] = dict(decision)
+            # MRRM keeps no reference to a decision it hands over
+            self._last[key] = decision
             self.record(at, "mrrm", "decision", decision)
 
     def record_end(self, at: int) -> None:
@@ -154,7 +154,7 @@ def build_run(scenario: Scenario) -> Run:
         policies=copy.deepcopy(scenario.policies),
         selection=copy.deepcopy(scenario.selection),
         caps=copy.deepcopy(scenario.capabilities),
-        record=lambda kind, decision: recorder.record_decision(loop.now, decision),
+        record=lambda decision: recorder.record_decision(loop.now, decision),
         policies_check_timeout_ms=scenario.policies_check_timeout_ms,
         make_before_break=scenario.make_before_break,
     )

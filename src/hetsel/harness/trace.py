@@ -121,7 +121,7 @@ def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]
         path = Path(source)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise TraceError(f"cannot read trace {path}: {exc}") from exc
         where = str(path)
         lines: Iterable[str] = text.split("\n")

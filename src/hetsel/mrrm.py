@@ -31,18 +31,18 @@ operator is now denied, drops the cell with a ``release`` decision.
 
 A round replays the last settled one, the last round decided afresh if it
 initiated nothing, when nothing it reads can have changed since; it then
-returns that round's decisions and runs neither stage.  The writers of that
-state keep the marks that say so, whether or not their events are
-delivered: this component's generation, bumped by every event it handles but
-a report or a batch, by a report payload it has not read (GLL makes a new one
-exactly when a report changes) and by a policies check that times out; the
+runs neither stage.  The writers of that state keep the marks that say so,
+whether or not their events are delivered: this component's generation,
+bumped by every event it handles but a report or a batch, by a report
+payload it does not hold (GLL makes a new one exactly when a report
+changes) and by a policies check that times out; the
 environment's generation, bumped by every write to cells, flows and charges;
 and the set of attached links.  Time alone changes one input, a cool-down's
 expiry, so a replay also needs the clock before the earliest cool-down that
 was pending at the settle.
 
-Each decision of a round decided afresh goes to ``record``; a replayed round
-records nothing.
+Each decision of a round decided afresh goes to ``record``, and the
+component keeps no reference to it; a replayed round records nothing.
 
 Arrivals do not decide at once.  The first ``flow-arrival`` of an instant
 schedules one round at that same instant, after everything already due then,
@@ -53,7 +53,8 @@ Every piece of run state names an access by its cell id, as flows, events
 and the environment do: reports, rankings, failure cool-downs, the stage-one
 position index and the cells of unfinished attaches and handovers.  Stage one
 reads an access's RAT, operator and other attributes from its ``Cell``, and
-its measured numbers from its report.
+its measured numbers from its report: the ``link-quality-report`` payload GLL
+last published for the cell, held as it is.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
-from . import gll as gll_mod
 from . import trg
-from .gll import GenericLinkLayer, LinkQualityReport
+from .gll import GenericLinkLayer
 from .simenv.env import Cell, Environment, Flow
 from .simenv.loop import EventLoop
 
@@ -85,6 +85,10 @@ def _is_preference(value: Any) -> bool:
 
 def _is_security_level(value: Any) -> bool:
     return type(value) is int and 0 <= value <= 3
+
+
+def _is_name(value: Any) -> bool:
+    return type(value) is str and value != ""
 
 
 @dataclass
@@ -200,7 +204,7 @@ def _carries(flow: Flow, rate: float, delay_ms: float, error_rate: float) -> boo
 
 def _score(
     f_qos: float,
-    report: LinkQualityReport,
+    report: Mapping[str, Any],
     cell: Cell,
     policies: PolicySet,
     caps: TerminalCapabilities,
@@ -208,14 +212,14 @@ def _score(
 ) -> float:
     """The one score formula; ``f_qos`` is 1.0 or 0.0, the QoS-fit term."""
     return (cfg.w_qos * f_qos
-            + cfg.w_link * report.quality
-            + cfg.w_cell * report.q_load
+            + cfg.w_link * report["quality"]
+            + cfg.w_cell * report["q_load"]
             + cfg.w_term * (1.0 - caps.energy_cost_for(cell.rat))
             + cfg.w_pol * policies.preference(cell.operator_id, cell.rat))
 
 
 def round_candidates(
-    reports: Iterable[LinkQualityReport],
+    reports: Iterable[Mapping[str, Any]],
     policies: PolicySet,
     caps: TerminalCapabilities,
     cfg: SelectionConfig,
@@ -232,11 +236,11 @@ def round_candidates(
     """
     kept = []
     for report in reports:
-        if not report.covered:
+        if not report["covered"]:
             continue
-        if report.load >= cfg.load_threshold:
+        if report["load"] >= cfg.load_threshold:
             continue
-        cell = cells[report.cell]
+        cell = cells[report["cell"]]
         operator = cell.operator_id
         if policies.allowed_operators and operator not in policies.allowed_operators:
             continue
@@ -253,7 +257,8 @@ def round_candidates(
             continue
         kept.append((_identity(cell),
                      (cell.cell_id,
-                      report.achievable_rate, report.delay_ms, report.residual_error_rate,
+                      report["achievable_rate"], report["delay_ms"],
+                      report["residual_error_rate"],
                       _score(1.0, report, cell, policies, caps, cfg),
                       _score(0.0, report, cell, policies, caps, cfg),
                       cfg.w_cell / cell.total_resources,
@@ -317,7 +322,7 @@ class MultiRadioResourceManager:
         policies: Optional[PolicySet] = None,
         selection: Optional[SelectionConfig] = None,
         caps: Optional[TerminalCapabilities] = None,
-        record: Optional[Callable[[str, dict[str, Any]], None]] = None,
+        record: Optional[Callable[[dict[str, Any]], None]] = None,
         policies_check_timeout_ms: int = 1000,
         make_before_break: bool = True,
     ):
@@ -330,12 +335,10 @@ class MultiRadioResourceManager:
         self.caps = caps or TerminalCapabilities()
         self.make_before_break = make_before_break
         self.policies_check_timeout_ms = policies_check_timeout_ms
-        self._record = record or (lambda kind, attrs: None)
+        self._record = record or (lambda decision: None)
         self.flows = env.flows
-        self.reports: dict[str, LinkQualityReport] = {}
-        # cell id -> the payload its report was read from; any other payload
-        # GLL publishes for the cell is a changed report
-        self._payloads: dict[str, Mapping[str, Any]] = {}
+        # cell id -> the link-quality-report payload GLL last published for it
+        self.reports: dict[str, Mapping[str, Any]] = {}
         self.operators: dict[str, _OperatorState] = {}
         self.cooldown_until: dict[str, int] = {}
         self.in_flight: dict[str, _InFlight] = {}
@@ -347,9 +350,9 @@ class MultiRadioResourceManager:
         self._arrivals_undecided = False
         # counts this component's own writes to what a round reads
         self._generation = 0
-        # (marks, earliest cool-down expiry then pending, decisions) of the
-        # last round decided afresh, when it initiated nothing
-        self._settled: Optional[tuple[tuple, float, list[dict[str, Any]]]] = None
+        # (marks, earliest cool-down expiry then pending) of the last round
+        # decided afresh, when it initiated nothing
+        self._settled: Optional[tuple[tuple, float]] = None
         # (this component's generation, the environment's) at the last
         # quality-floor walk that found no flow under the floor
         self._floor_clear: Optional[tuple[int, int]] = None
@@ -383,23 +386,19 @@ class MultiRadioResourceManager:
     # -- candidate bookkeeping --------------------------------------------------
 
     def _drop_report(self, cell_id: str) -> None:
-        self._payloads.pop(cell_id, None)
         if self.reports.pop(cell_id, None) is not None:
             self._set_dirty = True
 
-    def candidate_report(self) -> list[LinkQualityReport]:
-        """Current candidate set; also published so upper layers can follow
+    def candidate_report(self) -> None:
+        """Publish the current candidate set, so that upper layers can follow
         multiaccess availability without any coupling to this component."""
-        entries = sorted(
-            (r for r in self.reports.values() if r.covered),
-            key=lambda r: _identity(self.env.cells[r.cell]),
-        )
+        cells = sorted((self.env.cells[r["cell"]] for r in self.reports.values()
+                        if r["covered"]), key=_identity)
         self.bus.publish(trg.Event(trg.CANDIDATE_REPORT, self.COMPONENT, payload={
-            "count": len(entries),
-            "candidates": ",".join(r.cell for r in entries),
+            "count": len(cells),
+            "candidates": ",".join(cell.cell_id for cell in cells),
         }))
         self._set_dirty = False
-        return entries
 
     # -- policies check -----------------------------------------------------------
 
@@ -438,7 +437,7 @@ class MultiRadioResourceManager:
 
     # -- decision pipeline ----------------------------------------------------------
 
-    def usable_reports(self) -> Iterator[LinkQualityReport]:
+    def usable_reports(self) -> Iterator[Mapping[str, Any]]:
         """The reports stage one reads: those of cells out of failure
         cool-down whose operator is admitted."""
         now = self.loop.now
@@ -447,30 +446,27 @@ class MultiRadioResourceManager:
                     and self._operator_admitted(self.env.cells[cell_id].operator_id)):
                 yield report
 
-    def decide(self) -> list[dict[str, Any]]:
-        """Re-run selection for every flow; returns the decision records.  A
-        replayed round returns the settled round's own records, which the
-        caller reads and does not change."""
+    def decide(self) -> None:
+        """Re-run selection for every flow; each decision goes to ``record``."""
         if self._deciding:
             self._decide_again = True
-            return []
+            return
         self._deciding = True
         try:
-            decisions = self._decide_once()
+            self._decide_once()
             while self._decide_again:
                 self._decide_again = False
-                decisions = self._decide_once()
-            return decisions
+                self._decide_once()
         finally:
             self._deciding = False
 
-    def _decide_once(self) -> list[dict[str, Any]]:
+    def _decide_once(self) -> None:
         self._arrivals_undecided = False
         now = self.loop.now
         inputs = self._round_inputs()
         settled = self._settled
         if settled is not None and settled[0] == inputs and now < settled[1]:
-            return list(settled[2])
+            return
         # The demand the round's snapshot lacks: unfinished attaches, this
         # round's included; executing handovers are charged in the snapshot.
         tentative: dict[str, int] = {}
@@ -482,17 +478,16 @@ class MultiRadioResourceManager:
                                  self.selection, self.env.cells)
         pending = [self.flows[flow_id] for flow_id in sorted(self.flows)
                    if flow_id not in self.in_flight]
-        decisions = []
+        settles = True
         for flow in pending:
             ranked = select_access(flow, stage, tentative)
             decision = self._assign(flow, ranked, stage, tentative)
-            decisions.append(decision)
-            self._record("decision", decision)
+            settles = settles and decision["action"] == "none"
+            self._record(decision)
         self._settled = None
-        if all(decision["action"] == "none" for decision in decisions):
+        if settles:
             expiry = min((t for t in self.cooldown_until.values() if t > now), default=math.inf)
-            self._settled = (inputs, expiry, [dict(decision) for decision in decisions])
-        return decisions
+            self._settled = (inputs, expiry)
 
     def _round_inputs(self) -> tuple:
         """The round's marks: this component's generation, the environment's
@@ -618,15 +613,13 @@ class MultiRadioResourceManager:
 
     def _on_report(self, payload: Mapping[str, Any]) -> None:
         cell_id = payload["cell"]
-        if self._payloads.get(cell_id) is payload:
-            return
-        report = gll_mod.report_from_payload(payload)
         old = self.reports.get(cell_id)
-        if old is None or old.covered != report.covered:
+        if old is payload:
+            return
+        if old is None or old["covered"] != payload["covered"]:
             self._set_dirty = True
         self._generation += 1
-        self.reports[cell_id] = report
-        self._payloads[cell_id] = payload
+        self.reports[cell_id] = payload
 
     def _on_batch(self, payload: Mapping[str, Any]) -> None:
         if self._set_dirty:
@@ -651,7 +644,7 @@ class MultiRadioResourceManager:
             if flow.serving is None or flow.flow_id in self.in_flight:
                 continue
             report = self.reports.get(flow.serving)
-            quality = report.quality if report is not None else 0.0
+            quality = report["quality"] if report is not None else 0.0
             if quality < self.selection.quality_floor:
                 self._start_scan()
                 return
@@ -744,7 +737,7 @@ class MultiRadioResourceManager:
         operator = payload.get("operator")
         value = payload.get("value")
         policies = self.policies
-        named = type(operator) is str and operator != ""
+        named = _is_name(operator)
         if action == "deny-operator" and named:
             policies.denied_operators.add(operator)
         elif action == "allow-operator" and named:
@@ -765,16 +758,23 @@ class MultiRadioResourceManager:
         self.decide()
 
     def _on_policies_check_answer(self, payload: Mapping[str, Any]) -> None:
-        operator = payload["operator"]
-        verdict = payload["verdict"]
+        """Apply a policies-check answer and decide again.  An answer whose
+        operator is not a name, whose verdict is neither ``allow`` nor
+        ``deny`` or whose preference, when given, is not a number in [0,1] is
+        logged and changes nothing."""
+        operator = payload.get("operator")
+        verdict = payload.get("verdict")
+        preference = payload.get("preference")
+        if not (_is_name(operator) and verdict in ("allow", "deny")
+                and (preference is None or _is_preference(preference))):
+            logger.warning("ignoring policies-check answer %r", dict(payload))
+            return
         state = self.operators.get(operator)
         if state is None:
-            state = _OperatorState("pending", self.loop.now)
-            self.operators[operator] = state
-        state.verdict = "allow" if verdict == "allow" else "deny"
+            state = self.operators[operator] = _OperatorState("pending", self.loop.now)
+        state.verdict = verdict
         if verdict == "deny":
             self.policies.denied_operators.add(operator)
-        preference = payload.get("preference")
         if preference is not None:
             self.policies.operator_preference[operator] = float(preference)
         self.decide()

@@ -506,7 +506,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -12,6 +12,7 @@ from hetsel.gll import (
     LinkQualityReport,
     MappingConfig,
     map_link_quality,
+    report_to_payload,
     residual_error_rate,
 )
 from hetsel.mrrm import Flow, PolicySet, SelectionConfig, TerminalCapabilities
@@ -83,11 +84,12 @@ def make_measurement(cell_id="wlan1", **over) -> LinkMeasurement:
     return LinkMeasurement(cell_id=cell_id, **defaults)
 
 
-def synthetic_report(cell_id="wlan1", quality=1.0, **raw_over) -> LinkQualityReport:
-    """Report with an explicitly chosen composite quality (raw fields stay
-    consistent enough for feasibility checks)."""
+def synthetic_report(cell_id="wlan1", quality=1.0, **raw_over) -> dict:
+    """The payload GLL would publish for a report with an explicitly chosen
+    composite quality (raw fields stay consistent enough for feasibility
+    checks)."""
     raw = make_measurement(cell_id, **raw_over)
-    return LinkQualityReport(
+    return report_to_payload(LinkQualityReport(
         cell=cell_id,
         q_error=1.0,
         q_rate=1.0,
@@ -99,11 +101,12 @@ def synthetic_report(cell_id="wlan1", quality=1.0, **raw_over) -> LinkQualityRep
         delay_ms=raw.delay_ms,
         load=raw.load,
         covered=raw.covered,
-    )
+    ))
 
 
 def report_for_cell(cell: Cell, cfg: MappingConfig | None = None,
-                    retransmissions: int = 0) -> LinkQualityReport:
+                    retransmissions: int = 0) -> dict:
+    """The payload GLL publishes for ``cell`` with no demanding service class."""
     cfg = cfg or MappingConfig()
     m = LinkMeasurement(
         cell_id=cell.cell_id,
@@ -113,7 +116,7 @@ def report_for_cell(cell: Cell, cfg: MappingConfig | None = None,
         load=cell.load,
         covered=cell.covered,
     )
-    return map_link_quality(m, cfg)
+    return report_to_payload(map_link_quality(m, cfg))
 
 
 def make_flow(flow_id="f1", **over) -> Flow:
@@ -191,7 +194,7 @@ def random_instance(rng: random.Random):
     for j in range(rng.randint(1, 4)):
         serving = None
         if reports and rng.random() < 0.5:
-            serving = rng.choice(reports).cell
+            serving = rng.choice(reports)["cell"]
         flows.append(make_flow(
             flow_id=f"f{j}",
             service_class=rng.choice(("real-time", "interactive", "background")),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from hetsel.gll import map_link_quality, report_from_payload, report_to_payload
+from hetsel.gll import map_link_quality, report_to_payload
 from hetsel.mrrm import round_candidates
 from hetsel.trg import CANDIDATE_REPORT, LINK_QUALITY_REPORT, MEASUREMENT_BATCH
 
@@ -24,7 +24,7 @@ def long_hand_score(flow, report, c, policies, caps, cfg, tentative):
     total_resources`` per unit of its post-move demand: the demand
     ``tentative`` already commits to its cell plus the flow's own.
     """
-    if not report.covered:
+    if not report["covered"]:
         return None
     if policies.allowed_operators and c.operator_id not in policies.allowed_operators:
         return None
@@ -39,19 +39,19 @@ def long_hand_score(flow, report, c, policies, caps, cfg, tentative):
         return None
     if caps.supported_rats and c.rat not in caps.supported_rats:
         return None
-    if report.load >= cfg.load_threshold:
+    if report["load"] >= cfg.load_threshold:
         return None
-    feasible = (report.achievable_rate >= flow.min_rate
-                and report.delay_ms <= flow.max_delay_ms
-                and report.residual_error_rate <= flow.max_loss)
+    feasible = (report["achievable_rate"] >= flow.min_rate
+                and report["delay_ms"] <= flow.max_delay_ms
+                and report["residual_error_rate"] <= flow.max_loss)
     if c.operator_id in policies.operator_preference:
         preference = policies.operator_preference[c.operator_id]
     else:
         preference = policies.static_preference.get((c.operator_id, c.rat), 0.5)
     energy = caps.energy_cost.get(c.rat, 0.0)
     score = (cfg.w_qos * (1.0 if feasible else 0.0)
-             + cfg.w_link * report.quality
-             + cfg.w_cell * report.q_load
+             + cfg.w_link * report["quality"]
+             + cfg.w_cell * report["q_load"]
              + cfg.w_term * (1.0 - energy)
              + cfg.w_pol * preference)
     if c.cell_id != flow.serving:
@@ -76,7 +76,7 @@ def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentati
     """
     best = None
     for report in reports:
-        c = cell_meta.get(report.cell)
+        c = cell_meta.get(report["cell"])
         if c is None:
             continue
         score = long_hand_score(flow, report, c, policies, caps, cfg, tentative)
@@ -307,35 +307,44 @@ class ReplayGate:
     Install it on a built run before the run executes.  Before each round it
     rebuilds ``full_round_key``.  A round that reads no reports, stage one's
     first step, was replayed: its full key must equal that of the last round
-    that initiated nothing, or the round fails.  ``replayed`` counts those
-    rounds; ``replayable`` counts every round whose full key equals that one,
-    the rounds a comparison of full keys would replay.
+    that initiated nothing, and it must record no decision, or the round
+    fails.  ``replayed`` counts those rounds; ``replayable`` counts every
+    round whose full key equals that one, the rounds a comparison of full
+    keys would replay.
     """
 
     def __init__(self, mrrm):
         self.replayed = self.replayable = 0
         self._settled_key = None
-        decide_once, usable_reports = mrrm._decide_once, mrrm.usable_reports
+        decide_once, usable_reports, record = (mrrm._decide_once, mrrm.usable_reports,
+                                               mrrm._record)
         reads = []
+        decisions = []
 
         def counted_usable_reports():
             reads.append(True)
             return usable_reports()
 
+        def recording(decision):
+            decisions.append(decision)
+            record(decision)
+
         def gated_decide_once():
             key = full_round_key(mrrm)
             reads.clear()
-            decisions = decide_once()
+            decisions.clear()
+            decide_once()
             replayable = self._settled_key is not None and key == self._settled_key
             self.replayable += replayable
             if not reads:
                 assert replayable, f"t={mrrm.loop.now}: a round replayed on changed inputs"
+                assert not decisions, f"t={mrrm.loop.now}: a replayed round recorded {decisions}"
                 self.replayed += 1
             if all(decision["action"] == "none" for decision in decisions):
                 self._settled_key = key
-            return decisions
 
         mrrm.usable_reports = counted_usable_reports
+        mrrm._record = recording
         mrrm._decide_once = gated_decide_once
 
 
@@ -348,7 +357,7 @@ def flows_under_floor(mrrm) -> list[str]:
         if flow.serving is None or flow.flow_id in mrrm.in_flight:
             continue
         report = mrrm.reports.get(flow.serving)
-        if report is None or report.quality < mrrm.selection.quality_floor:
+        if report is None or report["quality"] < mrrm.selection.quality_floor:
             under.append(flow.flow_id)
     return under
 
@@ -389,8 +398,8 @@ class ReportGate:
     ``bus.publish``.  A report that GLL publishes must equal the payload of
     the cell's measurement mapped afresh for the demanding service class,
     worked out long-hand from the live flows and the interval table.
-    Once a publish that reached anyone returns, MRRM must hold the report
-    that payload reads back to: MRRM's subscription takes every report with
+    Once a publish that reached anyone returns, MRRM must hold that very
+    payload as the cell's report: MRRM's subscription takes every report with
     no filter, so any delivery of one includes MRRM.  A payload equal to
     the one GLL published last for the cell must be that very object, so
     that a new object always means a changed report.  ``reports`` counts
@@ -422,7 +431,7 @@ class ReportGate:
             last[cell_id] = payload
             delivered = publish(event)
             if delivered:
-                assert mrrm.reports[cell_id] == report_from_payload(payload), (
+                assert mrrm.reports[cell_id] is payload, (
                     f"t={gll.loop.now}: mrrm holds {mrrm.reports.get(cell_id)} for {payload}")
             return delivered
 
@@ -451,7 +460,7 @@ class CandidateGate:
             if event.event_type != MEASUREMENT_BATCH:
                 return publish(event)
             covered = sorted((cells[cell_id].operator_id, cells[cell_id].rat, cell_id)
-                             for cell_id, report in mrrm.reports.items() if report.covered)
+                             for cell_id, report in mrrm.reports.items() if report["covered"])
             expected = ",".join(cell_id for _, _, cell_id in covered)
             delivered = publish(event)
             if delivered:

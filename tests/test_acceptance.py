@@ -117,13 +117,13 @@ def test_criterion_5_hard_termination_property():
     violations = 0
     for _ in range(1000):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
-        by_cell = {r.cell: r for r in reports}
+        by_cell = {r["cell"]: r for r in reports}
         tentative = random_tentative(rng, cells)
         for flow in flows:
             ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
                                    tentative)
             for cell_id, _ in ranked.entries:
-                if by_cell[cell_id].load >= cfg.load_threshold:
+                if by_cell[cell_id]["load"] >= cfg.load_threshold:
                     violations += 1
     announce(5, violations == 0, f"{violations} overloaded candidates ranked")
 

@@ -26,7 +26,7 @@ from hetsel.gll import (
 from hetsel.simenv.env import Environment, ScenarioAction
 from hetsel.simenv.loop import EventLoop
 
-from conftest import make_cell, make_flow, make_measurement, synthetic_report
+from conftest import make_cell, make_flow, make_measurement
 from oracles import monte_carlo_residual
 
 # -- residual error ------------------------------------------------------------
@@ -228,7 +228,8 @@ def test_report_from_payload_rejects_an_unknown_key():
         report_from_payload({**payload, "rat": "WLAN"})
 
 
-@pytest.mark.parametrize("value", [make_measurement(), synthetic_report()],
+@pytest.mark.parametrize("value", [make_measurement(),
+                                   map_link_quality(make_measurement(), MappingConfig())],
                          ids=lambda v: type(v).__name__)
 def test_measurements_and_reports_are_read_only(value):
     for name in type(value)._fields + ("extra",):

@@ -185,16 +185,26 @@ def test_decision_record_is_written_only_when_it_changes(monkeypatch):
     mrrm = run.mrrm
     mrrm.reports["a"] = synthetic_report("a", quality=1 / 6, load=0.1)
     mrrm.reports["b"] = synthetic_report("b", quality=0.3)
+    handed = []
+    record = mrrm._record
+    mrrm._record = lambda decision: handed.append(decision) or record(decision)
 
     def written():
         return [r.attributes for r in run.recorder.records if r.kind == "decision"]
 
-    first = mrrm.decide()
+    def decide():
+        start = len(handed)
+        mrrm.decide()
+        return handed[start:]
+
+    first = decide()
     for _ in range(3):
-        assert mrrm.decide() == first  # returned, though not written again
+        assert decide() == first  # handed over, though not written again
     assert written() == first
+    # the recorder keeps the decision it was handed, not a copy
+    assert run.recorder.records[-1].attributes is first[0]
     mrrm.reports["b"] = synthetic_report("b", quality=0.0)
-    changed = mrrm.decide()
+    changed = decide()
     assert changed != first
     assert written() == first + changed
     # an arrival under the flow's id starts it afresh: its next decision is
@@ -402,6 +412,14 @@ def test_trace_rejects_time_going_backwards():
 def test_read_trace_on_missing_file(tmp_path):
     with pytest.raises(TraceError):
         list(read_trace(tmp_path / "missing.txt"))
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+def test_cli_names_a_trace_that_is_not_utf8(tmp_path, capsys, command):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b't=5 harness event {"type":"run-end"}\xff\n')
+    assert cli_main([command, str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot read trace {path}: ")
 
 
 # -- stats -----------------------------------------------------------------------
@@ -786,6 +804,22 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     code = cli_main(["run", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "cells[0]" in capsys.readouterr().err
+
+
+def test_cli_names_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"cells": [], "seed": "\xff"}')
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("output", ["trace.txt", "stats.json"])
+def test_cli_run_exits_2_and_names_an_output_it_cannot_write(tmp_path, capsys, output):
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    code = cli_main(["run", str(SCENARIO_DIR / "scan_targeted_hit.json"), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {out / output}: cannot write: Is a directory\n"
 
 
 def test_cli_run_exits_2_without_running_when_out_cannot_be_created(tmp_path, capsys,

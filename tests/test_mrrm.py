@@ -10,7 +10,7 @@ import pytest
 from hetsel import gll as gll_mod
 from hetsel import mrrm as mrrm_mod
 from hetsel import trg
-from hetsel.gll import GenericLinkLayer, GllConfig, report_to_payload
+from hetsel.gll import GenericLinkLayer, GllConfig
 from hetsel.harness import execute_scenario
 from hetsel.harness.runner import build_run, execute_run
 from hetsel.harness.trace import read_trace
@@ -227,7 +227,7 @@ def test_head_matches_brute_force_oracle_on_random_instances(rng):
 def test_filter_soundness_on_random_instances(rng):
     for _ in range(200):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
-        by_cell = {r.cell: r for r in reports}
+        by_cell = {r["cell"]: r for r in reports}
         tentative = random_tentative(rng, cells)
         for flow in flows:
             ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
@@ -235,8 +235,8 @@ def test_filter_soundness_on_random_instances(rng):
             for cell_id, _ in ranked.entries:
                 report = by_cell[cell_id]
                 cell = cells[cell_id]
-                assert report.load < cfg.load_threshold
-                assert report.covered
+                assert report["load"] < cfg.load_threshold
+                assert report["covered"]
                 assert cell.operator_id not in policies.denied_operators
                 if policies.allowed_operators:
                     assert cell.operator_id in policies.allowed_operators
@@ -252,9 +252,10 @@ def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
     with ``long_hand_score`` and sort by ``long_hand_key``."""
     scored = []
     for report in reports:
-        score = long_hand_score(flow, report, cells[report.cell], policies, caps, cfg, tentative)
+        cell = cells[report["cell"]]
+        score = long_hand_score(flow, report, cell, policies, caps, cfg, tentative)
         if score is not None:
-            scored.append((long_hand_key(flow, cells[report.cell], score), report.cell, score))
+            scored.append((long_hand_key(flow, cell, score), cell.cell_id, score))
     return [(cell_id, score) for _, cell_id, score in sorted(scored)]
 
 
@@ -316,7 +317,9 @@ def test_weight_scaling_leaves_order_unchanged(rng):
 
 def make_world(cells, flows=(), selection=None, policies=None, caps=None,
                respond=True, gll_cfg=None, delays=(10, 1, 19, 16, 302),
-               make_before_break=True, check_timeout=1000, record=None, drop_types=()):
+               make_before_break=True, check_timeout=1000, drop_types=()):
+    """A manager wired to GLL, the bus and the mobility layer; its decisions
+    go to ``world.decisions``."""
     loop = EventLoop()
     bus = TriggerBus(clock=lambda: loop.now, drop_types=drop_types)
     if respond:
@@ -324,11 +327,12 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
     env = Environment(loop, cells,
                       emit=lambda t, p: bus.publish(trg.Event(t, "env", payload=p)))
     gll = GenericLinkLayer(loop, env, bus, cfg=gll_cfg or GllConfig())
+    decisions = []
     mrrm = MultiRadioResourceManager(
         loop, env, bus, gll,
         policies=policies, selection=selection, caps=caps,
         policies_check_timeout_ms=check_timeout,
-        make_before_break=make_before_break, record=record)
+        make_before_break=make_before_break, record=decisions.append)
     executor = MobilityExecutor(loop, env, bus, model=MobilityDelayModel(tuple(delays)))
     events = []
     bus.subscribe(Subscription("probe", ("*",)), events.append)
@@ -339,7 +343,14 @@ def make_world(cells, flows=(), selection=None, policies=None, caps=None,
                 gll.force_attach(flow.serving)
             assert env.map_flow(flow, flow.serving)
     return SimpleNamespace(loop=loop, bus=bus, env=env, gll=gll, mrrm=mrrm,
-                           executor=executor, events=events)
+                           executor=executor, events=events, decisions=decisions)
+
+
+def decide(world):
+    """Run a round; the decisions it recorded."""
+    recorded = len(world.decisions)
+    world.mrrm.decide()
+    return world.decisions[recorded:]
 
 
 def seed_reports(world, *cells):
@@ -357,7 +368,7 @@ def test_unserved_flow_attaches_to_head():
     cell = make_cell("a")
     world = make_world([cell], flows=[make_flow("f1")])
     seed_reports(world, cell)
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert decisions[0]["action"] == "attach"
     world.loop.run_until(100)
     assert world.env.flows["f1"].serving == "a"
@@ -373,7 +384,7 @@ def test_hysteresis_blocks_small_improvements():
     # so both score 0.63 + 0.3 * quality  ->  serving 0.68, head 0.72
     world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=1 / 6, load=0.1)
     world.mrrm.reports[b.cell_id] = synthetic_report(b.cell_id, quality=0.3)
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert decisions[0]["action"] == "none"
     assert decisions[0]["target"] == "b"
     assert decisions[0]["target_score"] - decisions[0]["serving_score"] == pytest.approx(0.04)
@@ -387,7 +398,7 @@ def test_improvement_beyond_delta_triggers_handover():
     # as above: serving 0.63 + 0.3 / 6 = 0.68, head 0.63 + 0.3 * 0.4 = 0.75
     world.mrrm.reports[a.cell_id] = synthetic_report(a.cell_id, quality=1 / 6, load=0.1)
     world.mrrm.reports[b.cell_id] = synthetic_report(b.cell_id, quality=0.4)
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert decisions[0]["action"] == "handover"
     assert decisions[0]["target_score"] - decisions[0]["serving_score"] == pytest.approx(0.07)
     world.loop.run_until(500)
@@ -455,7 +466,7 @@ def test_resource_check_walks_down_the_ranking():
     world = make_world([small, big], flows=[make_flow("f1", resource_demand=10)])
     world.mrrm.reports[small.cell_id] = synthetic_report(small.cell_id, quality=1.0)
     world.mrrm.reports[big.cell_id] = synthetic_report(big.cell_id, quality=0.5)
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert decisions[0]["action"] == "attach"
     assert decisions[0]["target"] == "big"
 
@@ -467,7 +478,7 @@ def test_sequential_assignment_respects_tentative_demand():
     world = make_world([cell, other], flows=flows)
     world.mrrm.reports[cell.cell_id] = synthetic_report(cell.cell_id, quality=1.0)
     world.mrrm.reports[other.cell_id] = synthetic_report(other.cell_id, quality=0.5)
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     by_flow = {d["flow"]: d for d in decisions}
     assert by_flow["f1"]["target"] == "a"
     assert by_flow["f2"]["target"] == "b"  # a cannot fit both demands
@@ -506,8 +517,9 @@ def test_decide_is_idempotent_in_static_environment():
     world.loop.run_until(200)
     serving_after_first = world.env.flows["f1"].serving
     for _ in range(5):
-        decisions = world.mrrm.decide()
-        assert decisions[0]["action"] == "none"
+        world.mrrm.decide()
+        # a replayed round records nothing: f1's last decision stands
+        assert world.decisions[-1]["action"] == "none"
     assert world.env.flows["f1"].serving == serving_after_first
     assert len(events_of(world, trg.HANDOVER_EXECUTION_REQUEST)) == 0
 
@@ -650,12 +662,10 @@ def _settled_world(serving_quality, flows=("f1",), drop_types=()):
 
 def test_settled_round_is_replayed_without_stage_two(selects):
     world = _settled_world(1 / 6)
-    first = world.mrrm.decide()
+    first = decide(world)
     assert first[0]["action"] == "none" and first[0]["target"] == "b"
-    expected = dict(first[0])
-    first[0]["target"] = "changed by the caller"
     for _ in range(3):
-        assert world.mrrm.decide() == [expected]
+        assert decide(world) == []  # a replayed round records nothing
     assert selects == ["f1"]
 
 
@@ -663,10 +673,10 @@ def test_round_that_initiated_an_attach_is_not_replayed(selects):
     cell = make_cell("a")
     world = make_world([cell], flows=[make_flow("f1")])
     seed_reports(world, cell)
-    assert world.mrrm.decide()[0]["action"] == "attach"
+    assert decide(world)[0]["action"] == "attach"
     world.bus.publish(trg.Event(trg.ATTACH_FAILED, "gll", payload={"cell": "a"}))
     assert "f1" not in world.mrrm.in_flight  # every input is as it was
-    assert world.mrrm.decide()[0]["action"] == "attach"
+    assert decide(world)[0]["action"] == "attach"
     assert selects == ["f1", "f1"]
     assert "f1" in world.mrrm.in_flight
 
@@ -674,10 +684,10 @@ def test_round_that_initiated_an_attach_is_not_replayed(selects):
 def test_settled_round_is_decided_afresh_when_a_candidate_residual_changes(selects):
     world = _settled_world(1 / 6)
     world.mrrm.decide()
-    world.mrrm.decide()
+    assert decide(world) == []
     world.env.apply_action(ScenarioAction(0, "set-cell-field", "b",
                                           {"field": "used_resources", "value": 95}))
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert selects == ["f1", "f1"]
     # f1's demand of 10 no longer fits b's residual of 5
     assert decisions[0]["action"] == "none" and decisions[0]["target"] == "a"
@@ -686,12 +696,12 @@ def test_settled_round_is_decided_afresh_when_a_candidate_residual_changes(selec
 def test_settled_round_is_decided_afresh_when_a_cooldown_expires(selects):
     world = _settled_world(1 / 6)
     world.mrrm.cooldown_until["b"] = 100
-    assert world.mrrm.decide()[0]["target"] == "a"
+    assert decide(world)[0]["target"] == "a"
     world.loop.run_until(99)
-    world.mrrm.decide()
+    assert decide(world) == []
     assert selects == ["f1"]
     world.loop.run_until(100)
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert selects == ["f1", "f1"]
     assert decisions[0]["target"] == "b"
 
@@ -699,11 +709,11 @@ def test_settled_round_is_decided_afresh_when_a_cooldown_expires(selects):
 def test_settled_round_is_decided_afresh_when_the_serving_link_is_lost(selects):
     world = _settled_world(1.0)
     world.mrrm.decide()
-    world.mrrm.decide()
+    assert decide(world) == []
     # the link goes without a link-down event, so nothing else that a round
     # reads changes
     world.gll.attached.discard("a")
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert selects == ["f1", "f1"]
     assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
 
@@ -754,11 +764,11 @@ def test_mrrms_own_detach_keeps_the_report_and_the_next_round_replays(selects):
 
 def test_a_replayed_round_runs_no_stage_one(monkeypatch):
     world = _settled_world(1 / 6)
-    first = world.mrrm.decide()
+    assert decide(world)
     calls = []
     monkeypatch.setattr(mrrm_mod, "round_candidates", lambda *args: calls.append(args))
     monkeypatch.setattr(world.mrrm, "usable_reports", lambda: calls.append(()))
-    assert world.mrrm.decide() == first
+    assert decide(world) == []
     assert calls == []
 
 
@@ -766,16 +776,16 @@ def test_a_link_lost_under_a_dropped_link_down_is_decided_afresh(selects):
     world = _settled_world(1.0, drop_types=["link-down"])
     world.mrrm.decide()
     world.gll.detach("a")  # its link-down never reaches mrrm
-    decisions = world.mrrm.decide()
+    decisions = decide(world)
     assert selects == ["f1", "f1"]
     assert decisions[0]["action"] == "attach" and decisions[0]["target"] == "a"
 
 
 def test_a_departure_under_a_dropped_flow_departure_is_decided_afresh(selects):
     world = _settled_world(1 / 6, flows=("f1", "f2"), drop_types=["flow-departure"])
-    assert [d["flow"] for d in world.mrrm.decide()] == ["f1", "f2"]
+    assert [d["flow"] for d in decide(world)] == ["f1", "f2"]
     world.env.apply_action(ScenarioAction(0, "flow-departure", "f2"))
-    assert [d["flow"] for d in world.mrrm.decide()] == ["f1"]
+    assert [d["flow"] for d in decide(world)] == ["f1"]
     assert selects == ["f1", "f2", "f1"]
 
 
@@ -783,7 +793,7 @@ def test_an_arrival_under_a_dropped_flow_arrival_is_decided_afresh(selects):
     world = _settled_world(1 / 6, drop_types=["flow-arrival"])
     world.mrrm.decide()
     world.env.admit_flow(make_flow("f2"))
-    assert [d["flow"] for d in world.mrrm.decide()] == ["f1", "f2"]
+    assert [d["flow"] for d in decide(world)] == ["f1", "f2"]
     assert selects == ["f1", "f1", "f2"]
 
 
@@ -792,33 +802,33 @@ def test_a_quality_ramp_step_is_decided_afresh(selects):
     world.mrrm.decide()
     world.env.apply_action(ScenarioAction(0, "quality-ramp", "b", {
         "field": "raw_error_rate", "end": 0.5, "duration_ms": 100, "step_ms": 100}))
-    world.mrrm.decide()  # the ramp has not stepped yet
+    assert decide(world) == []  # the ramp has not stepped yet
     assert selects == ["f1"]
     world.loop.run_until(100)
     world.mrrm.decide()
     assert selects == ["f1", "f1"]
 
 
-# -- reports read from their payloads ---------------------------------------------
+# -- reports held as their payloads -------------------------------------------------
 
 
 def _publish_report(world, payload):
     world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll", payload=payload))
 
 
-def test_a_republished_payload_is_read_once(monkeypatch):
+def test_a_republished_payload_is_taken_once():
     cell = make_cell("a")
     world = make_world([cell])
-    reads = []
-    read = gll_mod.report_from_payload
-    monkeypatch.setattr(gll_mod, "report_from_payload", lambda p: reads.append(p) or read(p))
-    payload = report_to_payload(report_for_cell(cell))
+    generation = world.mrrm._generation
+    payload = report_for_cell(cell)
     for _ in range(3):
         _publish_report(world, payload)
-    assert len(reads) == 1
-    _publish_report(world, dict(payload))  # equal, but not the payload read
-    assert len(reads) == 2
-    assert world.mrrm.reports["a"] == report_for_cell(cell)
+    assert world.mrrm.reports["a"] is payload
+    assert world.mrrm._generation == generation + 1
+    equal = dict(payload)
+    _publish_report(world, equal)  # equal, but not the payload held
+    assert world.mrrm.reports["a"] is equal
+    assert world.mrrm._generation == generation + 2
 
 
 @pytest.mark.parametrize("event_type, payload", (
@@ -828,13 +838,14 @@ def test_a_republished_payload_is_read_once(monkeypatch):
 def test_a_dropped_report_is_learned_again_from_the_same_payload(event_type, payload):
     cell = make_cell("a")
     world = make_world([cell])
-    report = report_to_payload(report_for_cell(cell))
+    report = report_for_cell(cell)
     _publish_report(world, report)
     world.bus.publish(trg.Event(event_type, "gll", payload=payload))
     assert "a" not in world.mrrm.reports
     _publish_report(world, report)
-    assert world.mrrm.reports["a"] == report_for_cell(cell)
-    assert [r.cell for r in world.mrrm.candidate_report()] == ["a"]
+    assert world.mrrm.reports["a"] is report
+    world.mrrm.candidate_report()
+    assert events_of(world, trg.CANDIDATE_REPORT)[-1].payload == {"count": 1, "candidates": "a"}
 
 
 # -- arrival rounds -----------------------------------------------------------------
@@ -876,17 +887,15 @@ def test_candidate_report_lists_current_set_and_publishes():
     a = make_cell("a")
     b = make_cell("b")
     world = make_world([a, b])
-    seed_reports(world, a, b)
-    entries = world.mrrm.candidate_report()
-    assert [e.cell for e in entries] == ["a", "b"]
+    seed_reports(world, b, a)
+    world.mrrm.candidate_report()
     published = events_of(world, trg.CANDIDATE_REPORT)
     assert published[-1].payload == {"count": 2, "candidates": "a,b"}
 
 
 def test_candidate_report_empty_still_publishes():
     world = make_world([make_cell("a")])
-    entries = world.mrrm.candidate_report()
-    assert entries == []
+    world.mrrm.candidate_report()
     assert events_of(world, trg.CANDIDATE_REPORT)[-1].payload["count"] == 0
 
 
@@ -952,9 +961,7 @@ def test_quality_floor_is_checked_again_when_only_a_report_changes():
     _batch(world)
     _batch(world)
     assert scans == []
-    report = world.mrrm.reports["a"]._replace(quality=0.05)
-    world.bus.publish(trg.Event(trg.LINK_QUALITY_REPORT, "gll",
-                                payload=report_to_payload(report)))
+    _publish_report(world, {**world.mrrm.reports["a"], "quality": 0.05})
     _batch(world)
     assert scans == ["targeted"]
 
@@ -988,13 +995,17 @@ def test_policy_change_denying_current_operator_moves_the_flow():
     assert world.env.flows["f1"].serving == "b"
 
 
-def _change_policy(world, **payload):
-    """Send a policy change down to MRRM; returns the rounds it ran."""
+def _send_to_mrrm(world, event_type, payload):
+    """Send an event down to MRRM; returns the rounds it ran."""
     rounds = []
     world.mrrm.decide = lambda: rounds.append(world.loop.now)
-    world.bus.send_downward(trg.Event(trg.POLICY_CHANGED, "policy-editor", payload=payload),
+    world.bus.send_downward(trg.Event(event_type, "policy-editor", payload=payload),
                             target="mrrm")
     return rounds
+
+
+def _change_policy(world, **payload):
+    return _send_to_mrrm(world, trg.POLICY_CHANGED, payload)
 
 
 @pytest.mark.parametrize("payload, changed", (
@@ -1136,3 +1147,54 @@ def test_late_answer_admits_candidate():
         "operator": "OpB", "verdict": "allow"}))
     world.loop.run_until(4000)
     assert world.env.flows["f1"].serving == "b"
+
+
+def _pending_check(operator="OpB"):
+    """A world whose manager awaits the answer to its policies check of ``operator``."""
+    world = make_world([make_cell("a", operator_id=operator)], respond=False)
+    world.mrrm.policies_check(operator, "a", "WLAN")
+    assert world.mrrm.operators[operator].verdict == "pending"
+    return world
+
+
+@pytest.mark.parametrize("payload, denied, preference", (
+    ({"operator": "OpB", "verdict": "allow"}, set(), {}),
+    ({"operator": "OpB", "verdict": "deny"}, {"OpB"}, {}),
+    ({"operator": "OpB", "verdict": "allow", "preference": 1}, set(), {"OpB": 1.0}),
+    ({"operator": "OpB", "verdict": "deny", "preference": 0.0}, {"OpB"}, {"OpB": 0.0}),
+), ids=repr)
+def test_a_policies_check_answer_applies_its_verdict_and_decides(payload, denied, preference):
+    world = _pending_check()
+    assert _send_to_mrrm(world, trg.POLICIES_CHECK_ANSWER, payload) == [0]
+    assert world.mrrm.operators["OpB"].verdict == payload["verdict"]
+    assert world.mrrm.policies.denied_operators == denied
+    assert world.mrrm.policies.operator_preference == preference
+    world.mrrm.policies.validate()
+
+
+@pytest.mark.parametrize("payload", (
+    {"operator": "OpB", "verdict": "maybe"},
+    {"operator": "OpB", "verdict": "DENY"},
+    {"operator": "OpB", "verdict": None},
+    {"operator": "OpB"},
+    {"operator": "OpB", "verdict": "allow", "preference": 2.0},
+    {"operator": "OpB", "verdict": "allow", "preference": -0.1},
+    {"operator": "OpB", "verdict": "allow", "preference": "x"},
+    {"operator": "OpB", "verdict": "allow", "preference": "0.5"},
+    {"operator": "OpB", "verdict": "allow", "preference": True},
+    {"operator": "OpB", "verdict": "allow", "preference": float("nan")},
+    {"operator": "", "verdict": "allow"},
+    {"operator": 5, "verdict": "deny"},
+    {"verdict": "deny"},
+    {},
+), ids=repr)
+def test_a_bad_policies_check_answer_is_logged_and_changes_nothing(payload, caplog):
+    world = _pending_check()
+    before = copy.deepcopy(world.mrrm.policies)
+    with caplog.at_level(logging.WARNING, logger="hetsel.mrrm"):
+        assert _send_to_mrrm(world, trg.POLICIES_CHECK_ANSWER, payload) == []
+    assert world.mrrm.policies == before
+    assert list(world.mrrm.operators) == ["OpB"]
+    assert world.mrrm.operators["OpB"].verdict == "pending"
+    assert not world.mrrm._operator_admitted("OpB")
+    assert any("ignoring policies-check answer" in message for message in caplog.messages)
