@@ -4,8 +4,10 @@ records its :class:`RunRecorder` alone lays out and leaves out."""
 from __future__ import annotations
 
 import copy
+import errno
 import json
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Union
@@ -212,13 +214,20 @@ def run_to_files(
     scenario_path: Union[str, Path],
     out_dir: Union[str, Path],
 ) -> tuple[RunResult, Path, Path]:
-    """Load a scenario file, run it, and write trace + stats into ``out_dir``."""
+    """Load a scenario file, run it, and write trace + stats into ``out_dir``.
+
+    An output that is a directory fails before the run, with the
+    ``IsADirectoryError`` writing it would raise; other write failures
+    surface after the run."""
     scenario = load_scenario(scenario_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = execute_scenario(scenario)
     trace_path = out / "trace.txt"
     stats_path = out / "stats.json"
+    for path in (trace_path, stats_path):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    result = execute_scenario(scenario)
     trace_path.write_text(result.trace_text, encoding="utf-8")
     stats_path.write_text(json.dumps(result.stats.as_dict(), indent=2) + "\n",
                           encoding="utf-8")

@@ -8,10 +8,17 @@ roaming, terminal RAT support), and sums every flow-independent score term
 (link quality, cell resources, terminal energy cost, preference) for each
 survivor.  The manager hands it only the reports of cells out of failure
 cool-down whose operator has passed its policies check.  Stage two,
-``select_access``, runs once per flow: it adds the QoS-fit term, scores every
-candidate but the serving one at its post-move load, and ranks the
-candidates.  The first candidate of the ranked list with room for the flow
-serves it, guarded by hysteresis and a failure cool-down.
+``select_access``, runs once per flow: it adds the QoS-fit term, scores
+every candidate but the serving one at its post-move load, and picks the
+best candidate with room for the flow, which serves it, guarded by
+hysteresis and a failure cool-down.
+
+Stage two stops early, as Fagin's threshold algorithm does.  A candidate's
+stage-one score for a QoS-feasible flow bounds every score a flow can give
+it: the QoS miss and the load correction only subtract.  So stage two walks
+the candidates in bound order and stops at the first bound strictly below
+the best score with room found so far; a candidate it has not reached can
+neither win nor rank ahead of the winner.
 
 Post-move load: a serving cell's report already counts the flow's own demand,
 a target's does not, and neither counts the demand that earlier flows of the
@@ -169,10 +176,16 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class RankedList:
-    """Scored candidates for one flow, best first."""
+    """One flow's stage-two result.
+
+    ``entries`` is the flow's ranking, best first, up to and including
+    ``target``, the best candidate with room for the flow; with no such
+    candidate, ``target`` is None and ``entries`` the whole ranking.
+    """
 
     entries: tuple[tuple[str, float], ...]  # (cell id, score)
-    serving_score: Optional[float]  # None when the serving access is not ranked
+    serving_score: Optional[float]  # None when the serving access is not a candidate
+    target: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -184,10 +197,13 @@ class RoundCandidates:
     scores of a QoS-feasible and of an infeasible flow, the score a unit of
     demand costs (``w_cell / total_resources``) and the residual resources,
     which lack ``tentative``; ``position`` maps a cell id to its index there.
+    ``by_bound`` lists the indices by descending feasible score, the bound
+    on any flow's score, and then by index.
     """
 
     entries: tuple[tuple[str, float, float, float, float, float, float, int], ...]
     position: dict[str, int]
+    by_bound: tuple[int, ...]
 
 
 # -- pure selection pipeline ---------------------------------------------------
@@ -266,29 +282,56 @@ def round_candidates(
     kept.sort()
     entries = tuple(entry for _, entry in kept)
     return RoundCandidates(entries=entries,
-                           position={entry[0]: i for i, entry in enumerate(entries)})
+                           position={entry[0]: i for i, entry in enumerate(entries)},
+                           by_bound=tuple(sorted(range(len(entries)),
+                                                 key=lambda i: (-entries[i][4], i))))
 
 
 def select_access(flow: Flow, stage: RoundCandidates,
-                  tentative: Mapping[str, int]) -> RankedList:
-    """Stage two, once per flow: rank the round's candidates for ``flow``.
+                  tentative: Mapping[str, int], holds: bool) -> RankedList:
+    """Stage two, once per flow: rank the round's candidates for ``flow``
+    until the best one with room for it is known.
 
     Every candidate but the serving one is scored at its post-move load: its
     cell's ``tentative`` demand plus the flow's own.  Ties break
-    serving-access-first and then lexicographically.  An empty list means no
-    feasible access.
+    serving-access-first and then lexicographically.  A candidate has room
+    when its residual less ``tentative`` covers the flow's demand; the
+    serving one also when it ``holds`` the flow's link and charge.  The walk
+    goes in bound order and stops at a bound strictly below the best score
+    with room, since an equal bound can still win a tie.
     """
+    entries = stage.entries
     serving = stage.position.get(flow.serving, -1)
     demand = flow.resource_demand
-    scores = [(feasible if _carries(flow, rate, delay, error) else infeasible)
-              - (0.0 if i == serving else per_unit * (tentative.get(cell_id, 0) + demand))
-              for i, (cell_id, rate, delay, error, feasible, infeasible, per_unit, _)
-              in enumerate(stage.entries)]
-    # False sorts before True: the serving access wins a score tie
-    order = sorted((-score, i != serving, i) for i, score in enumerate(scores))
-    entries = tuple((stage.entries[i][0], scores[i]) for _, _, i in order)
-    serving_score = scores[serving] if serving >= 0 else None
-    return RankedList(entries, serving_score)
+    serving_score = None
+    if serving >= 0:
+        _, rate, delay, error, feasible, infeasible, _, _ = entries[serving]
+        serving_score = feasible if _carries(flow, rate, delay, error) else infeasible
+    ranked = []
+    best: Optional[tuple[float, bool, int]] = None
+    best_score = -math.inf
+    for i in stage.by_bound:
+        cell_id, rate, delay, error, feasible, infeasible, per_unit, residual = entries[i]
+        if feasible < best_score:
+            break
+        committed = tentative.get(cell_id, 0)
+        if i == serving:
+            score = serving_score
+            fits = holds or residual - committed >= demand
+        else:
+            score = ((feasible if _carries(flow, rate, delay, error) else infeasible)
+                     - per_unit * (committed + demand))
+            fits = residual - committed >= demand
+        # False sorts before True: the serving access wins a score tie
+        key = (-score, i != serving, i)
+        ranked.append(key)
+        if fits and (best is None or key < best):
+            best, best_score = key, score
+    ranked.sort()
+    if best is not None:
+        del ranked[ranked.index(best) + 1:]
+    return RankedList(tuple((entries[i][0], -negated) for negated, _, i in ranked),
+                      serving_score, entries[best[2]][0] if best is not None else None)
 
 
 # -- the component ---------------------------------------------------------------
@@ -480,8 +523,11 @@ class MultiRadioResourceManager:
                    if flow_id not in self.in_flight]
         settles = True
         for flow in pending:
-            ranked = select_access(flow, stage, tentative)
-            decision = self._assign(flow, ranked, stage, tentative)
+            # A serving cell that lost coverage and regained it holds neither
+            # the flow's link nor its charge: the flow must attach there afresh.
+            holds = self._holds(flow)
+            ranked = select_access(flow, stage, tentative, holds)
+            decision = self._assign(flow, ranked, holds, len(stage.entries), tentative)
             settles = settles and decision["action"] == "none"
             self._record(decision)
         self._settled = None
@@ -501,26 +547,17 @@ class MultiRadioResourceManager:
         return (serving is not None and self.gll.is_attached(serving)
                 and self.env.is_charged(flow, serving))
 
-    def _assign(self, flow: Flow, ranked: RankedList, stage: RoundCandidates,
-                tentative: dict[str, int]) -> dict[str, Any]:
+    def _assign(self, flow: Flow, ranked: RankedList, holds: bool,
+                candidates: int, tentative: dict[str, int]) -> dict[str, Any]:
         decision: dict[str, Any] = {
             "flow": flow.flow_id,
-            "candidates": len(ranked.entries),
+            "candidates": candidates,
             "serving": flow.serving or "",
             "action": "none",
             "target": "",
         }
-        # A serving cell that lost coverage and regained it holds neither the
-        # flow's link nor its charge: the flow must attach there afresh.
         serving = flow.serving
-        holds = self._holds(flow)
-        target: Optional[str] = None
-        target_score = 0.0
-        for cell_id, score in ranked.entries:
-            residual = stage.entries[stage.position[cell_id]][-1] - tentative.get(cell_id, 0)
-            if (holds and cell_id == serving) or residual >= flow.resource_demand:
-                target, target_score = cell_id, score
-                break
+        target = ranked.target
         if not holds and serving in self.reports and target != serving:
             # The cell is back and reported, but is not the flow's target (its
             # operator is now denied, say): the flow has no access there.
@@ -528,6 +565,7 @@ class MultiRadioResourceManager:
             decision["action"] = "release"
         if target is None:
             return decision
+        target_score = ranked.entries[-1][1]
         decision["target"] = target
         decision["target_score"] = target_score
         if not holds and (serving is None or target == serving):

@@ -207,6 +207,35 @@ def random_instance(rng: random.Random):
     return cells, reports, flows, policies, caps, cfg
 
 
+def tied_instance(rng: random.Random):
+    """A selection problem full of score ties, shaped like ``random_instance``.
+
+    Cells come as twins, equal but for their ids, so they share a feasible
+    score; a flow's demand is often 0, so a twin's post-move load equals the
+    load of the twin that serves it; and a flow is often served by a twin
+    with no room left for it, so that twin can be the target only when it
+    holds the flow.
+    """
+    cells: dict[str, Cell] = {}
+    reports = []
+    for _ in range(rng.randint(1, 3)):
+        total = rng.choice((10, 20))
+        twin = dict(rat=rng.choice(RATS), operator_id=rng.choice(OPERATORS),
+                    total_resources=total, used_resources=rng.randint(0, total - 1),
+                    achievable_rate=rng.choice((0.5e6, 2e6)),
+                    base_delay_ms=rng.choice((10.0, 200.0)))
+        for _ in range(rng.randint(2, 3)):
+            cell = make_cell(f"c{len(cells)}", **twin)
+            cells[cell.cell_id] = cell
+            reports.append(report_for_cell(cell))
+    flows = [make_flow(flow_id=f"f{j}", resource_demand=rng.choice((0, 0, 1, 5, 15)),
+                       serving=rng.choice([None, *cells]))
+             for j in range(rng.randint(1, 4))]
+    # no cell is dropped for its load: every one of them is a candidate
+    cfg = SelectionConfig(load_threshold=1.0)
+    return cells, reports, flows, PolicySet(), TerminalCapabilities(), cfg
+
+
 def random_tentative(rng: random.Random, cells: dict[str, Cell]) -> dict[str, int]:
     """Demand already committed this round to a random subset of ``cells``."""
     return {cell_id: rng.randint(0, 30) for cell_id in cells if rng.random() < 0.5}

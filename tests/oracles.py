@@ -68,6 +68,16 @@ def long_hand_key(flow, c, score) -> tuple:
             (c.operator_id, c.rat, c.cell_id, c.frequency))
 
 
+def long_hand_fits(flow, c, tentative, holds) -> bool:
+    """Whether access ``c`` has room for ``flow``: its free resources less
+    the demand ``tentative`` commits to it cover the flow's demand, or it is
+    the serving access and ``holds`` the flow's link and charge."""
+    if holds and c.cell_id == flow.serving:
+        return True
+    free = c.total_resources - c.used_resources - tentative.get(c.cell_id, 0)
+    return free >= flow.resource_demand
+
+
 def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative):
     """Brute-force argmax of ``long_hand_score`` under ``long_hand_key``.
 

@@ -814,11 +814,15 @@ def test_cli_names_a_scenario_that_is_not_utf8(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("output", ["trace.txt", "stats.json"])
-def test_cli_run_exits_2_and_names_an_output_it_cannot_write(tmp_path, capsys, output):
+def test_cli_run_exits_2_and_names_an_output_it_cannot_write(tmp_path, capsys, monkeypatch,
+                                                            output):
     out = tmp_path / "out"
     (out / output).mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(runner_mod, "execute_scenario", runs.append)
     code = cli_main(["run", str(SCENARIO_DIR / "scan_targeted_hit.json"), "--out", str(out)])
     assert code == EXIT_BAD_INPUT
+    assert runs == []
     assert capsys.readouterr().err == f"error: {out / output}: cannot write: Is a directory\n"
 
 

@@ -3,6 +3,7 @@
 import copy
 import logging
 import random
+import statistics
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +31,7 @@ from hetsel.trg import PoliciesCheckResponder, Subscription, TriggerBus
 
 from conftest import (
     DEPARTED_WHILE_ATTACHING_WORLD,
+    OPERATORS,
     SCENARIO_DIR,
     TARGET_LOST_COVERAGE_WORLD,
     make_cell,
@@ -38,8 +40,9 @@ from conftest import (
     random_tentative,
     report_for_cell,
     synthetic_report,
+    tied_instance,
 )
-from oracles import long_hand_key, long_hand_score, selection_oracle_best
+from oracles import long_hand_fits, long_hand_key, long_hand_score, selection_oracle_best
 
 # -- stage one's filter -----------------------------------------------------------
 
@@ -93,7 +96,7 @@ def _serving_score(flow, report, cell, policies, caps, cfg=SelectionConfig()):
     served by; it must equal the long-hand score bit for bit."""
     flow.serving = cell.cell_id
     stage = round_candidates([report], policies, caps, cfg, {cell.cell_id: cell})
-    ranked = select_access(flow, stage, {})
+    ranked = select_access(flow, stage, {}, True)
     assert ranked.serving_score == long_hand_score(flow, report, cell, policies, caps, cfg, {})
     return ranked.serving_score
 
@@ -146,8 +149,10 @@ def test_singleton_candidate():
     reports = [report_for_cell(cell)]
     flow = make_flow(resource_demand=10)
     ranked = select_access(flow, round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}), {"a": 5})
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"a": cell}), {"a": 5},
+        False)
     assert [cell_id for cell_id, _ in ranked.entries] == ["a"]
+    assert ranked.target == "a"
     assert ranked.entries[0][1] == long_hand_score(flow, reports[0], cell, PolicySet(),
                                                    TerminalCapabilities(), SelectionConfig(),
                                                    {"a": 5})
@@ -157,7 +162,8 @@ def test_singleton_candidate():
 
 
 def test_serving_cell_is_scored_at_its_reported_load():
-    a = make_cell("a")
+    # a has no room left, so it is the target only while it holds the flow
+    a = make_cell("a", used_resources=95)
     b = make_cell("b")
     cells = {"a": a, "b": b}
     # a's load 0.1 is the flow's own demand; b is empty before the move
@@ -165,15 +171,22 @@ def test_serving_cell_is_scored_at_its_reported_load():
                synthetic_report(b.cell_id, quality=0.8)]
     flow = make_flow(resource_demand=10, serving=a.cell_id)
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
-    ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {})
+    stage = round_candidates(reports, policies, caps, cfg, cells)
+    ranked = select_access(flow, stage, {}, False)
     scores = dict(ranked.entries)
     assert scores["a"] == long_hand_score(flow, reports[0], a, policies, caps, cfg, {})
     assert ranked.serving_score == scores["a"]
     # b at its post-move load is a's twin: 0.3 + 0.3 * 0.8 + 0.2 * 0.9 + 0.1 + 0.05
     assert scores["a"] == pytest.approx(0.87)
     assert scores["b"] == pytest.approx(0.87)
+    assert [cell_id for cell_id, _ in ranked.entries] == ["a", "b"]
+    assert ranked.target == "b"
+    # holding the flow, a wins the tie and ends the ranking
+    ranked = select_access(flow, stage, {}, True)
+    assert ranked.entries == (("a", scores["a"]),)
+    assert ranked.target == "a"
     # the same move committed by an earlier flow of the round makes b worse
-    ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells), {"b": 10})
+    ranked = select_access(flow, stage, {"b": 10}, False)
     assert ranked.entries[0][0] == "a"
     assert ranked.entries[1][1] == pytest.approx(0.85)
 
@@ -185,7 +198,7 @@ def test_load_threshold_hard_termination():
     reports = [report_for_cell(good), report_for_cell(hot)]
     ranked = select_access(make_flow(), round_candidates(
         reports, PolicySet(), TerminalCapabilities(), SelectionConfig(load_threshold=0.9), cells),
-        {})
+        {}, False)
     assert [cell_id for cell_id, _ in ranked.entries] == ["good"]
 
 
@@ -193,8 +206,10 @@ def test_uncovered_candidates_never_ranked():
     gone = make_cell("gone", covered=False)
     reports = [report_for_cell(gone)]
     ranked = select_access(make_flow(), round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"gone": gone}), {})
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), {"gone": gone}), {},
+        False)
     assert ranked.entries == ()
+    assert ranked.target is None
 
 
 def test_serving_access_wins_score_ties():
@@ -205,46 +220,50 @@ def test_serving_access_wins_score_ties():
     # no demand, so nothing separates the twins but the tie-break
     serving_b = make_flow(resource_demand=0, serving=b.cell_id)
     ranked = select_access(serving_b, round_candidates(
-        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells), {})
+        reports, PolicySet(), TerminalCapabilities(), SelectionConfig(), cells), {}, False)
     assert ranked.entries[0][0] == "b"
+
+
+def _holds_choices(flow):
+    """Both values of ``holds`` for a served flow; an unserved one holds nothing."""
+    return (False, True) if flow.serving is not None else (False,)
 
 
 def test_head_matches_brute_force_oracle_on_random_instances(rng):
     for _ in range(300):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         tentative = random_tentative(rng, cells)
+        stage = round_candidates(reports, policies, caps, cfg, cells)
         for flow in flows:
-            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
-                                   tentative)
             expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells, tentative)
-            if expected is None:
-                assert ranked.entries == ()
-            else:
-                assert ranked.entries[0][0] == expected[0]
-                assert ranked.entries[0][1] == pytest.approx(expected[1])
+            for holds in _holds_choices(flow):
+                # the ranking is cut after its target, so its head is the best candidate
+                ranked = select_access(flow, stage, tentative, holds)
+                if expected is None:
+                    assert ranked.entries == ()
+                else:
+                    assert ranked.entries[0][0] == expected[0]
+                    assert ranked.entries[0][1] == pytest.approx(expected[1])
 
 
 def test_filter_soundness_on_random_instances(rng):
+    # every candidate stage one admits, so every one a ranking can hold
     for _ in range(200):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         by_cell = {r["cell"]: r for r in reports}
-        tentative = random_tentative(rng, cells)
-        for flow in flows:
-            ranked = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
-                                   tentative)
-            for cell_id, _ in ranked.entries:
-                report = by_cell[cell_id]
-                cell = cells[cell_id]
-                assert report["load"] < cfg.load_threshold
-                assert report["covered"]
-                assert cell.operator_id not in policies.denied_operators
-                if policies.allowed_operators:
-                    assert cell.operator_id in policies.allowed_operators
-                assert cell.security_level >= policies.min_security_level
-                if policies.max_cost_per_mb is not None:
-                    assert cell.cost_per_mb <= policies.max_cost_per_mb
-                if caps.supported_rats:
-                    assert cell.rat in caps.supported_rats
+        for entry in round_candidates(reports, policies, caps, cfg, cells).entries:
+            report = by_cell[entry[0]]
+            cell = cells[entry[0]]
+            assert report["load"] < cfg.load_threshold
+            assert report["covered"]
+            assert cell.operator_id not in policies.denied_operators
+            if policies.allowed_operators:
+                assert cell.operator_id in policies.allowed_operators
+            assert cell.security_level >= policies.min_security_level
+            if policies.max_cost_per_mb is not None:
+                assert cell.cost_per_mb <= policies.max_cost_per_mb
+            if caps.supported_rats:
+                assert cell.rat in caps.supported_rats
 
 
 def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
@@ -259,23 +278,34 @@ def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
     return [(cell_id, score) for _, cell_id, score in sorted(scored)]
 
 
-def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, tentative):
-    expected = _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative)
+def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, tentative,
+                              holds):
+    """``ranked`` equals the long-hand ranking cut after its first candidate
+    with room for the flow, that candidate is its target, and its serving
+    score is the serving access's long-hand score."""
+    full = _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative)
+    fitting = [n for n, (cell_id, _) in enumerate(full)
+               if long_hand_fits(flow, cells[cell_id], tentative, holds)]
+    expected = full[:fitting[0] + 1] if fitting else full
     assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
     # bit-identical scores: both sum the terms in the same order
     assert [score for _, score in ranked.entries] == [score for _, score in expected]
-    serving = [score for cell_id, score in expected if cell_id == flow.serving]
+    assert ranked.target == (expected[-1][0] if fitting else None)
+    serving = [score for cell_id, score in full if cell_id == flow.serving]
     assert ranked.serving_score == (serving[0] if serving else None)
 
 
-def test_per_round_stages_equal_long_hand_ranking_exactly(rng):
+@pytest.mark.parametrize("instance", [random_instance, tied_instance])
+def test_per_round_stages_equal_long_hand_ranking_exactly(rng, instance):
     for _ in range(500):
-        cells, reports, flows, policies, caps, cfg = random_instance(rng)
+        cells, reports, flows, policies, caps, cfg = instance(rng)
         tentative = random_tentative(rng, cells)
         stage = round_candidates(reports, policies, caps, cfg, cells)
         for flow in flows:
-            _assert_same_as_long_hand(select_access(flow, stage, tentative),
-                                      flow, reports, policies, caps, cfg, cells, tentative)
+            for holds in _holds_choices(flow):
+                _assert_same_as_long_hand(select_access(flow, stage, tentative, holds),
+                                          flow, reports, policies, caps, cfg, cells, tentative,
+                                          holds)
 
 
 def test_identical_cells_tie_break_serving_first_exactly():
@@ -286,12 +316,21 @@ def test_identical_cells_tie_break_serving_first_exactly():
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     stage = round_candidates(reports, policies, caps, cfg, cells)
     for serving in (None, "a", "b"):
-        # no demand: a twin's post-move load equals the serving cell's load
+        # no demand: a twin's post-move load equals the serving cell's load,
+        # so a's bound ties b's score and the walk must still reach b
         flow = make_flow(resource_demand=0, serving=serving)
-        ranked = select_access(flow, stage, {})
-        assert ranked.entries[0][1] == ranked.entries[1][1]
-        assert ranked.entries[0][0] == ("b" if serving == "b" else "a")
-        _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {})
+        for holds in _holds_choices(flow):
+            ranked = select_access(flow, stage, {}, holds)
+            assert ranked.target == ("b" if serving == "b" else "a")
+            assert ranked.entries == ((ranked.target, ranked.entries[0][1]),)
+            _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {},
+                                      holds)
+    # with room on neither twin, the whole tied ranking is listed
+    flow = make_flow(resource_demand=101)
+    ranked = select_access(flow, stage, {}, False)
+    assert [cell_id for cell_id, _ in ranked.entries] == ["a", "b"]
+    assert ranked.target is None
+    _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {}, False)
 
 
 def test_weight_scaling_leaves_order_unchanged(rng):
@@ -305,11 +344,85 @@ def test_weight_scaling_leaves_order_unchanged(rng):
             hysteresis_delta=cfg.hysteresis_delta)
         tentative = random_tentative(rng, cells)
         for flow in flows:
-            base = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
-                                 tentative)
-            other = select_access(flow, round_candidates(reports, policies, caps, scaled, cells),
-                                  tentative)
-            assert [c for c, _ in base.entries] == [c for c, _ in other.entries]
+            for holds in _holds_choices(flow):
+                base = select_access(flow, round_candidates(reports, policies, caps, cfg, cells),
+                                     tentative, holds)
+                other = select_access(flow, round_candidates(reports, policies, caps, scaled,
+                                                             cells), tentative, holds)
+                assert [c for c, _ in base.entries] == [c for c, _ in other.entries]
+                assert base.target == other.target
+
+
+# -- stage two's early stop at scale ----------------------------------------------
+
+# (total resources, rate, delay and raw error ranges, retransmissions) of each
+# RAT in a metro world
+_METRO_RATS = {"WLAN": (100, (11e6, 54e6), (3.0, 25.0), (0.02, 0.3), 3),
+               "UMTS": (200, (384e3, 2e6), (40.0, 120.0), (0.01, 0.15), 2),
+               "GSM": (50, (60e3, 236e3), (90.0, 250.0), (0.01, 0.08), 1)}
+_METRO_KINDS = [(operator, rat, frequency) for operator in OPERATORS
+                for rat, frequency in (("WLAN", "ch1"), ("WLAN", "ch6"),
+                                       ("UMTS", "u2100"), ("GSM", "g900"))]
+
+
+def _metro_scenario(n_cells, n_flows, duration_ms, seed=1):
+    """A dense multi-operator city: ``n_cells`` overlapping cells of every
+    (operator, access kind), each at most 60% loaded, ``n_flows`` unserved
+    real-time flows and network-side reports of every cell."""
+    rng = random.Random(seed)
+    cells = []
+    for n in range(n_cells):
+        operator, rat, frequency = _METRO_KINDS[n % len(_METRO_KINDS)]
+        total, rates, delays, errors, _ = _METRO_RATS[rat]
+        cells.append({"cell_id": f"c{n}", "rat": rat, "operator_id": operator,
+                      "frequency": frequency, "total_resources": total,
+                      "used_resources": int(total * rng.uniform(0.0, 0.6)),
+                      "raw_error_rate": round(rng.uniform(*errors), 4),
+                      "achievable_rate": round(rng.uniform(*rates), -3),
+                      "base_delay_ms": round(rng.uniform(*delays), 1)})
+    flows = [{"flow_id": f"f{n}", "service_class": "real-time",
+              "min_rate": rng.choice((64e3, 128e3, 384e3, 1e6)),
+              "max_delay_ms": float(rng.randint(150, 400)),
+              "max_loss": round(rng.uniform(0.01, 0.05), 3),
+              "resource_demand": rng.randint(1, 4)} for n in range(n_flows)]
+    preference = {f"{operator}|{rat}": round(rng.uniform(0.3, 0.9), 3)
+                  for operator in OPERATORS for rat in _METRO_RATS}
+    retransmissions = {rat: profile[-1] for rat, profile in _METRO_RATS.items()}
+    return scenario_from_dict({
+        "mrrm_location": "network", "duration_ms": duration_ms,
+        "gll": {"mac": {"max_retransmissions": retransmissions}},
+        "mrrm": {"policies": {"static_preference": preference},
+                 "capabilities": {"energy_cost": {"WLAN": 0.3, "UMTS": 0.5, "GSM": 0.2}}},
+        "cells": cells, "flows": flows})
+
+
+def test_stage_two_ranks_a_small_share_of_a_metro_round(monkeypatch):
+    # counts, not timings: per select of a round with candidates, the
+    # candidates, those stage two scores before the bound stops it (each
+    # QoS check is one score) and those its ranking lists
+    stage_counts, scored_counts, ranked_counts = [], [], []
+    carries = mrrm_mod._carries
+
+    def counting_carries(*args):
+        scored_counts[-1] += 1
+        return carries(*args)
+
+    def counting(flow, stage, tentative, holds):
+        if not stage.entries:  # the round before the first scan completes
+            return select_access(flow, stage, tentative, holds)
+        stage_counts.append(len(stage.entries))
+        scored_counts.append(0)
+        ranked = select_access(flow, stage, tentative, holds)
+        ranked_counts.append(len(ranked.entries))
+        return ranked
+
+    monkeypatch.setattr(mrrm_mod, "_carries", counting_carries)
+    monkeypatch.setattr(mrrm_mod, "select_access", counting)
+    execute_run(build_run(_metro_scenario(320, 960, duration_ms=300)))
+    assert len(stage_counts) >= 960
+    quarter = statistics.median(stage_counts) / 4
+    assert statistics.median(ranked_counts) < quarter
+    assert statistics.median(scored_counts) < quarter
 
 
 # -- live decision engine ---------------------------------------------------------
@@ -639,9 +752,9 @@ def selects(monkeypatch):
     """The flow ids that stage two ranks, call by call."""
     calls = []
 
-    def counting(flow, stage, tentative):
+    def counting(flow, stage, tentative, holds):
         calls.append(flow.flow_id)
-        return select_access(flow, stage, tentative)
+        return select_access(flow, stage, tentative, holds)
 
     monkeypatch.setattr(mrrm_mod, "select_access", counting)
     return calls
@@ -865,9 +978,9 @@ def test_an_arrival_burst_is_decided_in_one_round(monkeypatch):
     run = build_run(scenario)
     ranked_at = []
 
-    def counting(flow, stage, tentative):
+    def counting(flow, stage, tentative, holds):
         ranked_at.append(run.loop.now)
-        return select_access(flow, stage, tentative)
+        return select_access(flow, stage, tentative, holds)
 
     monkeypatch.setattr(mrrm_mod, "select_access", counting)
     execute_run(run)

@@ -357,9 +357,9 @@ def _run(scenario, replay=True):
     every round's inputs are new, so every round is decided afresh."""
     ranked = []
 
-    def counting(flow, stage, tentative):
+    def counting(flow, stage, tentative, holds):
         ranked.append(flow.flow_id)
-        return select_access(flow, stage, tentative)
+        return select_access(flow, stage, tentative, holds)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mrrm_mod, "select_access", counting)
