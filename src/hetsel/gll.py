@@ -29,16 +29,14 @@ environment; the reporting cadence reads their service classes from
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import trg
-from .simenv.env import Cell, Environment
+from .simenv.env import SERVICE_CLASSES, Cell, Environment
 from .simenv.loop import EventLoop
 
 logger = logging.getLogger(__name__)
-
-_FALLBACK_INTERVAL_MS = 500
 
 
 class NotAttachedError(ValueError):
@@ -81,8 +79,8 @@ class LinkQualityReport(NamedTuple):
 class MappingConfig:
     """Weights and normalization references for the quality mapping.
 
-    ``reference_rate`` may be a single value or a per-service-class mapping
-    (key ``default`` as fallback).
+    ``reference_rate`` may be a single value or a mapping keyed by service
+    class, with key ``default`` as fallback.
     """
 
     w_error: float = 0.25
@@ -94,12 +92,10 @@ class MappingConfig:
     delay_max_ms: float = 200.0
 
     def reference_rate_for(self, service_class: Optional[str] = None) -> float:
-        if isinstance(self.reference_rate, dict):
-            fallback = self.reference_rate.get("default", 2e6)
-            if service_class is None:
-                return fallback
-            return self.reference_rate.get(service_class, fallback)
-        return self.reference_rate
+        rates = self.reference_rate
+        if isinstance(rates, dict):
+            return rates.get(service_class, rates.get("default", 2e6))
+        return rates
 
     def validate(self) -> None:
         weights = (self.w_error, self.w_rate, self.w_delay, self.w_load)
@@ -109,15 +105,17 @@ class MappingConfig:
             raise ValueError("weights must sum to 1")
         if self.fer_max <= 0 or self.delay_max_ms <= 0:
             raise ValueError("fer_max and delay_max_ms must be positive")
-        rates = (self.reference_rate.values() if isinstance(self.reference_rate, dict)
-                 else [self.reference_rate])
-        if any(r <= 0 for r in rates):
-            raise ValueError("reference rates must be positive")
+        rates = self.reference_rate
+        for key, rate in (rates.items() if isinstance(rates, dict) else [("default", rates)]):
+            if key != "default" and key not in SERVICE_CLASSES:
+                raise ValueError(f"unknown service class {key!r} in reference_rate")
+            if rate <= 0:
+                raise ValueError("reference rates must be positive")
 
 
 @dataclass
 class ReportingConfig:
-    """Per-service-class reporting cadence."""
+    """Per-service-class reporting cadence; any other class, or none, every 500 ms."""
 
     intervals_ms: dict[str, int] = field(default_factory=lambda: {
         "real-time": 100,
@@ -126,12 +124,17 @@ class ReportingConfig:
     })
     enabled: bool = True
 
-    def interval_for(self, service_class: str) -> int:
-        return self.intervals_ms.get(service_class, _FALLBACK_INTERVAL_MS)
+    def interval_for(self, service_class: Optional[str]) -> int:
+        return self.intervals_ms.get(service_class, 500)
 
     def validate(self) -> None:
-        if any(v <= 0 for v in self.intervals_ms.values()):
-            raise ValueError("reporting intervals must be positive")
+        if type(self.enabled) is not bool:
+            raise ValueError(f"non-boolean reporting switch {self.enabled!r}")
+        for service_class, interval in self.intervals_ms.items():
+            if service_class not in SERVICE_CLASSES:
+                raise ValueError(f"unknown service class {service_class!r} in intervals_ms")
+            if type(interval) is not int or interval <= 0:  # a bool is not an interval
+                raise ValueError(f"reporting interval {interval!r} is not a positive integer")
 
 
 @dataclass
@@ -165,9 +168,6 @@ class AccessHistory:
 
     def pairs(self) -> list[tuple[str, str]]:
         return list(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
 
 
 @dataclass
@@ -295,7 +295,7 @@ class GenericLinkLayer:
         # an unchanged cell republishes its payload
         self._last_reports: dict[str, tuple[LinkMeasurement, Optional[str], dict[str, Any]]] = {}
         # (env.generation, class) of the last demanding_class; flows change
-        # only with the generation, intervals only through the two setters
+        # only with the generation, intervals only through configure_reporting
         self._demanding: Optional[tuple[int, Optional[str]]] = None
         self._tick_scheduled = False
         self._subscribe()
@@ -329,20 +329,16 @@ class GenericLinkLayer:
         return held[1]
 
     def effective_interval(self) -> int:
-        return self._interval_of(self.demanding_class())
-
-    def _interval_of(self, service_class: Optional[str]) -> int:
-        if service_class is None:
-            return _FALLBACK_INTERVAL_MS
-        return self.cfg.reporting.interval_for(service_class)
+        return self.cfg.reporting.interval_for(self.demanding_class())
 
     def configure_reporting(self, cfg: ReportingConfig) -> None:
-        """Swap the cadence table; takes effect at the next tick."""
+        """Check the cadence table and swap it in whole; a new interval takes
+        effect at the next tick.  A table that fails its check raises
+        ``ValueError`` and changes nothing."""
         cfg.validate()
-        self.cfg.reporting = cfg
+        self.cfg = replace(self.cfg, reporting=cfg)
         self._demanding = None
-        if cfg.enabled and not self._tick_scheduled:
-            self._schedule_tick(self.effective_interval())
+        self._schedule_tick(self.effective_interval())
 
     def _schedule_tick(self, interval_ms: int) -> None:
         if not self.cfg.reporting.enabled or self._tick_scheduled:
@@ -359,7 +355,7 @@ class GenericLinkLayer:
         # releases a flow.
         service_class = self.demanding_class()
         self._publish_reports(self._report_targets(), service_class, batch=True)
-        self._schedule_tick(self._interval_of(service_class))
+        self._schedule_tick(self.cfg.reporting.interval_for(service_class))
 
     # -- detection and measurement -------------------------------------------
 
@@ -409,7 +405,7 @@ class GenericLinkLayer:
         if batch:
             self.bus.publish(trg.Event(trg.MEASUREMENT_BATCH, self.COMPONENT, payload={
                 "count": count,
-                "interval_ms": self._interval_of(service_class),
+                "interval_ms": self.cfg.reporting.interval_for(service_class),
             }))
 
     # -- scanning -------------------------------------------------------------
@@ -544,20 +540,17 @@ class GenericLinkLayer:
         self._publish_reports([cell], self.demanding_class(), batch=True)
 
     def _on_reporting_change(self, payload: Mapping[str, Any]) -> None:
+        """Apply what the payload sets, whole; a change that fails the
+        table's check is logged and ignored whole."""
+        reporting = self.cfg.reporting
+        changed = {}
         if "enabled" in payload:
-            enabled = payload["enabled"]
-            if type(enabled) is not bool:
-                logger.warning("ignoring non-boolean reporting switch %r", enabled)
-                return
-            self.cfg.reporting.enabled = enabled
-            if enabled:
-                self._schedule_tick(self.effective_interval())
+            changed["enabled"] = payload["enabled"]
         service_class = payload.get("service_class")
         interval = payload.get("interval_ms")
         if service_class is not None and interval is not None:
-            if type(interval) is not int or interval <= 0:
-                logger.warning("ignoring reporting interval %r: not a positive integer",
-                               interval)
-                return
-            self.cfg.reporting.intervals_ms[service_class] = interval
-            self._demanding = None
+            changed["intervals_ms"] = {**reporting.intervals_ms, service_class: interval}
+        try:
+            self.configure_reporting(replace(reporting, **changed))
+        except ValueError as exc:
+            logger.warning("ignoring reporting change %r: %s", dict(payload), exc)

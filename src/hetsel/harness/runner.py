@@ -3,7 +3,6 @@ records its :class:`RunRecorder` alone lays out and leaves out."""
 
 from __future__ import annotations
 
-import copy
 import errno
 import json
 import logging
@@ -122,7 +121,8 @@ class RunResult:
 
 
 def build_run(scenario: Scenario) -> Run:
-    """Construct and wire every component; the scenario value stays untouched."""
+    """Construct and wire every component.  The run shares the scenario's configuration, which
+    no component writes into: a runtime change swaps in a new value.  Cells alone are copied."""
     loop = EventLoop()
     recorder = RunRecorder()
     bus = trg.TriggerBus(
@@ -131,7 +131,7 @@ def build_run(scenario: Scenario) -> Run:
         drop_types=scenario.trg.drop_types,
     )
     if scenario.trg.respond_to_policies_check:
-        trg.PoliciesCheckResponder(bus, dict(scenario.trg.policy_store),
+        trg.PoliciesCheckResponder(bus, scenario.trg.policy_store,
                                    scenario.trg.default_verdict)
     for rule in scenario.trg.correlations:
         bus.define_correlation(rule)
@@ -148,14 +148,14 @@ def build_run(scenario: Scenario) -> Run:
 
     gll = GenericLinkLayer(
         loop, env, bus,
-        cfg=copy.deepcopy(scenario.gll),
+        cfg=scenario.gll,
         report_all_cells=(scenario.mrrm_location == "network"),
     )
     mrrm = MultiRadioResourceManager(
         loop, env, bus, gll,
-        policies=copy.deepcopy(scenario.policies),
-        selection=copy.deepcopy(scenario.selection),
-        caps=copy.deepcopy(scenario.capabilities),
+        policies=scenario.policies,
+        selection=scenario.selection,
+        caps=scenario.capabilities,
         record=lambda decision: recorder.record_decision(loop.now, decision),
         policies_check_timeout_ms=scenario.policies_check_timeout_ms,
         make_before_break=scenario.make_before_break,

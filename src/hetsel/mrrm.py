@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from . import trg
@@ -767,32 +767,35 @@ class MultiRadioResourceManager:
         self._start_scan()
 
     def _on_policy_changed(self, payload: Mapping[str, Any]) -> None:
-        """Apply one policy change and decide again.  A change whose action
-        is unknown, whose operator is not a name or whose value breaks the
-        rules of ``PolicySet.validate`` (a JSON bool for roaming) is logged
-        and changes nothing."""
+        """Swap in the policies with one change applied and decide again.  A
+        change whose action is unknown, whose operator is not a name or whose
+        value breaks the rules of ``PolicySet.validate`` (a JSON bool for
+        roaming) is logged and changes nothing.  A denial wins over the
+        allowed operators, which still list a denied operator."""
         action = payload.get("action")
         operator = payload.get("operator")
         value = payload.get("value")
         policies = self.policies
         named = _is_name(operator)
         if action == "deny-operator" and named:
-            policies.denied_operators.add(operator)
+            changed = {"denied_operators": policies.denied_operators | {operator}}
         elif action == "allow-operator" and named:
-            policies.denied_operators.discard(operator)
+            changed = {"denied_operators": policies.denied_operators - {operator}}
             if policies.allowed_operators:
-                policies.allowed_operators.add(operator)
+                changed["allowed_operators"] = policies.allowed_operators | {operator}
         elif action == "set-min-security" and _is_security_level(value):
-            policies.min_security_level = value
+            changed = {"min_security_level": value}
         elif action == "set-max-cost" and _is_number(value):
-            policies.max_cost_per_mb = float(value)
+            changed = {"max_cost_per_mb": float(value)}
         elif action == "set-roaming" and type(value) is bool:
-            policies.roaming_allowed = value
+            changed = {"roaming_allowed": value}
         elif action == "set-preference" and named and _is_preference(value):
-            policies.operator_preference[operator] = float(value)
+            changed = {"operator_preference": {**policies.operator_preference,
+                                               operator: float(value)}}
         else:
             logger.warning("ignoring policy change %r", dict(payload))
             return
+        self.policies = replace(policies, **changed)
         self.decide()
 
     def _on_policies_check_answer(self, payload: Mapping[str, Any]) -> None:
@@ -811,10 +814,13 @@ class MultiRadioResourceManager:
         if state is None:
             state = self.operators[operator] = _OperatorState("pending", self.loop.now)
         state.verdict = verdict
+        changed = {}
         if verdict == "deny":
-            self.policies.denied_operators.add(operator)
+            changed["denied_operators"] = self.policies.denied_operators | {operator}
         if preference is not None:
-            self.policies.operator_preference[operator] = float(preference)
+            changed["operator_preference"] = {**self.policies.operator_preference,
+                                              operator: float(preference)}
+        self.policies = replace(self.policies, **changed)
         self.decide()
 
     _HANDLERS: dict[str, Callable[["MultiRadioResourceManager", Mapping[str, Any]], None]] = {

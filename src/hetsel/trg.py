@@ -185,13 +185,12 @@ def _compile_types(patterns: tuple[str, ...]) -> tuple[frozenset[str], tuple[str
 
 
 class _LiveSubscription:
-    __slots__ = ("spec", "callback", "handle", "consumer_id", "last_delivery_at", "exact",
+    __slots__ = ("spec", "callback", "consumer_id", "last_delivery_at", "exact",
                  "prefixes", "source_filter", "predicates", "min_interval_ms", "filtered")
 
-    def __init__(self, spec: Subscription, callback: Callable[[Event], None], handle: int):
+    def __init__(self, spec: Subscription, callback: Callable[[Event], None]):
         self.spec = spec
         self.callback = callback
-        self.handle = handle
         self.consumer_id = spec.consumer_id
         self.last_delivery_at: Optional[int] = None
         self.exact, self.prefixes = _compile_types(spec.accepted_types)
@@ -330,7 +329,7 @@ class TriggerBus:
             return existing
         handle = self._next_handle
         self._next_handle += 1
-        self._subscriptions[handle] = _LiveSubscription(spec, callback, handle)
+        self._subscriptions[handle] = _LiveSubscription(spec, callback)
         self._by_spec[spec] = handle
         self._delivery.clear()
         return handle

@@ -490,6 +490,61 @@ def test_configure_reporting_rejects_bad_interval():
         gll.configure_reporting(ReportingConfig(intervals_ms={"real-time": 0}))
 
 
+@pytest.mark.parametrize("reporting", (
+    ReportingConfig(intervals_ms={"real-time": 0.5}),
+    ReportingConfig(intervals_ms={"real-time": True}),
+    ReportingConfig(intervals_ms={"real-time": 100.0}),
+    ReportingConfig(intervals_ms={"real_time": 50}),
+    ReportingConfig(enabled="false"),
+    ReportingConfig(enabled=1),
+), ids=repr)
+def test_configure_reporting_refuses_a_bad_table_and_changes_nothing(reporting):
+    # a 0.5 ms interval once took ticks to t=200.5, a time no trace reader accepts
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    env.admit_flow(make_flow(service_class="real-time"))
+    gll.start()
+    loop.run_until(150)
+    cfg = gll.cfg
+    with pytest.raises(ValueError):
+        gll.configure_reporting(reporting)
+    assert gll.cfg is cfg and cfg.reporting == ReportingConfig()
+    loop.run_until(450)
+    assert _batch_times(events) == [100, 200, 300, 400]
+
+
+@pytest.mark.parametrize("payload", (
+    {"enabled": False, "service_class": "real-time", "interval_ms": 0},
+    {"enabled": "false", "service_class": "real-time", "interval_ms": 50},
+    {"enabled": False, "service_class": "real_time", "interval_ms": 50},
+), ids=repr)
+def test_a_reporting_change_is_applied_whole_or_not_at_all(payload, caplog):
+    cell = make_cell("wlan1")
+    loop, bus, env, gll, events = live_gll([cell])
+    env.admit_flow(make_flow(service_class="real-time"))
+    gll.start()
+    loop.run_until(150)
+    with caplog.at_level(logging.WARNING, logger="hetsel.gll"):
+        bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload=payload),
+                          target="gll")
+    assert any("ignoring reporting change" in message for message in caplog.messages)
+    assert gll.cfg.reporting == ReportingConfig()
+    loop.run_until(450)
+    assert _batch_times(events) == [100, 200, 300, 400]
+
+
+def test_a_reporting_change_swaps_in_a_new_table_and_leaves_the_old_one():
+    cell = make_cell("wlan1")
+    cfg = GllConfig()
+    loop, bus, env, gll, events = live_gll([cell], cfg)
+    env.admit_flow(make_flow(service_class="real-time"))
+    gll.start()
+    bus.send_downward(trg.Event(trg.REPORTING_INTERVAL_CHANGE, "app", payload={
+        "enabled": True, "service_class": "real-time", "interval_ms": 50}), target="gll")
+    assert gll.cfg.reporting.intervals_ms["real-time"] == 50
+    assert cfg == GllConfig()
+
+
 # -- reused report payloads ------------------------------------------------------
 
 

@@ -1,15 +1,19 @@
 """Mobility pipeline, trace processing, run statistics, CLI."""
 
+import copy
 import importlib.util
 import json
 import os
 import re
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hetsel
 from hetsel import trg
 from hetsel.cli import EXIT_BAD_INPUT, EXIT_BROKEN_PIPE, EXIT_INTERNAL
 from hetsel.cli import main as cli_main
@@ -734,6 +738,76 @@ def test_shipped_scenarios_are_deterministic(path):
     first = execute_scenario(scenario).trace_text
     second = execute_scenario(scenario).trace_text
     assert first == second
+
+
+# -- a run shares its scenario's configuration ------------------------------------------
+
+
+def test_src_makes_no_deep_copy():
+    sources = sorted(Path(hetsel.__file__).parent.rglob("*.py"))
+    assert len(sources) > 10
+    for source in sources:
+        assert "deepcopy" not in source.read_text(encoding="utf-8"), source
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_a_run_shares_its_scenario_configuration_and_leaves_it_as_it_was(path):
+    scenario = load_scenario(path)
+    snapshot = copy.deepcopy(scenario)
+    run = build_run(scenario)
+    assert run.gll.cfg is scenario.gll and run.mrrm.policies is scenario.policies
+    assert run.mrrm.selection is scenario.selection
+    assert run.mrrm.caps is scenario.capabilities
+    first = execute_run(run).trace_text
+    assert scenario == snapshot
+    assert execute_scenario(scenario).trace_text == first
+
+
+def _steered_run(scenario, target, event_type, payload):
+    """A run whose subscriber sends one event down at its first measurement
+    batch from 1 s on."""
+    run = build_run(scenario)
+    sent = []
+
+    def steer(_event):
+        if not sent and run.loop.now >= 1000:
+            sent.append(run.loop.now)
+            run.bus.send_downward(Event(event_type, "app", payload=payload), target=target)
+    run.bus.subscribe(Subscription("app", (trg.MEASUREMENT_BATCH,)), steer)
+    return run, sent
+
+
+@pytest.mark.parametrize("target, event_type, payload, changed", (
+    ("mrrm", trg.POLICY_CHANGED, {"action": "deny-operator", "operator": "OpB"},
+     lambda run: "OpB" in run.mrrm.policies.denied_operators),
+    ("mrrm", trg.POLICY_CHANGED, {"action": "allow-operator", "operator": "OpC"},
+     lambda run: run.mrrm.policies.allowed_operators == {"OpA", "OpB", "OpC"}),
+    ("mrrm", trg.POLICY_CHANGED, {"action": "set-preference", "operator": "OpA", "value": 0.2},
+     lambda run: run.mrrm.policies.operator_preference == {"OpA": 0.2}),
+    ("mrrm", trg.POLICY_CHANGED, {"action": "set-roaming", "value": False},
+     lambda run: run.mrrm.policies.roaming_allowed is False),
+    ("mrrm", trg.POLICIES_CHECK_ANSWER, {"operator": "OpC", "verdict": "deny", "preference": 0.9},
+     lambda run: run.mrrm.policies.operator_preference == {"OpC": 0.9}
+     and "OpC" in run.mrrm.policies.denied_operators),
+    ("gll", trg.REPORTING_INTERVAL_CHANGE, {"service_class": "real-time", "interval_ms": 250},
+     lambda run: run.gll.cfg.reporting.intervals_ms["real-time"] == 250),
+    ("gll", trg.REPORTING_INTERVAL_CHANGE, {"enabled": False},
+     lambda run: run.gll.cfg.reporting.enabled is False),
+), ids=("deny-operator", "allow-operator", "set-preference", "set-roaming",
+        "policies-check-answer", "reporting-interval", "reporting-switch"))
+def test_a_runtime_change_leaves_the_scenario_as_it_was(target, event_type, payload, changed):
+    scenario = load_scenario(SCENARIO_DIR / "table1_mr.json")
+    scenario = replace(scenario, policies=replace(
+        scenario.policies, allowed_operators={"OpA", "OpB"}, denied_operators={"OpC"}))
+    snapshot = copy.deepcopy(scenario)
+    traces = []
+    for _ in range(2):
+        run, sent = _steered_run(scenario, target, event_type, dict(payload))
+        traces.append(execute_run(run).trace_text)
+        assert sent and changed(run)
+        assert scenario == snapshot
+    assert traces[0] == traces[1]
 
 
 # -- bench ---------------------------------------------------------------------------

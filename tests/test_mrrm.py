@@ -1108,6 +1108,32 @@ def test_policy_change_denying_current_operator_moves_the_flow():
     assert world.env.flows["f1"].serving == "b"
 
 
+def test_a_denial_at_run_time_wins_over_the_allowed_operators():
+    # a file listing OpA as both allowed and denied is refused at load; at run
+    # time the denial wins and OpA stays listed, so allowing it undoes the denial
+    a = make_cell("a", operator_id="OpA")
+    b = make_cell("b", operator_id="OpB")
+    policies = PolicySet(allowed_operators={"OpA", "OpB"})
+    world = make_world([a, b], policies=policies)
+    seed_reports(world, a, b)
+
+    def stage_one():
+        mrrm = world.mrrm
+        stage = round_candidates(mrrm.usable_reports(), mrrm.policies, mrrm.caps,
+                                 mrrm.selection, world.env.cells)
+        return [entry[0] for entry in stage.entries]
+
+    assert stage_one() == ["a", "b"]
+    for action, candidates in (("deny-operator", ["b"]), ("allow-operator", ["a", "b"])):
+        world.bus.send_downward(
+            trg.Event(trg.POLICY_CHANGED, "policy-editor",
+                      payload={"action": action, "operator": "OpA"}),
+            target="mrrm")
+        assert world.mrrm.policies.allowed_operators == {"OpA", "OpB"}
+        assert stage_one() == candidates
+    assert policies == PolicySet(allowed_operators={"OpA", "OpB"})
+
+
 def _send_to_mrrm(world, event_type, payload):
     """Send an event down to MRRM; returns the rounds it ran."""
     rounds = []
@@ -1136,10 +1162,13 @@ def test_a_policy_change_applies_its_value_and_decides(payload, changed):
     policies = PolicySet(allowed_operators={"OpA"}, denied_operators={"OpB"},
                          max_cost_per_mb=0.5)
     world = make_world([make_cell("a")], policies=policies)
-    expected = {**vars(copy.deepcopy(policies)), **changed}
+    before = copy.deepcopy(policies)
+    expected = {**vars(before), **changed}
     assert _change_policy(world, **payload) == [0]
     assert vars(world.mrrm.policies) == expected
     world.mrrm.policies.validate()
+    # the change is a new value: the one the manager was given is left as it was
+    assert policies == before
 
 
 @pytest.mark.parametrize("payload", (
@@ -1278,7 +1307,9 @@ def _pending_check(operator="OpB"):
 ), ids=repr)
 def test_a_policies_check_answer_applies_its_verdict_and_decides(payload, denied, preference):
     world = _pending_check()
+    given = world.mrrm.policies
     assert _send_to_mrrm(world, trg.POLICIES_CHECK_ANSWER, payload) == [0]
+    assert given == PolicySet()
     assert world.mrrm.operators["OpB"].verdict == payload["verdict"]
     assert world.mrrm.policies.denied_operators == denied
     assert world.mrrm.policies.operator_preference == preference

@@ -76,6 +76,32 @@ def test_partial_reporting_intervals_keep_the_other_classes():
                                              "real-time": 200}
 
 
+@pytest.mark.parametrize("gll, path, key", [
+    ({"reporting": {"intervals_ms": {"real_time": 50}}}, "gll.reporting", "real_time"),
+    ({"mapping": {"reference_rate": {"realtime": 4e6}}}, "gll.mapping", "realtime"),
+], ids=("intervals_ms", "reference_rate"))
+def test_a_per_class_table_naming_no_service_class_is_rejected(tmp_path, capsys, gll, path,
+                                                                key):
+    # such a key once loaded and changed nothing
+    data = {**minimal(), "gll": gll}
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: unknown service class "
+                                            rf"'{key}'"):
+        scenario_from_dict(data)
+    file = tmp_path / "s.json"
+    file.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["run", str(file), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert f"{path}: unknown service class" in capsys.readouterr().err
+
+
+def test_per_class_tables_accept_every_service_class_and_default():
+    classes = {"real-time": 1, "interactive": 2, "background": 3}
+    sc = scenario_from_dict({**minimal(), "gll": {
+        "reporting": {"intervals_ms": classes},
+        "mapping": {"reference_rate": {**classes, "default": 4}}}})
+    assert sc.gll.reporting.intervals_ms == classes
+    assert sc.gll.mapping.reference_rate_for() == 4.0
+
+
 @pytest.mark.parametrize("key, value", [("duration_ms", "x"), ("seed", True)])
 def test_top_level_diagnostic_starts_with_the_field(key, value):
     with pytest.raises(ScenarioError) as info:
