@@ -548,9 +548,11 @@ class GenericLinkLayer:
             changed["enabled"] = payload["enabled"]
         service_class = payload.get("service_class")
         interval = payload.get("interval_ms")
-        if service_class is not None and interval is not None:
-            changed["intervals_ms"] = {**reporting.intervals_ms, service_class: interval}
         try:
+            if service_class is not None and interval is not None:
+                if not isinstance(service_class, str):  # a list cannot even key the table
+                    raise ValueError(f"service class {service_class!r} is not a string")
+                changed["intervals_ms"] = {**reporting.intervals_ms, service_class: interval}
             self.configure_reporting(replace(reporting, **changed))
         except ValueError as exc:
             logger.warning("ignoring reporting change %r: %s", dict(payload), exc)

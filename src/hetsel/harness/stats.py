@@ -107,13 +107,15 @@ def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
 
 
 class _FlowState:
-    __slots__ = ("cell", "known_candidates", "last_move")
+    __slots__ = ("cell", "known_candidates", "last_move", "gap_since")
 
     def __init__(self, cell: Optional[str]):
         self.cell = cell
         self.known_candidates = 0
         # (at, source, target) of the flow's last completed handover
         self.last_move: Optional[tuple[int, str, str]] = None
+        # when the flow's current service gap began; None while it has none
+        self.gap_since: Optional[int] = None
 
 
 def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
@@ -121,30 +123,50 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
 
     A flow counts as in a service gap while it has no working serving link
     (no cell, or its cell's link is down) and its most recent decision showed
-    at least one ranked candidate.  Trigger deliveries are the ``consumers``
-    an event record lists, plus the ``repeated_deliveries`` it carries for
-    the report records that the run left out as repeats.
+    at least one ranked candidate.  A flow's gap time accrues when a record
+    changes that state, and at the trace's last record, so only a link record
+    costs more with more flows live; time must not run backwards.
+    Trigger deliveries are the ``consumers`` an event record lists, plus the
+    ``repeated_deliveries`` it carries for the report records that the run
+    left out as repeats.
     """
     stats = RunStats()
     flows: dict[str, _FlowState] = {}
     link_up: dict[str, bool] = {}
     gaps: dict[str, int] = {}
-    last_at = 0
+    now = 0
+
+    def accrue(flow_id: str, state: _FlowState, at: int) -> None:
+        since = state.gap_since
+        if since is not None and at > since:
+            gaps[flow_id] = gaps.get(flow_id, 0) + at - since
+
+    def settle(flow_id: str, state: _FlowState, at: int) -> None:
+        """Accrue the flow's gap up to ``at`` and note whether one runs on
+        from its state as it is now."""
+        accrue(flow_id, state, at)
+        # in a gap: not serviced (a cell of None is never a key of link_up)
+        # while its last decision ranked a candidate
+        in_gap = state.known_candidates >= 1 and not link_up.get(state.cell, False)
+        state.gap_since = at if in_gap else None
+
+    def leave(flow_id: str, at: int) -> None:
+        state = flows.pop(flow_id, None)
+        if state is not None:
+            accrue(flow_id, state, at)
+
     try:
         for record in records:
-            elapsed = record.at - last_at
-            if elapsed > 0:
-                for flow_id, state in flows.items():
-                    # in a gap: not serviced (a cell of None is never a key of
-                    # link_up) while its last decision ranked a candidate
-                    if state.known_candidates >= 1 and not link_up.get(state.cell, False):
-                        gaps[flow_id] = gaps.get(flow_id, 0) + elapsed
-            last_at = record.at
+            if record.at < now:
+                raise RecordError(record, f"trace time went backwards after t={now}")
+            now = record.at
 
             if record.kind == "decision":
                 flow_id = str(record.attributes["flow"])
-                if flow_id in flows:
-                    flows[flow_id].known_candidates = int(record.attributes["candidates"])
+                flow = flows.get(flow_id)
+                if flow is not None:
+                    flow.known_candidates = int(record.attributes["candidates"])
+                    settle(flow_id, flow, now)
                 continue
             if record.kind != "event":
                 continue
@@ -158,18 +180,23 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
                     raise TypeError(f"repeated_deliveries {repeated!r} is not a count")
                 stats.trigger_deliveries += repeated
             if event_type == "flow-arrival":
-                serving = payload.get("serving") or None
-                flows[str(payload["flow"])] = _FlowState(serving)
+                flow_id = str(payload["flow"])
+                leave(flow_id, now)
+                flows[flow_id] = _FlowState(payload.get("serving") or None)
             elif event_type == "flow-departure":
-                flows.pop(str(payload["flow"]), None)
+                leave(str(payload["flow"]), now)
             elif event_type == "flow-mapped":
-                flow = flows.get(str(payload["flow"]))
+                flow_id = str(payload["flow"])
+                flow = flows.get(flow_id)
                 if flow is not None:
                     flow.cell = str(payload["cell"])
-            elif event_type == "link-up":
-                link_up[str(payload["cell"])] = True
-            elif event_type == "link-down":
-                link_up[str(payload["cell"])] = False
+                    settle(flow_id, flow, now)
+            elif event_type == "link-up" or event_type == "link-down":
+                cell = str(payload["cell"])
+                link_up[cell] = event_type == "link-up"
+                for flow_id, flow in flows.items():
+                    if flow.cell == cell:
+                        settle(flow_id, flow, now)
             elif event_type == "handover-execution-request":
                 stats.handovers_attempted += 1
             elif event_type == "handover-complete":
@@ -196,5 +223,7 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
     except (TypeError, ValueError) as exc:
         raise RecordError(record, f"record has an attribute of the wrong type ({exc})") from None
 
+    for flow_id, flow in flows.items():
+        accrue(flow_id, flow, now)
     stats.service_gap_ms = gaps
     return stats

@@ -14,6 +14,13 @@ and the encoder's own pure-Python ``iterencode`` is used instead.  The reader
 binds one ``raw_decode``: it takes the attribute text with JSON whitespace
 stripped and rejects the line unless one JSON object spans all of it, which
 accepts and rejects exactly what ``json.loads`` does.
+
+A run repeats a few lines many times over (the same report or batch at
+another time), so ``read_trace`` decodes each distinct text after ``t=<at> ``
+once.  Its memo lives as long as the reader and is emptied when it holds
+``MEMO_LINES`` texts, so a read of a stream of lines holds a bounded number
+of them however long the trace.  The memo is a plain dict, which reads a
+trace of few repeats faster than an LRU cache does.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ else:
         _ENCODER.skipkeys, _ENCODER.allow_nan)
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
+# Distinct line texts (after ``t=<at> ``) one ``read_trace`` keeps decoded.  A
+# run repeats a line within a few seconds of trace time, so a larger memo finds
+# few more repeats and only holds more decoded records.
+MEMO_LINES = 256
 
 
 class TraceError(ValueError):
@@ -57,7 +68,12 @@ class MissingAttributeError(RecordError):
 
 
 class TraceRecord(NamedTuple):
-    """One trace line, read-only; built once per record written or read."""
+    """One trace line, read-only; built once per record written or read.
+
+    Records read from one trace may share an ``attributes`` dict with every
+    other record of the same text, so no reader mutates it, just as no bus
+    consumer mutates a payload.
+    """
 
     at: int
     component: str
@@ -75,21 +91,40 @@ def format_record(record: TraceRecord) -> str:
             f"{''.join(_iterencode(record.attributes, 0))}")
 
 
+class _Unreadable(ValueError):
+    """A fault whose message goes on with the whole line; the exception's own
+    text is what comes before it."""
+
+
+def _decode_fields(body: str) -> tuple[str, str, dict[str, Any]]:
+    """The component, kind and attributes in the text after a line's
+    ``t=<at> ``; raises ``ValueError`` on text that no line may carry."""
+    parts = body.split(" ", 2)
+    if len(parts) < 3:
+        raise _Unreadable("")
+    text = parts[2].strip(_JSON_WHITESPACE)
+    attributes, end = _raw_decode(text)
+    if end != len(text):
+        raise _Unreadable("data after the attributes: ")
+    if not isinstance(attributes, dict):
+        raise _Unreadable("attributes are not an object: ")
+    return parts[0], parts[1], attributes
+
+
 def parse_record(line: str) -> TraceRecord:
-    parts = line.split(" ", 3)
-    if len(parts) < 4 or not parts[0].startswith("t="):
-        raise TraceError(f"malformed trace line: {line!r}")
-    text = parts[3].strip(_JSON_WHITESPACE)
+    """Read one line: the one rule for what a trace line may be."""
+    head, _, body = line.partition(" ")
     try:
-        at = int(parts[0][2:])
-        attributes, end = _raw_decode(text)
+        # a line short of four fields is reported whole, before a bad time
+        if not head.startswith("t=") or body.count(" ") < 2:
+            raise _Unreadable("")
+        at = int(head[2:])
+        fields = _decode_fields(body)
+    except _Unreadable as exc:
+        raise TraceError(f"malformed trace line: {exc}{line!r}") from None
     except ValueError as exc:
         raise TraceError(f"malformed trace line: {exc}") from None
-    if end != len(text):
-        raise TraceError(f"malformed trace line: data after the attributes: {line!r}")
-    if not isinstance(attributes, dict):
-        raise TraceError(f"malformed trace line: attributes are not an object: {line!r}")
-    return _new_record(TraceRecord, (at, parts[1], parts[2], attributes))
+    return _new_record(TraceRecord, (at, *fields))
 
 
 class TraceRecorder:
@@ -115,7 +150,9 @@ def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]
     """Parse a trace file (or an iterable of lines).
 
     A malformed line raises ``TraceError`` naming the file and its 1-based
-    line number.
+    line number.  Equal lines share one decoded attributes dict (see
+    ``TraceRecord``); a line the memo cannot read is read again by
+    ``parse_record``, which raises what it raises for that line alone.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -128,12 +165,25 @@ def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]
     else:
         where = "trace"
         lines = source
+    memo: dict[str, tuple[str, str, dict[str, Any]]] = {}
     for number, line in enumerate(lines, 1):
         line = line.strip(_JSON_WHITESPACE)
         if not line:
             continue
+        head, _, body = line.partition(" ")
         try:
-            record = parse_record(line)
-        except TraceError as exc:
-            raise TraceError(f"{where}:{number}: {exc}") from None
+            fields = memo.get(body)
+            if fields is None:
+                fields = _decode_fields(body)
+                if len(memo) == MEMO_LINES:
+                    memo.clear()
+                memo[body] = fields
+            if not head.startswith("t="):
+                raise _Unreadable("")
+            record = _new_record(TraceRecord, (int(head[2:]), *fields))
+        except ValueError:
+            try:
+                record = parse_record(line)
+            except TraceError as exc:
+                raise TraceError(f"{where}:{number}: {exc}") from None
         yield record

@@ -479,3 +479,60 @@ class CandidateGate:
             return delivered
 
         run.bus.publish = gated_publish
+
+
+class _GapFlow:
+    __slots__ = ("cell", "known_candidates")
+
+    def __init__(self, cell):
+        self.cell = cell
+        self.known_candidates = 0
+
+
+def long_hand_service_gaps(records: Iterable) -> dict[str, int]:
+    """Each flow's service-gap milliseconds, found by walking every live flow
+    at every step of trace time.
+
+    A flow is in a gap over a step while it has no working serving link (no
+    cell, or its cell's link is down) and its most recent decision showed at
+    least one ranked candidate; the state after a step's last record holds
+    until the next step.  A flow that never spends time in a gap is absent.
+    """
+    flows: dict = {}
+    link_up: dict = {}
+    gaps: dict = {}
+    last_at = 0
+    for record in records:
+        elapsed = record.at - last_at
+        if elapsed > 0:
+            for flow_id, state in flows.items():
+                # in a gap: not serviced (a cell of None is never a key of
+                # link_up) while its last decision ranked a candidate
+                if state.known_candidates >= 1 and not link_up.get(state.cell, False):
+                    gaps[flow_id] = gaps.get(flow_id, 0) + elapsed
+        last_at = record.at
+
+        if record.kind == "decision":
+            flow_id = str(record.attributes["flow"])
+            if flow_id in flows:
+                flows[flow_id].known_candidates = int(record.attributes["candidates"])
+            continue
+        if record.kind != "event":
+            continue
+
+        payload = record.attributes
+        event_type = payload.get("type")
+        if event_type == "flow-arrival":
+            serving = payload.get("serving") or None
+            flows[str(payload["flow"])] = _GapFlow(serving)
+        elif event_type == "flow-departure":
+            flows.pop(str(payload["flow"]), None)
+        elif event_type == "flow-mapped":
+            flow = flows.get(str(payload["flow"]))
+            if flow is not None:
+                flow.cell = str(payload["cell"])
+        elif event_type == "link-up":
+            link_up[str(payload["cell"])] = True
+        elif event_type == "link-down":
+            link_up[str(payload["cell"])] = False
+    return gaps

@@ -517,6 +517,9 @@ def test_configure_reporting_refuses_a_bad_table_and_changes_nothing(reporting):
     {"enabled": False, "service_class": "real-time", "interval_ms": 0},
     {"enabled": "false", "service_class": "real-time", "interval_ms": 50},
     {"enabled": False, "service_class": "real_time", "interval_ms": 50},
+    # a class that cannot key the table once raised TypeError out of the publish
+    {"service_class": ["real-time"], "interval_ms": 50},
+    {"service_class": {"c": 1}, "interval_ms": 50},
 ), ids=repr)
 def test_a_reporting_change_is_applied_whole_or_not_at_all(payload, caplog):
     cell = make_cell("wlan1")

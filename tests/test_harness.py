@@ -39,7 +39,7 @@ from hetsel.simenv.scenario import load_scenario, scenario_from_dict
 from hetsel.trg import Event, Subscription, TriggerBus
 
 from conftest import SCENARIO_DIR, make_cell, synthetic_report
-from oracles import thin_decisions, thin_reports
+from oracles import long_hand_service_gaps, thin_decisions, thin_reports
 
 
 def pipeline_world(delays, cells):
@@ -314,6 +314,36 @@ def test_read_trace_strips_only_json_whitespace_as_parse_record_does(tmp_path, c
     assert f"{path}:2: " in capsys.readouterr().err
 
 
+def test_read_trace_decodes_each_distinct_line_once(monkeypatch):
+    decoded = []
+    raw_decode = trace_mod._raw_decode
+    monkeypatch.setattr(trace_mod, "_raw_decode",
+                        lambda text: decoded.append(text) or raw_decode(text))
+    lines = [f't={50 * n} gll event {{"cell":"c{n % 2}","type":"link-quality-report"}}'
+             for n in range(100)]
+    records = list(read_trace(lines))
+    assert len(decoded) == 2
+    assert records[0].attributes is records[2].attributes  # equal lines may share one dict
+    assert records == [parse_record(line) for line in lines]
+
+
+def test_read_trace_reads_more_distinct_lines_than_its_memo_holds():
+    distinct = trace_mod.MEMO_LINES + 7
+    lines = [f't={at} trg event {{"n":{at % distinct},"type":"x"}}' for at in range(3 * distinct)]
+    lines += lines[::-5]  # and in reverse, so some come back while still held
+    assert list(read_trace(lines)) == [parse_record(line) for line in lines]
+
+
+def test_read_trace_names_the_first_line_of_a_repeated_malformed_line():
+    good = 't=5 harness event {"type":"run-end"}'
+    bad = 't=5 trg event {"type":'
+    with pytest.raises(TraceError) as caught:
+        list(read_trace([good, good, bad, good, bad]))
+    with pytest.raises(TraceError) as alone:
+        parse_record(bad)
+    assert str(caught.value) == f"trace:3: {alone.value}"
+
+
 @pytest.mark.parametrize("line", [
     't=5 trg event {"source":"env","synthetic":false,"type":"flow-arrival"}',
     # an event record that reached a consumer but lacks its payload
@@ -406,11 +436,51 @@ def test_parse_record_accepts_exactly_what_json_loads_reads_as_an_object(text):
             parse_record(line)
 
 
+_HEADS = ("t=5 trg event ", "t=7 gll event ", "t=x trg event ", "5 trg event ", "x=5 trg event ",
+          "t=5 trg ", "t=5  event ", "t=+9 trg event ", "t=5 trg event")
+
+
+@given(lines=st.lists(st.builds(str.__add__, st.sampled_from(_HEADS), st.sampled_from(
+    ('{"type":"x"}', '{"a":1} ', '[1]', '{"a":1} x', '')) | _attribute_texts()), max_size=12))
+@example(lines=["t=5 trg event {}", "t=x trg event {", "t=5 trg event {"])
+@example(lines=["t=5 trg event {}", "", "  ", "t=5 trg event {} x"])
+@example(lines=["t=5 trg event {}", "x=5 trg event {}"])
+def test_read_trace_reads_and_refuses_what_parse_record_does_line_by_line(lines):
+    expected, error = [], None
+    for number, line in enumerate(lines, 1):
+        line = line.strip(" \t\n\r")
+        if not line:
+            continue
+        try:
+            expected.append(parse_record(line))
+        except TraceError as exc:
+            error = f"trace:{number}: {exc}"
+            break
+    if error is None:
+        # repr, not ==: it tells 1 from 1.0 and True, and NaN equals no NaN
+        assert repr(list(read_trace(lines))) == repr(expected)
+    else:
+        with pytest.raises(TraceError) as caught:
+            list(read_trace(lines))
+        assert str(caught.value) == error
+
+
 def test_trace_rejects_time_going_backwards():
     recorder = TraceRecorder()
     recorder.record(10, "x", "event", {})
     with pytest.raises(TraceError):
         recorder.record(9, "x", "event", {})
+
+
+def test_stats_refuses_a_trace_whose_time_runs_backwards(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    path.write_text('t=9 harness event {"type":"x"}\nt=5 harness event {"type":"run-end"}\n',
+                    encoding="utf-8")
+    with pytest.raises(RecordError, match="trace time went backwards after t=9: t=5 "):
+        compute_stats(read_trace(path))
+    assert cli_main(["stats", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: trace time went backwards after t=9: t=5 harness event ")
 
 
 def test_read_trace_on_missing_file(tmp_path):
@@ -445,6 +515,77 @@ def test_stats_recomputation_is_pure(tmp_path):
     path.write_text(result.trace_text, encoding="utf-8")
     again = compute_stats(read_trace(path))
     assert again.as_dict() == result.stats.as_dict()
+
+
+def _event(at, event_type, **payload):
+    return TraceRecord(at, "trg", "event", {"type": event_type, **payload})
+
+
+def _decision(at, flow, candidates):
+    return TraceRecord(at, "mrrm", "decision", {"flow": flow, "candidates": candidates})
+
+
+_GAP_TRACES = {
+    "several records at one instant": [
+        _event(0, "flow-arrival", flow="f1"),
+        _decision(100, "f1", 1),
+        _event(100, "link-up", cell="c1"),
+        _event(100, "flow-mapped", flow="f1", cell="c1"),
+        _event(200, "link-down", cell="c1"),
+        _event(200, "link-up", cell="c1"),
+        _event(300, "link-down", cell="c1"),
+        _decision(300, "f1", 0),
+        _decision(300, "f1", 2),
+        _event(450, "run-end"),
+    ],
+    "re-arrival of a flow id": [
+        _event(0, "flow-arrival", flow="f1", serving="c1"),
+        _decision(0, "f1", 2),
+        _event(400, "flow-arrival", flow="f1", serving="c1"),
+        _decision(600, "f1", 1),
+        _event(650, "flow-departure", flow="f1"),
+        _event(700, "flow-arrival", flow="f1"),
+        _decision(800, "f1", 1),
+        _event(1000, "run-end"),
+    ],
+    "a link flap on a cell serving two flows": [
+        _event(0, "link-up", cell="c1"),
+        _event(0, "flow-arrival", flow="f1", serving="c1"),
+        _event(0, "flow-arrival", flow="f2", serving="c1"),
+        _decision(10, "f1", 1),
+        _decision(20, "f2", 3),
+        _event(100, "link-down", cell="c1"),
+        _event(250, "link-up", cell="c1"),
+        _event(400, "link-down", cell="c1"),
+        _event(500, "flow-departure", flow="f2"),
+        _event(700, "run-end"),
+    ],
+    "flow-mapped onto a cell whose link is down": [
+        _event(0, "link-up", cell="c1"),
+        _event(0, "flow-arrival", flow="f1"),
+        _event(50, "link-down", cell="c1"),
+        _decision(100, "f1", 3),
+        _event(200, "flow-mapped", flow="f1", cell="c1"),
+        _event(300, "link-up", cell="c1"),
+        _event(300, "flow-mapped", flow="f1", cell="c2"),
+        _event(400, "run-end"),
+    ],
+    "a decision with 0 candidates": [
+        _event(0, "flow-arrival", flow="f1"),
+        _decision(100, "f1", 0),
+        _decision(200, "f1", 1),
+        _decision(300, "f1", 0),
+        _decision(350, "ghost", 1),
+        _event(900, "flow-departure", flow="ghost"),
+    ],
+}
+
+
+@pytest.mark.parametrize("records", _GAP_TRACES.values(), ids=_GAP_TRACES)
+def test_service_gaps_equal_the_long_hand_walk(records):
+    gaps = long_hand_service_gaps(records)
+    assert gaps  # each trace holds a gap, so a walk that counts none fails
+    assert compute_stats(records).service_gap_ms == gaps
 
 
 def test_static_single_access_run_has_no_handovers():

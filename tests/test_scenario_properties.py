@@ -61,6 +61,7 @@ from oracles import (
     FloorGate,
     ReplayGate,
     ReportGate,
+    long_hand_service_gaps,
     thin_decisions,
     thin_reports,
 )
@@ -420,6 +421,7 @@ def _check_thinned_against_full(build):
     full_records = list(read_trace(full.trace_lines))
     assert records == thin_reports(thin_decisions(full_records))
     assert compute_stats(records).as_dict() == compute_stats(full_records).as_dict()
+    assert compute_stats(full_records).service_gap_ms == long_hand_service_gaps(full_records)
     assert _carried(records) == _listed(full_records) - _listed(records)
     assert _carried(full_records) == 0
     return result, records, full_records
@@ -454,6 +456,26 @@ def test_a_flow_that_returns_unseen_keeps_its_service_gap():
     scenario = scenario_from_dict(_REARRIVAL_WORLD)
     result, _, _ = _check_thinned_against_full(lambda: build_run(scenario))
     assert result.stats.service_gap_ms == {"big": 4500}
+
+
+def _check_gaps_against_the_long_hand_walk(scenario):
+    records = list(read_trace(execute_run(build_run(scenario)).trace_lines))
+    gaps = long_hand_service_gaps(records)
+    assert compute_stats(records).service_gap_ms == gaps
+    return gaps
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+def test_shipped_service_gaps_equal_the_long_hand_walk(path):
+    _check_gaps_against_the_long_hand_walk(load_scenario(path))
+
+
+@given(doc=scenarios(max_initial_flows=MAX_FLOWS))
+@example(doc=_REARRIVAL_WORLD)
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_service_gaps_equal_the_long_hand_walk(doc):
+    _check_gaps_against_the_long_hand_walk(scenario_from_dict(doc))
 
 
 def _benchmark_run(world):
