@@ -47,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {args.out}: cannot create directory: {exc.strerror}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
         result, trace_path, stats_path = run_to_files(args.scenario, args.out)
     except OSError as exc:
         # the loader reports a scenario it cannot read; what is left is an output

@@ -29,6 +29,7 @@ environment; the reporting cadence reads their service classes from
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -189,6 +190,8 @@ class GllConfig:
             raise ValueError("attach_latency_ms must be >= 0")
         if self.targeted_probe_ms < 0 or self.full_scan_per_rat_ms < 0:
             raise ValueError("scan costs must be >= 0")
+        if any(not 0.0 <= e < math.inf for e in self.probe_energy.values()):
+            raise ValueError("probe energies must be non-negative and finite")
 
 
 # -- pure metric functions ---------------------------------------------------

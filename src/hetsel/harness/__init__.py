@@ -1,19 +1,20 @@
 """Scenario runner, traces, statistics, benchmark."""
 
-from .trace import TraceError, TraceRecord, TraceRecorder, read_trace
+from .trace import TraceError, TraceRecord, read_trace
 from .stats import BreakdownReport, RunStats, compute_stats, report_breakdown
 from .bench import BenchSummary, bench_trg
-from .runner import Run, RunResult, build_run, execute_run, execute_scenario, run_to_files
+from .runner import (Run, RunRecorder, RunResult, build_run, execute_run, execute_scenario,
+                     run_to_files)
 
 __all__ = [
     "BenchSummary",
     "BreakdownReport",
     "Run",
+    "RunRecorder",
     "RunResult",
     "RunStats",
     "TraceError",
     "TraceRecord",
-    "TraceRecorder",
     "bench_trg",
     "build_run",
     "compute_stats",

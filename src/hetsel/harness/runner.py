@@ -3,10 +3,7 @@ records its :class:`RunRecorder` alone lays out and leaves out."""
 
 from __future__ import annotations
 
-import errno
 import json
-import logging
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Union
@@ -18,10 +15,9 @@ from ..mrrm import MultiRadioResourceManager
 from ..simenv.env import ActionError, Environment
 from ..simenv.loop import EventLoop
 from ..simenv.scenario import Scenario, ScenarioError, load_scenario
+from . import trace
 from .stats import RunStats, compute_stats
-from .trace import TraceRecorder
-
-logger = logging.getLogger(__name__)
+from .trace import TraceError, TraceRecord, _new_record
 
 _UCI_RECORDS = (
     trg.UciRecord("multiaccess/link-quality", "gll", "abstracted per-access metrics"),
@@ -34,8 +30,8 @@ _UCI_RECORDS = (
 _RECORD_KEYS = frozenset(("type", "source", "synthetic", "consumers", "repeated_deliveries"))
 
 
-class RunRecorder(TraceRecorder):
-    """The run's trace: the bus hands it each publish, MRRM each decision.
+class RunRecorder:
+    """The run's trace, in time order: the bus hands it each publish, MRRM each decision.
 
     An event record holds the event's ``type``, ``source``, ``synthetic``,
     payload and, if it reached anyone, ``consumers``.  A record equal to the
@@ -48,9 +44,23 @@ class RunRecorder(TraceRecorder):
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self.records: list[TraceRecord] = []
+        self._last_at = 0
         self._last: dict[tuple[str, Any], Any] = {}  # key -> what its last record held
         self._repeated = 0
+
+    def record(self, at: int, component: str, kind: str, attrs: dict[str, Any]) -> None:
+        """Append a record that keeps ``attrs`` itself, not a copy: the caller
+        hands over a dict it does not mutate afterwards."""
+        if at < self._last_at:
+            raise TraceError(f"trace time went backwards: {at} after {self._last_at}")
+        self._last_at = at
+        self.records.append(_new_record(TraceRecord, (at, component, kind, attrs)))
+
+    def lines(self) -> list[str]:
+        # read through the module, so that a wrapper set on it formats each line
+        format_record = trace.format_record
+        return [format_record(r) for r in self.records]
 
     def _repeats(self, key: tuple[str, Any], held: Any) -> bool:
         return self._last.get(key) == held
@@ -216,19 +226,16 @@ def run_to_files(
 ) -> tuple[RunResult, Path, Path]:
     """Load a scenario file, run it, and write trace + stats into ``out_dir``.
 
-    An output that is a directory fails before the run, with the
-    ``IsADirectoryError`` writing it would raise; other write failures
-    surface after the run."""
-    scenario = load_scenario(scenario_path)
+    As a shell redirect does, the outputs are created and opened empty before
+    anything runs: one that cannot be written raises ``OSError`` at once, and a
+    scenario or run that fails leaves both empty."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.txt"
     stats_path = out / "stats.json"
-    for path in (trace_path, stats_path):
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    result = execute_scenario(scenario)
-    trace_path.write_text(result.trace_text, encoding="utf-8")
-    stats_path.write_text(json.dumps(result.stats.as_dict(), indent=2) + "\n",
-                          encoding="utf-8")
+    with open(trace_path, "w", encoding="utf-8") as trace_file, \
+            open(stats_path, "w", encoding="utf-8") as stats_file:
+        result = execute_scenario(load_scenario(scenario_path))
+        trace_file.write(result.trace_text)
+        stats_file.write(json.dumps(result.stats.as_dict(), indent=2) + "\n")
     return result, trace_path, stats_path

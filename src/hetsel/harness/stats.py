@@ -69,20 +69,32 @@ class RunStats:
         }
 
 
+def _went_backwards(record: TraceRecord, now: int) -> RecordError:
+    return RecordError(record, f"trace time went backwards after t={now}")
+
+
 def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
     """Group trace points by handover and compute per-phase durations.
 
     Only handovers with all five points (i.e. completed ones) are reported.
+    Time must not run backwards, nor a point come before its request.
     """
     points: dict[str, dict[int, int]] = {}
     request_at: dict[str, int] = {}
+    now = 0
     try:
         for record in records:
+            if record.at < now:
+                raise _went_backwards(record, now)
+            now = record.at
             if record.kind != "trace-point":
                 continue
             handover = str(record.attributes["handover"])
-            points.setdefault(handover, {})[int(record.attributes["point"])] = record.at
-            request_at[handover] = int(record.attributes["request_at"])
+            requested = int(record.attributes["request_at"])
+            if now < requested:
+                raise RecordError(record, f"trace point before its request at t={requested}")
+            points.setdefault(handover, {})[int(record.attributes["point"])] = now
+            request_at[handover] = requested
     except KeyError as exc:
         raise MissingAttributeError(record, exc.args[0]) from None
     except TraceError:
@@ -158,7 +170,7 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
     try:
         for record in records:
             if record.at < now:
-                raise RecordError(record, f"trace time went backwards after t={now}")
+                raise _went_backwards(record, now)
             now = record.at
 
             if record.kind == "decision":

@@ -127,25 +127,6 @@ def parse_record(line: str) -> TraceRecord:
     return _new_record(TraceRecord, (at, *fields))
 
 
-class TraceRecorder:
-    """Accumulates records in order; enforces non-decreasing timestamps."""
-
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-        self._last_at = 0
-
-    def record(self, at: int, component: str, kind: str, attrs: dict[str, Any]) -> None:
-        """Append a record that keeps ``attrs`` itself, not a copy: the caller
-        hands over a dict it does not mutate afterwards."""
-        if at < self._last_at:
-            raise TraceError(f"trace time went backwards: {at} after {self._last_at}")
-        self._last_at = at
-        self.records.append(_new_record(TraceRecord, (at, component, kind, attrs)))
-
-    def lines(self) -> list[str]:
-        return [format_record(r) for r in self.records]
-
-
 def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]:
     """Parse a trace file (or an iterable of lines).
 

@@ -382,6 +382,24 @@ def test_reporting_disabled_suppresses_periodic_reports():
     assert len(scans) == 1 and scans[0].payload["count"] == 1
 
 
+@pytest.mark.parametrize("probe_energy, targeted, full", [
+    ({}, 2.0, 3.0),
+    # each WLAN probe costs 0.25; the UMTS probe, unlisted, still costs 1.0
+    ({"WLAN": 0.25}, 1.25, 1.5),
+])
+def test_probe_energy_prices_each_probe_of_a_scan(probe_energy, targeted, full):
+    cells = [make_cell("w1"), make_cell("w2", frequency="ch11"),
+             make_cell("u1", rat="UMTS", frequency="f1")]
+    cfg = GllConfig(probe_energy=probe_energy, history=[("WLAN", "ch6"), ("UMTS", "f1")])
+    loop, bus, env, gll, events = live_gll(cells, cfg)
+    gll.request_scan("targeted")
+    loop.run_until(1000)
+    gll.request_scan("full")
+    loop.run_until(2000)
+    scans = [e.payload for e in events if e.event_type == trg.SCAN_COMPLETE]
+    assert [(s["mode"], s["energy"]) for s in scans] == [("targeted", targeted), ("full", full)]
+
+
 def test_interval_change_takes_effect_at_next_tick():
     cell = make_cell("wlan1")
     loop, bus, env, gll, events = live_gll([cell])

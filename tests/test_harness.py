@@ -25,7 +25,6 @@ from hetsel.harness.trace import (
     RecordError,
     TraceError,
     TraceRecord,
-    TraceRecorder,
     format_record,
     parse_record,
     read_trace,
@@ -466,21 +465,33 @@ def test_read_trace_reads_and_refuses_what_parse_record_does_line_by_line(lines)
 
 
 def test_trace_rejects_time_going_backwards():
-    recorder = TraceRecorder()
+    recorder = RunRecorder()
     recorder.record(10, "x", "event", {})
     with pytest.raises(TraceError):
         recorder.record(9, "x", "event", {})
 
 
-def test_stats_refuses_a_trace_whose_time_runs_backwards(tmp_path, capsys):
+@pytest.mark.parametrize("command, fold", [("stats", compute_stats),
+                                           ("report", report_breakdown)],
+                         ids=["stats", "report"])
+def test_stats_refuses_a_trace_whose_time_runs_backwards(tmp_path, capsys, command, fold):
     path = tmp_path / "trace.txt"
     path.write_text('t=9 harness event {"type":"x"}\nt=5 harness event {"type":"run-end"}\n',
                     encoding="utf-8")
     with pytest.raises(RecordError, match="trace time went backwards after t=9: t=5 "):
-        compute_stats(read_trace(path))
-    assert cli_main(["stats", str(path)]) == EXIT_BAD_INPUT
+        fold(read_trace(path))
+    assert cli_main([command, str(path)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith(
         f"error: {path}: trace time went backwards after t=9: t=5 harness event ")
+
+
+def test_report_refuses_a_trace_point_before_its_request(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    line = 't=900 mobility trace-point {"handover":"h","point":1,"request_at":1000}'
+    path.write_text(f"{line}\n", encoding="utf-8")
+    assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}: trace point before its request at t=1000: {line}\n")
 
 
 def test_read_trace_on_missing_file(tmp_path):
@@ -1028,17 +1039,27 @@ def test_cli_names_a_scenario_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
-@pytest.mark.parametrize("output", ["trace.txt", "stats.json"])
+def _dangle(path):
+    """A symlink into a missing directory, where opening it cannot create its target."""
+    path.symlink_to(path.parent / "missing" / path.name)
+
+
+@pytest.mark.parametrize("output, make, reason", [
+    ("trace.txt", Path.mkdir, "Is a directory"),
+    ("stats.json", Path.mkdir, "Is a directory"),
+    ("trace.txt", _dangle, "No such file or directory"),
+], ids=["trace.txt", "stats.json", "trace.txt-dangling-symlink"])
 def test_cli_run_exits_2_and_names_an_output_it_cannot_write(tmp_path, capsys, monkeypatch,
-                                                            output):
+                                                            output, make, reason):
     out = tmp_path / "out"
-    (out / output).mkdir(parents=True)
+    out.mkdir()
+    make(out / output)
     runs = []
     monkeypatch.setattr(runner_mod, "execute_scenario", runs.append)
     code = cli_main(["run", str(SCENARIO_DIR / "scan_targeted_hit.json"), "--out", str(out)])
     assert code == EXIT_BAD_INPUT
     assert runs == []
-    assert capsys.readouterr().err == f"error: {out / output}: cannot write: Is a directory\n"
+    assert capsys.readouterr().err == f"error: {out / output}: cannot write: {reason}\n"
 
 
 def test_cli_run_exits_2_without_running_when_out_cannot_be_created(tmp_path, capsys,
@@ -1051,8 +1072,7 @@ def test_cli_run_exits_2_without_running_when_out_cannot_be_created(tmp_path, ca
     code = cli_main(["run", str(SCENARIO_DIR / "scan_targeted_hit.json"), "--out", str(out)])
     assert code == EXIT_BAD_INPUT
     assert runs == []
-    assert capsys.readouterr().err == (
-        f"error: {out}: cannot create directory: Not a directory\n")
+    assert capsys.readouterr().err == f"error: {out}: cannot write: Not a directory\n"
 
 
 def _write_refused_action_scenario(path):
@@ -1075,8 +1095,15 @@ def _write_refused_action_scenario(path):
 def test_cli_names_the_timeline_entry_whose_action_the_run_refuses(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     _write_refused_action_scenario(scenario)
-    assert cli_main(["run", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    out = tmp_path / "out"
+    out.mkdir()
+    for output in ("trace.txt", "stats.json"):
+        (out / output).write_text("an earlier run's output\n", encoding="utf-8")
+    assert cli_main(["run", str(scenario), "--out", str(out)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: timeline[0]: a.used_resources: ")
+    # as after a shell redirect, a failed run leaves its outputs empty
+    assert [(out / output).read_text(encoding="utf-8")
+            for output in ("trace.txt", "stats.json")] == ["", ""]
 
 
 def test_cli_exits_3_with_a_traceback_when_a_run_raises_value_error(tmp_path, capsys,

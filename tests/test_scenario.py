@@ -158,6 +158,8 @@ _RULE = {"rule_id": "r", "pattern": ["link-down", "link-up"], "window_ms": 1000,
                    "timeline[0].value", id=f"set-{field}-out-of-range")
       for field, value in (("achievable_rate", -5e6), ("raw_error_rate", 2.5),
                            ("security_level", 7), ("base_delay_ms", -1.0))),
+    *(pytest.param({"gll": {"probe_energy": {"WLAN": value}}}, "gll", id=f"probe-energy-{name}")
+      for name, value in (("negative", -1), ("infinite", float("inf")))),
 ])
 def test_out_of_range_values_rejected_at_load(section, path):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}:"):
