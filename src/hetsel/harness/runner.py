@@ -17,7 +17,7 @@ from ..simenv.loop import EventLoop
 from ..simenv.scenario import Scenario, ScenarioError, load_scenario
 from . import trace
 from .stats import RunStats, compute_stats
-from .trace import TraceError, TraceRecord, _new_record
+from .trace import TraceRecord, _new_record, went_backwards
 
 _UCI_RECORDS = (
     trg.UciRecord("multiaccess/link-quality", "gll", "abstracted per-access metrics"),
@@ -53,7 +53,7 @@ class RunRecorder:
         """Append a record that keeps ``attrs`` itself, not a copy: the caller
         hands over a dict it does not mutate afterwards."""
         if at < self._last_at:
-            raise TraceError(f"trace time went backwards: {at} after {self._last_at}")
+            raise went_backwards(TraceRecord(at, component, kind, attrs), self._last_at)
         self._last_at = at
         self.records.append(_new_record(TraceRecord, (at, component, kind, attrs)))
 

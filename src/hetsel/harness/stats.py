@@ -1,9 +1,10 @@
 """Run statistics and handover breakdowns, recomputed from the trace alone.
 
 Both functions are pure passes over trace records, so re-running them on a
-written trace file reproduces exactly what the run reported.  A record that
-lacks an attribute a pass reads raises ``MissingAttributeError`` naming it,
-and one whose attribute has a type the pass cannot use raises ``RecordError``.
+written trace file reproduces exactly what the run reported.  A record timed
+before the one it follows raises ``went_backwards``'s error, and one that lacks
+an attribute a pass reads, or holds one of a type it cannot use (a count or
+list is checked, not coerced), raises ``_unreadable``'s; both name the record.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..mobility import TRACE_POINTS
-from .trace import MissingAttributeError, RecordError, TraceError, TraceRecord
+from .trace import RecordError, TraceError, TraceRecord, went_backwards
 
 PING_PONG_WINDOW_MS = 10000
+_NO_CONSUMERS: list = []  # the consumers of an event record that reached no one; only read
 
 
 @dataclass(frozen=True)
@@ -69,23 +71,28 @@ class RunStats:
         }
 
 
-def _went_backwards(record: TraceRecord, now: int) -> RecordError:
-    return RecordError(record, f"trace time went backwards after t={now}")
+def _unreadable(record: TraceRecord, exc: Exception) -> RecordError:
+    """The error for a record whose attribute a pass could not read: ``exc`` is
+    the ``KeyError`` of a missing one, else what a use of a wrong one raised."""
+    if isinstance(exc, KeyError):
+        return RecordError(record, f"record lacks attribute {exc.args[0]!r}")
+    return RecordError(record, f"record has an attribute of the wrong type ({exc})")
 
 
 def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
     """Group trace points by handover and compute per-phase durations.
 
     Only handovers with all five points (i.e. completed ones) are reported.
-    Time must not run backwards, nor a point come before its request.
+    Time must not run backwards, nor a point come before its request.  A
+    handover's points must come in order, each with its first point's request.
     """
-    points: dict[str, dict[int, int]] = {}
-    request_at: dict[str, int] = {}
+    # handover -> (its request time, the times of its points so far)
+    handovers: dict[str, tuple[int, list[int]]] = {}
     now = 0
     try:
         for record in records:
             if record.at < now:
-                raise _went_backwards(record, now)
+                raise went_backwards(record, now)
             now = record.at
             if record.kind != "trace-point":
                 continue
@@ -93,29 +100,23 @@ def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
             requested = int(record.attributes["request_at"])
             if now < requested:
                 raise RecordError(record, f"trace point before its request at t={requested}")
-            points.setdefault(handover, {})[int(record.attributes["point"])] = now
-            request_at[handover] = requested
-    except KeyError as exc:
-        raise MissingAttributeError(record, exc.args[0]) from None
+            first_requested, stamps = handovers.setdefault(handover, (requested, []))
+            point = int(record.attributes["point"])
+            if point != len(stamps) + 1 or point > TRACE_POINTS:
+                raise RecordError(record, f"trace point {point} out of order after "
+                                          f"{len(stamps)} of its handover's points")
+            if requested != first_requested:
+                raise RecordError(record, f"trace point request at t={requested} disagrees "
+                                          f"with t={first_requested} on its handover's first point")
+            stamps.append(now)
     except TraceError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise RecordError(record, f"record has an attribute of the wrong type ({exc})") from None
-    reports = []
-    for handover, stamps in points.items():
-        if set(stamps) != set(range(1, TRACE_POINTS + 1)):
-            continue
-        durations = []
-        previous = request_at[handover]
-        for point in range(1, TRACE_POINTS + 1):
-            durations.append(stamps[point] - previous)
-            previous = stamps[point]
-        reports.append(BreakdownReport(
-            handover_id=handover,
-            request_at=request_at[handover],
-            durations_ms=tuple(durations),
-        ))
-    return reports
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _unreadable(record, exc) from None
+    return [BreakdownReport(handover_id=handover, request_at=requested,
+                            durations_ms=tuple(b - a for a, b in zip((requested, *stamps), stamps)))
+            for handover, (requested, stamps) in handovers.items()
+            if len(stamps) == TRACE_POINTS]
 
 
 class _FlowState:
@@ -170,7 +171,7 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
     try:
         for record in records:
             if record.at < now:
-                raise _went_backwards(record, now)
+                raise went_backwards(record, now)
             now = record.at
 
             if record.kind == "decision":
@@ -185,7 +186,10 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
 
             payload = record.attributes
             event_type = payload.get("type")
-            stats.trigger_deliveries += len(payload.get("consumers", ()))
+            consumers = payload.get("consumers", _NO_CONSUMERS)
+            if type(consumers) is not list:
+                raise TypeError(f"consumers {consumers!r} is not a list")
+            stats.trigger_deliveries += len(consumers)
             if "repeated_deliveries" in payload:
                 repeated = payload["repeated_deliveries"]
                 if type(repeated) is not int or repeated < 0:
@@ -227,13 +231,14 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
             elif event_type == "scan-complete":
                 mode = str(payload["mode"])
                 stats.scan_counts[mode] = stats.scan_counts.get(mode, 0) + 1
-                stats.energy += float(payload.get("energy", 0.0))
-    except KeyError as exc:
-        raise MissingAttributeError(record, exc.args[0]) from None
+                energy = payload.get("energy", 0.0)
+                if type(energy) is not float and type(energy) is not int:
+                    raise TypeError(f"energy {energy!r} is not a number")
+                stats.energy += energy
     except TraceError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise RecordError(record, f"record has an attribute of the wrong type ({exc})") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _unreadable(record, exc) from None
 
     for flow_id, flow in flows.items():
         accrue(flow_id, flow, now)

@@ -10,17 +10,20 @@ Both directions leave little beyond the C JSON work per record.
 compact, sorted-key encoder is built once here, with the arguments ``encode``
 passes for these settings; its output is byte-for-byte ``encode``'s.  On an
 interpreter without the ``_json`` accelerator, ``c_make_encoder`` is ``None``
-and the encoder's own pure-Python ``iterencode`` is used instead.  The reader
-binds one ``raw_decode``: it takes the attribute text with JSON whitespace
-stripped and rejects the line unless one JSON object spans all of it, which
-accepts and rejects exactly what ``json.loads`` does.
+and the encoder's own pure-Python ``iterencode`` is used instead.
+``parse_record`` is the one line decoder.  It binds one ``raw_decode``: it
+takes the attribute text with JSON whitespace stripped and rejects the line
+unless one JSON object spans all of it, which accepts and rejects exactly
+what ``json.loads`` does.
 
 A run repeats a few lines many times over (the same report or batch at
-another time), so ``read_trace`` decodes each distinct text after ``t=<at> ``
-once.  Its memo lives as long as the reader and is emptied when it holds
-``MEMO_LINES`` texts, so a read of a stream of lines holds a bounded number
-of them however long the trace.  The memo is a plain dict, which reads a
-trace of few repeats faster than an LRU cache does.
+another time), so ``read_trace`` hands ``parse_record`` each distinct text
+after ``t=<at> `` once.  Its memo lives as long as the reader and is emptied
+when it holds ``MEMO_LINES`` texts, so a read of a stream of lines holds a
+bounded number of them however long the trace.  The memo is a plain dict,
+which reads a trace of few repeats faster than an LRU cache does.  Every
+writer and reader refuses a record timed before the one it follows with the
+error ``went_backwards`` builds.
 """
 
 from __future__ import annotations
@@ -60,13 +63,6 @@ class RecordError(TraceError):
         super().__init__(f"{problem}: {format_record(record)}")
 
 
-class MissingAttributeError(RecordError):
-    """A well-formed record lacks an attribute that its reader needs."""
-
-    def __init__(self, record: TraceRecord, name: str):
-        super().__init__(record, f"record lacks attribute {name!r}")
-
-
 class TraceRecord(NamedTuple):
     """One trace line, read-only; built once per record written or read.
 
@@ -91,49 +87,38 @@ def format_record(record: TraceRecord) -> str:
             f"{''.join(_iterencode(record.attributes, 0))}")
 
 
-class _Unreadable(ValueError):
-    """A fault whose message goes on with the whole line; the exception's own
-    text is what comes before it."""
-
-
-def _decode_fields(body: str) -> tuple[str, str, dict[str, Any]]:
-    """The component, kind and attributes in the text after a line's
-    ``t=<at> ``; raises ``ValueError`` on text that no line may carry."""
-    parts = body.split(" ", 2)
-    if len(parts) < 3:
-        raise _Unreadable("")
-    text = parts[2].strip(_JSON_WHITESPACE)
-    attributes, end = _raw_decode(text)
-    if end != len(text):
-        raise _Unreadable("data after the attributes: ")
-    if not isinstance(attributes, dict):
-        raise _Unreadable("attributes are not an object: ")
-    return parts[0], parts[1], attributes
+def went_backwards(record: TraceRecord, now: int) -> RecordError:
+    """The error for a record timed before ``now``, that of the one it follows."""
+    return RecordError(record, f"trace time went backwards after t={now}")
 
 
 def parse_record(line: str) -> TraceRecord:
-    """Read one line: the one rule for what a trace line may be."""
+    """Read one line: the one rule for what a trace line may be, and its one decoder."""
     head, _, body = line.partition(" ")
+    parts = body.split(" ", 2)
+    # a line short of four fields is reported whole, before a bad time
+    if not head.startswith("t=") or len(parts) < 3:
+        raise TraceError(f"malformed trace line: {line!r}")
+    text = parts[2].strip(_JSON_WHITESPACE)
     try:
-        # a line short of four fields is reported whole, before a bad time
-        if not head.startswith("t=") or body.count(" ") < 2:
-            raise _Unreadable("")
         at = int(head[2:])
-        fields = _decode_fields(body)
-    except _Unreadable as exc:
-        raise TraceError(f"malformed trace line: {exc}{line!r}") from None
+        attributes, end = _raw_decode(text)
     except ValueError as exc:
         raise TraceError(f"malformed trace line: {exc}") from None
-    return _new_record(TraceRecord, (at, *fields))
+    if end != len(text):
+        raise TraceError(f"malformed trace line: data after the attributes: {line!r}")
+    if not isinstance(attributes, dict):
+        raise TraceError(f"malformed trace line: attributes are not an object: {line!r}")
+    return _new_record(TraceRecord, (at, parts[0], parts[1], attributes))
 
 
 def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]:
     """Parse a trace file (or an iterable of lines).
 
     A malformed line raises ``TraceError`` naming the file and its 1-based
-    line number.  Equal lines share one decoded attributes dict (see
-    ``TraceRecord``); a line the memo cannot read is read again by
-    ``parse_record``, which raises what it raises for that line alone.
+    line number.  Each distinct text after ``t=<at> `` is decoded by
+    ``parse_record``, looked up on the module so that a wrapper set there sees
+    every decode; equal lines share its attributes dict (see ``TraceRecord``).
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -152,19 +137,18 @@ def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]
         if not line:
             continue
         head, _, body = line.partition(" ")
-        try:
-            fields = memo.get(body)
-            if fields is None:
-                fields = _decode_fields(body)
-                if len(memo) == MEMO_LINES:
-                    memo.clear()
-                memo[body] = fields
-            if not head.startswith("t="):
-                raise _Unreadable("")
-            record = _new_record(TraceRecord, (int(head[2:]), *fields))
-        except ValueError:
+        at = head[2:]
+        fields = memo.get(body)
+        # a hit takes only a time of decimal digits, which int() reads as
+        # parse_record does; any other line goes to parse_record
+        if fields is not None and head[:2] == "t=" and at.isdecimal():
+            record = _new_record(TraceRecord, (int(at), *fields))
+        else:
             try:
                 record = parse_record(line)
             except TraceError as exc:
                 raise TraceError(f"{where}:{number}: {exc}") from None
+            if len(memo) == MEMO_LINES:
+                memo.clear()
+            memo[body] = record[1:]
         yield record

@@ -178,6 +178,8 @@ class Environment:
             raise ActionError(f"field {name!r} is not settable")
         value = action.params["value"]
         if name == "used_resources":  # the base load; flow charges stay on top
+            if value < 0:
+                raise ActionError(f"{action.target}.{name}: base load must be >= 0")
             value += sum(demand for (_, cell_id), demand in self._charges.items()
                          if cell_id == cell.cell_id)
         previous = getattr(cell, name)

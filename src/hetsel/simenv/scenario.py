@@ -28,7 +28,6 @@ NODE_ROLES = ("MN", "MR")
 MRRM_LOCATIONS = ("terminal", "network")
 VERDICTS = ("allow", "deny")
 _RESOURCE_FIELDS = ("total_resources", "used_resources")
-_INT_CELL_FIELDS = (*_RESOURCE_FIELDS, "security_level")
 _MIN_DURATION_MS = 10000
 _TAIL_AFTER_LAST_ACTION_MS = 5000
 
@@ -367,6 +366,10 @@ _ACTION_PARAMS = {
                      ("field", "end", "duration_ms")),
 }
 _ACTIONS = {kind: _action_table(*_ACTION_PARAMS.get(kind, ({},))) for kind in ACTION_KINDS}
+# The reader of a set-cell-field value by field, a number for any other.  A
+# resource count's sign does not depend on the run, so the loader checks it.
+_CELL_FIELD_VALUES = {"total_resources": _positive_int, "used_resources": _non_negative_int,
+                      "security_level": _int}
 
 _read_cell = _section(Cell, _CELL, required=("cell_id", "rat", "operator_id", "frequency"))
 
@@ -427,8 +430,7 @@ def _action(value: Any, path: _Path) -> ScenarioAction:
         flow = _validated(Flow(flow_id=target, **params), path)
         return ScenarioAction(at=at, kind=kind, target=target, flow=flow)
     if kind == "set-cell-field":
-        check = _int if params["field"] in _INT_CELL_FIELDS else _number
-        check(params["value"], (path, "value"))
+        _CELL_FIELD_VALUES.get(params["field"], _number)(params["value"], (path, "value"))
     return ScenarioAction(at=at, kind=kind, target=target, params=params)
 
 
@@ -436,8 +438,8 @@ def _timeline(value: Any, path: _Path, cells: dict[str, Cell],
               flows: dict[str, Flow]) -> list[ScenarioAction]:
     """Entries in time order, each aimed at a known cell or a live flow.  A
     quality ramp's ``start`` and ``end``, and a set-cell-field ``value``, must
-    be values the cell may hold; the resource counts are left to the run,
-    where their range depends on the flows charged there."""
+    be values the cell may hold; a resource count's range past its sign is
+    left to the run, where it depends on the flows charged there."""
     actions = []
     live_flows = set(flows)
     last_at = 0

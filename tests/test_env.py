@@ -107,6 +107,20 @@ def test_set_cell_field_validates_result():
     assert env.cells["wlan1"].total_resources == 100
 
 
+def test_set_cell_field_refuses_a_negative_base_load_under_charged_flows():
+    cell = make_cell("wlan1", total_resources=100, used_resources=0)
+    loop, env, emitted = make_env([cell])
+    flow = make_flow("f1", resource_demand=10, serving=cell.cell_id)
+    env.flows["f1"] = flow
+    env.map_flow(flow, "wlan1")
+    with pytest.raises(ActionError, match="base load must be >= 0"):
+        env.apply_action(ScenarioAction(0, "set-cell-field", "wlan1",
+                                        params=dict(field="used_resources", value=-5)))
+    assert cell.used_resources == 10
+    env.apply_action(ScenarioAction(0, "flow-departure", "f1"))
+    assert cell.used_resources == 0
+
+
 def test_set_cell_field_cannot_touch_coverage():
     loop, env, emitted = make_env([make_cell("wlan1")])
     with pytest.raises(ActionError):

@@ -326,6 +326,24 @@ def test_read_trace_decodes_each_distinct_line_once(monkeypatch):
     assert records == [parse_record(line) for line in lines]
 
 
+def test_read_trace_decodes_through_parse_record_once_per_distinct_line(monkeypatch):
+    # a wrapper set on the module, as a profiler sets one, sees every decode
+    parsed = []
+    parse_record = trace_mod.parse_record
+    monkeypatch.setattr(trace_mod, "parse_record",
+                        lambda line: parsed.append(line) or parse_record(line))
+    decoded = []
+    raw_decode = trace_mod._raw_decode
+    monkeypatch.setattr(trace_mod, "_raw_decode",
+                        lambda text: decoded.append(text) or raw_decode(text))
+    bodies = ('trg event {"type":"x"}', 'gll event {"cell":"c1","type":"link-quality-report"}')
+    lines = [f"t={10 * n} {bodies[n % 3 == 0]}" for n in range(60)]
+    records = list(read_trace(lines))
+    assert [line.partition(" ")[2] for line in parsed] == [bodies[1], bodies[0]]
+    assert len(decoded) == 2
+    assert records == [parse_record(line) for line in lines]
+
+
 def test_read_trace_reads_more_distinct_lines_than_its_memo_holds():
     distinct = trace_mod.MEMO_LINES + 7
     lines = [f't={at} trg event {{"n":{at % distinct},"type":"x"}}' for at in range(3 * distinct)]
@@ -369,6 +387,15 @@ def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys
     ("stats", 't=0 trg event {"count":1,"interval_ms":100,"repeated_deliveries":"3",'
               '"source":"gll","synthetic":false,"type":"measurement-batch"}'),
     ("report", 't=5 mobility trace-point {"handover":"h","point":"x","request_at":0}'),
+    # neither is coerced: a string is neither a list of consumers nor an energy
+    ("stats", 't=0 trg event {"consumers":"mrrm","source":"env","synthetic":false,"type":"x"}'),
+    ("stats", 't=0 gll event {"energy":"1e3","mode":"full","source":"gll","synthetic":false,'
+              '"type":"scan-complete"}'),
+    # a number no int or float holds
+    ("report", 't=5 mobility trace-point {"handover":"h","point":Infinity,"request_at":0}'),
+    pytest.param("stats", 't=0 gll event {"energy":1' + "0" * 400 + ',"mode":"full",'
+                 '"source":"gll","synthetic":false,"type":"scan-complete"}',
+                 id="stats-energy-past-a-float"),
 ])
 def test_cli_names_the_file_and_record_whose_attribute_has_the_wrong_type(
         tmp_path, capsys, command, line):
@@ -467,8 +494,10 @@ def test_read_trace_reads_and_refuses_what_parse_record_does_line_by_line(lines)
 def test_trace_rejects_time_going_backwards():
     recorder = RunRecorder()
     recorder.record(10, "x", "event", {})
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError) as caught:
         recorder.record(9, "x", "event", {})
+    # the writer states the rule as the readers do
+    assert str(caught.value) == "trace time went backwards after t=10: t=9 x event {}"
 
 
 @pytest.mark.parametrize("command, fold", [("stats", compute_stats),
@@ -492,6 +521,35 @@ def test_report_refuses_a_trace_point_before_its_request(tmp_path, capsys):
     assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
     assert capsys.readouterr().err == (
         f"error: {path}: trace point before its request at t=1000: {line}\n")
+
+
+def _trace_point(at, point, request_at=1000):
+    return (f't={at} mobility trace-point {{"flow":"f1","from":"a","handover":"h",'
+            f'"point":{point},"request_at":{request_at},"to":"b"}}')
+
+
+@pytest.mark.parametrize("points, bad, problem", [
+    # a phase would read -1 ms: point 2 comes before point 1
+    ([2, 1, 3, 4, 5], 0, "trace point 2 out of order after 0 of its handover's points"),
+    ([1, 2, 2, 3, 4], 2, "trace point 2 out of order after 2 of its handover's points"),
+    ([1, 2, 3, 4, 5, 6], 5, "trace point 6 out of order after 5 of its handover's points"),
+], ids=["swapped", "repeated", "past-the-last"])
+def test_report_refuses_a_trace_point_out_of_order(tmp_path, capsys, points, bad, problem):
+    lines = [_trace_point(1001 + n, point) for n, point in enumerate(points)]
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {path}: {problem}: {lines[bad]}\n"
+
+
+def test_report_refuses_a_trace_point_whose_request_disagrees_with_its_first(tmp_path, capsys):
+    lines = [_trace_point(1001, 1), _trace_point(1002, 2, request_at=990)]
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}: trace point request at t=990 disagrees with t=1000 "
+        f"on its handover's first point: {lines[1]}\n")
 
 
 def test_read_trace_on_missing_file(tmp_path):

@@ -157,7 +157,9 @@ _RULE = {"rule_id": "r", "pattern": ["link-down", "link-up"], "window_ms": 1000,
                                   "field": field, "value": value}]},
                    "timeline[0].value", id=f"set-{field}-out-of-range")
       for field, value in (("achievable_rate", -5e6), ("raw_error_rate", 2.5),
-                           ("security_level", 7), ("base_delay_ms", -1.0))),
+                           ("security_level", 7), ("base_delay_ms", -1.0),
+                           ("used_resources", -5), ("total_resources", 0),
+                           ("total_resources", -1))),
     *(pytest.param({"gll": {"probe_energy": {"WLAN": value}}}, "gll", id=f"probe-energy-{name}")
       for name, value in (("negative", -1), ("infinite", float("inf")))),
 ])
@@ -255,6 +257,18 @@ def test_malformed_timeline_parameters_rejected_at_load(tmp_path, capsys, action
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
     assert f"timeline[0].{param}:" in capsys.readouterr().err
+
+
+def test_a_negative_base_load_is_refused_at_load_not_by_the_run(tmp_path, capsys):
+    # a charged flow would hide the negative base until the flow departs
+    data = minimal()
+    data["flows"] = [{"flow_id": "f1", "serving": "c1", "resource_demand": 10}]
+    data["timeline"] = [_set_field("used_resources", -5),
+                        {"at": 1000, "kind": "flow-departure", "target": "f1"}]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: timeline[0].value: must be >= 0\n"
 
 
 def test_bad_weight_sum_rejected():
