@@ -7,11 +7,11 @@ import json
 import os
 import sys
 import traceback
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .harness.bench import bench_trg
 from .harness.runner import run_to_files
-from .harness.stats import compute_stats, report_breakdown
+from .harness.stats import RunStats, compute_stats
 from .harness.trace import RecordError, TraceError, read_trace
 from .simenv.env import InvariantError
 from .simenv.scenario import ScenarioError
@@ -63,23 +63,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _replay(fold: Callable[..., Any], path: str) -> Any:
-    """``fold`` over the trace file at ``path``; a record it cannot read names the file."""
+def _replay(path: str) -> RunStats:
+    """``compute_stats`` over the trace file at ``path``; a record it cannot read names the file."""
     try:
-        return fold(read_trace(path))
+        return compute_stats(read_trace(path))
     except RecordError as exc:
         raise TraceError(f"{path}: {exc}") from None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    reports = _replay(report_breakdown, args.trace)
-    print(json.dumps([r.as_dict() for r in reports], indent=2))
+    print(json.dumps([r.as_dict() for r in _replay(args.trace).breakdowns], indent=2))
     return EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = _replay(compute_stats, args.trace)
-    print(json.dumps(stats.as_dict(), indent=2))
+    print(json.dumps(_replay(args.trace).as_dict(), indent=2))
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Scenario runner, traces, statistics, benchmark."""
 
 from .trace import TraceError, TraceRecord, read_trace
-from .stats import BreakdownReport, RunStats, compute_stats, report_breakdown
+from .stats import BreakdownReport, RunStats, compute_stats
 from .bench import BenchSummary, bench_trg
 from .runner import (Run, RunRecorder, RunResult, build_run, execute_run, execute_scenario,
                      run_to_files)
@@ -21,6 +21,5 @@ __all__ = [
     "execute_run",
     "execute_scenario",
     "read_trace",
-    "report_breakdown",
     "run_to_files",
 ]

@@ -1,22 +1,24 @@
 """Run statistics and handover breakdowns, recomputed from the trace alone.
 
-Both functions are pure passes over trace records, so re-running them on a
+``compute_stats`` is the one pass over trace records, so re-running it on a
 written trace file reproduces exactly what the run reported.  A record timed
 before the one it follows raises ``went_backwards``'s error, and one that lacks
-an attribute a pass reads, or holds one of a type it cannot use (a count or
-list is checked, not coerced), raises ``_unreadable``'s; both name the record.
+an attribute the pass reads, or holds one of a type it cannot use (each is
+checked, not coerced), raises a ``RecordError`` that names the record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Iterable, Optional
 
 from ..mobility import TRACE_POINTS
-from .trace import RecordError, TraceError, TraceRecord, went_backwards
+from .trace import RecordError, TraceRecord, went_backwards
 
 PING_PONG_WINDOW_MS = 10000
 _NO_CONSUMERS: list = []  # the consumers of an event record that reached no one; only read
+_FLOW_EVENTS = frozenset({"flow-arrival", "flow-departure", "flow-mapped", "handover-complete"})
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,8 @@ class RunStats:
     scan_counts: dict[str, int] = field(default_factory=lambda: {"targeted": 0, "full": 0})
     energy: float = 0.0
     trigger_deliveries: int = 0
+    # completed handovers, in first-point order; as_dict (so stats.json) leaves them out
+    breakdowns: list[BreakdownReport] = field(default_factory=list)
 
     @property
     def service_gap_total_ms(self) -> int:
@@ -69,54 +73,6 @@ class RunStats:
             "energy": self.energy,
             "trigger_deliveries": self.trigger_deliveries,
         }
-
-
-def _unreadable(record: TraceRecord, exc: Exception) -> RecordError:
-    """The error for a record whose attribute a pass could not read: ``exc`` is
-    the ``KeyError`` of a missing one, else what a use of a wrong one raised."""
-    if isinstance(exc, KeyError):
-        return RecordError(record, f"record lacks attribute {exc.args[0]!r}")
-    return RecordError(record, f"record has an attribute of the wrong type ({exc})")
-
-
-def report_breakdown(records: Iterable[TraceRecord]) -> list[BreakdownReport]:
-    """Group trace points by handover and compute per-phase durations.
-
-    Only handovers with all five points (i.e. completed ones) are reported.
-    Time must not run backwards, nor a point come before its request.  A
-    handover's points must come in order, each with its first point's request.
-    """
-    # handover -> (its request time, the times of its points so far)
-    handovers: dict[str, tuple[int, list[int]]] = {}
-    now = 0
-    try:
-        for record in records:
-            if record.at < now:
-                raise went_backwards(record, now)
-            now = record.at
-            if record.kind != "trace-point":
-                continue
-            handover = str(record.attributes["handover"])
-            requested = int(record.attributes["request_at"])
-            if now < requested:
-                raise RecordError(record, f"trace point before its request at t={requested}")
-            first_requested, stamps = handovers.setdefault(handover, (requested, []))
-            point = int(record.attributes["point"])
-            if point != len(stamps) + 1 or point > TRACE_POINTS:
-                raise RecordError(record, f"trace point {point} out of order after "
-                                          f"{len(stamps)} of its handover's points")
-            if requested != first_requested:
-                raise RecordError(record, f"trace point request at t={requested} disagrees "
-                                          f"with t={first_requested} on its handover's first point")
-            stamps.append(now)
-    except TraceError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _unreadable(record, exc) from None
-    return [BreakdownReport(handover_id=handover, request_at=requested,
-                            durations_ms=tuple(b - a for a, b in zip((requested, *stamps), stamps)))
-            for handover, (requested, stamps) in handovers.items()
-            if len(stamps) == TRACE_POINTS]
 
 
 class _FlowState:
@@ -141,9 +97,14 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
     costs more with more flows live; time must not run backwards.
     Trigger deliveries are the ``consumers`` an event record lists, plus the
     ``repeated_deliveries`` it carries for the report records that the run
-    left out as repeats.
+    left out as repeats.  ``breakdowns`` lists the handovers with all five
+    trace points, i.e. the completed ones; no point may come before its
+    request, and a handover's points come in order, each with its first
+    point's request.
     """
     stats = RunStats()
+    # handover -> (its request time, the times of its points so far)
+    handovers: dict[str, tuple[int, list[int]]] = {}
     flows: dict[str, _FlowState] = {}
     link_up: dict[str, bool] = {}
     gaps: dict[str, int] = {}
@@ -163,28 +124,48 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
         in_gap = state.known_candidates >= 1 and not link_up.get(state.cell, False)
         state.gap_since = at if in_gap else None
 
-    def leave(flow_id: str, at: int) -> None:
-        state = flows.pop(flow_id, None)
-        if state is not None:
-            accrue(flow_id, state, at)
-
     try:
         for record in records:
             if record.at < now:
                 raise went_backwards(record, now)
             now = record.at
 
+            payload = record.attributes
             if record.kind == "decision":
-                flow_id = str(record.attributes["flow"])
+                flow_id = payload["flow"]
+                if type(flow_id) is not str:
+                    raise TypeError(f"flow {flow_id!r} is not a string")
                 flow = flows.get(flow_id)
                 if flow is not None:
-                    flow.known_candidates = int(record.attributes["candidates"])
+                    candidates = payload["candidates"]
+                    if type(candidates) is not int:
+                        raise TypeError(f"candidates {candidates!r} is not an int")
+                    flow.known_candidates = candidates
                     settle(flow_id, flow, now)
                 continue
             if record.kind != "event":
+                if record.kind != "trace-point":
+                    continue
+                handover, requested, point = (payload["handover"], payload["request_at"],
+                                              payload["point"])
+                if type(handover) is not str:
+                    raise TypeError(f"handover {handover!r} is not a string")
+                if type(requested) is not int:
+                    raise TypeError(f"request_at {requested!r} is not an int")
+                if type(point) is not int:
+                    raise TypeError(f"point {point!r} is not an int")
+                if now < requested:
+                    raise RecordError(record, f"trace point before its request at t={requested}")
+                first_requested, stamps = handovers.setdefault(handover, (requested, []))
+                if point != len(stamps) + 1 or point > TRACE_POINTS:
+                    raise RecordError(record, f"trace point {point} out of order after "
+                                      f"{len(stamps)} of its handover's points")
+                if requested != first_requested:
+                    raise RecordError(record, f"trace point request at t={requested} disagrees "
+                                      f"with t={first_requested} on its handover's first point")
+                stamps.append(now)
                 continue
 
-            payload = record.attributes
             event_type = payload.get("type")
             consumers = payload.get("consumers", _NO_CONSUMERS)
             if type(consumers) is not list:
@@ -195,52 +176,73 @@ def compute_stats(records: Iterable[TraceRecord]) -> RunStats:
                 if type(repeated) is not int or repeated < 0:
                     raise TypeError(f"repeated_deliveries {repeated!r} is not a count")
                 stats.trigger_deliveries += repeated
-            if event_type == "flow-arrival":
-                flow_id = str(payload["flow"])
-                leave(flow_id, now)
-                flows[flow_id] = _FlowState(payload.get("serving") or None)
-            elif event_type == "flow-departure":
-                leave(str(payload["flow"]), now)
-            elif event_type == "flow-mapped":
-                flow_id = str(payload["flow"])
+            if event_type in _FLOW_EVENTS:
+                flow_id = payload["flow"]
+                if type(flow_id) is not str:
+                    raise TypeError(f"flow {flow_id!r} is not a string")
                 flow = flows.get(flow_id)
-                if flow is not None:
-                    flow.cell = str(payload["cell"])
-                    settle(flow_id, flow, now)
+                if event_type == "flow-arrival":
+                    serving = payload.get("serving", "")
+                    if type(serving) is not str:
+                        raise TypeError(f"serving {serving!r} is not a string")
+                    if flow is not None:
+                        accrue(flow_id, flow, now)
+                    flows[flow_id] = _FlowState(serving or None)
+                elif event_type == "flow-departure":
+                    if flow is not None:
+                        accrue(flow_id, flow, now)
+                        del flows[flow_id]
+                elif event_type == "flow-mapped":
+                    cell = payload["cell"]
+                    if type(cell) is not str:
+                        raise TypeError(f"cell {cell!r} is not a string")
+                    if flow is not None:
+                        flow.cell = cell
+                        settle(flow_id, flow, now)
+                else:
+                    stats.handovers_completed += 1
+                    if flow is not None:
+                        source, target = payload["from"], payload["to"]
+                        if type(source) is not str or type(target) is not str:
+                            raise TypeError(f"from {source!r} or to {target!r} is not a string")
+                        if flow.last_move is not None:
+                            at, prev_source, prev_target = flow.last_move
+                            if (prev_target == source and prev_source == target
+                                    and record.at - at <= PING_PONG_WINDOW_MS):
+                                stats.ping_pong_count += 1
+                        flow.last_move = (record.at, source, target)
             elif event_type == "link-up" or event_type == "link-down":
-                cell = str(payload["cell"])
+                cell = payload["cell"]
+                if type(cell) is not str:
+                    raise TypeError(f"cell {cell!r} is not a string")
                 link_up[cell] = event_type == "link-up"
                 for flow_id, flow in flows.items():
                     if flow.cell == cell:
                         settle(flow_id, flow, now)
             elif event_type == "handover-execution-request":
                 stats.handovers_attempted += 1
-            elif event_type == "handover-complete":
-                stats.handovers_completed += 1
-                flow = flows.get(str(payload["flow"]))
-                if flow is not None:
-                    source, target = str(payload["from"]), str(payload["to"])
-                    if flow.last_move is not None:
-                        at, prev_source, prev_target = flow.last_move
-                        if (prev_target == source and prev_source == target
-                                and record.at - at <= PING_PONG_WINDOW_MS):
-                            stats.ping_pong_count += 1
-                    flow.last_move = (record.at, source, target)
             elif event_type == "handover-failed":
                 stats.handovers_failed += 1
             elif event_type == "scan-complete":
-                mode = str(payload["mode"])
-                stats.scan_counts[mode] = stats.scan_counts.get(mode, 0) + 1
-                energy = payload.get("energy", 0.0)
+                mode, energy = payload["mode"], payload.get("energy", 0.0)
+                if type(mode) is not str:
+                    raise TypeError(f"mode {mode!r} is not a string")
                 if type(energy) is not float and type(energy) is not int:
                     raise TypeError(f"energy {energy!r} is not a number")
+                stats.scan_counts[mode] = stats.scan_counts.get(mode, 0) + 1
+                # adding an int past a float's range raises OverflowError
                 stats.energy += energy
-    except TraceError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _unreadable(record, exc) from None
+                if not isfinite(stats.energy):
+                    raise TypeError(f"energy {energy!r} leaves the total energy not finite")
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise RecordError(record, f"record lacks attribute {exc.args[0]!r}" if type(exc) is KeyError
+                          else f"record has an attribute of the wrong type ({exc})") from None
 
     for flow_id, flow in flows.items():
         accrue(flow_id, flow, now)
     stats.service_gap_ms = gaps
+    stats.breakdowns = [
+        BreakdownReport(handover_id=handover, request_at=requested,
+                        durations_ms=tuple(b - a for a, b in zip((requested, *stamps), stamps)))
+        for handover, (requested, stamps) in handovers.items() if len(stamps) == TRACE_POINTS]
     return stats

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from hetsel.gll import MappingConfig, map_link_quality, residual_error_rate
-from hetsel.harness import bench_trg, execute_scenario, report_breakdown
+from hetsel.harness import bench_trg, compute_stats, execute_scenario
 from hetsel.harness.trace import parse_record
 from hetsel.mrrm import round_candidates, select_access
 from hetsel.simenv.scenario import load_scenario, scenario_from_dict
@@ -44,9 +44,10 @@ def test_criterion_1_table1_pipeline_reproduction():
     mr = execute_scenario(load_scenario(SCENARIO_DIR / "table1_mr.json"))
     mr_runtime = time.perf_counter() - started
 
-    mn_reports = report_breakdown(records_of(mn))
-    mr_reports = report_breakdown(records_of(mr))
-    ok = (mn.stats.handovers_completed == 1
+    mn_reports = compute_stats(records_of(mn)).breakdowns
+    mr_reports = compute_stats(records_of(mr)).breakdowns
+    ok = (mn.stats.breakdowns == mn_reports and mr.stats.breakdowns == mr_reports
+          and mn.stats.handovers_completed == 1
           and len(mn_reports) == 1
           and mn_reports[0].durations_ms == (209, 2, 1, 13, 2809)
           and mn_reports[0].total_ms == 3034

@@ -17,7 +17,7 @@ import hetsel
 from hetsel import trg
 from hetsel.cli import EXIT_BAD_INPUT, EXIT_BROKEN_PIPE, EXIT_INTERNAL
 from hetsel.cli import main as cli_main
-from hetsel.harness import bench_trg, compute_stats, execute_scenario, report_breakdown
+from hetsel.harness import bench_trg, compute_stats, execute_scenario
 from hetsel.harness import runner as runner_mod
 from hetsel.harness import trace as trace_mod
 from hetsel.harness.runner import RunRecorder, build_run, execute_run
@@ -87,7 +87,7 @@ def test_target_coverage_loss_fails_the_handover():
     kinds = [e.event_type for e in events]
     assert trg.HANDOVER_FAILED in kinds and trg.HANDOVER_COMPLETE not in kinds
     # the failed pipeline produces no complete breakdown
-    assert report_breakdown(recorder.records) == []
+    assert compute_stats(recorder.records).breakdowns == []
 
 
 def test_breakdown_identity():
@@ -95,7 +95,7 @@ def test_breakdown_identity():
         (209, 2, 1, 13, 2809), [make_cell("a"), make_cell("b")])
     loop.schedule(100, lambda: request(bus))
     loop.run_until(5000)
-    (report,) = report_breakdown(recorder.records)
+    (report,) = compute_stats(recorder.records).breakdowns
     assert report.durations_ms == (209, 2, 1, 13, 2809)
     assert report.total_ms == sum(report.durations_ms) == 3034
     completes = [e for e in events if e.event_type == trg.HANDOVER_COMPLETE]
@@ -361,50 +361,101 @@ def test_read_trace_names_the_first_line_of_a_repeated_malformed_line():
     assert str(caught.value) == f"trace:3: {alone.value}"
 
 
+# ``hetsel stats`` and ``hetsel report`` are one pass over a trace, so each
+# refuses exactly the traces the other does.
+BOTH = pytest.mark.parametrize("command", ["stats", "report"])
+
+
+def _refuse(tmp_path, capsys, command, lines, bad=-1):
+    """Run ``command`` on a trace of ``lines``; assert that it exits 2 naming the
+    file and the record ``lines[bad]``, and return its message after the file."""
+    path = tmp_path / "trace.txt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    assert cli_main([command, str(path)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.endswith(f": {lines[bad]}\n")
+    return err[len(f"error: {path}: "):]
+
+
+@BOTH
 @pytest.mark.parametrize("line", [
     't=5 trg event {"source":"env","synthetic":false,"type":"flow-arrival"}',
     # an event record that reached a consumer but lacks its payload
     't=5 trg event {"consumers":["gll"],"source":"env","synthetic":false,"type":"link-up"}',
 ])
-def test_cli_names_the_file_and_record_that_lacks_an_attribute(tmp_path, capsys, line):
-    path = tmp_path / "trace.txt"
-    path.write_text(f"{line}\n", encoding="utf-8")
-    assert cli_main(["stats", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: record lacks attribute ")
-    assert line in err
+def test_cli_names_the_file_and_record_that_lacks_an_attribute(tmp_path, capsys, command, line):
+    assert _refuse(tmp_path, capsys, command, [line]).startswith("record lacks attribute ")
 
 
-def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys):
-    path = tmp_path / "trace.txt"
-    path.write_text('t=5 mobility trace-point {"handover":"h","point":1}\n', encoding="utf-8")
-    assert cli_main(["report", str(path)]) == 2
-    assert f"error: {path}: record lacks attribute 'request_at'" in capsys.readouterr().err
+@BOTH
+def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys, command):
+    err = _refuse(tmp_path, capsys, command, ['t=5 mobility trace-point {"handover":"h","point":1}'])
+    assert err.startswith("record lacks attribute 'request_at'")
 
 
-@pytest.mark.parametrize("command, line", [
-    ("stats", 't=0 trg event {"consumers":5,"source":"env","synthetic":false,"type":"x"}'),
-    ("stats", 't=0 trg event {"count":1,"interval_ms":100,"repeated_deliveries":"3",'
-              '"source":"gll","synthetic":false,"type":"measurement-batch"}'),
-    ("report", 't=5 mobility trace-point {"handover":"h","point":"x","request_at":0}'),
-    # neither is coerced: a string is neither a list of consumers nor an energy
-    ("stats", 't=0 trg event {"consumers":"mrrm","source":"env","synthetic":false,"type":"x"}'),
-    ("stats", 't=0 gll event {"energy":"1e3","mode":"full","source":"gll","synthetic":false,'
-              '"type":"scan-complete"}'),
-    # a number no int or float holds
-    ("report", 't=5 mobility trace-point {"handover":"h","point":Infinity,"request_at":0}'),
-    pytest.param("stats", 't=0 gll event {"energy":1' + "0" * 400 + ',"mode":"full",'
-                 '"source":"gll","synthetic":false,"type":"scan-complete"}',
-                 id="stats-energy-past-a-float"),
+_ARRIVAL = ('t=0 trg event {"flow":"f1","serving":"a","source":"env","synthetic":false,'
+            '"type":"flow-arrival"}')
+
+
+def _scan(energy):
+    return (f't=0 gll event {{"energy":{energy},"mode":"full","source":"gll","synthetic":false,'
+            f'"type":"scan-complete"}}')
+
+
+def _point(point, request_at=0, handover='"h"'):
+    return (f't=5 mobility trace-point {{"handover":{handover},"point":{point},'
+            f'"request_at":{request_at}}}')
+
+
+@BOTH
+@pytest.mark.parametrize("lines", [
+    pytest.param(['t=0 trg event {"consumers":5,"source":"env","synthetic":false,"type":"x"}'],
+                 id="consumers-5"),
+    pytest.param(['t=0 trg event {"count":1,"interval_ms":100,"repeated_deliveries":"3",'
+                  '"source":"gll","synthetic":false,"type":"measurement-batch"}'],
+                 id="repeated-string"),
+    pytest.param([_point('"x"')], id="point-x"),
+    # nothing is coerced: a string is neither a list of consumers nor an energy
+    pytest.param(['t=0 trg event {"consumers":"mrrm","source":"env","synthetic":false,'
+                  '"type":"x"}'], id="consumers-string"),
+    pytest.param([_scan('"1e3"')], id="energy-string"),
+    pytest.param([_point("Infinity")], id="point-infinity"),
+    # an int no float holds
+    pytest.param([_scan("1" + "0" * 400)], id="energy-past-a-float"),
+    # an energy that is not finite would print as NaN, which strict JSON refuses
+    pytest.param([_scan("NaN")], id="energy-nan"),
+    pytest.param([_scan("Infinity")], id="energy-infinity"),
+    pytest.param([_scan("-Infinity")], id="energy-minus-infinity"),
+    # finite energies whose total is not
+    pytest.param([_scan("1e+308"), _scan("1e+308")], id="energy-total-past-a-float"),
+    pytest.param([_point('"1"')], id="point-string"),
+    pytest.param([_point(1), _point(2.9)], id="point-float"),
+    pytest.param([_point("true")], id="point-bool"),
+    pytest.param([_point(1, request_at='"0"')], id="request-at-string"),
+    pytest.param([_point(1, handover=5)], id="handover-int"),
+    pytest.param([_ARRIVAL, 't=1 mrrm decision {"candidates":"3","flow":"f1"}'],
+                 id="candidates-string"),
+    pytest.param([_ARRIVAL, 't=1 mrrm decision {"candidates":2.7,"flow":"f1"}'],
+                 id="candidates-float"),
+    pytest.param(['t=1 mrrm decision {"candidates":1,"flow":5}'], id="decision-flow-int"),
+    pytest.param(['t=0 trg event {"flow":5,"source":"env","synthetic":false,'
+                  '"type":"flow-departure"}'], id="departure-flow-int"),
+    pytest.param(['t=0 trg event {"flow":"f1","serving":null,"source":"env","synthetic":false,'
+                  '"type":"flow-arrival"}'], id="serving-null"),
+    pytest.param([_ARRIVAL, 't=1 trg event {"cell":5,"flow":"f1","source":"env",'
+                  '"synthetic":false,"type":"flow-mapped"}'], id="mapped-cell-int"),
+    pytest.param(['t=0 trg event {"cell":5,"source":"env","synthetic":false,"type":"link-up"}'],
+                 id="link-cell-int"),
+    pytest.param(['t=0 gll event {"energy":0.0,"mode":5,"source":"gll","synthetic":false,'
+                  '"type":"scan-complete"}'], id="mode-int"),
+    pytest.param([_ARRIVAL, 't=1 trg event {"flow":"f1","from":"a","handover":"h",'
+                  '"source":"mobility","synthetic":false,"to":5,"type":"handover-complete"}'],
+                 id="to-int"),
 ])
 def test_cli_names_the_file_and_record_whose_attribute_has_the_wrong_type(
-        tmp_path, capsys, command, line):
-    path = tmp_path / "trace.txt"
-    path.write_text(f"{line}\n", encoding="utf-8")
-    assert cli_main([command, str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: record has an attribute of the wrong type ")
-    assert line in err
+        tmp_path, capsys, command, lines):
+    err = _refuse(tmp_path, capsys, command, lines)
+    assert err.startswith("record has an attribute of the wrong type ")
 
 
 @pytest.mark.parametrize("count", ["3", 1.5, True, -1, None, [1]])
@@ -500,27 +551,20 @@ def test_trace_rejects_time_going_backwards():
     assert str(caught.value) == "trace time went backwards after t=10: t=9 x event {}"
 
 
-@pytest.mark.parametrize("command, fold", [("stats", compute_stats),
-                                           ("report", report_breakdown)],
-                         ids=["stats", "report"])
-def test_stats_refuses_a_trace_whose_time_runs_backwards(tmp_path, capsys, command, fold):
-    path = tmp_path / "trace.txt"
-    path.write_text('t=9 harness event {"type":"x"}\nt=5 harness event {"type":"run-end"}\n',
-                    encoding="utf-8")
+@BOTH
+def test_stats_refuses_a_trace_whose_time_runs_backwards(tmp_path, capsys, command):
+    lines = ['t=9 harness event {"type":"x"}', 't=5 harness event {"type":"run-end"}']
     with pytest.raises(RecordError, match="trace time went backwards after t=9: t=5 "):
-        fold(read_trace(path))
-    assert cli_main([command, str(path)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith(
-        f"error: {path}: trace time went backwards after t=9: t=5 harness event ")
+        compute_stats(read_trace(lines))
+    assert _refuse(tmp_path, capsys, command, lines) == (
+        f"trace time went backwards after t=9: {lines[1]}\n")
 
 
-def test_report_refuses_a_trace_point_before_its_request(tmp_path, capsys):
-    path = tmp_path / "trace.txt"
+@BOTH
+def test_report_refuses_a_trace_point_before_its_request(tmp_path, capsys, command):
     line = 't=900 mobility trace-point {"handover":"h","point":1,"request_at":1000}'
-    path.write_text(f"{line}\n", encoding="utf-8")
-    assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {path}: trace point before its request at t=1000: {line}\n")
+    assert _refuse(tmp_path, capsys, command, [line]) == (
+        f"trace point before its request at t=1000: {line}\n")
 
 
 def _trace_point(at, point, request_at=1000):
@@ -528,27 +572,25 @@ def _trace_point(at, point, request_at=1000):
             f'"point":{point},"request_at":{request_at},"to":"b"}}')
 
 
+@BOTH
 @pytest.mark.parametrize("points, bad, problem", [
     # a phase would read -1 ms: point 2 comes before point 1
     ([2, 1, 3, 4, 5], 0, "trace point 2 out of order after 0 of its handover's points"),
     ([1, 2, 2, 3, 4], 2, "trace point 2 out of order after 2 of its handover's points"),
     ([1, 2, 3, 4, 5, 6], 5, "trace point 6 out of order after 5 of its handover's points"),
 ], ids=["swapped", "repeated", "past-the-last"])
-def test_report_refuses_a_trace_point_out_of_order(tmp_path, capsys, points, bad, problem):
+def test_report_refuses_a_trace_point_out_of_order(tmp_path, capsys, command, points, bad,
+                                                   problem):
     lines = [_trace_point(1001 + n, point) for n, point in enumerate(points)]
-    path = tmp_path / "trace.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err == f"error: {path}: {problem}: {lines[bad]}\n"
+    assert _refuse(tmp_path, capsys, command, lines, bad) == f"{problem}: {lines[bad]}\n"
 
 
-def test_report_refuses_a_trace_point_whose_request_disagrees_with_its_first(tmp_path, capsys):
+@BOTH
+def test_report_refuses_a_trace_point_whose_request_disagrees_with_its_first(
+        tmp_path, capsys, command):
     lines = [_trace_point(1001, 1), _trace_point(1002, 2, request_at=990)]
-    path = tmp_path / "trace.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert cli_main(["report", str(path)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {path}: trace point request at t=990 disagrees with t=1000 "
+    assert _refuse(tmp_path, capsys, command, lines) == (
+        "trace point request at t=990 disagrees with t=1000 "
         f"on its handover's first point: {lines[1]}\n")
 
 
