@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .. import trg
 
@@ -33,15 +33,7 @@ class BenchSummary:
     total_s: float
 
     def as_dict(self) -> dict:
-        return {
-            "subscribers": self.subscribers,
-            "events": self.events,
-            "deliveries": self.deliveries,
-            "min_ms": self.min_ms,
-            "median_ms": self.median_ms,
-            "p99_ms": self.p99_ms,
-            "total_s": self.total_s,
-        }
+        return asdict(self)
 
 
 def _mixed_subscription(rng: random.Random, index: int) -> trg.Subscription:

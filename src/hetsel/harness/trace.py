@@ -92,6 +92,11 @@ def went_backwards(record: TraceRecord, now: int) -> RecordError:
     return RecordError(record, f"trace time went backwards after t={now}")
 
 
+def _is_time(text: str) -> bool:
+    """The one rule for a trace time: the text ``str()`` gives a non-negative int."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
+
+
 def parse_record(line: str) -> TraceRecord:
     """Read one line: the one rule for what a trace line may be, and its one decoder."""
     head, _, body = line.partition(" ")
@@ -99,9 +104,11 @@ def parse_record(line: str) -> TraceRecord:
     # a line short of four fields is reported whole, before a bad time
     if not head.startswith("t=") or len(parts) < 3:
         raise TraceError(f"malformed trace line: {line!r}")
+    if not _is_time(head[2:]):
+        raise TraceError(f"malformed trace line: time is not plain digits without a "
+                         f"leading zero: {line!r}")
     text = parts[2].strip(_JSON_WHITESPACE)
     try:
-        at = int(head[2:])
         attributes, end = _raw_decode(text)
     except ValueError as exc:
         raise TraceError(f"malformed trace line: {exc}") from None
@@ -109,7 +116,7 @@ def parse_record(line: str) -> TraceRecord:
         raise TraceError(f"malformed trace line: data after the attributes: {line!r}")
     if not isinstance(attributes, dict):
         raise TraceError(f"malformed trace line: attributes are not an object: {line!r}")
-    return _new_record(TraceRecord, (at, parts[0], parts[1], attributes))
+    return _new_record(TraceRecord, (int(head[2:]), parts[0], parts[1], attributes))
 
 
 def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]:
@@ -139,9 +146,9 @@ def read_trace(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceRecord]
         head, _, body = line.partition(" ")
         at = head[2:]
         fields = memo.get(body)
-        # a hit takes only a time of decimal digits, which int() reads as
-        # parse_record does; any other line goes to parse_record
-        if fields is not None and head[:2] == "t=" and at.isdecimal():
+        # a hit takes only a time parse_record takes; any other line goes to
+        # parse_record, which names what is wrong with it
+        if fields is not None and head[:2] == "t=" and _is_time(at):
             record = _new_record(TraceRecord, (int(at), *fields))
         else:
             try:

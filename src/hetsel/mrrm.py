@@ -8,17 +8,17 @@ roaming, terminal RAT support), and sums every flow-independent score term
 (link quality, cell resources, terminal energy cost, preference) for each
 survivor.  The manager hands it only the reports of cells out of failure
 cool-down whose operator has passed its policies check.  Stage two,
-``select_access``, runs once per flow: it adds the QoS-fit term, scores
-every candidate but the serving one at its post-move load, and picks the
-best candidate with room for the flow, which serves it, guarded by
-hysteresis and a failure cool-down.
+``select_access``, runs once per flow: it skips a candidate without room
+for the flow, adds the QoS-fit term, scores every candidate but the serving
+one at its post-move load, and returns the best, which serves the flow,
+guarded by hysteresis and a failure cool-down.
 
 Stage two stops early, as Fagin's threshold algorithm does.  A candidate's
 stage-one score for a QoS-feasible flow bounds every score a flow can give
 it: the QoS miss and the load correction only subtract.  So stage two walks
 the candidates in bound order and stops at the first bound strictly below
-the best score with room found so far; a candidate it has not reached can
-neither win nor rank ahead of the winner.
+the best score with room found so far; a candidate it has not reached
+cannot win.
 
 Post-move load: a serving cell's report already counts the flow's own demand,
 a target's does not, and neither counts the demand that earlier flows of the
@@ -57,7 +57,7 @@ and a round that runs first for any other reason makes it unnecessary.  So a
 burst of N arrivals ranks the flows once, not N times.
 
 Every piece of run state names an access by its cell id, as flows, events
-and the environment do: reports, rankings, failure cool-downs, the stage-one
+and the environment do: reports, choices, failure cool-downs, the stage-one
 position index and the cells of unfinished attaches and handovers.  Stage one
 reads an access's RAT, operator and other attributes from its ``Cell``, and
 its measured numbers from its report: the ``link-quality-report`` payload GLL
@@ -178,9 +178,9 @@ class SelectionConfig:
 class RankedList:
     """One flow's stage-two result.
 
-    ``entries`` is the flow's ranking, best first, up to and including
-    ``target``, the best candidate with room for the flow; with no such
-    candidate, ``target`` is None and ``entries`` the whole ranking.
+    ``target`` is the best candidate with room for the flow and ``entries``
+    ``((target, its score),)``; with no such candidate, ``target`` is None
+    and ``entries`` empty.
     """
 
     entries: tuple[tuple[str, float], ...]  # (cell id, score)
@@ -289,16 +289,16 @@ def round_candidates(
 
 def select_access(flow: Flow, stage: RoundCandidates,
                   tentative: Mapping[str, int], holds: bool) -> RankedList:
-    """Stage two, once per flow: rank the round's candidates for ``flow``
-    until the best one with room for it is known.
+    """Stage two, once per flow: the best of the round's candidates with
+    room for ``flow``; one without room is skipped before it is scored.
 
-    Every candidate but the serving one is scored at its post-move load: its
-    cell's ``tentative`` demand plus the flow's own.  Ties break
-    serving-access-first and then lexicographically.  A candidate has room
-    when its residual less ``tentative`` covers the flow's demand; the
-    serving one also when it ``holds`` the flow's link and charge.  The walk
-    goes in bound order and stops at a bound strictly below the best score
-    with room, since an equal bound can still win a tie.
+    A candidate has room when its residual less ``tentative`` covers the
+    flow's demand; the serving one also when it ``holds`` the flow's link and
+    charge.  Every candidate but the serving one is scored at its post-move
+    load: its cell's ``tentative`` demand plus the flow's own.  Ties break
+    serving-access-first and then lexicographically.  The walk goes in bound
+    order and stops at a bound strictly below the best score found, since an
+    equal bound can still win a tie.
     """
     entries = stage.entries
     serving = stage.position.get(flow.serving, -1)
@@ -307,7 +307,6 @@ def select_access(flow: Flow, stage: RoundCandidates,
     if serving >= 0:
         _, rate, delay, error, feasible, infeasible, _, _ = entries[serving]
         serving_score = feasible if _carries(flow, rate, delay, error) else infeasible
-    ranked = []
     best: Optional[tuple[float, bool, int]] = None
     best_score = -math.inf
     for i in stage.by_bound:
@@ -315,23 +314,21 @@ def select_access(flow: Flow, stage: RoundCandidates,
         if feasible < best_score:
             break
         committed = tentative.get(cell_id, 0)
+        if residual - committed < demand and not (holds and i == serving):
+            continue
         if i == serving:
             score = serving_score
-            fits = holds or residual - committed >= demand
         else:
             score = ((feasible if _carries(flow, rate, delay, error) else infeasible)
                      - per_unit * (committed + demand))
-            fits = residual - committed >= demand
         # False sorts before True: the serving access wins a score tie
         key = (-score, i != serving, i)
-        ranked.append(key)
-        if fits and (best is None or key < best):
+        if best is None or key < best:
             best, best_score = key, score
-    ranked.sort()
-    if best is not None:
-        del ranked[ranked.index(best) + 1:]
-    return RankedList(tuple((entries[i][0], -negated) for negated, _, i in ranked),
-                      serving_score, entries[best[2]][0] if best is not None else None)
+    if best is None:
+        return RankedList((), serving_score, None)
+    target = entries[best[2]][0]
+    return RankedList(((target, best_score),), serving_score, target)
 
 
 # -- the component ---------------------------------------------------------------

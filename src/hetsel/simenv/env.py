@@ -11,6 +11,7 @@ conservation invariant is enforced in one place.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -80,8 +81,8 @@ class Cell:
             raise ValueError("used_resources exceeds total_resources")
         if not 0.0 <= self.raw_error_rate <= 1.0:
             raise ValueError("raw_error_rate outside [0,1]")
-        if self.achievable_rate < 0:
-            raise ValueError("achievable_rate must be >= 0")
+        if not 0 <= self.achievable_rate < math.inf:
+            raise ValueError("achievable_rate must be finite and >= 0")
         if self.base_delay_ms < 0:
             raise ValueError("base_delay_ms must be >= 0")
         if not 0 <= self.security_level <= 3:

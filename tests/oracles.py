@@ -78,16 +78,17 @@ def long_hand_fits(flow, c, tentative, holds) -> bool:
     return free >= flow.resource_demand
 
 
-def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative):
-    """Brute-force argmax of ``long_hand_score`` under ``long_hand_key``.
+def selection_oracle_best(flow, reports, policies, caps, cfg, cell_meta, tentative, holds):
+    """Brute-force argmax of ``long_hand_score`` under ``long_hand_key`` over
+    the accesses with room for ``flow`` (``long_hand_fits``).
 
     Returns (cell id, score) for the winner, or None when no candidate
-    survives the filters.
+    survives the filters with room.
     """
     best = None
     for report in reports:
         c = cell_meta.get(report["cell"])
-        if c is None:
+        if c is None or not long_hand_fits(flow, c, tentative, holds):
             continue
         score = long_hand_score(flow, report, c, policies, caps, cfg, tentative)
         if score is None:

@@ -393,6 +393,20 @@ def test_cli_report_names_a_trace_point_that_lacks_an_attribute(tmp_path, capsys
     assert err.startswith("record lacks attribute 'request_at'")
 
 
+@BOTH
+@pytest.mark.parametrize("at", ["5_000", "+7", "\u0665", "05"])
+def test_cli_refuses_a_time_that_str_does_not_write(tmp_path, capsys, command, at):
+    # the second line repeats the first line's text, so the memo sees it first
+    good = 't=0 trg event {"type":"x"}'
+    bad = f't={at} trg event {{"type":"x"}}'
+    path = tmp_path / "trace.txt"
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    assert cli_main([command, str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: malformed trace line: time is not plain digits without a "
+        f"leading zero: {bad!r}\n")
+
+
 _ARRIVAL = ('t=0 trg event {"flow":"f1","serving":"a","source":"env","synthetic":false,'
             '"type":"flow-arrival"}')
 
@@ -478,7 +492,11 @@ def test_format_record_rejects_a_value_json_cannot_encode(attributes):
 @pytest.mark.parametrize("line", ["5 trg event {}", "t=5 trg event", "t=x trg event {}",
                                   "t=5 trg event [1]", 't=5 trg event {"a":1} x',
                                   "t=5 trg event {}{}", 't=5 trg event "s"', "t=5 trg event 1",
-                                  "t=5 trg event "])
+                                  "t=5 trg event ",
+                                  # a time is only the text str() gives a non-negative int
+                                  "t=5_000 trg event {}", "t=+7 trg event {}",
+                                  "t=\u0665 trg event {}", "t=05 trg event {}",
+                                  "t=-5 trg event {}", "t= trg event {}"])
 def test_parse_record_rejects_malformed_lines(line):
     with pytest.raises(TraceError):
         parse_record(line)
@@ -514,7 +532,8 @@ def test_parse_record_accepts_exactly_what_json_loads_reads_as_an_object(text):
 
 
 _HEADS = ("t=5 trg event ", "t=7 gll event ", "t=x trg event ", "5 trg event ", "x=5 trg event ",
-          "t=5 trg ", "t=5  event ", "t=+9 trg event ", "t=5 trg event")
+          "t=5 trg ", "t=5  event ", "t=+9 trg event ", "t=5 trg event", "t=5_000 trg event ",
+          "t=+7 trg event ", "t=\u0665 trg event ", "t=05 trg event ")
 
 
 @given(lines=st.lists(st.builds(str.__add__, st.sampled_from(_HEADS), st.sampled_from(

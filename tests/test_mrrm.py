@@ -172,23 +172,25 @@ def test_serving_cell_is_scored_at_its_reported_load():
     flow = make_flow(resource_demand=10, serving=a.cell_id)
     policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
     stage = round_candidates(reports, policies, caps, cfg, cells)
-    ranked = select_access(flow, stage, {}, False)
-    scores = dict(ranked.entries)
-    assert scores["a"] == long_hand_score(flow, reports[0], a, policies, caps, cfg, {})
-    assert ranked.serving_score == scores["a"]
+    serving_score = long_hand_score(flow, reports[0], a, policies, caps, cfg, {})
+    b_score = long_hand_score(flow, reports[1], b, policies, caps, cfg, {})
     # b at its post-move load is a's twin: 0.3 + 0.3 * 0.8 + 0.2 * 0.9 + 0.1 + 0.05
-    assert scores["a"] == pytest.approx(0.87)
-    assert scores["b"] == pytest.approx(0.87)
-    assert [cell_id for cell_id, _ in ranked.entries] == ["a", "b"]
+    assert serving_score == pytest.approx(0.87)
+    assert b_score == pytest.approx(0.87)
+    ranked = select_access(flow, stage, {}, False)
+    assert ranked.serving_score == serving_score
+    assert ranked.entries == (("b", b_score),)
     assert ranked.target == "b"
-    # holding the flow, a wins the tie and ends the ranking
+    # holding the flow, a wins the tie
     ranked = select_access(flow, stage, {}, True)
-    assert ranked.entries == (("a", scores["a"]),)
+    assert ranked.serving_score == serving_score
+    assert ranked.entries == (("a", serving_score),)
     assert ranked.target == "a"
     # the same move committed by an earlier flow of the round makes b worse
+    b_score = long_hand_score(flow, reports[1], b, policies, caps, cfg, {"b": 10})
+    assert b_score == pytest.approx(0.85)
     ranked = select_access(flow, stage, {"b": 10}, False)
-    assert ranked.entries[0][0] == "a"
-    assert ranked.entries[1][1] == pytest.approx(0.85)
+    assert ranked.entries == (("b", b_score),)
 
 
 def test_load_threshold_hard_termination():
@@ -224,6 +226,34 @@ def test_serving_access_wins_score_ties():
     assert ranked.entries[0][0] == "b"
 
 
+def test_a_candidate_without_room_is_skipped_before_it_is_scored(monkeypatch):
+    # full meets the flow's QoS and roomy misses its rate, so full outranks
+    # roomy; but only roomy has room for the flow's demand of 20
+    full = make_cell("full", used_resources=85)
+    roomy = make_cell("roomy", achievable_rate=0.5e6)
+    cells = {"full": full, "roomy": roomy}
+    reports = [report_for_cell(full), report_for_cell(roomy)]
+    flow = make_flow(resource_demand=20)
+    policies, caps, cfg = PolicySet(), TerminalCapabilities(), SelectionConfig()
+    full_score, roomy_score = (long_hand_score(flow, report, cells[report["cell"]], policies,
+                                               caps, cfg, {}) for report in reports)
+    assert full_score > roomy_score
+    stage = round_candidates(reports, policies, caps, cfg, cells)
+    scored = []
+    carries = mrrm_mod._carries
+
+    def counting_carries(*args):
+        scored.append(args[0])
+        return carries(*args)
+
+    monkeypatch.setattr(mrrm_mod, "_carries", counting_carries)
+    ranked = select_access(flow, stage, {}, False)
+    assert ranked.entries == (("roomy", roomy_score),)
+    assert ranked.target == "roomy"
+    # one QoS check, roomy's: full is never scored
+    assert scored == [flow]
+
+
 def _holds_choices(flow):
     """Both values of ``holds`` for a served flow; an unserved one holds nothing."""
     return (False, True) if flow.serving is not None else (False,)
@@ -235,19 +265,17 @@ def test_head_matches_brute_force_oracle_on_random_instances(rng):
         tentative = random_tentative(rng, cells)
         stage = round_candidates(reports, policies, caps, cfg, cells)
         for flow in flows:
-            expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells, tentative)
             for holds in _holds_choices(flow):
-                # the ranking is cut after its target, so its head is the best candidate
+                expected = selection_oracle_best(flow, reports, policies, caps, cfg, cells,
+                                                 tentative, holds)
                 ranked = select_access(flow, stage, tentative, holds)
-                if expected is None:
-                    assert ranked.entries == ()
-                else:
-                    assert ranked.entries[0][0] == expected[0]
-                    assert ranked.entries[0][1] == pytest.approx(expected[1])
+                # the choice and its score, bit for bit, or none
+                assert ranked.entries == ((expected,) if expected is not None else ())
+                assert ranked.target == (expected[0] if expected is not None else None)
 
 
 def test_filter_soundness_on_random_instances(rng):
-    # every candidate stage one admits, so every one a ranking can hold
+    # every candidate stage one admits, so every one stage two can choose
     for _ in range(200):
         cells, reports, flows, policies, caps, cfg = random_instance(rng)
         by_cell = {r["cell"]: r for r in reports}
@@ -280,17 +308,15 @@ def _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative):
 
 def _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, tentative,
                               holds):
-    """``ranked`` equals the long-hand ranking cut after its first candidate
-    with room for the flow, that candidate is its target, and its serving
+    """``ranked`` holds the first candidate with room for the flow in the
+    long-hand ranking, as its target and with its score, and its serving
     score is the serving access's long-hand score."""
     full = _long_hand_ranking(flow, reports, policies, caps, cfg, cells, tentative)
-    fitting = [n for n, (cell_id, _) in enumerate(full)
+    fitting = [(cell_id, score) for cell_id, score in full
                if long_hand_fits(flow, cells[cell_id], tentative, holds)]
-    expected = full[:fitting[0] + 1] if fitting else full
-    assert [c for c, _ in ranked.entries] == [c for c, _ in expected]
     # bit-identical scores: both sum the terms in the same order
-    assert [score for _, score in ranked.entries] == [score for _, score in expected]
-    assert ranked.target == (expected[-1][0] if fitting else None)
+    assert ranked.entries == tuple(fitting[:1])
+    assert ranked.target == (fitting[0][0] if fitting else None)
     serving = [score for cell_id, score in full if cell_id == flow.serving]
     assert ranked.serving_score == (serving[0] if serving else None)
 
@@ -322,13 +348,12 @@ def test_identical_cells_tie_break_serving_first_exactly():
         for holds in _holds_choices(flow):
             ranked = select_access(flow, stage, {}, holds)
             assert ranked.target == ("b" if serving == "b" else "a")
-            assert ranked.entries == ((ranked.target, ranked.entries[0][1]),)
             _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {},
                                       holds)
-    # with room on neither twin, the whole tied ranking is listed
+    # with room on neither twin, there is no choice
     flow = make_flow(resource_demand=101)
     ranked = select_access(flow, stage, {}, False)
-    assert [cell_id for cell_id, _ in ranked.entries] == ["a", "b"]
+    assert ranked.entries == ()
     assert ranked.target is None
     _assert_same_as_long_hand(ranked, flow, reports, policies, caps, cfg, cells, {}, False)
 
@@ -399,7 +424,7 @@ def _metro_scenario(n_cells, n_flows, duration_ms, seed=1):
 def test_stage_two_ranks_a_small_share_of_a_metro_round(monkeypatch):
     # counts, not timings: per select of a round with candidates, the
     # candidates, those stage two scores before the bound stops it (each
-    # QoS check is one score) and those its ranking lists
+    # QoS check is one score) and those its result lists, the target or none
     stage_counts, scored_counts, ranked_counts = [], [], []
     carries = mrrm_mod._carries
 

@@ -162,6 +162,17 @@ _RULE = {"rule_id": "r", "pattern": ["link-down", "link-up"], "window_ms": 1000,
                            ("total_resources", -1))),
     *(pytest.param({"gll": {"probe_energy": {"WLAN": value}}}, "gll", id=f"probe-energy-{name}")
       for name, value in (("negative", -1), ("infinite", float("inf")))),
+    # an infinite rate would ramp through NaN into the trace
+    pytest.param({"cells": [{**minimal()["cells"][0], "achievable_rate": float("inf")}]},
+                 "cells[0]", id="cell-infinite-rate"),
+    pytest.param({"timeline": [{"at": 500, "kind": "set-cell-field", "target": "c1",
+                                "field": "achievable_rate", "value": float("inf")}]},
+                 "timeline[0].value", id="set-achievable_rate-infinite"),
+    *(pytest.param({"timeline": [{"at": 500, "kind": "quality-ramp", "target": "c1",
+                                  "field": "achievable_rate", "start": 1e6, "end": 0.0,
+                                  "duration_ms": 1000, key: float("inf")}]},
+                   f"timeline[0].{key}", id=f"ramp-infinite-rate-{key}")
+      for key in ("start", "end")),
 ])
 def test_out_of_range_values_rejected_at_load(section, path):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}:"):
